@@ -43,7 +43,6 @@ class TaskSpec:
     durations: dict[str, int]  # agent id -> ticks; absent entry = incapable
     resource: str
     abs_deadline: int | None = None
-    rel_deadlines: tuple[tuple[str, int], ...] = ()
     waits: tuple[tuple[str, int], ...] = ()  # (predecessor id, min gap W)
 
     def capable_agents(self) -> list[str]:
@@ -101,7 +100,7 @@ class ProblemInstance:
                 raise StructuralError(
                     f"task {task.id!r} requires unknown resource {task.resource!r}"
                 )
-            for other, _ in list(task.waits) + list(task.rel_deadlines):
+            for other, _ in task.waits:
                 if other not in known:
                     raise StructuralError(
                         f"task {task.id!r} references unknown task {other!r}"
@@ -306,8 +305,8 @@ def makespan(schedule: Schedule) -> int:
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # wait | abs_deadline | rel_deadline | resource_overlap |
-    #            agent_overlap | reachability | duration | coverage
+    kind: str  # wait | abs_deadline | resource_overlap | agent_overlap |
+    #            reachability | duration | coverage
     detail: str
 
 
@@ -352,13 +351,6 @@ def validate_schedule(problem: ProblemInstance, schedule: Schedule) -> Feasibili
                     "wait",
                     f"task {e.task_id!r} starts {e.start} before "
                     f"{pred!r} finish {entries[pred].finish} + {gap}",
-                ))
-        for other, bound in task.rel_deadlines:
-            if other in entries and entries[other].finish - e.start > bound:
-                out.append(Violation(
-                    "rel_deadline",
-                    f"finish({other!r}) - start({e.task_id!r}) "
-                    f"= {entries[other].finish - e.start} > {bound}",
                 ))
 
     # mutual exclusion per resource and per agent
@@ -409,6 +401,9 @@ def validate_schedule(problem: ProblemInstance, schedule: Schedule) -> Feasibili
 # JSON serialization (stable v1 schema)
 # ---------------------------------------------------------------------------
 
+TASK_KEYS = ("id", "location", "durations", "resource", "abs_deadline", "waits")
+
+
 def problem_to_dict(problem: ProblemInstance) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -424,7 +419,6 @@ def problem_to_dict(problem: ProblemInstance) -> dict:
                 "durations": dict(t.durations),
                 "resource": t.resource,
                 "abs_deadline": t.abs_deadline,
-                "rel_deadlines": [list(rd) for rd in t.rel_deadlines],
                 "waits": [list(w) for w in t.waits],
             }
             for t in problem.tasks
@@ -437,6 +431,12 @@ def problem_to_dict(problem: ProblemInstance) -> dict:
 def problem_from_dict(data: dict) -> ProblemInstance:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise StructuralError(f"unsupported schema version {data.get('schema_version')!r}")
+    for t in data["tasks"]:
+        # a constraint nothing enforces is rejected rather than silently
+        # dropped; unknown keys that set nothing (e.g. an empty list) load
+        unknown = sorted(k for k, v in t.items() if k not in TASK_KEYS and v)
+        if unknown:
+            raise StructuralError(f"task {t.get('id')!r} sets unsupported {unknown}")
     return ProblemInstance(
         grid_size=tuple(data["grid_size"]),
         agents=tuple(
@@ -450,7 +450,6 @@ def problem_from_dict(data: dict) -> ProblemInstance:
                 durations={k: int(v) for k, v in t["durations"].items()},
                 resource=t["resource"],
                 abs_deadline=t.get("abs_deadline"),
-                rel_deadlines=tuple((r[0], int(r[1])) for r in t.get("rel_deadlines", [])),
                 waits=tuple((w[0], int(w[1])) for w in t.get("waits", [])),
             )
             for t in data["tasks"]

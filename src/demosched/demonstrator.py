@@ -12,19 +12,11 @@ from .core import ProblemInstance, Schedule, problem_from_dict, problem_to_dict
 from .features import (
     Observation,
     context_features,
-    extract_all_features,
+    extract_features,
     observation_from_dict,
     observation_to_dict,
 )
-from .heuristics import (
-    ALPHA1,
-    ALPHA2,
-    ALPHA3,
-    CONTENTION_THRESHOLD,
-    RuleKind,
-    rule_choice,
-    select_rule,
-)
+from .heuristics import CONTENTION_THRESHOLD, RuleKind, expert_choice, select_rule
 from .simulate import run_simulation
 
 
@@ -47,9 +39,6 @@ def demonstrate(
     epsilon: float = 0.0,
     rng_seed: int = 0,
     contention_threshold: int = CONTENTION_THRESHOLD,
-    alpha1: float = ALPHA1,
-    alpha2: float = ALPHA2,
-    alpha3: float = ALPHA3,
 ) -> Demonstration:
     """Run the rule-based expert once and record its playthrough.
 
@@ -64,23 +53,22 @@ def demonstrate(
     contexts = {a.id: context_features(problem, a) for a in problem.agents}
 
     def decide(state, agent_id, candidates):
-        agent = problem.agent(agent_id)
+        features = extract_features(
+            state, problem.agent(agent_id), problem, state.unfinished(problem)
+        )
+        ids = tuple(sorted(t.id for t in candidates))
         chosen = None
-        if candidates:
-            best = rule_choice(
-                rule, state, agent_id, candidates, problem, alpha1, alpha2, alpha3
-            )
+        if ids:
             if epsilon > 0.0 and rng.random() < epsilon:
-                ids = sorted(t.id for t in candidates)
                 chosen = ids[int(rng.integers(len(ids)))]
             else:
-                chosen = best
+                chosen = expert_choice(rule, features, ids)
         observations.append(
             Observation(
                 tick=state.time,
                 context=contexts[agent_id],
-                task_features=extract_all_features(state, agent, problem),
-                candidates=tuple(sorted(t.id for t in candidates)),
+                task_features=features,
+                candidates=ids,
                 scheduled=(chosen, agent_id) if chosen is not None else None,
             )
         )

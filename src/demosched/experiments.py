@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import validate_schedule
-from .datasets import build_act_dataset, build_pairwise_dataset
+from .datasets import build_pairwise_dataset
 from .demonstrator import Demonstration, demonstrate
 from .generator import GenConfig, generate_instance, preset
 from .optimizer import (
@@ -25,15 +25,14 @@ from .optimizer import (
     perturb,
 )
 from .policy import (
-    PolicyModel,
     cross_validate_min_leaf,
     evaluate,
     split_demos,
     train_naive,
     train_pointwise,
+    train_policy,
 )
 from .scheduler import SchedulerConfig, construct_schedule
-from .tree import DecisionTree
 
 CSV_FIELDS = ("experiment", "condition", "metric", "value", "replicate", "seed")
 
@@ -170,15 +169,9 @@ def collect_demos(
 def _train_all(train: list[Demonstration], min_leaf: int):
     """Train all three priority models with a shared act classifier so the
     comparison isolates the priority representation."""
-    pair_ds = build_pairwise_dataset(train)
-    act_ds = build_act_dataset(train)
-    act_tree = DecisionTree(min_leaf=min_leaf).fit(act_ds.X, act_ds.y)
-    pairwise = PolicyModel(
-        priority_tree=DecisionTree(min_leaf=min_leaf).fit(pair_ds.X, pair_ds.y),
-        act_tree=act_tree,
-    )
-    pointwise = train_pointwise(train, min_leaf, act_tree=act_tree)
-    naive = train_naive(train, min_leaf, act_tree=act_tree)
+    pairwise = train_policy(train, min_leaf)
+    pointwise = train_pointwise(train, min_leaf, act_tree=pairwise.act_tree)
+    naive = train_naive(train, min_leaf, act_tree=pairwise.act_tree)
     return pairwise, pointwise, naive
 
 
@@ -221,13 +214,7 @@ def run_accuracy_sweep(
             leaf = cross_validate_min_leaf(build_pairwise_dataset(train))
             rows.append(ResultRow(experiment, condition, "min_leaf_selected",
                                   float(leaf), rep, stream))
-        pair_ds = build_pairwise_dataset(train)
-        act_ds = build_act_dataset(train)
-        model = PolicyModel(
-            priority_tree=DecisionTree(min_leaf=leaf).fit(pair_ds.X, pair_ds.y),
-            act_tree=DecisionTree(min_leaf=leaf).fit(act_ds.X, act_ds.y),
-        )
-        metrics = evaluate(model, test)
+        metrics = evaluate(train_policy(train, leaf), test)
         if metrics.sensitivity is not None:
             rows.append(ResultRow(experiment, condition, "sensitivity",
                                   metrics.sensitivity, rep, stream))
@@ -302,12 +289,7 @@ def run_covas_benchmark(
     demos = collect_demos([kind], train_demos, 0.0, train_stream,
                           num_agents=num_agents, num_tasks=train_n,
                           homogeneous=homogeneous, **config_overrides)
-    pair_ds = build_pairwise_dataset(demos)
-    act_ds = build_act_dataset(demos)
-    policy = PolicyModel(
-        priority_tree=DecisionTree(min_leaf=min_leaf).fit(pair_ds.X, pair_ds.y),
-        act_tree=DecisionTree(min_leaf=min_leaf).fit(act_ds.X, act_ds.y),
-    )
+    policy = train_policy(demos, min_leaf)
     for i in range(num_instances):
         stream = derive_seed(master_seed, experiment, condition, "inst", i)
         cfg = make_config(kind, num_agents=num_agents, num_tasks=num_tasks,

@@ -1,5 +1,8 @@
 """Per-task and per-context feature extraction, and the observation record
-emitted once per (tick, idle agent) during a demonstration playthrough."""
+emitted once per (tick, idle agent) during a demonstration playthrough.
+
+One featurizer serves both the expert, which records every unfinished task,
+and the scheduler, which featurizes only its feasible candidates."""
 
 from __future__ import annotations
 
@@ -10,7 +13,6 @@ from .core import (
     AgentSpec,
     ProblemInstance,
     SimState,
-    TaskSpec,
     euclidean,
     is_alive_enabled,
     travel_ticks,
@@ -89,45 +91,21 @@ def origin_angle(a: tuple[float, float], b: tuple[float, float]) -> float:
 
 
 def extract_features(
-    state: SimState, agent: AgentSpec, task: TaskSpec, problem: ProblemInstance
-) -> TaskFeatures:
-    """The seven per-task features at the current tick for (agent, task)."""
-    unfinished_ids = {t.id for t in state.unfinished(problem)}
-    share = sum(
-        1
-        for t in problem.tasks
-        if t.id in unfinished_ids and t.id != task.id and t.resource == task.resource
-    )
-    agent_loc = state.agent_location[agent.id]
-    dist = euclidean(agent_loc, task.location)
-    arrival = state.agent_busy_until[agent.id] + travel_ticks(dist, agent.speed)
-    return TaskFeatures(
-        deadline=float(problem.effective_deadline(task)),
-        precedence_satisfied=1.0 if is_alive_enabled(state, task) else 0.0,
-        resource_share_count=float(share),
-        resource_available=1.0 if state.resource_free(task.resource) else 0.0,
-        travel_time_remaining=float(max(0, arrival - state.time)),
-        travel_distance=dist,
-        angular_difference=origin_angle(agent_loc, task.location),
-    )
-
-
-def extract_all_features(
-    state: SimState, agent: AgentSpec, problem: ProblemInstance
+    state: SimState, agent: AgentSpec, problem: ProblemInstance, tasks
 ) -> dict[str, TaskFeatures]:
-    """Features for every unfinished task, sharing the per-state work.
+    """The seven per-task features at the current tick for `agent` and each
+    of `tasks`, which must all be unfinished.
 
-    Matches extract_features exactly; use this when featurizing a whole
-    observation.
+    Resource share counts run over every unfinished task, so a task's
+    features do not depend on which other tasks are featurized with it.
     """
-    unfinished = state.unfinished(problem)
     share_counts: dict[str, int] = {}
-    for t in unfinished:
+    for t in state.unfinished(problem):
         share_counts[t.resource] = share_counts.get(t.resource, 0) + 1
     agent_loc = state.agent_location[agent.id]
     busy = state.agent_busy_until[agent.id]
     out: dict[str, TaskFeatures] = {}
-    for t in unfinished:
+    for t in tasks:
         dist = euclidean(agent_loc, t.location)
         arrival = busy + travel_ticks(dist, agent.speed)
         out[t.id] = TaskFeatures(

@@ -1,19 +1,18 @@
 """The three expert scheduling rules and the cascade that picks between them.
 
-Each rule is exposed twice: over live simulation state (used while
-demonstrating) and over extracted feature vectors (used when replaying the
-expert against recorded observations). Both forms compute identical argmins.
+Each rule scores a task from its recorded TaskFeatures, the same features the
+learned policy sees, so the expert's decision while demonstrating and its
+replay against recorded observations are one computation.
 """
 
 from __future__ import annotations
 
 import enum
 
-from .core import ProblemInstance, SimState, TaskSpec, euclidean
-from .features import TaskFeatures, origin_angle
+from .core import ProblemInstance
+from .features import TaskFeatures
 
-# The weighting constants and contention threshold are configurable choices;
-# see GenConfig and the CLI flags.
+# Fixed weighting constants and contention threshold of the expert rules.
 ALPHA1 = 1.0
 ALPHA2 = 0.1
 ALPHA3 = 0.1
@@ -39,95 +38,25 @@ def select_rule(
     return RuleKind.TEMPORAL_REQUIREMENTS
 
 
-def _argbest(candidates, key, minimize=True):
-    if not candidates:
-        raise ValueError("empty candidate set")
-    sign = 1.0 if minimize else -1.0
-    return min(candidates, key=lambda tid: (sign * key(tid), tid))
+def rule_score_from_features(rule: RuleKind, tf: TaskFeatures) -> float:
+    """Score such that LOWER is always better (contention score negated).
 
-
-def vrp_priority(
-    state: SimState,
-    agent_id: str,
-    candidates: list[TaskSpec],
-    problem: ProblemInstance,
-    alpha1: float = ALPHA1,
-    alpha2: float = ALPHA2,
-) -> str:
-    """Distance plus angle-weighted routing score; lowest wins, ties by id."""
-    agent_loc = state.agent_location[agent_id]
-    by_id = {t.id: t for t in candidates}
-
-    def score(tid: str) -> float:
-        t = by_id[tid]
-        dist = euclidean(agent_loc, t.location)
-        theta = origin_angle(agent_loc, t.location)
-        return dist + alpha1 * theta + alpha2 * dist * theta
-
-    return _argbest(list(by_id), score, minimize=True)
-
-
-def rc_priority(
-    state: SimState,
-    candidates: list[TaskSpec],
-    problem: ProblemInstance,
-    alpha3: float = ALPHA3,
-) -> str:
-    """Resource share count minus deadline-weighted term; highest wins."""
-    unfinished = {t.id for t in state.unfinished(problem)}
-    by_id = {t.id: t for t in candidates}
-
-    def score(tid: str) -> float:
-        t = by_id[tid]
-        share = sum(
-            1 for u in problem.tasks if u.id in unfinished and u.resource == t.resource
-        )
-        return share - alpha3 * problem.effective_deadline(t)
-
-    return _argbest(list(by_id), score, minimize=False)
-
-
-def edf_priority(candidates: list[TaskSpec], problem: ProblemInstance) -> str:
-    """Earliest effective deadline; ties by lowest id."""
-    by_id = {t.id: t for t in candidates}
-    return _argbest(list(by_id), lambda tid: float(problem.effective_deadline(by_id[tid])),
-                    minimize=True)
-
-
-def rule_choice(
-    rule: RuleKind,
-    state: SimState,
-    agent_id: str,
-    candidates: list[TaskSpec],
-    problem: ProblemInstance,
-    alpha1: float = ALPHA1,
-    alpha2: float = ALPHA2,
-    alpha3: float = ALPHA3,
-) -> str:
-    if rule is RuleKind.TRAVEL_DISTANCE:
-        return vrp_priority(state, agent_id, candidates, problem, alpha1, alpha2)
-    if rule is RuleKind.RESOURCE_CONTENTION:
-        return rc_priority(state, candidates, problem, alpha3)
-    return edf_priority(candidates, problem)
-
-
-# ---------------------------------------------------------------------------
-# Feature-space scoring: same rules, computed from recorded TaskFeatures.
-# ---------------------------------------------------------------------------
-
-def rule_score_from_features(
-    rule: RuleKind,
-    tf: TaskFeatures,
-    alpha1: float = ALPHA1,
-    alpha2: float = ALPHA2,
-    alpha3: float = ALPHA3,
-) -> float:
-    """Score such that LOWER is always better (contention score negated)."""
+    travel: distance plus angle-weighted routing term; contention: resource
+    share count minus deadline-weighted term; temporal: effective deadline.
+    """
     if rule is RuleKind.TRAVEL_DISTANCE:
         d, theta = tf.travel_distance, tf.angular_difference
-        return d + alpha1 * theta + alpha2 * d * theta
+        return d + ALPHA1 * theta + ALPHA2 * d * theta
     if rule is RuleKind.RESOURCE_CONTENTION:
         # recorded share count excludes the task itself; the +1 offset is
         # uniform across candidates and cannot change the argmax
-        return -((tf.resource_share_count + 1.0) - alpha3 * tf.deadline)
+        return -((tf.resource_share_count + 1.0) - ALPHA3 * tf.deadline)
     return tf.deadline
+
+
+def expert_choice(rule: RuleKind, task_features: dict[str, TaskFeatures], pool) -> str:
+    """The rule's pick from `pool`: lowest score, ties by lowest id."""
+    if not pool:
+        raise ValueError("empty candidate pool")
+    return min(pool, key=lambda tid: (
+        rule_score_from_features(rule, task_features[tid]), tid))

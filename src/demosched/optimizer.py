@@ -68,6 +68,21 @@ class _Node:
         self.bound = bound
 
 
+def _earliest_start(problem: ProblemInstance, task, agent_id: str, agent_free: dict,
+                    agent_loc: dict, res_free: dict, finish: dict) -> tuple[int, int]:
+    """(start, finish) of `task` on `agent_id` appended after the placements
+    summarized by the dicts: the latest of its wait releases, its resource's
+    release and the agent's arrival. Every wait predecessor must be placed.
+    """
+    enable = 0
+    for pred, gap in task.waits:
+        enable = max(enable, finish[pred] + gap)
+    dist = euclidean(agent_loc[agent_id], task.location)
+    arrival = agent_free[agent_id] + travel_ticks(dist, problem.agent(agent_id).speed)
+    start = max(enable, res_free[task.resource], arrival)
+    return start, start + task.duration_for(agent_id)
+
+
 def _min_duration(task) -> int:
     return min(task.durations.values())
 
@@ -236,17 +251,11 @@ def branch_and_bound(
         for task in unplaced:
             if any(p not in node.finish for p, _ in task.waits):
                 continue
-            enable = 0
-            for pred, gap in task.waits:
-                enable = max(enable, node.finish[pred] + gap)
             for agent_id in task.capable_agents():
-                agent = problem.agent(agent_id)
-                dist = euclidean(node.agent_loc[agent_id], task.location)
-                arrival = node.agent_free[agent_id] + travel_ticks(dist, agent.speed)
-                start = max(enable, node.res_free[task.resource], arrival)
+                start, fin = _earliest_start(problem, task, agent_id, node.agent_free,
+                                             node.agent_loc, node.res_free, node.finish)
                 if last is not None and (start, task.id) <= (last.start, last.task_id):
                     continue  # canonical append order only
-                fin = start + task.duration_for(agent_id)
                 if fin > problem.effective_deadline(task):
                     continue
                 entry = ScheduleEntry(task.id, agent_id, start, fin)
@@ -334,19 +343,10 @@ def timed_schedule(
         task = problem.task(task_id)
         if agent_id not in task.durations:
             return None
-        enable = 0
-        for pred, gap in task.waits:
-            if pred not in finish:
-                return None
-            enable = max(enable, finish[pred] + gap)
-        agent = problem.agent(agent_id)
-        dist = euclidean(agent_loc[agent_id], task.location)
-        start = max(
-            enable,
-            res_free[task.resource],
-            agent_free[agent_id] + travel_ticks(dist, agent.speed),
-        )
-        fin = start + task.duration_for(agent_id)
+        if any(p not in finish for p, _ in task.waits):
+            return None
+        start, fin = _earliest_start(problem, task, agent_id, agent_free,
+                                     agent_loc, res_free, finish)
         if fin > problem.effective_deadline(task):
             return None
         entries.append(ScheduleEntry(task_id, agent_id, start, fin))

@@ -24,7 +24,7 @@ from .datasets import (
 )
 from .demonstrator import Demonstration
 from .features import CONTEXT_FEATURE_NAMES, TASK_FEATURE_NAMES, ContextFeatures, TaskFeatures
-from .heuristics import RuleKind, rule_score_from_features
+from .heuristics import RuleKind, expert_choice
 from .tree import DecisionTree
 
 FEATURE_SCHEMA = "v1"
@@ -70,15 +70,10 @@ class PolicyModel:
         context: ContextFeatures,
         task_features: dict[str, TaskFeatures],
         pool: list[str],
-        mode: str = "best",
     ) -> str:
         if not pool:
             raise ValueError("empty candidate pool")
-        if mode not in ("best", "worst"):
-            raise ValueError(f"unknown mode {mode!r}")
         scores = self.cumulative_scores(context, task_features, list(pool))
-        if mode == "worst":
-            scores = {tid: -s for tid, s in scores.items()}
         return _tie_min(pool, scores)
 
     def predict_act(self, context: ContextFeatures, tf: TaskFeatures) -> bool:
@@ -112,15 +107,8 @@ class HeuristicPolicy:
     def __init__(self, rule: RuleKind):
         self.rule = rule
 
-    def select_task(self, context, task_features, pool, mode="best"):
-        if not pool:
-            raise ValueError("empty candidate pool")
-        scores = {
-            tid: -rule_score_from_features(self.rule, task_features[tid]) for tid in pool
-        }
-        if mode == "worst":
-            scores = {tid: -s for tid, s in scores.items()}
-        return _tie_min(pool, scores)
+    def select_task(self, context, task_features, pool):
+        return expert_choice(self.rule, task_features, pool)
 
     def predict_act(self, context, tf) -> bool:
         return (
@@ -137,14 +125,12 @@ class PointwisePolicy:
         self.priority_tree = priority_tree
         self.act_tree = act_tree
 
-    def select_task(self, context, task_features, pool, mode="best"):
+    def select_task(self, context, task_features, pool):
         if not pool:
             raise ValueError("empty candidate pool")
         rows = np.array([point_vector(context, task_features[tid]) for tid in pool])
         probs = self.priority_tree.predict_proba(rows)
         scores = {tid: float(p) for tid, p in zip(pool, probs)}
-        if mode == "worst":
-            scores = {tid: -s for tid, s in scores.items()}
         return _tie_min(pool, scores)
 
     def predict_act(self, context, tf) -> bool:
@@ -171,7 +157,7 @@ class NaivePolicy:
             vec[offset + k * block : offset + (k + 1) * block] = tf.as_tuple()
         return np.array([vec])
 
-    def select_task(self, context, task_features, pool, mode="best"):
+    def select_task(self, context, task_features, pool):
         if not pool:
             raise ValueError("empty candidate pool")
         vec = self._wide_vector(context, task_features)
@@ -179,8 +165,6 @@ class NaivePolicy:
             tid: float(self.class_trees[self.index[tid]].predict_proba(vec)[0])
             for tid in pool
         }
-        if mode == "worst":
-            scores = {tid: -s for tid, s in scores.items()}
         return _tie_min(pool, scores)
 
     def predict_act(self, context, tf) -> bool:

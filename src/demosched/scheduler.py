@@ -87,9 +87,7 @@ def construct_schedule(
             return None
         agent = problem.agent(agent_id)
         context = context_features(problem, agent)
-        feats = {
-            t.id: extract_features(state, agent, t, problem) for t in candidates
-        }
+        feats = extract_features(state, agent, problem, candidates)
         pool = sorted(feats)
         top = policy.select_task(context, feats, pool)
         if not policy.predict_act(context, feats[top]):

@@ -206,7 +206,3 @@ def _route(root: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None
             stack.append((node.left, ids[mask]))
         if not mask.all():
             stack.append((node.right, ids[~mask]))
-
-
-def train_tree(X: np.ndarray, y: np.ndarray, min_leaf: int) -> DecisionTree:
-    return DecisionTree(min_leaf=min_leaf).fit(X, y)

@@ -311,6 +311,22 @@ class TestSerialization:
         with pytest.raises(StructuralError, match="schema version"):
             schedule_from_dict(sdata)
 
+    def test_empty_rel_deadlines_load(self, tiny_problem):
+        # v1 files may carry an empty rel_deadlines list, or no key at all
+        data = problem_to_dict(tiny_problem)
+        assert all("rel_deadlines" not in t for t in data["tasks"])
+        for t in data["tasks"]:
+            t["rel_deadlines"] = []
+        assert problem_from_dict(data) == tiny_problem
+
+    def test_rel_deadlines_rejected(self, tiny_problem):
+        # relative deadlines are not enforced by any solver, so a problem
+        # that sets one must not load
+        data = problem_to_dict(tiny_problem)
+        data["tasks"][0]["rel_deadlines"] = [["tB", 4]]
+        with pytest.raises(StructuralError, match="rel_deadlines"):
+            problem_from_dict(data)
+
     def test_file_roundtrip(self, tiny_problem, tmp_path):
         path = str(tmp_path / "problem.json")
         save_json(problem_to_dict(tiny_problem), path)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from demosched.core import SimState, apply_action
+from demosched.simulate import run_simulation
 from demosched.features import (
     CONTEXT_FEATURE_NAMES,
     TASK_FEATURE_NAMES,
@@ -10,7 +11,6 @@ from demosched.features import (
     Observation,
     TaskFeatures,
     context_features,
-    extract_all_features,
     extract_features,
     observation_from_dict,
     observation_to_dict,
@@ -37,11 +37,15 @@ class TestOriginAngle:
         assert origin_angle((0.0, 0.0), (1.0, 1.0)) == 0.0
 
 
+def one(state, agent, problem, task_id):
+    return extract_features(state, agent, problem, [problem.task(task_id)])[task_id]
+
+
 class TestExtractFeatures:
     def test_initial_state_values(self, tiny_problem):
         state = SimState.initial(tiny_problem)
         a1 = tiny_problem.agent("a1")
-        tf = extract_features(state, a1, tiny_problem.task("tC"), tiny_problem)
+        tf = one(state, a1, tiny_problem, "tC")
         assert tf.deadline == 15.0
         assert tf.precedence_satisfied == 1.0
         assert tf.resource_share_count == 1.0  # tA shares r0, self excluded
@@ -52,7 +56,7 @@ class TestExtractFeatures:
     def test_travel_time(self, tiny_problem):
         state = SimState.initial(tiny_problem)
         a0 = tiny_problem.agent("a0")
-        tf = extract_features(state, a0, tiny_problem.task("tB"), tiny_problem)
+        tf = one(state, a0, tiny_problem, "tB")
         assert tf.travel_distance == 4.0
         assert tf.travel_time_remaining == 2.0  # 4 units at speed 2
         assert tf.precedence_satisfied == 0.0  # waits on tA
@@ -60,40 +64,54 @@ class TestExtractFeatures:
     def test_default_deadline_is_horizon(self, tiny_problem):
         state = SimState.initial(tiny_problem)
         a0 = tiny_problem.agent("a0")
-        tf = extract_features(state, a0, tiny_problem.task("tA"), tiny_problem)
+        tf = one(state, a0, tiny_problem, "tA")
         assert tf.deadline == float(tiny_problem.horizon)
 
     def test_after_start_resource_blocked(self, tiny_problem):
         state = apply_action(SimState.initial(tiny_problem), tiny_problem,
                              "tA", "a0")
         a1 = tiny_problem.agent("a1")
-        tf = extract_features(state, a1, tiny_problem.task("tC"), tiny_problem)
+        tf = one(state, a1, tiny_problem, "tC")
         assert tf.resource_available == 0.0
         assert tf.resource_share_count == 0.0  # tA no longer unfinished
 
 
-def test_batch_matches_single(temporal_problem):
-    problem = temporal_problem
+def test_batch_matches_single(temporal_demo):
+    """Mid-run, featurizing one task gives exactly its entry from featurizing
+    every unfinished task: share counts always run over the unfinished set."""
+    problem = temporal_demo.problem
     state = SimState.initial(problem)
-    # walk a few actions to get a non-trivial mid-run state
-    for tid, aid, t in [(problem.tasks[0].id, "a0", 0)]:
-        state = state.advanced_to(t)
+    for entry in temporal_demo.schedule.entries[:3]:
+        state = apply_action(state.advanced_to(entry.start), problem,
+                             entry.task_id, entry.agent_id)
+    unfinished = state.unfinished(problem)
+    assert len(unfinished) < len(problem.tasks)
     for agent in problem.agents:
-        batch = extract_all_features(state, agent, problem)
-        assert set(batch) == {t.id for t in state.unfinished(problem)}
-        for task in state.unfinished(problem):
-            assert batch[task.id] == extract_features(state, agent, task, problem)
+        batch = extract_features(state, agent, problem, unfinished)
+        assert set(batch) == {t.id for t in unfinished}
+        for task in unfinished:
+            assert extract_features(state, agent, problem, [task]) == {
+                task.id: batch[task.id]}
 
 
 def test_batch_matches_single_during_demo(temporal_demo):
-    # every recorded observation was produced by the batch extractor; spot
-    # check a few against the single-task path on a fresh replay
+    """At every recorded decision, featurizing only the feasible candidates
+    (as the scheduler does) reproduces those entries of the recorded
+    features of all unfinished tasks (as the expert records them)."""
     problem = temporal_demo.problem
-    state = SimState.initial(problem)
-    agent = problem.agents[0]
-    batch = extract_all_features(state, agent, problem)
-    for task in state.unfinished(problem):
-        assert batch[task.id] == extract_features(state, agent, task, problem)
+    recorded = iter(temporal_demo.observations)
+    checked = 0
+
+    def replay(state, agent_id, candidates):
+        nonlocal checked
+        obs = next(recorded)
+        subset = extract_features(state, problem.agent(agent_id), problem, candidates)
+        assert subset == {t.id: obs.task_features[t.id] for t in candidates}
+        checked += len(subset)
+        return obs.scheduled[0] if obs.scheduled else None
+
+    run_simulation(problem, replay)
+    assert checked > 0
 
 
 def test_context_features(tiny_problem):

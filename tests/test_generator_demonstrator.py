@@ -13,8 +13,9 @@ from demosched.demonstrator import (
     demonstration_from_dict,
     demonstration_to_dict,
 )
+from demosched.features import extract_features
 from demosched.generator import GenConfig, GenerationError, generate_instance, preset
-from demosched.heuristics import RuleKind, rule_choice
+from demosched.heuristics import RuleKind, expert_choice
 from demosched.simulate import feasible_candidates, run_simulation
 
 
@@ -123,8 +124,9 @@ class TestDemonstrate:
             if not candidates:
                 replayed.append(None)
                 return None
-            pick = rule_choice(temporal_demo.rule_used, state, agent_id,
-                               candidates, problem)
+            feats = extract_features(state, problem.agent(agent_id), problem,
+                                     candidates)
+            pick = expert_choice(temporal_demo.rule_used, feats, sorted(feats))
             replayed.append(pick)
             return pick
 

@@ -1,17 +1,17 @@
 import pytest
 
-from demosched.core import AgentSpec, ProblemInstance, SimState, TaskSpec
-from demosched.features import extract_all_features
+from demosched.core import AgentSpec, ProblemInstance, SimState, TaskSpec, euclidean
+from demosched.features import extract_features, origin_angle
 from demosched.heuristics import (
+    ALPHA1,
+    ALPHA2,
+    ALPHA3,
     CONTENTION_THRESHOLD,
     RuleKind,
-    edf_priority,
-    rc_priority,
-    rule_choice,
-    rule_score_from_features,
+    expert_choice,
     select_rule,
-    vrp_priority,
 )
+from demosched.simulate import run_simulation
 
 
 def build_problem(agent_speed=2.0, resources=("r0", "r1", "r2"), tasks=None):
@@ -45,12 +45,19 @@ class TestSelectRule:
         assert CONTENTION_THRESHOLD == 100
 
 
+def pick(rule, problem, tasks=None, agent_id="a0"):
+    """The rule's choice over `tasks` (default: all) at the initial state."""
+    state = SimState.initial(problem)
+    tasks = list(problem.tasks) if tasks is None else tasks
+    feats = extract_features(state, problem.agent(agent_id), problem, tasks)
+    return expert_choice(rule, feats, [t.id for t in tasks])
+
+
 class TestVrpPriority:
     def test_prefers_near_task(self):
         problem = build_problem()
-        state = SimState.initial(problem)
         cands = [problem.task("t0"), problem.task("t1")]
-        assert vrp_priority(state, "a0", cands, problem) == "t0"
+        assert pick(RuleKind.TRAVEL_DISTANCE, problem, cands) == "t0"
 
     def test_angle_term_breaks_distance_tie(self):
         # t1 and t2 are equidistant; zero agent location makes the angular
@@ -60,9 +67,7 @@ class TestVrpPriority:
             TaskSpec("t2", (0.0, 5.0), {"a0": 1}, "r1"),
         )
         problem = build_problem(tasks=tasks, resources=("r0", "r1"))
-        state = SimState.initial(problem)
-        cands = [problem.task("t1"), problem.task("t2")]
-        assert vrp_priority(state, "a0", cands, problem) == "t1"
+        assert pick(RuleKind.TRAVEL_DISTANCE, problem) == "t1"
 
 
 class TestRcPriority:
@@ -73,9 +78,8 @@ class TestRcPriority:
             TaskSpec("t2", (0.0, 0.0), {"a0": 1}, "r1", abs_deadline=50),
         )
         problem = build_problem(tasks=tasks, resources=("r0", "r1"))
-        state = SimState.initial(problem)
-        pick = rc_priority(state, list(problem.tasks), problem)
-        assert pick == "t0"  # shares r0 with t1, ties broken by id
+        # t0 shares r0 with t1, ties broken by id
+        assert pick(RuleKind.RESOURCE_CONTENTION, problem) == "t0"
 
     def test_deadline_term(self):
         # equal share counts: the earlier deadline wins (larger score)
@@ -84,51 +88,66 @@ class TestRcPriority:
             TaskSpec("t1", (0.0, 0.0), {"a0": 1}, "r1", abs_deadline=10),
         )
         problem = build_problem(tasks=tasks, resources=("r0", "r1"))
-        state = SimState.initial(problem)
-        assert rc_priority(state, list(problem.tasks), problem) == "t1"
+        assert pick(RuleKind.RESOURCE_CONTENTION, problem) == "t1"
 
 
 def test_edf_priority():
     problem = build_problem()
-    cands = list(problem.tasks)
-    assert edf_priority(cands, problem) == "t1"  # deadline 10
+    assert pick(RuleKind.TEMPORAL_REQUIREMENTS, problem) == "t1"  # deadline 10
     # deadline-less tasks fall back to the horizon
-    assert edf_priority([problem.task("t2")], problem) == "t2"
+    assert pick(RuleKind.TEMPORAL_REQUIREMENTS, problem, [problem.task("t2")]) == "t2"
 
 
 def test_rule_choice_dispatch():
+    """expert_choice scores by the rule it is given."""
     problem = build_problem()
-    state = SimState.initial(problem)
-    cands = list(problem.tasks)
-    assert rule_choice(RuleKind.TEMPORAL_REQUIREMENTS, state, "a0", cands,
-                       problem) == edf_priority(cands, problem)
-    assert rule_choice(RuleKind.TRAVEL_DISTANCE, state, "a0", cands,
-                       problem) == vrp_priority(state, "a0", cands, problem)
-    assert rule_choice(RuleKind.RESOURCE_CONTENTION, state, "a0", cands,
-                       problem) == rc_priority(state, cands, problem)
+    assert pick(RuleKind.TEMPORAL_REQUIREMENTS, problem) == "t1"  # earliest deadline
+    assert pick(RuleKind.TRAVEL_DISTANCE, problem) == "t0"  # nearest
+    # singleton resources: 1 - 0.1 * deadline is largest for deadline 10
+    assert pick(RuleKind.RESOURCE_CONTENTION, problem) == "t1"
 
 
 def test_empty_candidates_raise():
     problem = build_problem()
-    state = SimState.initial(problem)
     with pytest.raises(ValueError):
-        vrp_priority(state, "a0", [], problem)
+        pick(RuleKind.TRAVEL_DISTANCE, problem, [])
     with pytest.raises(ValueError):
-        edf_priority([], problem)
+        expert_choice(RuleKind.TEMPORAL_REQUIREMENTS, {}, [])
+
+
+def live_score(rule, state, agent_id, task, problem):
+    """Each rule computed straight from the problem and the simulation state,
+    higher-is-better scores negated so that lower always wins."""
+    deadline = problem.effective_deadline(task)
+    if rule is RuleKind.TRAVEL_DISTANCE:
+        loc = state.agent_location[agent_id]
+        dist = euclidean(loc, task.location)
+        theta = origin_angle(loc, task.location)
+        return dist + ALPHA1 * theta + ALPHA2 * dist * theta
+    if rule is RuleKind.RESOURCE_CONTENTION:
+        share = sum(1 for u in state.unfinished(problem) if u.resource == task.resource)
+        return -(share - ALPHA3 * deadline)
+    return float(deadline)
 
 
 @pytest.mark.parametrize("rule", list(RuleKind))
 def test_feature_scores_reproduce_live_choice(rule, temporal_problem):
-    """The feature-space scoring and the live-state rule must agree on every
-    argmin, including tie-breaks."""
+    """At every decision of a demonstration, the rule scored from extracted
+    features picks what the rule computed from the live state picks,
+    including tie-breaks."""
     problem = temporal_problem
-    state = SimState.initial(problem)
-    for agent in problem.agents:
-        feats = extract_all_features(state, agent, problem)
-        cands = state.unfinished(problem)
-        live = rule_choice(rule, state, agent.id, cands, problem)
-        replay = min(
-            (t.id for t in cands),
-            key=lambda tid: (rule_score_from_features(rule, feats[tid]), tid),
-        )
-        assert live == replay
+    checked = []
+
+    def decide(state, agent_id, candidates):
+        if not candidates:
+            return None
+        agent = problem.agent(agent_id)
+        feats = extract_features(state, agent, problem, state.unfinished(problem))
+        replay = expert_choice(rule, feats, [t.id for t in candidates])
+        live = min(candidates, key=lambda t: (
+            live_score(rule, state, agent_id, t, problem), t.id)).id
+        checked.append(replay == live)
+        return replay
+
+    run_simulation(problem, decide)
+    assert checked and all(checked)

@@ -16,7 +16,7 @@ from demosched.policy import (
     train_policy,
 )
 from demosched.datasets import Dataset
-from demosched.tree import DecisionTree, train_tree
+from demosched.tree import DecisionTree
 
 
 def tf(deadline, travel=0.0):
@@ -45,8 +45,8 @@ def edf_model() -> PolicyModel:
         labels.append(1)
         rows.append(pair_vector(CTX, tf(db), tf(da)))
         labels.append(0)
-    priority = train_tree(np.array(rows), np.array(labels), min_leaf=1)
-    act = train_tree(np.zeros((2, 9)), np.array([1, 1]), min_leaf=1)
+    priority = DecisionTree(min_leaf=1).fit(np.array(rows), np.array(labels))
+    act = DecisionTree(min_leaf=1).fit(np.zeros((2, 9)), np.array([1, 1]))
     return PolicyModel(priority_tree=priority, act_tree=act)
 
 
@@ -55,12 +55,6 @@ class TestPolicyModel:
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
         assert model.select_task(CTX, feats, ["tA", "tB", "tC"]) == "tB"
-
-    def test_mode_worst(self):
-        model = edf_model()
-        feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        assert model.select_task(CTX, feats, ["tA", "tB", "tC"],
-                                 mode="worst") == "tA"
 
     def test_pool_restricts_choice(self):
         model = edf_model()
@@ -75,10 +69,6 @@ class TestPolicyModel:
     def test_empty_pool_raises(self):
         with pytest.raises(ValueError):
             edf_model().select_task(CTX, {}, [])
-
-    def test_bad_mode_raises(self):
-        with pytest.raises(ValueError):
-            edf_model().select_task(CTX, {"tA": tf(1)}, ["tA"], mode="median")
 
     def test_order_invariance(self):
         model = edf_model()
@@ -215,8 +205,8 @@ class TestAnomalies:
         rows = np.zeros((6, 9))
         rows[:, col] = [-2.0, -1.0, -1.0, -1.0, 1.0, 2.0]
         y = np.array([0, 1, 1, 0, 0, 1])
-        priority = train_tree(rows, y, min_leaf=1)
-        act = train_tree(np.zeros((2, 9)), np.array([1, 1]), min_leaf=1)
+        priority = DecisionTree(min_leaf=1).fit(rows, y)
+        act = DecisionTree(min_leaf=1).fit(np.zeros((2, 9)), np.array([1, 1]))
         return PolicyModel(priority_tree=priority, act_tree=act)
 
     def test_detects_cycle_and_disagreement(self):

@@ -9,13 +9,19 @@ from hypothesis import strategies as st
 from demosched.core import travel_ticks, validate_schedule
 from demosched.datasets import build_pairwise_dataset, pair_vector
 from demosched.demonstrator import demonstrate, demonstration_to_dict
+from demosched.experiments import PROBLEM_KINDS, make_config
 from demosched.features import ContextFeatures, TaskFeatures
 from demosched.generator import generate_instance, preset
-from demosched.heuristics import rule_choice, select_rule
-from demosched.optimizer import PerturbationError, branch_and_bound, perturb
+from demosched.heuristics import select_rule
+from demosched.optimizer import (
+    PerturbationError,
+    branch_and_bound,
+    perturb,
+    timed_schedule,
+)
 from demosched.policy import HeuristicPolicy, evaluate
 from demosched.simulate import run_simulation
-from demosched.tree import train_tree
+from demosched.tree import DecisionTree
 from demosched.policy import PolicyModel
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -69,8 +75,8 @@ def test_select_task_pool_order_invariance(pool_perm, offsets):
     rng = np.random.default_rng(0)
     X = rng.normal(size=(40, 9))
     y = (X[:, 2] < 0).astype(int)
-    model = PolicyModel(priority_tree=train_tree(X, y, min_leaf=2),
-                        act_tree=train_tree(X, y, min_leaf=2))
+    model = PolicyModel(priority_tree=DecisionTree(min_leaf=2).fit(X, y),
+                        act_tree=DecisionTree(min_leaf=2).fit(X, y))
     ctx = ContextFeatures(1.0, 1.0)
     feats = {
         tid: TaskFeatures(off, 1.0, 0.0, 1.0, 0.0, off, 0.0)
@@ -116,6 +122,24 @@ def perturb_base():
                                        fraction_with_deadlines=0.0,
                                        rng_seed=13))
     return problem, branch_and_bound(problem, gap_threshold=0.0).schedule
+
+
+@given(kind=st.sampled_from(PROBLEM_KINDS), homogeneous=st.booleans(),
+       node_limit=st.sampled_from([None, 300]),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=20, deadline=None)
+def test_timed_schedule_reproduces_bnb(kind, homogeneous, node_limit, seed):
+    """Branch and bound and serial timing share one placement rule, so
+    re-timing the search's schedule in its own order reproduces it."""
+    num_tasks = 6 if node_limit is None else 10
+    problem = generate_instance(make_config(
+        kind, num_agents=2, num_tasks=num_tasks, homogeneous=homogeneous,
+        rng_seed=seed))
+    result = branch_and_bound(problem, node_limit=node_limit)
+    if result.schedule is None:
+        return  # a node limit may stop the search before any incumbent
+    order = [(e.task_id, e.agent_id) for e in result.schedule.entries]
+    assert timed_schedule(problem, order) == result.schedule
 
 
 @given(seed=st.integers(min_value=0, max_value=1000),

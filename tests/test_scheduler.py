@@ -91,7 +91,7 @@ class TestConstructSchedule:
 
     def test_stalling_policy_returns_incomplete(self, temporal_problem):
         class NeverAct:
-            def select_task(self, context, task_features, pool, mode="best"):
+            def select_task(self, context, task_features, pool):
                 return sorted(pool)[0]
 
             def predict_act(self, context, tf):

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from demosched.tree import DecisionTree, train_tree
+from demosched.tree import DecisionTree
 
 
 def oracle_best_split(X, y, min_leaf):
@@ -34,8 +34,8 @@ def oracle_best_split(X, y, min_leaf):
 
 class TestFitBasics:
     def test_pure_data_single_leaf(self):
-        tree = train_tree(np.array([[0.0], [1.0], [2.0]]),
-                          np.array([1, 1, 1]), min_leaf=1)
+        tree = DecisionTree(min_leaf=1).fit(np.array([[0.0], [1.0], [2.0]]),
+                                            np.array([1, 1, 1]))
         assert tree.num_leaves() == 1
         assert tree.depth() == 0
         assert list(tree.predict_proba([[5.0]])) == [1.0]
@@ -43,28 +43,28 @@ class TestFitBasics:
     def test_linear_separable(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        tree = train_tree(X, y, min_leaf=1)
+        tree = DecisionTree(min_leaf=1).fit(X, y)
         assert list(tree.predict(X)) == [0, 0, 1, 1]
         assert tree.depth() == 1
 
     def test_xor_needs_zero_gain_splits(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
-        tree = train_tree(X, y, min_leaf=1)
+        tree = DecisionTree(min_leaf=1).fit(X, y)
         assert list(tree.predict(X)) == list(y)
         assert tree.depth() >= 2
 
     def test_min_leaf_blocks_split(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1])
-        tree = train_tree(X, y, min_leaf=4)
+        tree = DecisionTree(min_leaf=4).fit(X, y)
         assert tree.num_leaves() == 1
         # majority tie: leaf probability is exactly 0.5, predicted positive
         assert list(tree.predict(X)) == [1, 1, 1, 1]
 
     def test_min_leaf_clamped_to_dataset(self):
-        tree = train_tree(np.array([[0.0], [1.0]]), np.array([0, 1]),
-                          min_leaf=1000)
+        tree = DecisionTree(min_leaf=1000).fit(np.array([[0.0], [1.0]]),
+                                               np.array([0, 1]))
         assert tree.num_leaves() == 1
 
     def test_threshold_between_adjacent_floats(self):
@@ -72,7 +72,7 @@ class TestFitBasics:
         # the split must still separate the rows
         a = 1.0
         b = np.nextafter(a, np.inf)
-        tree = train_tree(np.array([[a], [b]]), np.array([0, 1]), min_leaf=1)
+        tree = DecisionTree(min_leaf=1).fit(np.array([[a], [b]]), np.array([0, 1]))
         assert list(tree.predict(np.array([[a], [b]]))) == [0, 1]
 
     def test_validation(self):
@@ -94,7 +94,7 @@ def test_split_matches_oracle():
         if y.min() == y.max():
             continue
         for min_leaf in (1, 3, 8):
-            tree = train_tree(X, y, min_leaf=min_leaf)
+            tree = DecisionTree(min_leaf=min_leaf).fit(X, y)
             expected_score, expected_feature = oracle_best_split(X, y, min_leaf)
             root = tree.root
             if expected_feature is None:
@@ -119,7 +119,7 @@ def test_deterministic_tie_break():
     # features 0 and 1 are copies; the split must use the lower index
     X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     y = np.array([0, 0, 1, 1])
-    tree = train_tree(X, y, min_leaf=1)
+    tree = DecisionTree(min_leaf=1).fit(X, y)
     assert tree.root.feature == 0
 
 
@@ -128,7 +128,7 @@ class TestSerialization:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(200, 4))
         y = (X[:, 0] + X[:, 1] > 0).astype(int)
-        tree = train_tree(X, y, min_leaf=2)
+        tree = DecisionTree(min_leaf=2).fit(X, y)
         clone = DecisionTree.from_dict(tree.to_dict())
         assert np.array_equal(clone.predict_proba(X), tree.predict_proba(X))
         assert clone.min_leaf == tree.min_leaf
@@ -139,20 +139,20 @@ class TestSerialization:
         X = rng.integers(0, 2, size=(400, 2)).astype(float)
         X += rng.normal(scale=1e-9, size=X.shape)
         y = rng.integers(0, 2, size=400)
-        tree = train_tree(X, y, min_leaf=1)
+        tree = DecisionTree(min_leaf=1).fit(X, y)
         clone = DecisionTree.from_dict(tree.to_dict())
         assert np.array_equal(clone.predict_proba(X), tree.predict_proba(X))
 
     def test_same_data_same_dict(self):
         X = np.arange(20, dtype=float).reshape(10, 2)
         y = np.array([0, 1] * 5)
-        assert (train_tree(X, y, 2).to_dict() == train_tree(X, y, 2).to_dict())
+        assert (DecisionTree(min_leaf=2).fit(X, y).to_dict() == DecisionTree(min_leaf=2).fit(X, y).to_dict())
 
 
 def test_predict_proba_shape_and_rows():
     X = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([0, 0, 1, 1])
-    tree = train_tree(X, y, min_leaf=1)
+    tree = DecisionTree(min_leaf=1).fit(X, y)
     # single unwrapped row is promoted to 2D
     assert tree.predict_proba([0.5]).shape == (1,)
     probs = tree.predict_proba(X)
@@ -163,6 +163,6 @@ def test_predict_proba_shape_and_rows():
 def test_exact_half_counts_positive():
     X = np.array([[1.0], [1.0]])
     y = np.array([0, 1])
-    tree = train_tree(X, y, min_leaf=1)  # identical rows, no split possible
+    tree = DecisionTree(min_leaf=1).fit(X, y)  # identical rows, no split possible
     assert tree.predict_proba([[1.0]])[0] == 0.5
     assert tree.predict([[1.0]])[0] == 1
