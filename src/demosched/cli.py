@@ -170,6 +170,7 @@ def optimize(problem_path, seed_path, gap, node_limit, time_limit, out):
         "wall_time": round(result.wall_time, 3),
         "seeded": result.seeded,
         "status": result.status,
+        "stats": result.stats,
     }, indent=2))
 
 

@@ -17,6 +17,14 @@ those it would never pop. Likewise, orderings that dive by bound or by
 earliest start embed a greedy dispatch heuristic that finds near-optimal
 incumbents within a handful of nodes on its own, leaving a seed nothing to
 prune.)
+
+Each call compiles the problem once (`_Compiled`): tasks, agents and
+resources become integer indices, and everything the search reads becomes
+a table over them, travel ticks included. A node is a handful of flat
+tuples over those indices. Where the order above compares ids (the
+canonical (start, task id) test and the child order) it compares their
+precomputed ranks in string order, so "t10" still precedes "t2" and the
+search, and the argument above, are those of the string-keyed form.
 """
 
 from __future__ import annotations
@@ -25,7 +33,8 @@ import itertools
 import math
 import time as _time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -33,6 +42,7 @@ from .core import (
     ProblemInstance,
     Schedule,
     ScheduleEntry,
+    StructuralError,
     euclidean,
     travel_ticks,
     validate_schedule,
@@ -54,119 +64,168 @@ class BnBResult:
     seed_objective: int | None
     incumbent_trace: tuple[tuple[int, int], ...]  # (nodes explored, objective)
     status: str  # optimal | gap_reached | node_limit | time_limit | infeasible
+    # work counters, deterministic: bound_evals, children_generated (the
+    # placements tried at expanded nodes), pruned_canonical, pruned_deadline,
+    # pruned_bound (children cut by the incumbent) and peak_open
+    stats: dict[str, int] = field(default_factory=dict)
 
 
-class _Node:
-    __slots__ = ("entries", "agent_free", "agent_loc", "res_free", "finish", "bound")
-
-    def __init__(self, entries, agent_free, agent_loc, res_free, finish, bound):
-        self.entries = entries
-        self.agent_free = agent_free
-        self.agent_loc = agent_loc
-        self.res_free = res_free
-        self.finish = finish
-        self.bound = bound
+def _ranks(ids: list[str]) -> list[int]:
+    """Each id's position in string order."""
+    rank = [0] * len(ids)
+    for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
+        rank[i] = r
+    return rank
 
 
-def _earliest_start(problem: ProblemInstance, task, agent_id: str, agent_free: dict,
-                    agent_loc: dict, res_free: dict, finish: dict) -> tuple[int, int]:
-    """(start, finish) of `task` on `agent_id` appended after the placements
-    summarized by the dicts: the latest of its wait releases, its resource's
-    release and the agent's arrival. Every wait predecessor must be placed.
+def _topological(waits: list[tuple[tuple[int, int], ...]]) -> list[int]:
+    """Task indices, every wait predecessor before its successors."""
+    order: list[int] = []
+    seen: set[int] = set()
+
+    def visit(t: int) -> None:
+        if t not in seen:
+            seen.add(t)
+            for p, _ in waits[t]:
+                visit(p)
+            order.append(t)
+
+    for t in range(len(waits)):
+        visit(t)
+    return order
+
+
+class _Compiled:
+    """One problem as tables, built once per search.
+
+    Tasks, agents and resources are indexed by their position in the
+    problem. Locations are indexed too: task t's location is t and agent
+    j's start location is num_tasks + j, so `travel[a][loc][t]` is agent
+    a's travel ticks from location `loc` to task t. `capable[t]` lists the
+    agents able to do t in id order, as `TaskSpec.capable_agents()` does;
+    `duration[t][a]` is None where a cannot. `task_rank` and `agent_rank`
+    are the ids' positions in string order.
+    """
+
+    def __init__(self, problem: ProblemInstance):
+        tasks, agents = problem.tasks, problem.agents
+        self.problem = problem
+        self.task_ids = [t.id for t in tasks]
+        self.agent_ids = [a.id for a in agents]
+        self.task_index = {tid: i for i, tid in enumerate(self.task_ids)}
+        self.agent_index = {aid: j for j, aid in enumerate(self.agent_ids)}
+        self.task_rank = _ranks(self.task_ids)
+        self.agent_rank = _ranks(self.agent_ids)
+        res_index = {r: k for k, r in enumerate(problem.resources)}
+        self.num_resources = len(res_index)
+        self.resource = [res_index[t.resource] for t in tasks]
+        self.duration = [[t.durations.get(a.id) for a in agents] for t in tasks]
+        self.min_duration = [min(t.durations.values()) for t in tasks]
+        self.capable = [tuple(self.agent_index[a] for a in t.capable_agents())
+                        for t in tasks]
+        self.deadline = [problem.effective_deadline(t) for t in tasks]
+        self.waits = [tuple((self.task_index[p], gap) for p, gap in t.waits)
+                      for t in tasks]
+        self.start_loc = tuple(range(len(tasks), len(tasks) + len(agents)))
+        points = [t.location for t in tasks] + [a.start_location for a in agents]
+        distance = [[euclidean(p, t.location) for t in tasks] for p in points]
+        self.travel = [[[travel_ticks(d, a.speed) for d in row] for row in distance]
+                       for a in agents]
+        # cheapest hop into each task from any other task's location, by
+        # its fastest capable agent: a static floor on incremental travel
+        self.from_task = []
+        for t in range(len(tasks)):
+            fastest = max(self.capable[t], key=lambda a: agents[a].speed)
+            hops = [self.travel[fastest][u][t] for u in range(len(tasks)) if u != t]
+            self.from_task.append(min(hops) if hops else 0)
+        self.topological = _topological(self.waits)
+
+    def task_at(self, task_id: str) -> int:
+        try:
+            return self.task_index[task_id]
+        except KeyError:
+            raise StructuralError(f"unknown task {task_id!r}") from None
+
+    def schedule(self, placements) -> Schedule:
+        """The Schedule of (task, agent, start, finish) index placements."""
+        return Schedule.from_entries(
+            [ScheduleEntry(self.task_ids[t], self.agent_ids[a], start, fin)
+             for t, a, start, fin in placements],
+            self.problem,
+        )
+
+    def lower_bound(self, agent_free, agent_loc, res_free, finish, unplaced,
+                    makespan: int) -> float:
+        """Makespan lower bound of a node: its per-agent release times and
+        location indices, per-resource release times, per-task finish times
+        (None where unplaced), its unplaced tasks in topological order and
+        its latest finish.
+
+        Components, each individually admissible:
+        - current makespan of the partial schedule;
+        - mean agent load: remaining durations plus an incremental travel
+          charge per task (the performing agent arrives either from where it
+          stands now or from some other task's location, so the cheaper of
+          the two is a valid floor on the travel it still owes);
+        - per-resource serialization from each resource's release time;
+        - wait-chain critical path, floored by how soon any capable agent
+          could physically reach each task (direct travel never
+          overestimates a detour, by the triangle inequality).
+        """
+        if not unplaced:
+            return float(makespan)
+        capable, mind, waits = self.capable, self.min_duration, self.waits
+        from_task, resource = self.from_task, self.resource
+        rows = [table[loc] for table, loc in zip(self.travel, agent_loc)]
+        load = sum(agent_free)
+        work = [0] * len(res_free)
+        # earliest finish of every task: placed ones have theirs, and the
+        # topological order fills in each unplaced predecessor before use
+        eft = list(finish)
+        chain = 0
+        for t in unplaced:
+            ready = hop = math.inf
+            for a in capable[t]:
+                x = rows[a][t]
+                if x < hop:
+                    hop = x
+                x += agent_free[a]
+                if x < ready:
+                    ready = x
+            d = mind[t]
+            x = from_task[t]
+            load += d + (hop if hop < x else x)
+            work[resource[t]] += d
+            for p, gap in waits[t]:
+                x = eft[p] + gap
+                if x > ready:
+                    ready = x
+            ready += d
+            eft[t] = ready
+            if ready > chain:
+                chain = ready
+        load_bound = math.ceil(load / len(agent_free))
+        # a resource with no unplaced task adds only its release time, which
+        # is a placed finish and so at most the makespan
+        res_bound = max(map(add, res_free, work))
+        return float(max(makespan, load_bound, res_bound, chain))
+
+
+def _earliest_start(cp: _Compiled, t: int, a: int, agent_free, agent_loc,
+                    res_free, finish) -> tuple[int, int]:
+    """(start, finish) of task t on agent a appended after the placements
+    summarized by the sequences (indexed as in `cp`): the latest of its wait
+    releases, its resource's release and the agent's arrival. Every wait
+    predecessor must be placed and a must be able to do t.
     """
     enable = 0
-    for pred, gap in task.waits:
-        enable = max(enable, finish[pred] + gap)
-    dist = euclidean(agent_loc[agent_id], task.location)
-    arrival = agent_free[agent_id] + travel_ticks(dist, problem.agent(agent_id).speed)
-    start = max(enable, res_free[task.resource], arrival)
-    return start, start + task.duration_for(agent_id)
-
-
-def _min_duration(task) -> int:
-    return min(task.durations.values())
-
-
-def _make_lower_bound(problem: ProblemInstance):
-    """Build a makespan lower bound specialized to one problem.
-
-    Components, each individually admissible:
-    - current makespan of the partial schedule;
-    - mean agent load: remaining durations plus an incremental travel charge
-      per task (the performing agent arrives either from where it stands now
-      or from some other task's location, so the cheaper of the two is a
-      valid floor on the travel it still owes);
-    - per-resource serialization from each resource's release time;
-    - wait-chain critical path, floored by how soon any capable agent could
-      physically reach each task (direct travel never overestimates a
-      detour, by the triangle inequality).
-    """
-    num_agents = len(problem.agents)
-    speed = {a.id: a.speed for a in problem.agents}
-    # cheapest hop into each task from any other task's location, using the
-    # fastest capable agent: a static floor on incremental travel
-    from_task: dict[str, int] = {}
-    for t in problem.tasks:
-        smax = max(speed[a] for a in t.capable_agents())
-        hops = [
-            travel_ticks(euclidean(u.location, t.location), smax)
-            for u in problem.tasks
-            if u.id != t.id
-        ]
-        from_task[t.id] = min(hops) if hops else 0
-    travel_memo: dict[tuple, int] = {}
-
-    def hop(loc, task, agent_id) -> int:
-        key = (loc, task.id, agent_id)
-        got = travel_memo.get(key)
-        if got is None:
-            got = travel_ticks(euclidean(loc, task.location), speed[agent_id])
-            travel_memo[key] = got
-        return got
-
-    def lower_bound(node: _Node, unplaced: list) -> float:
-        placed_makespan = max((e.finish for e in node.entries), default=0)
-        if not unplaced:
-            return float(placed_makespan)
-        load = sum(node.agent_free.values())
-        per_res: dict[str, int] = {}
-        ready: dict[str, int] = {}
-        for t in unplaced:
-            direct = min(
-                node.agent_free[a] + hop(node.agent_loc[a], t, a)
-                for a in t.capable_agents()
-            )
-            ready[t.id] = direct
-            incr = min(
-                from_task[t.id],
-                min(hop(node.agent_loc[a], t, a) for a in t.capable_agents()),
-            )
-            load += _min_duration(t) + incr
-            per_res[t.resource] = per_res.get(t.resource, 0) + _min_duration(t)
-        load_bound = math.ceil(load / num_agents)
-        res_bound = 0
-        for res, work in per_res.items():
-            res_bound = max(res_bound, node.res_free[res] + work)
-
-        est: dict[str, int] = {}
-
-        def earliest(task) -> int:
-            if task.id in est:
-                return est[task.id]
-            e = ready.get(task.id, 0)
-            for pred, gap in task.waits:
-                if pred in node.finish:
-                    e = max(e, node.finish[pred] + gap)
-                else:
-                    p = problem.task(pred)
-                    e = max(e, earliest(p) + _min_duration(p) + gap)
-            est[task.id] = e
-            return e
-
-        chain_bound = max(earliest(t) + _min_duration(t) for t in unplaced)
-        return float(max(placed_makespan, load_bound, res_bound, chain_bound))
-
-    return lower_bound
+    for p, gap in cp.waits[t]:
+        release = finish[p] + gap
+        if release > enable:
+            enable = release
+    arrival = agent_free[a] + cp.travel[a][agent_loc[a]][t]
+    start = max(enable, res_free[cp.resource[t]], arrival)
+    return start, start + cp.duration[t][a]
 
 
 def branch_and_bound(
@@ -182,7 +241,6 @@ def branch_and_bound(
     search proceeds cold.
     """
     t0 = _time.perf_counter()
-    tasks = {t.id: t for t in problem.tasks}
 
     incumbent: Schedule | None = None
     ub = float("inf")
@@ -204,20 +262,25 @@ def branch_and_bound(
                 stacklevel=2,
             )
 
-    root = _Node(
-        entries=(),
-        agent_free={a.id: 0 for a in problem.agents},
-        agent_loc={a.id: a.start_location for a in problem.agents},
-        res_free={r: 0 for r in problem.resources},
-        finish={},
-        bound=0.0,
-    )
-    lower_bound = _make_lower_bound(problem)
-    root.bound = lower_bound(root, list(problem.tasks))
+    cp = _Compiled(problem)
+    lower_bound = cp.lower_bound
+    capable, waits, deadline = cp.capable, cp.waits, cp.deadline
+    resource, task_rank, agent_rank = cp.resource, cp.task_rank, cp.agent_rank
+    num_agents = len(cp.agent_ids)
 
-    stack: list[_Node] = [root]
+    # a node: (placements, agent release times, agent location indices,
+    # resource release times, task finish times, unplaced tasks in
+    # topological order, makespan)
+    root = ((), (0,) * num_agents, cp.start_loc, (0,) * cp.num_resources,
+            (None,) * len(cp.task_ids), tuple(cp.topological), 0)
+    root_bound = lower_bound(*root[1:])
+    # depth-first open list; each entry is (bound, least bound at or below
+    # it in the stack, node), so the open bound is read off the top
+    stack = [(root_bound, root_bound, root)]
     nodes_explored = 0
     status = "optimal"
+    pruned_canonical = pruned_deadline = completed = pushed = pruned_bound = 0
+    peak_open = 1
 
     def gap_of(lb: float) -> float:
         if not math.isfinite(ub):
@@ -226,9 +289,9 @@ def branch_and_bound(
             return 0.0
         return max(0.0, (ub - lb) / ub)
 
-    global_lb = root.bound
+    global_lb = root_bound
     while stack:
-        open_lb = min(n.bound for n in stack)
+        open_lb = stack[-1][1]
         global_lb = min(open_lb, ub)
         if incumbent is not None and gap_of(open_lb) <= gap_threshold:
             status = "gap_reached"
@@ -239,63 +302,80 @@ def branch_and_bound(
         if time_limit is not None and _time.perf_counter() - t0 > time_limit:
             status = "time_limit"
             break
-        node = stack.pop()
-        if node.bound >= ub:
+        bound, _, node = stack.pop()
+        if bound >= ub:
             continue
         nodes_explored += 1
 
-        placed = node.finish.keys()
-        unplaced = [t for t in tasks.values() if t.id not in placed]
-        last = node.entries[-1] if node.entries else None
-        children: list[tuple[tuple, _Node]] = []
-        for task in unplaced:
-            if any(p not in node.finish for p, _ in task.waits):
+        placed, agent_free, agent_loc, res_free, finish, unplaced, makespan = node
+        if placed:
+            last_task, _, last_start, _ = placed[-1]
+            last = (last_start, task_rank[last_task])
+        children = []
+        for i, t in enumerate(unplaced):
+            if any(finish[p] is None for p, _ in waits[t]):
                 continue
-            for agent_id in task.capable_agents():
-                start, fin = _earliest_start(problem, task, agent_id, node.agent_free,
-                                             node.agent_loc, node.res_free, node.finish)
-                if last is not None and (start, task.id) <= (last.start, last.task_id):
+            remaining = unplaced[:i] + unplaced[i + 1:]
+            for a in capable[t]:
+                start, fin = _earliest_start(cp, t, a, agent_free, agent_loc,
+                                             res_free, finish)
+                if placed and (start, task_rank[t]) <= last:
+                    pruned_canonical += 1
                     continue  # canonical append order only
-                if fin > problem.effective_deadline(task):
+                if fin > deadline[t]:
+                    pruned_deadline += 1
                     continue
-                entry = ScheduleEntry(task.id, agent_id, start, fin)
-                agent_free = dict(node.agent_free)
-                agent_free[agent_id] = fin
-                agent_loc = dict(node.agent_loc)
-                agent_loc[agent_id] = task.location
-                res_free = dict(node.res_free)
-                res_free[task.resource] = fin
-                finish = dict(node.finish)
-                finish[task.id] = fin
-                child = _Node(node.entries + (entry,), agent_free, agent_loc,
-                              res_free, finish, 0.0)
-                remaining = [t for t in unplaced if t.id != task.id]
+                child_makespan = max(makespan, fin)
                 if not remaining:
+                    completed += 1
                     # the appended task need not finish last: an earlier
                     # start on another agent can still hold the makespan
-                    obj = max(finish.values())
-                    if obj < ub:
-                        ub = float(obj)
-                        incumbent = Schedule.from_entries(list(child.entries), problem)
-                        trace.append((nodes_explored, int(obj)))
+                    if child_makespan < ub:
+                        ub = float(child_makespan)
+                        incumbent = cp.schedule(placed + ((t, a, start, fin),))
+                        trace.append((nodes_explored, child_makespan))
                     continue
-                child.bound = lower_bound(child, remaining)
-                if child.bound >= ub:
+                r = resource[t]
+                child = (agent_free[:a] + (fin,) + agent_free[a + 1:],
+                         agent_loc[:a] + (t,) + agent_loc[a + 1:],
+                         res_free[:r] + (fin,) + res_free[r + 1:],
+                         finish[:t] + (fin,) + finish[t + 1:],
+                         remaining, child_makespan)
+                child_bound = lower_bound(*child)
+                if child_bound >= ub:
+                    pruned_bound += 1
                     continue
-                children.append(((entry.task_id, entry.agent_id), child))
+                children.append((task_rank[t] * num_agents + agent_rank[a],
+                                 child_bound, (placed + ((t, a, start, fin),),) + child))
         # depth-first in fixed lexicographic (task, agent) order; the order
         # is incumbent-independent so seeding never reorders the search
-        children.sort(key=lambda c: c[0], reverse=True)
-        stack.extend(child for _, child in children)
+        children.sort(key=itemgetter(0), reverse=True)
+        pushed += len(children)
+        for _, child_bound, child in children:
+            below = stack[-1][1] if stack else child_bound
+            stack.append((child_bound, min(child_bound, below), child))
+        peak_open = max(peak_open, len(stack))
     else:
         global_lb = ub if incumbent is not None else global_lb
 
     wall = _time.perf_counter() - t0
+    # every child generated was pruned by canonical order or by deadline,
+    # completed a schedule, or had its bound evaluated (and was then pruned
+    # or pushed); the root's bound is evaluated too
+    bounded = pruned_bound + pushed
+    stats = {
+        "bound_evals": 1 + bounded,
+        "children_generated": pruned_canonical + pruned_deadline + completed + bounded,
+        "pruned_canonical": pruned_canonical,
+        "pruned_deadline": pruned_deadline,
+        "pruned_bound": pruned_bound,
+        "peak_open": peak_open,
+    }
     if incumbent is None:
         # a limit hit before any incumbent is not proof of infeasibility
         final = status if status in ("node_limit", "time_limit") else "infeasible"
         return BnBResult(None, None, global_lb, float("inf"), nodes_explored, wall,
-                         seeded, seed_objective, tuple(trace), final)
+                         seeded, seed_objective, tuple(trace), final, stats)
     lb = min(global_lb, ub)
     return BnBResult(
         schedule=incumbent,
@@ -308,6 +388,7 @@ def branch_and_bound(
         seed_objective=seed_objective,
         incumbent_trace=tuple(trace),
         status=status,
+        stats=stats,
     )
 
 
@@ -326,6 +407,41 @@ def warm_start_optimize(
 # Serial timing and exhaustive baseline
 # ---------------------------------------------------------------------------
 
+def _place(cp: _Compiled, order) -> list[tuple[int, int, int, int]] | None:
+    """Earliest-start timing of (task, agent) index pairs in the given order,
+    as (task, agent, start, finish) placements. None if an agent cannot do
+    its task (an agent of None is an unknown id), or if the order violates
+    wait precedence or a deadline."""
+    agent_free = [0] * len(cp.agent_ids)
+    agent_loc = list(cp.start_loc)
+    res_free = [0] * cp.num_resources
+    finish: list[int | None] = [None] * len(cp.task_ids)
+    placements = []
+    for t, a in order:
+        if a is None or cp.duration[t][a] is None:
+            return None
+        if any(finish[p] is None for p, _ in cp.waits[t]):
+            return None
+        start, fin = _earliest_start(cp, t, a, agent_free, agent_loc,
+                                     res_free, finish)
+        if fin > cp.deadline[t]:
+            return None
+        placements.append((t, a, start, fin))
+        agent_free[a] = fin
+        agent_loc[a] = t
+        res_free[cp.resource[t]] = fin
+        finish[t] = fin
+    return placements
+
+
+def _timed_schedule(cp: _Compiled, order: list[tuple[str, str]]) -> Schedule | None:
+    # ids are looked up as the order is placed, so an unknown task raises
+    # only if no earlier step fails
+    placements = _place(cp, ((cp.task_at(task_id), cp.agent_index.get(agent_id))
+                             for task_id, agent_id in order))
+    return None if placements is None else cp.schedule(placements)
+
+
 def timed_schedule(
     problem: ProblemInstance, order: list[tuple[str, str]]
 ) -> Schedule | None:
@@ -334,43 +450,23 @@ def timed_schedule(
     Returns None if the order violates wait precedence, a deadline, or the
     horizon.
     """
-    agent_free = {a.id: 0 for a in problem.agents}
-    agent_loc = {a.id: a.start_location for a in problem.agents}
-    res_free = {r: 0 for r in problem.resources}
-    finish: dict[str, int] = {}
-    entries: list[ScheduleEntry] = []
-    for task_id, agent_id in order:
-        task = problem.task(task_id)
-        if agent_id not in task.durations:
-            return None
-        if any(p not in finish for p, _ in task.waits):
-            return None
-        start, fin = _earliest_start(problem, task, agent_id, agent_free,
-                                     agent_loc, res_free, finish)
-        if fin > problem.effective_deadline(task):
-            return None
-        entries.append(ScheduleEntry(task_id, agent_id, start, fin))
-        agent_free[agent_id] = fin
-        agent_loc[agent_id] = task.location
-        res_free[task.resource] = fin
-        finish[task_id] = fin
-    return Schedule.from_entries(entries, problem)
+    return _timed_schedule(_Compiled(problem), order)
 
 
 def brute_force_optimal(problem: ProblemInstance) -> Schedule | None:
     """Exhaustive search over task orders and assignments. Oracle for small
     instances only; cost grows as n! * A^n."""
-    task_ids = [t.id for t in problem.tasks]
-    capable = {t.id: t.capable_agents() for t in problem.tasks}
-    best: Schedule | None = None
-    for perm in itertools.permutations(task_ids):
-        for combo in itertools.product(*(capable[tid] for tid in perm)):
-            schedule = timed_schedule(problem, list(zip(perm, combo)))
-            if schedule is None:
+    cp = _Compiled(problem)
+    best, best_objective = None, None
+    for perm in itertools.permutations(range(len(cp.task_ids))):
+        for combo in itertools.product(*(cp.capable[t] for t in perm)):
+            placements = _place(cp, zip(perm, combo))
+            if placements is None:
                 continue
-            if best is None or schedule.objective < best.objective:
-                best = schedule
-    return best
+            objective = max((fin for *_, fin in placements), default=0)
+            if best is None or objective < best_objective:
+                best, best_objective = placements, objective
+    return None if best is None else cp.schedule(best)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +504,7 @@ def perturb(
         raise ValueError("count must be >= 0")
     if count == 0:
         return schedule
+    cp = _Compiled(problem)
     rng = np.random.default_rng(rng_seed)
     base = _order_of(schedule)
     n = len(base)
@@ -439,7 +536,7 @@ def perturb(
                 order[i] = (ti, others[int(rng.integers(len(others)))])
         if not ok:
             continue
-        result = timed_schedule(problem, order)
+        result = _timed_schedule(cp, order)
         if result is not None and result.complete:
             return result
     raise PerturbationError(

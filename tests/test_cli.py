@@ -87,6 +87,10 @@ def test_schedule_and_optimize(workspace, runner):
     report = json.loads(tail)
     assert report["seeded"] is True
     assert report["gap"] <= 1e-3
+    stats = report["stats"]
+    assert set(stats) == {"bound_evals", "children_generated", "pruned_canonical",
+                          "pruned_deadline", "pruned_bound", "peak_open"}
+    assert stats["bound_evals"] >= 1 and stats["peak_open"] >= 1
     optimal = schedule_from_dict(load_json(best))
     assert optimal.objective <= schedule_from_dict(load_json(sched)).objective
 

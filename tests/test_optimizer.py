@@ -1,14 +1,23 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from demosched import optimizer
 from demosched.core import (
     AgentSpec,
     ProblemInstance,
     Schedule,
     ScheduleEntry,
     TaskSpec,
+    euclidean,
+    travel_ticks,
     validate_schedule,
 )
+from demosched.experiments import PROBLEM_KINDS, make_config
 from demosched.generator import generate_instance, preset
 from demosched.optimizer import (
     PERTURBATION_KINDS,
@@ -22,6 +31,7 @@ from demosched.optimizer import (
 )
 from demosched.policy import HeuristicPolicy
 from demosched.heuristics import RuleKind
+from demosched.scheduler import construct_schedule
 
 
 @pytest.fixture(scope="module")
@@ -204,3 +214,267 @@ def test_objective_ratio():
     empty = Schedule.from_entries([])
     with pytest.raises(ValueError):
         objective_ratio(worse, empty)
+
+
+# ---------------------------------------------------------------------------
+# Compiled search against the string-keyed reference
+# ---------------------------------------------------------------------------
+
+def _min_duration(task) -> int:
+    return min(task.durations.values())
+
+
+def _make_lower_bound(problem: ProblemInstance):
+    """Build a makespan lower bound specialized to one problem.
+
+    Components, each individually admissible:
+    - current makespan of the partial schedule;
+    - mean agent load: remaining durations plus an incremental travel charge
+      per task (the performing agent arrives either from where it stands now
+      or from some other task's location, so the cheaper of the two is a
+      valid floor on the travel it still owes);
+    - per-resource serialization from each resource's release time;
+    - wait-chain critical path, floored by how soon any capable agent could
+      physically reach each task (direct travel never overestimates a
+      detour, by the triangle inequality).
+    """
+    num_agents = len(problem.agents)
+    speed = {a.id: a.speed for a in problem.agents}
+    # cheapest hop into each task from any other task's location, using the
+    # fastest capable agent: a static floor on incremental travel
+    from_task: dict[str, int] = {}
+    for t in problem.tasks:
+        smax = max(speed[a] for a in t.capable_agents())
+        hops = [
+            travel_ticks(euclidean(u.location, t.location), smax)
+            for u in problem.tasks
+            if u.id != t.id
+        ]
+        from_task[t.id] = min(hops) if hops else 0
+    travel_memo: dict[tuple, int] = {}
+
+    def hop(loc, task, agent_id) -> int:
+        key = (loc, task.id, agent_id)
+        got = travel_memo.get(key)
+        if got is None:
+            got = travel_ticks(euclidean(loc, task.location), speed[agent_id])
+            travel_memo[key] = got
+        return got
+
+    def lower_bound(node, unplaced: list) -> float:
+        placed_makespan = max((e.finish for e in node.entries), default=0)
+        if not unplaced:
+            return float(placed_makespan)
+        load = sum(node.agent_free.values())
+        per_res: dict[str, int] = {}
+        ready: dict[str, int] = {}
+        for t in unplaced:
+            direct = min(
+                node.agent_free[a] + hop(node.agent_loc[a], t, a)
+                for a in t.capable_agents()
+            )
+            ready[t.id] = direct
+            incr = min(
+                from_task[t.id],
+                min(hop(node.agent_loc[a], t, a) for a in t.capable_agents()),
+            )
+            load += _min_duration(t) + incr
+            per_res[t.resource] = per_res.get(t.resource, 0) + _min_duration(t)
+        load_bound = math.ceil(load / num_agents)
+        res_bound = 0
+        for res, work in per_res.items():
+            res_bound = max(res_bound, node.res_free[res] + work)
+
+        est: dict[str, int] = {}
+
+        def earliest(task) -> int:
+            if task.id in est:
+                return est[task.id]
+            e = ready.get(task.id, 0)
+            for pred, gap in task.waits:
+                if pred in node.finish:
+                    e = max(e, node.finish[pred] + gap)
+                else:
+                    p = problem.task(pred)
+                    e = max(e, earliest(p) + _min_duration(p) + gap)
+            est[task.id] = e
+            return e
+
+        chain_bound = max(earliest(t) + _min_duration(t) for t in unplaced)
+        return float(max(placed_makespan, load_bound, res_bound, chain_bound))
+
+    return lower_bound
+
+
+def _reference_node(problem, agent_free, agent_loc, res_free, finish):
+    """The string-keyed node of the compiled node's tables. Location index
+    t is task t's location; num_tasks + j is agent j's start location."""
+    points = ([t.location for t in problem.tasks]
+              + [a.start_location for a in problem.agents])
+    placed = {t.id: f for t, f in zip(problem.tasks, finish) if f is not None}
+    return SimpleNamespace(
+        entries=tuple(ScheduleEntry(tid, "", 0, f) for tid, f in placed.items()),
+        agent_free={a.id: f for a, f in zip(problem.agents, agent_free)},
+        agent_loc={a.id: points[loc] for a, loc in zip(problem.agents, agent_loc)},
+        res_free=dict(zip(problem.resources, res_free)),
+        finish=placed,
+    )
+
+
+def _relabel(problem: ProblemInstance, rng_seed: int) -> ProblemInstance:
+    """The same instance with unpadded task ids ("t10" sorts before "t2")
+    listed in shuffled order, and agents listed against their id order."""
+    rng = np.random.default_rng(rng_seed)
+    n = len(problem.tasks)
+    new_id = {t.id: f"t{int(k)}" for t, k in zip(problem.tasks, rng.permutation(n))}
+    m = len(problem.agents)
+    agent_id = {a.id: f"a{m - 1 - j}" for j, a in enumerate(problem.agents)}
+    tasks = tuple(
+        TaskSpec(new_id[t.id], t.location,
+                 {agent_id[a]: d for a, d in t.durations.items()}, t.resource,
+                 t.abs_deadline, tuple((new_id[p], w) for p, w in t.waits))
+        for t in (problem.tasks[int(i)] for i in rng.permutation(n)))
+    agents = tuple(AgentSpec(agent_id[a.id], a.start_location, a.speed)
+                   for a in problem.agents)
+    return ProblemInstance(problem.grid_size, agents, tasks, problem.resources,
+                           problem.horizon)
+
+
+@given(kind=st.sampled_from(PROBLEM_KINDS), homogeneous=st.booleans(),
+       shape=st.sampled_from([(6, 2, False), (11, 2, True), (12, 3, True),
+                              (12, 2, False)]),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=24, deadline=None)
+def test_compiled_bound_matches_reference(kind, homogeneous, shape, seed):
+    """At every node a capped cold and seeded search bounds, the compiled
+    bound equals the string-keyed reference, on instances whose task and
+    agent ids order differently as strings and as positions."""
+    num_tasks, num_agents, relabel = shape
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks,
+        homogeneous=homogeneous, rng_seed=seed))
+    if relabel:
+        problem = _relabel(problem, seed)
+    reference = _make_lower_bound(problem)
+    compiled_bound = optimizer._Compiled.lower_bound
+    checked = []
+
+    def checking_bound(cp, agent_free, agent_loc, res_free, finish, unplaced,
+                       makespan):
+        got = compiled_bound(cp, agent_free, agent_loc, res_free, finish,
+                             unplaced, makespan)
+        node = _reference_node(problem, agent_free, agent_loc, res_free, finish)
+        want = reference(node, [problem.tasks[t] for t in unplaced])
+        assert got == want
+        assert makespan == max(node.finish.values(), default=0)
+        checked.append(got)
+        return got
+
+    seed_schedule = construct_schedule(
+        problem, HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS))
+    if not (seed_schedule.complete
+            and validate_schedule(problem, seed_schedule).feasible):
+        seed_schedule = None
+    evaluated = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer._Compiled, "lower_bound", checking_bound)
+        for warm in (None, seed_schedule):
+            evaluated += branch_and_bound(problem, seed=warm,
+                                          node_limit=25).stats["bound_evals"]
+    assert len(checked) == evaluated
+
+
+def _golden_corpus():
+    """(label, problem, node limit) of the pinned searches; the last two
+    are relabeled, so a wrong id order changes their node sequence."""
+    for kind, homogeneous, num_tasks, num_agents, rng_seed, node_limit in (
+            ("travel", True, 7, 2, 501, None),
+            ("contention", False, 7, 2, 502, None),
+            ("temporal", True, 7, 2, 503, None),
+            ("temporal", True, 20, 2, 601, 2000),
+            ("temporal", True, 20, 2, 602, 2000),
+            ("travel", False, 12, 3, 701, 300),
+            ("temporal", True, 12, 3, 702, 300)):
+        problem = generate_instance(make_config(
+            kind, num_agents=num_agents, num_tasks=num_tasks,
+            homogeneous=homogeneous, rng_seed=rng_seed))
+        if num_agents == 3:
+            problem = _relabel(problem, rng_seed)
+        yield f"{kind}-{num_tasks}-{rng_seed}", problem, node_limit
+
+
+# (nodes_explored, objective, lower_bound, gap, status, incumbent_trace) per
+# (instance, arm), recorded with the string-keyed search this module
+# replaced; "seeded" starts from the temporal rule's replay
+GOLDEN = {
+    ("travel-7-501", "cold"): (
+        456, 37, 37.0, 0.0, "optimal",
+        ((36, 51), (36, 49), (38, 47), (112, 44), (160, 43), (188, 42),
+         (197, 41), (201, 40), (258, 38), (347, 37))),
+    ("travel-7-501", "seeded"): (208, 37, 37.0, 0.0, "optimal", ((0, 37),)),
+    ("contention-7-502", "cold"): (
+        945, 39, 39.0, 0.0, "optimal",
+        ((7, 72), (8, 71), (9, 60), (11, 57), (11, 48), (20, 47), (90, 46),
+         (120, 45), (153, 42), (154, 41), (658, 40), (687, 39))),
+    ("contention-7-502", "seeded"): (
+        689, 39, 39.0, 0.0, "optimal", ((0, 40), (431, 39))),
+    ("temporal-7-503", "cold"): (
+        650, 31, 31.0, 0.0, "optimal",
+        ((42, 63), (42, 61), (75, 40), (75, 38), (76, 37), (86, 33),
+         (182, 32), (452, 31))),
+    ("temporal-7-503", "seeded"): (
+        573, 31, 31.0, 0.0, "optimal", ((0, 33), (105, 32), (375, 31))),
+    ("temporal-20-601", "cold"): (2000, None, 56.0, math.inf, "node_limit", ()),
+    ("temporal-20-601", "seeded"): (
+        2000, 75, 56.0, 0.25333333333333335, "node_limit", ((0, 75),)),
+    ("temporal-20-602", "cold"): (2000, None, 65.0, math.inf, "node_limit", ()),
+    ("temporal-20-602", "seeded"): (
+        2000, 78, 65.0, 0.16666666666666666, "node_limit", ((0, 78),)),
+    ("travel-12-701", "cold"): (300, None, 24.0, math.inf, "node_limit", ()),
+    ("travel-12-701", "seeded"): (
+        300, 42, 24.0, 0.42857142857142855, "node_limit", ((0, 42),)),
+    ("temporal-12-702", "cold"): (300, None, 25.0, math.inf, "node_limit", ()),
+    ("temporal-12-702", "seeded"): (
+        300, 41, 25.0, 0.3902439024390244, "node_limit", ((0, 41),)),
+}
+
+
+def test_golden_searches():
+    """Closed 7-task, 2000-node 20-task and 300-node relabeled 12-task
+    searches, cold and seeded, find what the string-keyed search found."""
+    policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
+    for label, problem, node_limit in _golden_corpus():
+        seed = construct_schedule(problem, policy)
+        for arm, warm in (("cold", None), ("seeded", seed)):
+            result = branch_and_bound(problem, seed=warm, node_limit=node_limit)
+            assert result.seeded == (arm == "seeded")
+            got = (result.nodes_explored, result.objective, result.lower_bound,
+                   result.gap, result.status, result.incumbent_trace)
+            assert got == GOLDEN[label, arm], (label, arm)
+            if result.schedule is not None:
+                assert validate_schedule(problem, result.schedule).feasible
+
+
+class TestStats:
+    def test_counters_account_for_children(self, temporal_problem):
+        for warm in (None, branch_and_bound(temporal_problem).schedule):
+            a = branch_and_bound(temporal_problem, seed=warm).stats
+            assert a == branch_and_bound(temporal_problem, seed=warm).stats
+            # every child bounded was neither a canonical nor a deadline
+            # prune nor a complete schedule; the root is bounded too
+            bounded = a["bound_evals"] - 1
+            assert a["children_generated"] >= (
+                a["pruned_canonical"] + a["pruned_deadline"] + bounded)
+            assert 0 <= a["pruned_bound"] <= bounded
+            assert a["peak_open"] >= 1
+
+    def test_seeding_only_removes_work(self):
+        """A node's children do not depend on the incumbent, so a seeded
+        search, which expands a subset of the cold search's nodes, bounds
+        no more children than the cold one."""
+        policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
+        for label, problem, node_limit in list(_golden_corpus())[:3]:
+            cold = branch_and_bound(problem).stats
+            warm = warm_start_optimize(problem, policy).stats
+            for key in ("bound_evals", "children_generated"):
+                assert warm[key] <= cold[key], (label, key)
