@@ -1,8 +1,15 @@
-"""Domain types, simulation state, feasibility semantics and schedule validation.
+"""Domain types, the compiled problem, simulation state, feasibility
+semantics and schedule validation.
 
 Time is discretized to integer ticks. Travel times round up, so feasibility
 checks are conservative. All state objects have value semantics: operations
 return new states and never mutate their inputs.
+
+`Compiled` turns a problem into index tables once, and `earliest_start` is
+the one placement rule over them: the simulator, the featurizer, the
+schedulability test and branch and bound all read those tables. Only
+`validate_schedule` re-derives travel from the points, on purpose: it is
+the independent oracle the other paths are checked against.
 """
 
 from __future__ import annotations
@@ -100,10 +107,14 @@ class ProblemInstance:
                 raise StructuralError(
                     f"task {task.id!r} requires unknown resource {task.resource!r}"
                 )
-            for other, _ in task.waits:
+            for other, gap in task.waits:
                 if other not in known:
                     raise StructuralError(
                         f"task {task.id!r} references unknown task {other!r}"
+                    )
+                if gap < 0:
+                    raise StructuralError(
+                        f"task {task.id!r} has negative wait gap {gap} after {other!r}"
                     )
         self._check_wait_acyclic()
         max_dur_sum = sum(max(t.durations.values()) for t in self.tasks)
@@ -155,111 +166,184 @@ class ProblemInstance:
         return sum(n * n for n in counts.values())
 
 
+def _ranks(ids: list[str]) -> list[int]:
+    """Each id's position in string order."""
+    rank = [0] * len(ids)
+    for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
+        rank[i] = r
+    return rank
+
+
+class Compiled:
+    """One problem as tables, built once per playthrough or search.
+
+    Tasks, agents and resources are indexed by their position in the
+    problem. Locations are indexed too: task t's location is t and agent
+    j's start location is num_tasks + j. `location[loc]` is the point,
+    `distance[loc][t]` the distance from it to task t and `travel[a][loc][t]`
+    agent a's travel ticks over that distance: the one place arrival times
+    are derived. `capable[t]` lists the agents able to do t in id order, as
+    `TaskSpec.capable_agents()` does; `duration[t][a]` is None where a
+    cannot. `deadline[t]` is the effective deadline. `task_rank` and
+    `agent_rank` are the ids' positions in string order.
+    """
+
+    def __init__(self, problem: ProblemInstance):
+        tasks, agents = problem.tasks, problem.agents
+        self.problem = problem
+        self.task_ids = [t.id for t in tasks]
+        self.agent_ids = [a.id for a in agents]
+        self.task_index = {tid: i for i, tid in enumerate(self.task_ids)}
+        self.agent_index = {aid: j for j, aid in enumerate(self.agent_ids)}
+        self.task_rank = _ranks(self.task_ids)
+        self.agent_rank = _ranks(self.agent_ids)
+        res_index = {r: k for k, r in enumerate(problem.resources)}
+        self.num_resources = len(res_index)
+        self.resource = [res_index[t.resource] for t in tasks]
+        self.duration = [[t.durations.get(a.id) for a in agents] for t in tasks]
+        self.capable = [tuple(self.agent_index[a] for a in t.capable_agents())
+                        for t in tasks]
+        self.deadline = [problem.effective_deadline(t) for t in tasks]
+        self.waits = [tuple((self.task_index[p], gap) for p, gap in t.waits)
+                      for t in tasks]
+        self.start_loc = tuple(range(len(tasks), len(tasks) + len(agents)))
+        self.location = [t.location for t in tasks] + [a.start_location for a in agents]
+        self.distance = [[euclidean(p, t.location) for t in tasks]
+                         for p in self.location]
+        # grid points repeat distances (about 90 distinct of 440 at 20
+        # tasks), so each agent rounds each distinct distance once
+        distinct = {d for row in self.distance for d in row}
+        self.travel = []
+        for a in agents:
+            ticks = {d: travel_ticks(d, a.speed) for d in distinct}
+            self.travel.append([[ticks[d] for d in row] for row in self.distance])
+
+    def task_at(self, task_id: str) -> int:
+        try:
+            return self.task_index[task_id]
+        except KeyError:
+            raise StructuralError(f"unknown task {task_id!r}") from None
+
+    def agent_at(self, agent_id: str) -> int:
+        try:
+            return self.agent_index[agent_id]
+        except KeyError:
+            raise StructuralError(f"unknown agent {agent_id!r}") from None
+
+    def schedule(self, placements) -> Schedule:
+        """The Schedule of (task, agent, start, finish) index placements."""
+        return Schedule.from_entries(
+            [ScheduleEntry(self.task_ids[t], self.agent_ids[a], start, fin)
+             for t, a, start, fin in placements],
+            self.problem,
+        )
+
+
+def earliest_start(cp: Compiled, t: int, a: int, agent_free, agent_loc,
+                   res_free, finish) -> tuple[int, int]:
+    """(start, finish) of task t on agent a appended after the placements
+    summarized by the sequences (indexed as in `cp`): the latest of its wait
+    releases, its resource's release and the agent's arrival. Every wait
+    predecessor must be placed and a must be able to do t.
+    """
+    enable = 0
+    for p, gap in cp.waits[t]:
+        release = finish[p] + gap
+        if release > enable:
+            enable = release
+    arrival = agent_free[a] + cp.travel[a][agent_loc[a]][t]
+    start = max(enable, res_free[cp.resource[t]], arrival)
+    return start, start + cp.duration[t][a]
+
+
 @dataclass(frozen=True)
 class SimState:
+    """A partial schedule at a tick, over the compiled problem's indices:
+    per-agent release times and location indices, per-resource release
+    times, per-task finish times (None until started) and the placements
+    made so far. A started task has finished once its finish is at or
+    before `time` and is pending while it is after."""
+
+    compiled: Compiled
     time: int
-    started: dict[str, tuple[str, int]]  # task id -> (agent id, start)
-    finished: dict[str, int]  # task id -> finish tick (finish <= time)
-    pending_finish: dict[str, int]  # started, finish tick still in the future
-    agent_location: dict[str, Point]
-    agent_busy_until: dict[str, int]
-    resource_busy_until: dict[str, int]
+    agent_free: tuple[int, ...]
+    agent_loc: tuple[int, ...]
+    res_free: tuple[int, ...]
+    finish: tuple[int | None, ...]
+    placements: tuple[tuple[int, int, int, int], ...]  # (task, agent, start, finish)
 
     @classmethod
     def initial(cls, problem: ProblemInstance) -> "SimState":
-        return cls(
-            time=0,
-            started={},
-            finished={},
-            pending_finish={},
-            agent_location={a.id: a.start_location for a in problem.agents},
-            agent_busy_until={a.id: 0 for a in problem.agents},
-            resource_busy_until={r: 0 for r in problem.resources},
-        )
+        cp = Compiled(problem)
+        return cls(cp, 0, (0,) * len(cp.agent_ids), cp.start_loc,
+                   (0,) * cp.num_resources, (None,) * len(cp.task_ids), ())
 
-    def agent_idle(self, agent_id: str) -> bool:
-        return self.agent_busy_until[agent_id] <= self.time
+    def unfinished(self) -> list[TaskSpec]:
+        """Tasks not yet started, in problem order."""
+        tasks = self.compiled.problem.tasks
+        return [tasks[t] for t, f in enumerate(self.finish) if f is None]
 
-    def resource_free(self, resource: str) -> bool:
-        return self.resource_busy_until[resource] <= self.time
+    def all_finished(self) -> bool:
+        return all(f is not None and f <= self.time for f in self.finish)
 
-    def unfinished(self, problem: ProblemInstance) -> list[TaskSpec]:
-        return [t for t in problem.tasks if t.id not in self.finished
-                and t.id not in self.pending_finish]
+    def waits_released(self, t: int) -> bool:
+        """True iff every wait predecessor of task t finished at least its
+        gap ago."""
+        finish, now = self.finish, self.time
+        return all(finish[p] is not None and finish[p] + gap <= now
+                   for p, gap in self.compiled.waits[t])
+
+    def candidates(self, agent_id: str) -> list[TaskSpec]:
+        """Tasks the given idle agent could start at the current tick: not
+        started, within its capability, every wait predecessor started, and
+        the earliest start on it not after now."""
+        cp = self.compiled
+        a = cp.agent_at(agent_id)
+        finish = self.finish
+        out = []
+        for t, f in enumerate(finish):
+            if (f is None and cp.duration[t][a] is not None
+                    and all(finish[p] is not None for p, _ in cp.waits[t])
+                    and earliest_start(cp, t, a, self.agent_free, self.agent_loc,
+                                       self.res_free, finish)[0] <= self.time):
+                out.append(cp.problem.tasks[t])
+        return out
 
     def advanced_to(self, time: int) -> "SimState":
-        """Move the clock forward, completing tasks whose finish has passed."""
+        """Move the clock forward."""
         if time < self.time:
             raise ValueError("time cannot move backwards")
-        finished = dict(self.finished)
-        pending = {}
-        for tid, f in self.pending_finish.items():
-            if f <= time:
-                finished[tid] = f
-            else:
-                pending[tid] = f
-        return replace(self, time=time, finished=finished, pending_finish=pending)
+        return replace(self, time=time)
 
 
-def is_alive_enabled(state: SimState, task: TaskSpec) -> bool:
-    """True iff every wait predecessor of `task` finished at least W ticks ago."""
-    if task.id in state.started:
-        raise InfeasibleActionError(f"task {task.id!r} already started")
-    for pred, gap in task.waits:
-        if pred not in state.finished:
-            return False  # unfinished (or merely pending) predecessor
-        if state.time < state.finished[pred] + gap:
-            return False
-    return True
-
-
-def agent_can_reach(state: SimState, agent: AgentSpec, task: TaskSpec) -> bool:
-    """True iff the agent, travelling since it was last freed, is at the task
-    location by the current tick."""
-    dist = euclidean(state.agent_location[agent.id], task.location)
-    arrival = state.agent_busy_until[agent.id] + travel_ticks(dist, agent.speed)
-    return state.time >= arrival
-
-
-def apply_action(
-    state: SimState, problem: ProblemInstance, task_id: str, agent_id: str
-) -> SimState:
+def apply_action(state: SimState, task_id: str, agent_id: str) -> SimState:
     """Start `task_id` on `agent_id` at the current tick.
 
     Raises InfeasibleActionError naming the violated precondition.
     """
-    task = problem.task(task_id)
-    agent = problem.agent(agent_id)
-    if task_id in state.started:
+    cp, now = state.compiled, state.time
+    t, a = cp.task_at(task_id), cp.agent_at(agent_id)
+    if state.finish[t] is not None:
         raise InfeasibleActionError(f"task {task_id!r} already started")
-    if not state.agent_idle(agent_id):
-        raise InfeasibleActionError(f"agent {agent_id!r} busy at t={state.time}")
-    if not is_alive_enabled(state, task):
+    if state.agent_free[a] > now:
+        raise InfeasibleActionError(f"agent {agent_id!r} busy at t={now}")
+    if not state.waits_released(t):
         raise InfeasibleActionError(f"task {task_id!r} not alive-and-enabled")
-    if not state.resource_free(task.resource):
-        raise InfeasibleActionError(f"resource {task.resource!r} busy")
-    if not agent_can_reach(state, agent, task):
+    r = cp.resource[t]
+    if state.res_free[r] > now:
+        raise InfeasibleActionError(f"resource {cp.problem.resources[r]!r} busy")
+    if state.agent_free[a] + cp.travel[a][state.agent_loc[a]][t] > now:
         raise InfeasibleActionError(f"agent {agent_id!r} cannot reach {task_id!r}")
-    duration = task.duration_for(agent_id)
-    finish = state.time + duration
-
-    started = dict(state.started)
-    started[task_id] = (agent_id, state.time)
-    pending = dict(state.pending_finish)
-    pending[task_id] = finish
-    agent_location = dict(state.agent_location)
-    agent_location[agent_id] = task.location
-    agent_busy = dict(state.agent_busy_until)
-    agent_busy[agent_id] = finish
-    resource_busy = dict(state.resource_busy_until)
-    resource_busy[task.resource] = finish
+    if cp.duration[t][a] is None:
+        raise StructuralError(f"agent {agent_id!r} cannot perform task {task_id!r}")
+    fin = now + cp.duration[t][a]
     return replace(
         state,
-        started=started,
-        pending_finish=pending,
-        agent_location=agent_location,
-        agent_busy_until=agent_busy,
-        resource_busy_until=resource_busy,
+        agent_free=state.agent_free[:a] + (fin,) + state.agent_free[a + 1:],
+        agent_loc=state.agent_loc[:a] + (t,) + state.agent_loc[a + 1:],
+        res_free=state.res_free[:r] + (fin,) + state.res_free[r + 1:],
+        finish=state.finish[:t] + (fin,) + state.finish[t + 1:],
+        placements=state.placements + ((t, a, now, fin),),
     )
 
 

@@ -54,7 +54,7 @@ def demonstrate(
 
     def decide(state, agent_id, candidates):
         features = extract_features(
-            state, problem.agent(agent_id), problem, state.unfinished(problem)
+            state, problem.agent(agent_id), problem, state.unfinished()
         )
         ids = tuple(sorted(t.id for t in candidates))
         chosen = None
@@ -75,10 +75,10 @@ def demonstrate(
         return chosen
 
     state, schedule = run_simulation(problem, decide)
-    if not schedule.complete or len(state.finished) != len(problem.tasks):
+    unfinished = sum(f is None or f > state.time for f in state.finish)
+    if unfinished:
         raise IncompleteDemonstrationError(
-            f"horizon {problem.horizon} reached with "
-            f"{len(problem.tasks) - len(state.finished)} unfinished tasks"
+            f"horizon {problem.horizon} reached with {unfinished} unfinished tasks"
         )
     return Demonstration(
         problem=problem,

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import validate_schedule
 from .datasets import build_pairwise_dataset
 from .demonstrator import Demonstration, demonstrate
-from .generator import GenConfig, generate_instance, preset
+from .generator import GenConfig, generate_demonstrated, generate_instance, preset
 from .optimizer import (
     PERTURBATION_KINDS,
     PerturbationError,
@@ -156,11 +156,17 @@ def collect_demos(
             rng_seed=derive_seed(stream_seed, "gen", kind, i),
             **config_overrides,
         )
-        problem = generate_instance(cfg)
+        rng_seed = derive_seed(stream_seed, "demo", kind, i)
+        if epsilon == 0.0:
+            # a noise-free expert never draws, so the generator's verifying
+            # run is this demonstration but for its recorded seed
+            demos.append(replace(generate_demonstrated(cfg), epsilon=epsilon,
+                                 rng_seed=rng_seed))
+            continue
         demos.append(demonstrate(
-            problem,
+            generate_instance(cfg),
             epsilon=epsilon,
-            rng_seed=derive_seed(stream_seed, "demo", kind, i),
+            rng_seed=rng_seed,
             contention_threshold=cfg.contention_threshold,
         ))
     return demos

@@ -9,14 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    AgentSpec,
-    ProblemInstance,
-    SimState,
-    euclidean,
-    is_alive_enabled,
-    travel_ticks,
-)
+from .core import AgentSpec, ProblemInstance, SimState
 
 TASK_FEATURE_NAMES = (
     "deadline",
@@ -94,28 +87,31 @@ def extract_features(
     state: SimState, agent: AgentSpec, problem: ProblemInstance, tasks
 ) -> dict[str, TaskFeatures]:
     """The seven per-task features at the current tick for `agent` and each
-    of `tasks`, which must all be unfinished.
+    of `tasks`, which must all be unfinished. `problem` is the state's.
 
     Resource share counts run over every unfinished task, so a task's
     features do not depend on which other tasks are featurized with it.
+    Deadlines, distances and travel ticks are read from the compiled tables.
     """
+    cp = state.compiled
     share_counts: dict[str, int] = {}
-    for t in state.unfinished(problem):
+    for t in state.unfinished():
         share_counts[t.resource] = share_counts.get(t.resource, 0) + 1
-    agent_loc = state.agent_location[agent.id]
-    busy = state.agent_busy_until[agent.id]
+    a = cp.agent_at(agent.id)
+    loc = state.agent_loc[a]
+    distance, travel, agent_point = cp.distance[loc], cp.travel[a][loc], cp.location[loc]
+    busy, now = state.agent_free[a], state.time
     out: dict[str, TaskFeatures] = {}
-    for t in tasks:
-        dist = euclidean(agent_loc, t.location)
-        arrival = busy + travel_ticks(dist, agent.speed)
-        out[t.id] = TaskFeatures(
-            deadline=float(problem.effective_deadline(t)),
-            precedence_satisfied=1.0 if is_alive_enabled(state, t) else 0.0,
-            resource_share_count=float(share_counts[t.resource] - 1),
-            resource_available=1.0 if state.resource_free(t.resource) else 0.0,
-            travel_time_remaining=float(max(0, arrival - state.time)),
-            travel_distance=dist,
-            angular_difference=origin_angle(agent_loc, t.location),
+    for task in tasks:
+        t = cp.task_at(task.id)
+        out[task.id] = TaskFeatures(
+            deadline=float(cp.deadline[t]),
+            precedence_satisfied=1.0 if state.waits_released(t) else 0.0,
+            resource_share_count=float(share_counts[task.resource] - 1),
+            resource_available=1.0 if state.res_free[cp.resource[t]] <= now else 0.0,
+            travel_time_remaining=float(max(0, busy + travel[t] - now)),
+            travel_distance=distance[t],
+            angular_difference=origin_angle(agent_point, task.location),
         )
     return out
 

@@ -2,7 +2,9 @@
 
 Every generated instance is replayed once by the noise-free mock expert; if
 the expert cannot finish all tasks inside the horizon the instance is
-discarded and redrawn (bounded retries).
+discarded and redrawn (bounded retries). `generate_demonstrated` hands that
+verifying demonstration back, so a caller that wants the noise-free
+demonstration does not run the expert twice.
 """
 
 from __future__ import annotations
@@ -163,6 +165,12 @@ def _sample_instance(config: GenConfig, rng: np.random.Generator) -> ProblemInst
 
 def generate_instance(config: GenConfig) -> ProblemInstance:
     """Draw instances until the noise-free expert completes one."""
+    return generate_demonstrated(config).problem
+
+
+def generate_demonstrated(config: GenConfig):
+    """The Demonstration, noise-free with rng_seed 0, that verified the
+    instance `generate_instance` returns for `config`."""
     from .demonstrator import IncompleteDemonstrationError, demonstrate
 
     rng = np.random.default_rng(config.rng_seed)
@@ -170,12 +178,10 @@ def generate_instance(config: GenConfig) -> ProblemInstance:
     for _ in range(config.max_retries):
         problem = _sample_instance(config, rng)
         try:
-            demonstrate(problem, epsilon=0.0, rng_seed=0,
-                        contention_threshold=config.contention_threshold)
+            return demonstrate(problem, epsilon=0.0, rng_seed=0,
+                               contention_threshold=config.contention_threshold)
         except (IncompleteDemonstrationError, InfeasibleActionError) as exc:
             last_error = exc
-            continue
-        return problem
     raise GenerationError(
         f"no feasible instance after {config.max_retries} draws: {last_error}"
     )

@@ -18,10 +18,12 @@ earliest start embed a greedy dispatch heuristic that finds near-optimal
 incumbents within a handful of nodes on its own, leaving a seed nothing to
 prune.)
 
-Each call compiles the problem once (`_Compiled`): tasks, agents and
-resources become integer indices, and everything the search reads becomes
-a table over them, travel ticks included. A node is a handful of flat
-tuples over those indices. Where the order above compares ids (the
+Each call compiles the problem once (`core.Compiled`, the tables the
+simulator reads too), and places tasks by the shared `core.earliest_start`
+rule. This module adds only what the search alone reads: the lower bound,
+its per-task travel floor and a topological task order (`_Compiled`). A
+node is a handful of flat tuples over those indices, the fields of a
+`core.SimState` without its clock. Where the order above compares ids (the
 canonical (start, task id) test and the child order) it compares their
 precomputed ranks in string order, so "t10" still precedes "t2" and the
 search, and the argument above, are those of the string-keyed form.
@@ -39,12 +41,10 @@ from operator import add, itemgetter
 import numpy as np
 
 from .core import (
+    Compiled,
     ProblemInstance,
     Schedule,
-    ScheduleEntry,
-    StructuralError,
-    euclidean,
-    travel_ticks,
+    earliest_start,
     validate_schedule,
 )
 from .scheduler import SchedulerConfig, construct_schedule
@@ -70,14 +70,6 @@ class BnBResult:
     stats: dict[str, int] = field(default_factory=dict)
 
 
-def _ranks(ids: list[str]) -> list[int]:
-    """Each id's position in string order."""
-    rank = [0] * len(ids)
-    for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
-        rank[i] = r
-    return rank
-
-
 def _topological(waits: list[tuple[tuple[int, int], ...]]) -> list[int]:
     """Task indices, every wait predecessor before its successors."""
     order: list[int] = []
@@ -95,64 +87,23 @@ def _topological(waits: list[tuple[tuple[int, int], ...]]) -> list[int]:
     return order
 
 
-class _Compiled:
-    """One problem as tables, built once per search.
-
-    Tasks, agents and resources are indexed by their position in the
-    problem. Locations are indexed too: task t's location is t and agent
-    j's start location is num_tasks + j, so `travel[a][loc][t]` is agent
-    a's travel ticks from location `loc` to task t. `capable[t]` lists the
-    agents able to do t in id order, as `TaskSpec.capable_agents()` does;
-    `duration[t][a]` is None where a cannot. `task_rank` and `agent_rank`
-    are the ids' positions in string order.
-    """
+class _Compiled(Compiled):
+    """The compiled problem plus what only the search reads: each task's
+    cheapest hop in from another task's location, a topological task order
+    and the lower bound."""
 
     def __init__(self, problem: ProblemInstance):
-        tasks, agents = problem.tasks, problem.agents
-        self.problem = problem
-        self.task_ids = [t.id for t in tasks]
-        self.agent_ids = [a.id for a in agents]
-        self.task_index = {tid: i for i, tid in enumerate(self.task_ids)}
-        self.agent_index = {aid: j for j, aid in enumerate(self.agent_ids)}
-        self.task_rank = _ranks(self.task_ids)
-        self.agent_rank = _ranks(self.agent_ids)
-        res_index = {r: k for k, r in enumerate(problem.resources)}
-        self.num_resources = len(res_index)
-        self.resource = [res_index[t.resource] for t in tasks]
-        self.duration = [[t.durations.get(a.id) for a in agents] for t in tasks]
-        self.min_duration = [min(t.durations.values()) for t in tasks]
-        self.capable = [tuple(self.agent_index[a] for a in t.capable_agents())
-                        for t in tasks]
-        self.deadline = [problem.effective_deadline(t) for t in tasks]
-        self.waits = [tuple((self.task_index[p], gap) for p, gap in t.waits)
-                      for t in tasks]
-        self.start_loc = tuple(range(len(tasks), len(tasks) + len(agents)))
-        points = [t.location for t in tasks] + [a.start_location for a in agents]
-        distance = [[euclidean(p, t.location) for t in tasks] for p in points]
-        self.travel = [[[travel_ticks(d, a.speed) for d in row] for row in distance]
-                       for a in agents]
+        super().__init__(problem)
+        num_tasks = len(self.task_ids)
         # cheapest hop into each task from any other task's location, by
         # its fastest capable agent: a static floor on incremental travel
         self.from_task = []
-        for t in range(len(tasks)):
-            fastest = max(self.capable[t], key=lambda a: agents[a].speed)
-            hops = [self.travel[fastest][u][t] for u in range(len(tasks)) if u != t]
+        for t in range(num_tasks):
+            fastest = max(self.capable[t], key=lambda a: problem.agents[a].speed)
+            hops = [self.travel[fastest][u][t] for u in range(num_tasks) if u != t]
             self.from_task.append(min(hops) if hops else 0)
+        self.min_duration = [min(t.durations.values()) for t in problem.tasks]
         self.topological = _topological(self.waits)
-
-    def task_at(self, task_id: str) -> int:
-        try:
-            return self.task_index[task_id]
-        except KeyError:
-            raise StructuralError(f"unknown task {task_id!r}") from None
-
-    def schedule(self, placements) -> Schedule:
-        """The Schedule of (task, agent, start, finish) index placements."""
-        return Schedule.from_entries(
-            [ScheduleEntry(self.task_ids[t], self.agent_ids[a], start, fin)
-             for t, a, start, fin in placements],
-            self.problem,
-        )
 
     def lower_bound(self, agent_free, agent_loc, res_free, finish, unplaced,
                     makespan: int) -> float:
@@ -211,23 +162,6 @@ class _Compiled:
         return float(max(makespan, load_bound, res_bound, chain))
 
 
-def _earliest_start(cp: _Compiled, t: int, a: int, agent_free, agent_loc,
-                    res_free, finish) -> tuple[int, int]:
-    """(start, finish) of task t on agent a appended after the placements
-    summarized by the sequences (indexed as in `cp`): the latest of its wait
-    releases, its resource's release and the agent's arrival. Every wait
-    predecessor must be placed and a must be able to do t.
-    """
-    enable = 0
-    for p, gap in cp.waits[t]:
-        release = finish[p] + gap
-        if release > enable:
-            enable = release
-    arrival = agent_free[a] + cp.travel[a][agent_loc[a]][t]
-    start = max(enable, res_free[cp.resource[t]], arrival)
-    return start, start + cp.duration[t][a]
-
-
 def branch_and_bound(
     problem: ProblemInstance,
     seed: Schedule | None = None,
@@ -248,6 +182,9 @@ def branch_and_bound(
     seed_objective = None
     trace: list[tuple[int, int]] = []
     if seed is not None:
+        # a seed's objective and coverage are recomputed, never trusted: a
+        # loaded file states both and validation checks neither
+        seed = Schedule.from_entries(seed.entries, problem)
         report = validate_schedule(problem, seed)
         if seed.complete and report.feasible:
             incumbent = seed
@@ -317,7 +254,7 @@ def branch_and_bound(
                 continue
             remaining = unplaced[:i] + unplaced[i + 1:]
             for a in capable[t]:
-                start, fin = _earliest_start(cp, t, a, agent_free, agent_loc,
+                start, fin = earliest_start(cp, t, a, agent_free, agent_loc,
                                              res_free, finish)
                 if placed and (start, task_rank[t]) <= last:
                     pruned_canonical += 1
@@ -407,7 +344,7 @@ def warm_start_optimize(
 # Serial timing and exhaustive baseline
 # ---------------------------------------------------------------------------
 
-def _place(cp: _Compiled, order) -> list[tuple[int, int, int, int]] | None:
+def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
     """Earliest-start timing of (task, agent) index pairs in the given order,
     as (task, agent, start, finish) placements. None if an agent cannot do
     its task (an agent of None is an unknown id), or if the order violates
@@ -422,7 +359,7 @@ def _place(cp: _Compiled, order) -> list[tuple[int, int, int, int]] | None:
             return None
         if any(finish[p] is None for p, _ in cp.waits[t]):
             return None
-        start, fin = _earliest_start(cp, t, a, agent_free, agent_loc,
+        start, fin = earliest_start(cp, t, a, agent_free, agent_loc,
                                      res_free, finish)
         if fin > cp.deadline[t]:
             return None
@@ -434,7 +371,7 @@ def _place(cp: _Compiled, order) -> list[tuple[int, int, int, int]] | None:
     return placements
 
 
-def _timed_schedule(cp: _Compiled, order: list[tuple[str, str]]) -> Schedule | None:
+def _timed_schedule(cp: Compiled, order: list[tuple[str, str]]) -> Schedule | None:
     # ids are looked up as the order is placed, so an unknown task raises
     # only if no earlier step fails
     placements = _place(cp, ((cp.task_at(task_id), cp.agent_index.get(agent_id))
@@ -450,13 +387,13 @@ def timed_schedule(
     Returns None if the order violates wait precedence, a deadline, or the
     horizon.
     """
-    return _timed_schedule(_Compiled(problem), order)
+    return _timed_schedule(Compiled(problem), order)
 
 
 def brute_force_optimal(problem: ProblemInstance) -> Schedule | None:
     """Exhaustive search over task orders and assignments. Oracle for small
     instances only; cost grows as n! * A^n."""
-    cp = _Compiled(problem)
+    cp = Compiled(problem)
     best, best_objective = None, None
     for perm in itertools.permutations(range(len(cp.task_ids))):
         for combo in itertools.product(*(cp.capable[t] for t in perm)):
@@ -504,7 +441,7 @@ def perturb(
         raise ValueError("count must be >= 0")
     if count == 0:
         return schedule
-    cp = _Compiled(problem)
+    cp = Compiled(problem)
     rng = np.random.default_rng(rng_seed)
     base = _order_of(schedule)
     n = len(base)

@@ -9,14 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    ProblemInstance,
-    Schedule,
-    SimState,
-    apply_action,
-    euclidean,
-    travel_ticks,
-)
+from .core import ProblemInstance, Schedule, SimState, apply_action
 from .features import context_features, extract_features
 from .simulate import run_simulation
 
@@ -30,32 +23,27 @@ class SchedulerConfig:
 def schedulability_test(state: SimState, problem: ProblemInstance) -> bool:
     """Optimistic check that no task is already doomed to miss its deadline.
 
-    Uses lower bounds (ignores resource contention and future congestion),
-    so a False answer is a certain miss while True is only a maybe.
+    Uses lower bounds (ignores resource contention, unstarted predecessors
+    and future congestion), so a False answer is a certain miss while True
+    is only a maybe. A task still running is checked against its absolute
+    deadline, an unstarted one against its effective deadline.
     """
-    for tid, finish in state.pending_finish.items():
-        task = problem.task(tid)
-        if task.abs_deadline is not None and finish > task.abs_deadline:
-            return False
-    for task in state.unfinished(problem):
-        enable = state.time
-        for pred, gap in task.waits:
-            f = state.finished.get(pred)
-            if f is None:
-                f = state.pending_finish.get(pred)
-            if f is not None:
-                enable = max(enable, f + gap)
-        deadline = problem.effective_deadline(task)
-        ok = False
-        for agent_id in task.capable_agents():
-            agent = problem.agent(agent_id)
-            dist = euclidean(state.agent_location[agent_id], task.location)
-            ready = state.agent_busy_until[agent_id] + travel_ticks(dist, agent.speed)
-            start = max(enable, ready)
-            if start + task.duration_for(agent_id) <= deadline:
-                ok = True
-                break
-        if not ok:
+    cp, now, finish = state.compiled, state.time, state.finish
+    for t, f in enumerate(finish):
+        if f is not None:
+            deadline = problem.tasks[t].abs_deadline
+            if f > now and deadline is not None and f > deadline:
+                return False
+            continue
+        enable = now
+        for p, gap in cp.waits[t]:
+            if finish[p] is not None:
+                enable = max(enable, finish[p] + gap)
+        if not any(
+            max(enable, state.agent_free[a] + cp.travel[a][state.agent_loc[a]][t])
+            + cp.duration[t][a] <= cp.deadline[t]
+            for a in cp.capable[t]
+        ):
             return False
     return True
 
@@ -96,7 +84,7 @@ def construct_schedule(
             return top
         depth = max(1, config.fallback_depth)
         for pick in _ranked(policy, context, feats, pool, depth):
-            hypothetical = apply_action(state, problem, pick, agent_id)
+            hypothetical = apply_action(state, pick, agent_id)
             if schedulability_test(hypothetical, problem):
                 return pick
         return top  # every fallback looked doomed; commit to the favourite

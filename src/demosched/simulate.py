@@ -2,40 +2,19 @@
 
 Both the mock expert and the learned-policy scheduler run through this loop,
 so a policy that wraps the expert's rule reproduces the expert's schedule
-entry for entry.
+entry for entry. The state is the compiled problem's (`core.SimState`),
+built once per playthrough; candidates and placements follow the
+earliest-start rule that branch and bound uses.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .core import (
-    ProblemInstance,
-    Schedule,
-    ScheduleEntry,
-    SimState,
-    agent_can_reach,
-    apply_action,
-    is_alive_enabled,
-)
+from .core import ProblemInstance, Schedule, SimState, apply_action
 
 # decide(state, agent_id, candidates) -> task id to start now, or None
 DecideFn = Callable[[SimState, str, list], str | None]
-
-
-def feasible_candidates(state: SimState, agent_id: str, problem: ProblemInstance) -> list:
-    """Tasks the given idle agent could start at the current tick."""
-    agent = problem.agent(agent_id)
-    out = []
-    for task in state.unfinished(problem):
-        if (
-            agent_id in task.durations  # capable agents only
-            and is_alive_enabled(state, task)
-            and state.resource_free(task.resource)
-            and agent_can_reach(state, agent, task)
-        ):
-            out.append(task)
-    return out
 
 
 def run_simulation(problem: ProblemInstance, decide: DecideFn) -> tuple[SimState, Schedule]:
@@ -43,26 +22,15 @@ def run_simulation(problem: ProblemInstance, decide: DecideFn) -> tuple[SimState
     pick at most one task per tick. Stops when every task has finished or the
     horizon is reached."""
     state = SimState.initial(problem)
-    agent_order = sorted(a.id for a in problem.agents)
-    all_ids = {t.id for t in problem.tasks}
+    agents = sorted((agent_id, a) for a, agent_id in enumerate(state.compiled.agent_ids))
     for t in range(problem.horizon + 1):
         state = state.advanced_to(t)
-        if set(state.finished) == all_ids:
+        if state.all_finished():
             break
-        for agent_id in agent_order:
-            if not state.agent_idle(agent_id):
+        for agent_id, a in agents:
+            if state.agent_free[a] > t:
                 continue
-            candidates = feasible_candidates(state, agent_id, problem)
-            chosen = decide(state, agent_id, candidates)
+            chosen = decide(state, agent_id, state.candidates(agent_id))
             if chosen is not None:
-                state = apply_action(state, problem, chosen, agent_id)
-    return state, schedule_from_state(state, problem)
-
-
-def schedule_from_state(state: SimState, problem: ProblemInstance) -> Schedule:
-    entries = []
-    finish_times = dict(state.finished)
-    finish_times.update(state.pending_finish)
-    for task_id, (agent_id, start) in state.started.items():
-        entries.append(ScheduleEntry(task_id, agent_id, start, finish_times[task_id]))
-    return Schedule.from_entries(entries, problem)
+                state = apply_action(state, chosen, agent_id)
+    return state, state.compiled.schedule(state.placements)

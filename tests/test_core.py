@@ -11,10 +11,8 @@ from demosched.core import (
     SimState,
     StructuralError,
     TaskSpec,
-    agent_can_reach,
     apply_action,
     euclidean,
-    is_alive_enabled,
     load_json,
     makespan,
     problem_from_dict,
@@ -105,6 +103,17 @@ class TestProblemValidation:
         with pytest.raises(StructuralError, match="horizon"):
             self._base(horizon=1)
 
+    def test_negative_wait_gap(self):
+        # a negative gap would let a task start before its predecessor
+        # finishes, which the simulator and the search disagree on
+        with pytest.raises(StructuralError, match="negative wait gap"):
+            self._base(
+                tasks=(
+                    TaskSpec("t0", (0.0, 0.0), {"a0": 1}, "r0"),
+                    TaskSpec("t1", (1.0, 0.0), {"a0": 1}, "r0", waits=(("t0", -4),)),
+                ),
+            )
+
 
 def test_effective_deadline(tiny_problem):
     assert tiny_problem.effective_deadline(tiny_problem.task("tC")) == 15
@@ -125,23 +134,43 @@ def test_task_lookup_errors(tiny_problem):
         tiny_problem.task("tA").duration_for("aX")
 
 
+def started(state):
+    """task id -> (agent id, start) of every placement."""
+    cp = state.compiled
+    return {cp.task_ids[t]: (cp.agent_ids[a], start)
+            for t, a, start, _ in state.placements}
+
+
+def finished(state):
+    """task id -> finish of every started task whose finish has passed."""
+    return {tid: f for tid, f in zip(state.compiled.task_ids, state.finish)
+            if f is not None and f <= state.time}
+
+
+def pending(state):
+    """task id -> finish of every started task still running."""
+    return {tid: f for tid, f in zip(state.compiled.task_ids, state.finish)
+            if f is not None and f > state.time}
+
+
 class TestSimState:
     def test_initial(self, tiny_problem):
         state = SimState.initial(tiny_problem)
+        cp = state.compiled
         assert state.time == 0
-        assert state.agent_idle("a0")
-        assert state.resource_free("r0")
-        assert len(state.unfinished(tiny_problem)) == 3
+        assert state.agent_free[cp.agent_index["a0"]] <= state.time
+        assert state.res_free[tiny_problem.resources.index("r0")] <= state.time
+        assert len(state.unfinished()) == 3
 
     def test_advance_completes_pending(self, tiny_problem):
         state = SimState.initial(tiny_problem)
-        state = apply_action(state, tiny_problem, "tA", "a0")
-        assert "tA" in state.pending_finish
+        state = apply_action(state, "tA", "a0")
+        assert "tA" in pending(state)
         later = state.advanced_to(2)
-        assert later.finished == {"tA": 2}
-        assert not later.pending_finish
+        assert finished(later) == {"tA": 2}
+        assert not pending(later)
         # the original state object is untouched
-        assert state.finished == {}
+        assert finished(state) == {}
 
     def test_advance_backwards_raises(self, tiny_problem):
         state = SimState.initial(tiny_problem).advanced_to(3)
@@ -149,65 +178,61 @@ class TestSimState:
             state.advanced_to(2)
 
     def test_pending_task_not_unfinished(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), tiny_problem,
-                             "tA", "a0")
-        assert {t.id for t in state.unfinished(tiny_problem)} == {"tB", "tC"}
+        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
+        assert {t.id for t in state.unfinished()} == {"tB", "tC"}
 
 
 class TestApplyAction:
     def test_updates_everything(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), tiny_problem,
-                             "tA", "a0")
-        assert state.started["tA"] == ("a0", 0)
-        assert state.pending_finish["tA"] == 2
-        assert state.agent_busy_until["a0"] == 2
-        assert state.resource_busy_until["r0"] == 2
-        assert state.agent_location["a0"] == (0.0, 0.0)
+        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
+        cp = state.compiled
+        a0 = cp.agent_index["a0"]
+        assert started(state)["tA"] == ("a0", 0)
+        assert pending(state)["tA"] == 2
+        assert state.agent_free[a0] == 2
+        assert state.res_free[tiny_problem.resources.index("r0")] == 2
+        assert cp.location[state.agent_loc[a0]] == (0.0, 0.0)
 
     def test_busy_agent(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), tiny_problem,
-                             "tA", "a0")
+        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
         with pytest.raises(InfeasibleActionError, match="busy"):
-            apply_action(state, tiny_problem, "tB", "a0")
+            apply_action(state, "tB", "a0")
 
     def test_busy_resource(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), tiny_problem,
-                             "tA", "a0")
+        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
         with pytest.raises(InfeasibleActionError, match="resource"):
-            apply_action(state, tiny_problem, "tC", "a1")
+            apply_action(state, "tC", "a1")
 
     def test_unreachable(self, tiny_problem):
         # a1 stands at (10, 0); tA is 10 units away, 5 ticks at speed 2
         with pytest.raises(InfeasibleActionError, match="reach"):
-            apply_action(SimState.initial(tiny_problem), tiny_problem,
-                         "tA", "a1")
+            apply_action(SimState.initial(tiny_problem), "tA", "a1")
 
     def test_wait_not_satisfied(self, tiny_problem):
         state = SimState.initial(tiny_problem).advanced_to(5)
         with pytest.raises(InfeasibleActionError, match="alive"):
-            apply_action(state, tiny_problem, "tB", "a0")
+            apply_action(state, "tB", "a0")
 
     def test_already_started(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), tiny_problem,
-                             "tA", "a0").advanced_to(3)
+        state = apply_action(SimState.initial(tiny_problem), "tA", "a0").advanced_to(3)
         with pytest.raises(InfeasibleActionError, match="already started"):
-            apply_action(state, tiny_problem, "tA", "a0")
+            apply_action(state, "tA", "a0")
 
 
 def test_alive_enabled_gap(tiny_problem):
-    state = apply_action(SimState.initial(tiny_problem), tiny_problem,
-                         "tA", "a0")
+    state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
+    tB = state.compiled.task_index["tB"]
     # tA finishes at 2; tB needs a one-tick gap, so enabled from t=3
-    assert not is_alive_enabled(state.advanced_to(2), tiny_problem.task("tB"))
-    assert is_alive_enabled(state.advanced_to(3), tiny_problem.task("tB"))
+    assert not state.advanced_to(2).waits_released(tB)
+    assert state.advanced_to(3).waits_released(tB)
 
 
 def test_agent_can_reach(tiny_problem):
+    # a1 stands on tC; tA, with no wait and a free resource, is 5 ticks away
     state = SimState.initial(tiny_problem)
-    a1 = tiny_problem.agent("a1")
-    assert agent_can_reach(state, a1, tiny_problem.task("tC"))
-    assert not agent_can_reach(state, a1, tiny_problem.task("tA"))
-    assert agent_can_reach(state.advanced_to(5), a1, tiny_problem.task("tA"))
+    assert "tC" in [t.id for t in state.candidates("a1")]
+    assert "tA" not in [t.id for t in state.candidates("a1")]
+    assert "tA" in [t.id for t in state.advanced_to(5).candidates("a1")]
 
 
 class TestSchedule:
@@ -325,6 +350,12 @@ class TestSerialization:
         data = problem_to_dict(tiny_problem)
         data["tasks"][0]["rel_deadlines"] = [["tB", 4]]
         with pytest.raises(StructuralError, match="rel_deadlines"):
+            problem_from_dict(data)
+
+    def test_negative_wait_gap_rejected(self, tiny_problem):
+        data = problem_to_dict(tiny_problem)
+        data["tasks"][1]["waits"] = [["tA", -4]]
+        with pytest.raises(StructuralError, match="negative wait gap"):
             problem_from_dict(data)
 
     def test_file_roundtrip(self, tiny_problem, tmp_path):

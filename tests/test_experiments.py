@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import (
     CSV_FIELDS,
     KIND_OVERRIDES,
@@ -19,6 +20,7 @@ from demosched.experiments import (
     summarize,
     write_rows_csv,
 )
+from demosched.generator import generate_instance
 
 
 class TestSeedDerivation:
@@ -51,6 +53,33 @@ def test_collect_demos_cycles_kinds():
                           num_tasks=5)
     assert len(demos) == 4
     assert len({id(d.problem) for d in demos}) == 4
+
+
+def test_noise_free_demos_reuse_the_verifying_run(monkeypatch):
+    """At epsilon 0 each demo is the generator's verifying run, recorded
+    with its own derived seed: the same demo as a second expert run, for
+    one expert run per demo."""
+    kinds, stream = ["travel", "temporal"], 7
+    expected = []
+    for i in range(4):
+        kind = kinds[i % 2]
+        cfg = make_config(kind, num_tasks=5, rng_seed=derive_seed(stream, "gen", kind, i))
+        expected.append(demonstration_to_dict(demonstrate(
+            generate_instance(cfg), epsilon=0.0,
+            rng_seed=derive_seed(stream, "demo", kind, i),
+            contention_threshold=cfg.contention_threshold)))
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return demonstrate(*args, **kwargs)
+
+    # the generator imports the expert lazily from its module
+    monkeypatch.setattr("demosched.demonstrator.demonstrate", counted)
+    monkeypatch.setattr("demosched.experiments.demonstrate", counted)
+    demos = collect_demos(kinds, 4, 0.0, stream, num_tasks=5)
+    assert [demonstration_to_dict(d) for d in demos] == expected
+    assert len(runs) == 4
 
 
 class TestCsvRoundtrip:

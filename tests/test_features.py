@@ -68,8 +68,7 @@ class TestExtractFeatures:
         assert tf.deadline == float(tiny_problem.horizon)
 
     def test_after_start_resource_blocked(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), tiny_problem,
-                             "tA", "a0")
+        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
         a1 = tiny_problem.agent("a1")
         tf = one(state, a1, tiny_problem, "tC")
         assert tf.resource_available == 0.0
@@ -82,9 +81,9 @@ def test_batch_matches_single(temporal_demo):
     problem = temporal_demo.problem
     state = SimState.initial(problem)
     for entry in temporal_demo.schedule.entries[:3]:
-        state = apply_action(state.advanced_to(entry.start), problem,
-                             entry.task_id, entry.agent_id)
-    unfinished = state.unfinished(problem)
+        state = apply_action(state.advanced_to(entry.start), entry.task_id,
+                             entry.agent_id)
+    unfinished = state.unfinished()
     assert len(unfinished) < len(problem.tasks)
     for agent in problem.agents:
         batch = extract_features(state, agent, problem, unfinished)

@@ -16,7 +16,7 @@ from demosched.demonstrator import (
 from demosched.features import extract_features
 from demosched.generator import GenConfig, GenerationError, generate_instance, preset
 from demosched.heuristics import RuleKind, expert_choice
-from demosched.simulate import feasible_candidates, run_simulation
+from demosched.simulate import run_simulation
 
 
 class TestGenConfig:
@@ -189,5 +189,5 @@ def test_feasible_candidates_respect_capability():
     from demosched.core import SimState
 
     state = SimState.initial(problem)
-    assert feasible_candidates(state, "a0", problem) == []
-    assert [t.id for t in feasible_candidates(state, "a1", problem)] == ["t0"]
+    assert state.candidates("a0") == []
+    assert [t.id for t in state.candidates("a1")] == ["t0"]

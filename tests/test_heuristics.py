@@ -120,12 +120,13 @@ def live_score(rule, state, agent_id, task, problem):
     higher-is-better scores negated so that lower always wins."""
     deadline = problem.effective_deadline(task)
     if rule is RuleKind.TRAVEL_DISTANCE:
-        loc = state.agent_location[agent_id]
+        cp = state.compiled
+        loc = cp.location[state.agent_loc[cp.agent_index[agent_id]]]
         dist = euclidean(loc, task.location)
         theta = origin_angle(loc, task.location)
         return dist + ALPHA1 * theta + ALPHA2 * dist * theta
     if rule is RuleKind.RESOURCE_CONTENTION:
-        share = sum(1 for u in state.unfinished(problem) if u.resource == task.resource)
+        share = sum(1 for u in state.unfinished() if u.resource == task.resource)
         return -(share - ALPHA3 * deadline)
     return float(deadline)
 
@@ -142,7 +143,7 @@ def test_feature_scores_reproduce_live_choice(rule, temporal_problem):
         if not candidates:
             return None
         agent = problem.agent(agent_id)
-        feats = extract_features(state, agent, problem, state.unfinished(problem))
+        feats = extract_features(state, agent, problem, state.unfinished())
         replay = expert_choice(rule, feats, [t.id for t in candidates])
         live = min(candidates, key=lambda t: (
             live_score(rule, state, agent_id, t, problem), t.id)).id

@@ -14,6 +14,8 @@ from demosched.core import (
     ScheduleEntry,
     TaskSpec,
     euclidean,
+    schedule_from_dict,
+    schedule_to_dict,
     travel_ticks,
     validate_schedule,
 )
@@ -157,6 +159,31 @@ class TestWarmStart:
         with pytest.warns(UserWarning, match="incomplete"):
             result = branch_and_bound(serial_problem, seed=partial)
         assert not result.seeded
+
+    def test_seed_file_objective_not_trusted(self, temporal_problem):
+        """A loaded seed's stated objective is recomputed from its entries."""
+        seed = construct_schedule(temporal_problem,
+                                  HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS))
+        data = schedule_to_dict(seed)
+        data["objective"] = 1
+        result = branch_and_bound(temporal_problem, seed=schedule_from_dict(data))
+        assert result.seeded
+        assert result.seed_objective == seed.objective
+        assert result.objective == branch_and_bound(temporal_problem).objective
+        assert result.schedule.objective == max(e.finish for e in result.schedule.entries)
+
+    def test_seed_file_coverage_not_trusted(self, temporal_problem):
+        """A loaded seed cut short but still marked complete is rejected."""
+        seed = construct_schedule(temporal_problem,
+                                  HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS))
+        data = schedule_to_dict(seed)
+        data["entries"] = data["entries"][:2]
+        assert data["complete"]
+        with pytest.warns(UserWarning, match="incomplete"):
+            result = branch_and_bound(temporal_problem, seed=schedule_from_dict(data))
+        assert not result.seeded
+        assert result.schedule.complete
+        assert len(result.schedule.entries) == len(temporal_problem.tasks)
 
 
 class TestPerturb:

@@ -35,10 +35,10 @@ class TestSchedulabilityTest:
 
     def test_pending_task_past_deadline(self, tiny_problem):
         state = SimState.initial(tiny_problem).advanced_to(5)
-        state = apply_action(state, tiny_problem, "tC", "a1")
+        state = apply_action(state, "tC", "a1")
         # pretend time slipped: restart tC late enough to bust its deadline
         late = SimState.initial(tiny_problem).advanced_to(14)
-        late = apply_action(late, tiny_problem, "tC", "a1")
+        late = apply_action(late, "tC", "a1")
         assert not schedulability_test(late, tiny_problem)
         assert schedulability_test(state, tiny_problem)
 
@@ -54,7 +54,7 @@ class TestSchedulabilityTest:
             resources=("r0", "r1"),
             horizon=20,
         )
-        state = apply_action(SimState.initial(problem), problem, "t0", "a0")
+        state = apply_action(SimState.initial(problem), "t0", "a0")
         # t0 finishes at 4, so t1 cannot finish before 6 > deadline 5
         assert not schedulability_test(state, problem)
 

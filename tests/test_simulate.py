@@ -1,0 +1,307 @@
+"""The table-driven simulator against the string-keyed one it replaced, and
+golden demonstrations and replays.
+
+The reference below is the string-keyed simulation state and its checks,
+kept verbatim apart from the state class's name; `RefState.of` builds it
+from a table-driven state, so both read the same partial schedule.
+"""
+
+import hashlib
+import json
+from dataclasses import dataclass
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from demosched.core import (
+    AgentSpec,
+    InfeasibleActionError,
+    ProblemInstance,
+    TaskSpec,
+    apply_action,
+    euclidean,
+    schedule_to_dict,
+    travel_ticks,
+)
+from demosched.demonstrator import demonstrate, demonstration_to_dict
+from demosched.experiments import KIND_PRESETS, make_config
+from demosched.features import TaskFeatures, extract_features, origin_angle
+from demosched.generator import generate_instance
+from demosched.heuristics import RuleKind, expert_choice, select_rule
+from demosched.policy import HeuristicPolicy, train_policy
+from demosched.scheduler import SchedulerConfig, construct_schedule, schedulability_test
+from demosched.simulate import run_simulation
+from test_optimizer import _relabel
+
+Point = tuple[float, float]
+
+
+@dataclass(frozen=True)
+class RefState:
+    time: int
+    started: dict[str, tuple[str, int]]  # task id -> (agent id, start)
+    finished: dict[str, int]  # task id -> finish tick (finish <= time)
+    pending_finish: dict[str, int]  # started, finish tick still in the future
+    agent_location: dict[str, Point]
+    agent_busy_until: dict[str, int]
+    resource_busy_until: dict[str, int]
+
+    @classmethod
+    def of(cls, state, problem: ProblemInstance) -> "RefState":
+        cp = state.compiled
+        finish = [(tid, f) for tid, f in zip(cp.task_ids, state.finish) if f is not None]
+        return cls(
+            time=state.time,
+            started={cp.task_ids[t]: (cp.agent_ids[a], start)
+                     for t, a, start, _ in state.placements},
+            finished={tid: f for tid, f in finish if f <= state.time},
+            pending_finish={tid: f for tid, f in finish if f > state.time},
+            agent_location={aid: cp.location[loc]
+                            for aid, loc in zip(cp.agent_ids, state.agent_loc)},
+            agent_busy_until=dict(zip(cp.agent_ids, state.agent_free)),
+            resource_busy_until=dict(zip(problem.resources, state.res_free)),
+        )
+
+    def agent_idle(self, agent_id: str) -> bool:
+        return self.agent_busy_until[agent_id] <= self.time
+
+    def resource_free(self, resource: str) -> bool:
+        return self.resource_busy_until[resource] <= self.time
+
+    def unfinished(self, problem: ProblemInstance) -> list[TaskSpec]:
+        return [t for t in problem.tasks if t.id not in self.finished
+                and t.id not in self.pending_finish]
+
+
+def is_alive_enabled(state: RefState, task: TaskSpec) -> bool:
+    """True iff every wait predecessor of `task` finished at least W ticks ago."""
+    if task.id in state.started:
+        raise InfeasibleActionError(f"task {task.id!r} already started")
+    for pred, gap in task.waits:
+        if pred not in state.finished:
+            return False  # unfinished (or merely pending) predecessor
+        if state.time < state.finished[pred] + gap:
+            return False
+    return True
+
+
+def agent_can_reach(state: RefState, agent: AgentSpec, task: TaskSpec) -> bool:
+    """True iff the agent, travelling since it was last freed, is at the task
+    location by the current tick."""
+    dist = euclidean(state.agent_location[agent.id], task.location)
+    arrival = state.agent_busy_until[agent.id] + travel_ticks(dist, agent.speed)
+    return state.time >= arrival
+
+
+def feasible_candidates(state: RefState, agent_id: str, problem: ProblemInstance) -> list:
+    """Tasks the given idle agent could start at the current tick."""
+    agent = problem.agent(agent_id)
+    out = []
+    for task in state.unfinished(problem):
+        if (
+            agent_id in task.durations  # capable agents only
+            and is_alive_enabled(state, task)
+            and state.resource_free(task.resource)
+            and agent_can_reach(state, agent, task)
+        ):
+            out.append(task)
+    return out
+
+
+def reference_features(
+    state: RefState, agent: AgentSpec, problem: ProblemInstance, tasks
+) -> dict[str, TaskFeatures]:
+    share_counts: dict[str, int] = {}
+    for t in state.unfinished(problem):
+        share_counts[t.resource] = share_counts.get(t.resource, 0) + 1
+    agent_loc = state.agent_location[agent.id]
+    busy = state.agent_busy_until[agent.id]
+    out: dict[str, TaskFeatures] = {}
+    for t in tasks:
+        dist = euclidean(agent_loc, t.location)
+        arrival = busy + travel_ticks(dist, agent.speed)
+        out[t.id] = TaskFeatures(
+            deadline=float(problem.effective_deadline(t)),
+            precedence_satisfied=1.0 if is_alive_enabled(state, t) else 0.0,
+            resource_share_count=float(share_counts[t.resource] - 1),
+            resource_available=1.0 if state.resource_free(t.resource) else 0.0,
+            travel_time_remaining=float(max(0, arrival - state.time)),
+            travel_distance=dist,
+            angular_difference=origin_angle(agent_loc, t.location),
+        )
+    return out
+
+
+def reference_schedulability_test(state: RefState, problem: ProblemInstance) -> bool:
+    """Optimistic check that no task is already doomed to miss its deadline.
+
+    Uses lower bounds (ignores resource contention and future congestion),
+    so a False answer is a certain miss while True is only a maybe.
+    """
+    for tid, finish in state.pending_finish.items():
+        task = problem.task(tid)
+        if task.abs_deadline is not None and finish > task.abs_deadline:
+            return False
+    for task in state.unfinished(problem):
+        enable = state.time
+        for pred, gap in task.waits:
+            f = state.finished.get(pred)
+            if f is None:
+                f = state.pending_finish.get(pred)
+            if f is not None:
+                enable = max(enable, f + gap)
+        deadline = problem.effective_deadline(task)
+        ok = False
+        for agent_id in task.capable_agents():
+            agent = problem.agent(agent_id)
+            dist = euclidean(state.agent_location[agent_id], task.location)
+            ready = state.agent_busy_until[agent_id] + travel_ticks(dist, agent.speed)
+            start = max(enable, ready)
+            if start + task.duration_for(agent_id) <= deadline:
+                ok = True
+                break
+        if not ok:
+            return False
+    return True
+
+
+@given(kind=st.sampled_from(list(KIND_PRESETS)), homogeneous=st.booleans(),
+       shape=st.sampled_from([(6, 2, False), (10, 2, True), (12, 3, True),
+                              (12, 2, False)]),
+       epsilon=st.sampled_from([0.2, 0.5]),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_tables_match_reference(kind, homogeneous, shape, epsilon, seed):
+    """At every decision of an epsilon-noisy playthrough, which sometimes
+    idles, the candidates, the features of every unstarted task and the
+    schedulability verdict on the state and on each candidate's
+    hypothetical state equal the string-keyed reference's, on instances
+    whose task and agent ids order differently as strings and positions."""
+    num_tasks, num_agents, relabel = shape
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks,
+        homogeneous=homogeneous, rng_seed=seed))
+    if relabel:
+        problem = _relabel(problem, seed)
+    rule = select_rule(problem)
+    rng = np.random.default_rng(seed)
+    checked = []
+
+    def decide(state, agent_id, candidates):
+        ref = RefState.of(state, problem)
+        agent = problem.agent(agent_id)
+        assert candidates == feasible_candidates(ref, agent_id, problem)
+        unfinished = state.unfinished()
+        assert unfinished == ref.unfinished(problem)
+        features = extract_features(state, agent, problem, unfinished)
+        assert features == reference_features(ref, agent, problem, unfinished)
+        assert schedulability_test(state, problem) == \
+            reference_schedulability_test(ref, problem)
+        for task in candidates:
+            hypothetical = apply_action(state, task.id, agent_id)
+            assert schedulability_test(hypothetical, problem) == \
+                reference_schedulability_test(RefState.of(hypothetical, problem),
+                                              problem)
+        checked.append(len(candidates))
+        ids = sorted(t.id for t in candidates)
+        if not ids or rng.random() < 0.1:
+            return None
+        if rng.random() < epsilon:
+            return ids[int(rng.integers(len(ids)))]
+        return expert_choice(rule, features, ids)
+
+    run_simulation(problem, decide)
+    assert sum(checked) > 0
+
+
+# ---------------------------------------------------------------------------
+# Golden demonstrations and replays
+# ---------------------------------------------------------------------------
+
+def _digest(obj) -> str:
+    return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+def _golden_demos():
+    for kind in KIND_PRESETS:
+        for homogeneous in (True, False):
+            problem = generate_instance(make_config(
+                kind, num_agents=2, num_tasks=8, homogeneous=homogeneous,
+                rng_seed=31))
+            for epsilon in (0.0, 0.2):
+                label = f"{kind}-{'hom' if homogeneous else 'het'}-{epsilon}"
+                yield label, demonstrate(problem, epsilon=epsilon, rng_seed=17)
+
+
+# SHA-256 of `demonstration_to_dict` and of the replays' schedules, recorded
+# with the string-keyed simulator this module's tables replaced. The travel
+# rule's replays on "dense" instances are where the schedulability test
+# changes picks, so the three configs replay differently there.
+GOLDEN_DEMOS = {
+    "contention-het-0.0":
+        "1bd88e19e6633e10f42f436a10953ef0117d1835cc9744cc161772a2dca8b27e",
+    "contention-het-0.2":
+        "8694f22611e2ce92bd72a0cdc2ac6ae31fe8b00ffcc2e847d23f8b7360c0055f",
+    "contention-hom-0.0":
+        "05c20c32881927e7533f399c07889188282b7b9bb83cef56266ea93de7f25ac2",
+    "contention-hom-0.2":
+        "15498c2e555aba3d38e87255ed1bd76eb32d01e9f1aef75a1cc072589fe6c796",
+    "dense-het-0.0":
+        "2ecc1b0a19a87ad6d05f655bae7ab4570a351f57fb033f15fb942c97c286c504",
+    "dense-het-0.2":
+        "0f46e978bee6885f81bf202030d88a0916b13f7ba440c5475bc1becf8e5238db",
+    "dense-hom-0.0":
+        "8b497b223fcf229dcd712c793d60f8056015a91bb491a3f1ba4cf4e70fcaf78b",
+    "dense-hom-0.2":
+        "b8ef9582ebc5bfa3c0b942170c6726e01b6ba4c295c14edcb1ed350b6d054bcf",
+    "temporal-het-0.0":
+        "ac6a49b0d4f12ed69df169f2a66314eb06176e6798909b47af435e59fe95bf59",
+    "temporal-het-0.2":
+        "ffa0b397918f1f1077e86951274c75b4d7fb51ea0491c3e27e4518e20bc3fc4c",
+    "temporal-hom-0.0":
+        "cdb80b7149a237ecca2c97ed0a74dc6c6e6465e341b8a4a21391aaab151929bd",
+    "temporal-hom-0.2":
+        "935011ac0866c284338d2f3b308c08af2d2ef929fda4871d8aa0925d988f8e8b",
+    "travel-het-0.0":
+        "cbf0430cb8f7e9d7ffe4139925c0879ac60da2ceaad10b41d075e627bb9ea3ea",
+    "travel-het-0.2":
+        "d595ed215f82619516bc97e0053e8068f36e02d96272b282f341e05465caa1e0",
+    "travel-hom-0.0":
+        "f6be94159caeb438be80453a14e7c9c56e51464d61fc323020ba5c161eaee96b",
+    "travel-hom-0.2":
+        "47ca2313eb2e2f35d25c7b745f94f0a3517de67c62ba2d910dffaa3025db6797",
+}
+GOLDEN_REPLAYS = {
+    "trained default":
+        "fa2072367084fb3522a4935212ec36e258bad8a52c754d9c484e02b4acba0f09",
+    "trained depth-1":
+        "fa2072367084fb3522a4935212ec36e258bad8a52c754d9c484e02b4acba0f09",
+    "trained no-test":
+        "fa2072367084fb3522a4935212ec36e258bad8a52c754d9c484e02b4acba0f09",
+    "travel default":
+        "880080e3671e32e9948a12efcdc0f07383a4bdc87d68afda0556bd59e622e749",
+    "travel depth-1":
+        "28cf41d6dc0ce1479be22a5d58a1ac3f2d2e9f170c0c8f68d687e8bf85ef057a",
+    "travel no-test":
+        "28cf41d6dc0ce1479be22a5d58a1ac3f2d2e9f170c0c8f68d687e8bf85ef057a",
+}
+
+
+def test_golden_demonstrations_and_replays():
+    demos = dict(_golden_demos())
+    assert {label: _digest(demonstration_to_dict(d))
+            for label, d in demos.items()} == GOLDEN_DEMOS
+    trained = train_policy([d for d in demos.values() if d.epsilon == 0.0],
+                           min_leaf=5)
+    travel = HeuristicPolicy(RuleKind.TRAVEL_DISTANCE)
+    configs = {"default": SchedulerConfig(),
+               "no-test": SchedulerConfig(use_schedulability_test=False),
+               "depth-1": SchedulerConfig(fallback_depth=1)}
+    problems = [d.problem for d in demos.values() if d.epsilon == 0.0]
+    replays = {
+        f"{name} {config}": _digest([
+            schedule_to_dict(construct_schedule(p, policy, cfg)) for p in problems])
+        for name, policy in (("trained", trained), ("travel", travel))
+        for config, cfg in configs.items()}
+    assert replays == GOLDEN_REPLAYS
