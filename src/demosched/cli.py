@@ -85,24 +85,32 @@ def demonstrate_cmd(problem_path, epsilon, seed, out):
                f"{len(demo.observations)} observations)")
 
 
+def _min_leaf(ctx, param, value: str) -> int | None:
+    """`--min-leaf`: an integer leaf size >= 1, or None for 'cv'."""
+    if value == "cv":
+        return None
+    try:
+        leaf = int(value)
+    except ValueError:
+        leaf = 0
+    if leaf < 1:
+        raise click.BadParameter(f"expected 'cv' or an integer >= 1, got {value!r}")
+    return leaf
+
+
 @main.command()
 @click.option("--demos", "demo_paths", type=click.Path(exists=True),
               multiple=True, required=True)
-@click.option("--min-leaf", default="cv", show_default=True,
+@click.option("--min-leaf", default="cv", show_default=True, callback=_min_leaf,
               help="Integer leaf size, or 'cv' to cross-validate.")
 @click.option("--out", type=click.Path(), required=True)
 def train(demo_paths, min_leaf, out):
     """Train the pairwise priority and act models from demonstrations."""
     demos = _load_demos(demo_paths)
-    if min_leaf == "cv":
-        leaf = cross_validate_min_leaf(build_pairwise_dataset(demos))
-        click.echo(f"cross-validated min_leaf: {leaf}")
-    else:
-        try:
-            leaf = int(min_leaf)
-        except ValueError:
-            raise click.ClickException(f"bad --min-leaf value {min_leaf!r}")
-    model = train_policy(demos, min_leaf=leaf)
+    if min_leaf is None:
+        min_leaf = cross_validate_min_leaf(build_pairwise_dataset(demos))
+        click.echo(f"cross-validated min_leaf: {min_leaf}")
+    model = train_policy(demos, min_leaf=min_leaf)
     save_json(model.to_dict(), out)
     click.echo(f"wrote {out}")
 
@@ -190,15 +198,14 @@ def _finish(rows, out):
 @click.option("--demos", type=int, default=150, show_default=True)
 @click.option("--epsilon", type=float, default=0.0, show_default=True)
 @click.option("--num-seeds", type=int, default=5, show_default=True)
-@click.option("--min-leaf", default="10", show_default=True,
+@click.option("--min-leaf", default="10", show_default=True, callback=_min_leaf,
               help="Integer leaf size, or 'cv'.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())
 def accuracy(demos, epsilon, num_seeds, min_leaf, seed, out):
     """Held-out sensitivity and specificity of the pairwise policy."""
-    leaf = None if min_leaf == "cv" else int(min_leaf)
     rows = run_accuracy_sweep(num_demos=demos, epsilon=epsilon,
-                              num_seeds=num_seeds, min_leaf=leaf,
+                              num_seeds=num_seeds, min_leaf=min_leaf,
                               master_seed=seed)
     _finish(rows, out)
 

@@ -116,14 +116,17 @@ class ProblemInstance:
                     raise StructuralError(
                         f"task {task.id!r} has negative wait gap {gap} after {other!r}"
                     )
-        self._check_wait_acyclic()
+        self.wait_order()
         max_dur_sum = sum(max(t.durations.values()) for t in self.tasks)
         if self.horizon < max_dur_sum:
             raise StructuralError(
                 f"horizon {self.horizon} below sum of max durations {max_dur_sum}"
             )
 
-    def _check_wait_acyclic(self) -> None:
+    def wait_order(self) -> list[str]:
+        """Task ids with every wait predecessor before its successors: a
+        post-order DFS in problem order, predecessors in listed order.
+        Raises on a cycle."""
         order, stack = {}, set()
         graph = {t.id: [p for p, _ in t.waits] for t in self.tasks}
 
@@ -140,6 +143,7 @@ class ProblemInstance:
 
         for tid in graph:
             visit(tid)
+        return list(order)
 
     def task(self, task_id: str) -> TaskSpec:
         for t in self.tasks:

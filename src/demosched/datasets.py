@@ -2,7 +2,8 @@
 
 Three constructions for the priority model (pairwise differences, pointwise
 per-task rows, and a fixed-width concatenation) plus the schedule-vs-idle
-set for the act classifier.
+set for the act classifier. Each row shape has one encoder (`pair_vector`,
+`point_vector`, `wide_vector`), which the matching policy also scores with.
 """
 
 from __future__ import annotations
@@ -34,21 +35,29 @@ class Dataset:
                 writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
-PAIRWISE_FEATURE_NAMES = tuple(CONTEXT_FEATURE_NAMES) + tuple(
+PAIRWISE_FEATURE_NAMES = CONTEXT_FEATURE_NAMES + tuple(
     f"delta_{name}" for name in TASK_FEATURE_NAMES
 )
-POINTWISE_FEATURE_NAMES = tuple(CONTEXT_FEATURE_NAMES) + tuple(TASK_FEATURE_NAMES)
+POINTWISE_FEATURE_NAMES = CONTEXT_FEATURE_NAMES + TASK_FEATURE_NAMES
 
 
 def pair_vector(context, features_a, features_b) -> list[float]:
-    ctx = list(context.as_tuple())
-    a = features_a.as_tuple()
-    b = features_b.as_tuple()
-    return ctx + [x - y for x, y in zip(a, b)]
+    return [*context, *(x - y for x, y in zip(features_a, features_b))]
 
 
 def point_vector(context, features) -> list[float]:
-    return list(context.as_tuple()) + list(features.as_tuple())
+    return [*context, *features]
+
+
+def wide_vector(context, task_features, index: dict[str, int]) -> list[float]:
+    """The context, then one task block per `index` slot; tasks missing
+    from `task_features` (finished ones) leave their block zero."""
+    block = len(TASK_FEATURE_NAMES)
+    vec = [*context] + [0.0] * (len(index) * block)
+    for tid, tf in task_features.items():
+        start = len(context) + index[tid] * block
+        vec[start : start + block] = tf
+    return vec
 
 
 def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
@@ -132,7 +141,6 @@ def build_naive_dataset(demos: list[Demonstration]) -> Dataset:
             f"task counts differ across demonstrations: {sorted(task_counts)}"
         )
     n = task_counts.pop()
-    block = len(TASK_FEATURE_NAMES)
     rows, labels = [], []
     for demo in demos:
         task_ids = sorted(t.id for t in demo.problem.tasks)
@@ -140,14 +148,9 @@ def build_naive_dataset(demos: list[Demonstration]) -> Dataset:
         for obs in demo.observations:
             if obs.scheduled is None:
                 continue
-            vec = list(obs.context.as_tuple()) + [0.0] * (n * block)
-            offset = len(CONTEXT_FEATURE_NAMES)
-            for tid, tf in obs.task_features.items():
-                k = index[tid]
-                vec[offset + k * block : offset + (k + 1) * block] = tf.as_tuple()
-            rows.append(vec)
+            rows.append(wide_vector(obs.context, obs.task_features, index))
             labels.append(index[obs.scheduled[0]])
-    names = tuple(CONTEXT_FEATURE_NAMES) + tuple(
+    names = CONTEXT_FEATURE_NAMES + tuple(
         f"task{k}_{name}" for k in range(n) for name in TASK_FEATURE_NAMES
     )
     return Dataset(

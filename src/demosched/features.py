@@ -8,26 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import AgentSpec, ProblemInstance, SimState
 
-TASK_FEATURE_NAMES = (
-    "deadline",
-    "precedence_satisfied",
-    "resource_share_count",
-    "resource_available",
-    "travel_time_remaining",
-    "travel_distance",
-    "angular_difference",
-)
-CONTEXT_FEATURE_NAMES = ("agent_speed", "resource_contention_degree")
 
-NUM_TASK_FEATURES = len(TASK_FEATURE_NAMES)
-NUM_CONTEXT_FEATURES = len(CONTEXT_FEATURE_NAMES)
-
-
-@dataclass(frozen=True)
-class TaskFeatures:
+# Feature rows are tuples in field order: the datasets' row encoders and the
+# JSON observation lists read them as plain sequences.
+class TaskFeatures(NamedTuple):
     deadline: float
     precedence_satisfied: float
     resource_share_count: float
@@ -36,25 +24,14 @@ class TaskFeatures:
     travel_distance: float
     angular_difference: float
 
-    def as_tuple(self) -> tuple[float, ...]:
-        return (
-            self.deadline,
-            self.precedence_satisfied,
-            self.resource_share_count,
-            self.resource_available,
-            self.travel_time_remaining,
-            self.travel_distance,
-            self.angular_difference,
-        )
 
-
-@dataclass(frozen=True)
-class ContextFeatures:
+class ContextFeatures(NamedTuple):
     agent_speed: float
     resource_contention_degree: float
 
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.agent_speed, self.resource_contention_degree)
+
+TASK_FEATURE_NAMES = TaskFeatures._fields
+CONTEXT_FEATURE_NAMES = ContextFeatures._fields
 
 
 @dataclass(frozen=True)
@@ -126,8 +103,8 @@ def context_features(problem: ProblemInstance, agent: AgentSpec) -> ContextFeatu
 def observation_to_dict(obs: Observation) -> dict:
     return {
         "tick": obs.tick,
-        "context": list(obs.context.as_tuple()),
-        "task_features": {tid: list(tf.as_tuple()) for tid, tf in obs.task_features.items()},
+        "context": list(obs.context),
+        "task_features": {tid: list(tf) for tid, tf in obs.task_features.items()},
         "candidates": list(obs.candidates),
         "scheduled": list(obs.scheduled) if obs.scheduled else None,
     }

@@ -70,23 +70,6 @@ class BnBResult:
     stats: dict[str, int] = field(default_factory=dict)
 
 
-def _topological(waits: list[tuple[tuple[int, int], ...]]) -> list[int]:
-    """Task indices, every wait predecessor before its successors."""
-    order: list[int] = []
-    seen: set[int] = set()
-
-    def visit(t: int) -> None:
-        if t not in seen:
-            seen.add(t)
-            for p, _ in waits[t]:
-                visit(p)
-            order.append(t)
-
-    for t in range(len(waits)):
-        visit(t)
-    return order
-
-
 class _Compiled(Compiled):
     """The compiled problem plus what only the search reads: each task's
     cheapest hop in from another task's location, a topological task order
@@ -103,7 +86,7 @@ class _Compiled(Compiled):
             hops = [self.travel[fastest][u][t] for u in range(num_tasks) if u != t]
             self.from_task.append(min(hops) if hops else 0)
         self.min_duration = [min(t.durations.values()) for t in problem.tasks]
-        self.topological = _topological(self.waits)
+        self.topological = [self.task_index[tid] for tid in problem.wait_order()]
 
     def lower_bound(self, agent_free, agent_loc, res_free, finish, unplaced,
                     makespan: int) -> float:

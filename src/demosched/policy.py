@@ -21,9 +21,10 @@ from .datasets import (
     build_pointwise_dataset,
     pair_vector,
     point_vector,
+    wide_vector,
 )
 from .demonstrator import Demonstration
-from .features import CONTEXT_FEATURE_NAMES, TASK_FEATURE_NAMES, ContextFeatures, TaskFeatures
+from .features import ContextFeatures, TaskFeatures
 from .heuristics import RuleKind, expert_choice
 from .tree import DecisionTree
 
@@ -32,38 +33,12 @@ FEATURE_SCHEMA = "v1"
 MIN_LEAF_GRID = (1, 5, 10, 25, 50, 100, 250, 500, 1000)
 
 
-def _tie_min(ids, score) -> str:
-    return min(ids, key=lambda tid: (-score[tid], tid))
+class _LearnedPolicy:
+    """A trained priority model plus a schedule-vs-idle act tree. Each
+    model supplies `scores(context, task_features, pool)`, one number per
+    pool task, higher preferred."""
 
-
-class PolicyModel:
-    """Pairwise-ranking priority tree plus a schedule-vs-idle act tree."""
-
-    def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
-        self.priority_tree = priority_tree
-        self.act_tree = act_tree
-        self.feature_schema = FEATURE_SCHEMA
-
-    def pair_probability(
-        self, context: ContextFeatures, a: TaskFeatures, b: TaskFeatures
-    ) -> float:
-        return float(self.priority_tree.predict_proba([pair_vector(context, a, b)])[0])
-
-    def cumulative_scores(
-        self,
-        context: ContextFeatures,
-        task_features: dict[str, TaskFeatures],
-        pool: list[str],
-    ) -> dict[str, float]:
-        """Sum of pairwise win probabilities of each pool task against every
-        pool task (the self term is a constant offset shared by all)."""
-        rows = [
-            pair_vector(context, task_features[i], task_features[j])
-            for i in pool
-            for j in pool
-        ]
-        probs = self.priority_tree.predict_proba(np.array(rows)).reshape(len(pool), len(pool))
-        return {tid: float(s) for tid, s in zip(pool, probs.sum(axis=1))}
+    act_tree: DecisionTree
 
     def select_task(
         self,
@@ -71,15 +46,40 @@ class PolicyModel:
         task_features: dict[str, TaskFeatures],
         pool: list[str],
     ) -> str:
+        """The highest-scoring pool task; ties go to the lowest id."""
         if not pool:
             raise ValueError("empty candidate pool")
-        scores = self.cumulative_scores(context, task_features, list(pool))
-        return _tie_min(pool, scores)
+        scores = self.scores(context, task_features, list(pool))
+        return min(pool, key=lambda tid: (-scores[tid], tid))
 
     def predict_act(self, context: ContextFeatures, tf: TaskFeatures) -> bool:
         """True = schedule. A probability of exactly 0.5 schedules."""
-        prob = float(self.act_tree.predict_proba([point_vector(context, tf)])[0])
-        return prob >= 0.5
+        return float(self.act_tree.predict_proba([point_vector(context, tf)])[0]) >= 0.5
+
+
+class PolicyModel(_LearnedPolicy):
+    """Pairwise-ranking priority tree plus a schedule-vs-idle act tree."""
+
+    def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
+        self.priority_tree = priority_tree
+        self.act_tree = act_tree
+        self.feature_schema = FEATURE_SCHEMA
+
+    def pair_matrix(self, context, task_features, pool: list[str]) -> np.ndarray:
+        """Entry [i, j] is the tree's probability that pool[i] ranks above
+        pool[j]."""
+        rows = [
+            pair_vector(context, task_features[i], task_features[j])
+            for i in pool
+            for j in pool
+        ]
+        return self.priority_tree.predict_proba(np.array(rows)).reshape(len(pool), len(pool))
+
+    def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
+        """Sum of pairwise win probabilities of each pool task against every
+        pool task (the self term is a constant offset shared by all)."""
+        sums = self.pair_matrix(context, task_features, pool).sum(axis=1)
+        return dict(zip(pool, sums.tolist()))
 
     def to_dict(self) -> dict:
         return {
@@ -118,94 +118,66 @@ class HeuristicPolicy:
         )
 
 
-class PointwisePolicy:
+class PointwisePolicy(_LearnedPolicy):
     """Baseline: score each task independently; highest probability wins."""
 
     def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
         self.priority_tree = priority_tree
         self.act_tree = act_tree
 
-    def select_task(self, context, task_features, pool):
-        if not pool:
-            raise ValueError("empty candidate pool")
+    def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
         rows = np.array([point_vector(context, task_features[tid]) for tid in pool])
-        probs = self.priority_tree.predict_proba(rows)
-        scores = {tid: float(p) for tid, p in zip(pool, probs)}
-        return _tie_min(pool, scores)
-
-    def predict_act(self, context, tf) -> bool:
-        return float(self.act_tree.predict_proba([point_vector(context, tf)])[0]) >= 0.5
+        return dict(zip(pool, self.priority_tree.predict_proba(rows).tolist()))
 
 
-class NaivePolicy:
+class NaivePolicy(_LearnedPolicy):
     """Baseline: fixed-width concatenation with one-vs-rest trees per task
     index. Parametric in the task count by construction."""
 
     def __init__(self, class_trees: list[DecisionTree], task_ids: list[str],
                  act_tree: DecisionTree):
         self.class_trees = class_trees
-        self.task_ids = list(task_ids)
         self.index = {tid: k for k, tid in enumerate(task_ids)}
         self.act_tree = act_tree
 
-    def _wide_vector(self, context, task_features) -> np.ndarray:
-        block = len(TASK_FEATURE_NAMES)
-        vec = list(context.as_tuple()) + [0.0] * (len(self.task_ids) * block)
-        offset = len(CONTEXT_FEATURE_NAMES)
-        for tid, tf in task_features.items():
-            k = self.index[tid]
-            vec[offset + k * block : offset + (k + 1) * block] = tf.as_tuple()
-        return np.array([vec])
-
-    def select_task(self, context, task_features, pool):
-        if not pool:
-            raise ValueError("empty candidate pool")
-        vec = self._wide_vector(context, task_features)
-        scores = {
-            tid: float(self.class_trees[self.index[tid]].predict_proba(vec)[0])
+    def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
+        row = np.array([wide_vector(context, task_features, self.index)])
+        return {
+            tid: float(self.class_trees[self.index[tid]].predict_proba(row)[0])
             for tid in pool
         }
-        return _tie_min(pool, scores)
-
-    def predict_act(self, context, tf) -> bool:
-        return float(self.act_tree.predict_proba([point_vector(context, tf)])[0]) >= 0.5
 
 
 # ---------------------------------------------------------------------------
 # Training
 # ---------------------------------------------------------------------------
 
+def _fit(data: Dataset, min_leaf: int) -> DecisionTree:
+    return DecisionTree(min_leaf=min_leaf).fit(data.X, data.y)
+
+
 def train_policy(demos: list[Demonstration], min_leaf: int = 1) -> PolicyModel:
-    pairwise = build_pairwise_dataset(demos)
-    act = build_act_dataset(demos)
     return PolicyModel(
-        priority_tree=DecisionTree(min_leaf=min_leaf).fit(pairwise.X, pairwise.y),
-        act_tree=DecisionTree(min_leaf=min_leaf).fit(act.X, act.y),
+        priority_tree=_fit(build_pairwise_dataset(demos), min_leaf),
+        act_tree=_fit(build_act_dataset(demos), min_leaf),
     )
 
 
 def train_pointwise(demos: list[Demonstration], min_leaf: int = 1,
                     act_tree: DecisionTree | None = None) -> PointwisePolicy:
-    data = build_pointwise_dataset(demos)
     if act_tree is None:
-        act = build_act_dataset(demos)
-        act_tree = DecisionTree(min_leaf=min_leaf).fit(act.X, act.y)
-    return PointwisePolicy(
-        priority_tree=DecisionTree(min_leaf=min_leaf).fit(data.X, data.y),
-        act_tree=act_tree,
-    )
+        act_tree = _fit(build_act_dataset(demos), min_leaf)
+    return PointwisePolicy(_fit(build_pointwise_dataset(demos), min_leaf), act_tree)
 
 
 def train_naive(demos: list[Demonstration], min_leaf: int = 1,
                 act_tree: DecisionTree | None = None) -> NaivePolicy:
     data = build_naive_dataset(demos)
-    task_ids = sorted(t.id for t in demos[0].problem.tasks)
-    trees = []
-    for k in range(len(task_ids)):
-        trees.append(DecisionTree(min_leaf=min_leaf).fit(data.X, (data.y == k).astype(int)))
+    trees = [DecisionTree(min_leaf=min_leaf).fit(data.X, (data.y == k).astype(int))
+             for k in range(len(data.class_names))]
     if act_tree is None:
-        act = build_act_dataset(demos)
-        act_tree = DecisionTree(min_leaf=min_leaf).fit(act.X, act.y)
+        act_tree = _fit(build_act_dataset(demos), min_leaf)
+    task_ids = sorted(t.id for t in demos[0].problem.tasks)
     return NaivePolicy(class_trees=trees, task_ids=task_ids, act_tree=act_tree)
 
 
@@ -315,11 +287,12 @@ def detect_anomalies(
         raise ValueError("empty candidate pool")
     if len(ids) == 1:
         return AnomalyReport(cycles=(), disagreements=())
+    probs = model.pair_matrix(context, task_features, ids)
     wins = {
-        (i, j): model.pair_probability(context, task_features[i], task_features[j]) > 0.5
-        for i in ids
-        for j in ids
-        if i != j
+        (i, j): probs[a, b] > 0.5
+        for a, i in enumerate(ids)
+        for b, j in enumerate(ids)
+        if a != b
     }
     cycles = []
     for i, j, k in itertools.combinations(ids, 3):
@@ -327,7 +300,7 @@ def detect_anomalies(
             cycles.append((i, j, k))
         elif wins[(j, i)] and wins[(k, j)] and wins[(i, k)]:
             cycles.append((i, k, j))
-    scores = model.cumulative_scores(context, task_features, ids)
+    scores = dict(zip(ids, probs.sum(axis=1)))
     disagreements = [
         (i, j)
         for i in ids

@@ -48,17 +48,6 @@ def schedulability_test(state: SimState, problem: ProblemInstance) -> bool:
     return True
 
 
-def _ranked(policy, context, task_features, pool: list[str], limit: int) -> list[str]:
-    """Top `limit` candidates in the policy's preference order."""
-    remaining = list(pool)
-    out = []
-    while remaining and len(out) < limit:
-        pick = policy.select_task(context, task_features, remaining)
-        out.append(pick)
-        remaining.remove(pick)
-    return out
-
-
 def construct_schedule(
     problem: ProblemInstance,
     policy,
@@ -82,12 +71,16 @@ def construct_schedule(
             return None
         if not config.use_schedulability_test:
             return top
-        depth = max(1, config.fallback_depth)
-        for pick in _ranked(policy, context, feats, pool, depth):
-            hypothetical = apply_action(state, pick, agent_id)
-            if schedulability_test(hypothetical, problem):
+        # rank lazily: the next pick is asked for only once this one fails
+        pick, remaining, tries = top, pool, max(1, config.fallback_depth)
+        while True:
+            if schedulability_test(apply_action(state, pick, agent_id), problem):
                 return pick
-        return top  # every fallback looked doomed; commit to the favourite
+            remaining = [tid for tid in remaining if tid != pick]
+            tries -= 1
+            if not tries or not remaining:
+                return top  # every fallback looked doomed; commit to the favourite
+            pick = policy.select_task(context, feats, remaining)
 
     _, schedule = run_simulation(problem, decide)
     return schedule

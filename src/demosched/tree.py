@@ -123,13 +123,6 @@ class DecisionTree:
         return tree
 
 
-def _gini(pos: float, total: float) -> float:
-    if total == 0:
-        return 0.0
-    p = pos / total
-    return 2.0 * p * (1.0 - p)
-
-
 def _grow(X: np.ndarray, y: np.ndarray, min_leaf: int) -> _Node:
     # explicit stack: unregularized trees can exceed the recursion limit
     root = _Node()

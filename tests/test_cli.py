@@ -62,6 +62,22 @@ def test_train_rejects_bad_min_leaf(workspace, runner):
     assert result.exit_code != 0
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_min_leaf_parsed_once_for_both_commands(workspace, runner, value):
+    commands = [
+        ["train", "--demos", workspace["demos"][0], "--min-leaf", value,
+         "--out", str(workspace["root"] / "rejected.json")],
+        ["experiment", "accuracy", "--demos", "2", "--num-seeds", "1",
+         "--min-leaf", value],
+    ]
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "Invalid value for '--min-leaf'" in result.output
+        assert "expected 'cv' or an integer >= 1" in result.output
+    assert not (workspace["root"] / "rejected.json").exists()
+
+
 def test_evaluate_prints_metrics(workspace, runner):
     result = runner.invoke(main, ["evaluate", "--model", workspace["model"],
                                   "--demos", workspace["demos"][0]])

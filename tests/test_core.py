@@ -94,6 +94,20 @@ class TestProblemValidation:
                 horizon=10,
             )
 
+    def test_wait_order_puts_predecessors_first(self):
+        problem = self._base(
+            tasks=(
+                TaskSpec("t0", (0.0, 0.0), {"a0": 1}, "r0", waits=(("t2", 0),)),
+                TaskSpec("t1", (1.0, 0.0), {"a0": 1}, "r0"),
+                TaskSpec("t2", (1.0, 0.0), {"a0": 1}, "r0",
+                         waits=(("t3", 0), ("t1", 0))),
+                TaskSpec("t3", (1.0, 0.0), {"a0": 1}, "r0"),
+            ),
+            horizon=10,
+        )
+        # post-order in problem order, predecessors in listed order
+        assert problem.wait_order() == ["t3", "t1", "t2", "t0"]
+
     def test_unknown_wait_target(self):
         with pytest.raises(StructuralError, match="unknown task"):
             self._base(tasks=(TaskSpec("t0", (0.0, 0.0), {"a0": 1}, "r0",

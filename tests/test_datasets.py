@@ -13,6 +13,7 @@ from demosched.datasets import (
     build_pointwise_dataset,
     pair_vector,
     point_vector,
+    wide_vector,
 )
 from demosched.demonstrator import demonstrate
 from demosched.features import ContextFeatures, TaskFeatures
@@ -39,7 +40,14 @@ def test_pair_vector_antisymmetric_delta():
 def test_point_vector_concatenates():
     ctx = ContextFeatures(2.0, 5.0)
     a = TaskFeatures(10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5)
-    assert point_vector(ctx, a) == [2.0, 5.0] + list(a.as_tuple())
+    assert point_vector(ctx, a) == [2.0, 5.0, 10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5]
+
+
+def test_wide_vector_blocks_by_index():
+    ctx = ContextFeatures(2.0, 5.0)
+    a = TaskFeatures(10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5)
+    vec = wide_vector(ctx, {"tB": a}, {"tA": 0, "tB": 1, "tC": 2})
+    assert vec == [2.0, 5.0] + [0.0] * 7 + list(a) + [0.0] * 7
 
 
 class TestPairwiseDataset:

@@ -117,7 +117,7 @@ def test_context_features(tiny_problem):
     ctx = context_features(tiny_problem, tiny_problem.agent("a0"))
     assert ctx.agent_speed == 2.0
     assert ctx.resource_contention_degree == 5.0
-    assert ctx.as_tuple() == (2.0, 5.0)
+    assert tuple(ctx) == (2.0, 5.0)
 
 
 class TestObservation:

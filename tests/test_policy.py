@@ -78,10 +78,10 @@ class TestPolicyModel:
         picks = {model.select_task(CTX, feats, p) for p in pools}
         assert picks == {"tB"}
 
-    def test_cumulative_scores_include_pool_only(self):
+    def test_scores_include_pool_only(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        scores = model.cumulative_scores(CTX, feats, ["tA", "tB"])
+        scores = model.scores(CTX, feats, ["tA", "tB"])
         assert set(scores) == {"tA", "tB"}
         assert scores["tB"] > scores["tA"]
 
@@ -129,6 +129,22 @@ class TestBaselinePolicies:
         pick = policy.select_task(obs.context, obs.task_features,
                                   list(obs.candidates))
         assert pick in obs.candidates
+
+
+    @pytest.mark.parametrize("train", [train_policy, train_pointwise, train_naive])
+    def test_select_task_takes_the_best_score(self, small_demos, train):
+        policy = train(small_demos[:1], min_leaf=1)
+        for obs in small_demos[0].observations:
+            pool = sorted(obs.task_features)
+            if not pool:
+                continue
+            scores = policy.scores(obs.context, obs.task_features, pool)
+            best = max(scores.values())
+            expected = min(tid for tid in pool if scores[tid] == best)
+            assert policy.select_task(obs.context, obs.task_features,
+                                      pool[::-1]) == expected
+        with pytest.raises(ValueError):
+            policy.select_task(CTX, {}, [])
 
 
 class TestCrossValidation:
@@ -217,6 +233,20 @@ class TestAnomalies:
         assert ("tA", "tB", "tC") in report.cycles
         # B beats C pairwise but C outscores B cumulatively
         assert ("tB", "tC") in report.disagreements
+
+    def test_wins_read_the_pair_matrix(self):
+        model = self._cyclic_model()
+        feats = {"tA": tf(1), "tB": tf(2), "tC": tf(3), "tD": tf(5)}
+        ids = sorted(feats)
+        probs = model.pair_matrix(CTX, feats, ids)
+        assert probs.shape == (4, 4)
+        scores = model.scores(CTX, feats, ids)
+        assert [scores[tid] for tid in ids] == probs.sum(axis=1).tolist()
+        report = detect_anomalies(model, CTX, feats)
+        assert report.disagreements == (("tB", "tC"),)
+        for i, j in report.disagreements:
+            assert probs[ids.index(i), ids.index(j)] > 0.5
+            assert scores[j] > scores[i]
 
     def test_monotone_model_is_clean(self):
         model = edf_model()

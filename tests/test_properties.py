@@ -19,10 +19,10 @@ from demosched.optimizer import (
     perturb,
     timed_schedule,
 )
-from demosched.policy import HeuristicPolicy, evaluate
+from demosched.policy import HeuristicPolicy, PolicyModel, evaluate, train_policy
+from demosched.scheduler import construct_schedule
 from demosched.simulate import run_simulation
 from demosched.tree import DecisionTree
-from demosched.policy import PolicyModel
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 feature_tuples = st.tuples(*([finite] * 7))
@@ -140,6 +140,45 @@ def test_timed_schedule_reproduces_bnb(kind, homogeneous, node_limit, seed):
         return  # a node limit may stop the search before any incumbent
     order = [(e.task_id, e.agent_id) for e in result.schedule.entries]
     assert timed_schedule(problem, order) == result.schedule
+
+
+def violation_kinds(problem, schedule) -> set[str]:
+    return {v.kind for v in validate_schedule(problem, schedule).violations}
+
+
+@given(kind=st.sampled_from(PROBLEM_KINDS), homogeneous=st.booleans(),
+       num_agents=st.integers(min_value=2, max_value=3),
+       num_tasks=st.integers(min_value=4, max_value=8),
+       epsilon=st.sampled_from([0.0, 0.2]),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=20, deadline=None)
+def test_every_returned_schedule_is_valid(kind, homogeneous, num_agents,
+                                          num_tasks, epsilon, seed):
+    """Schedules from search, timing and perturbation violate nothing. The
+    expert and the replayed policy place greedily, so they may miss an
+    absolute deadline, but violate nothing else."""
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks,
+        homogeneous=homogeneous, rng_seed=seed))
+    demo = demonstrate(problem, epsilon=epsilon, rng_seed=seed)
+    assert violation_kinds(problem, demo.schedule) <= {"abs_deadline"}
+    replay = construct_schedule(problem, train_policy([demo], min_leaf=1))
+    assert violation_kinds(problem, replay) <= {"abs_deadline"}
+
+    search = branch_and_bound(problem, node_limit=200)
+    schedules = [timed_schedule(problem, [(e.task_id, e.agent_id)
+                                          for e in demo.schedule.entries])]
+    if search.schedule is not None:
+        schedules.append(search.schedule)
+        for edit in ("swap", "steal", "sequence"):
+            try:
+                schedules.append(perturb(problem, search.schedule, edit, 2,
+                                         rng_seed=seed))
+            except PerturbationError:
+                pass  # the retry budget may legitimately run out
+    for schedule in schedules:
+        if schedule is not None:
+            assert violation_kinds(problem, schedule) == set()
 
 
 @given(seed=st.integers(min_value=0, max_value=1000),

@@ -9,6 +9,7 @@ from demosched.core import (
     validate_schedule,
 )
 from demosched.generator import generate_instance, preset
+from demosched.heuristics import select_rule
 from demosched.policy import HeuristicPolicy, train_policy
 from demosched.scheduler import SchedulerConfig, construct_schedule, schedulability_test
 
@@ -100,3 +101,55 @@ class TestConstructSchedule:
         schedule = construct_schedule(temporal_problem, NeverAct())
         assert not schedule.complete
         assert schedule.entries == ()
+
+
+class _CountingPolicy:
+    """Wraps a policy, records the pool of every `select_task` call and,
+    at each `predict_act`, how many calls came before it. Always acts."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pools = []
+        self.acts = []
+
+    def select_task(self, context, task_features, pool):
+        self.pools.append(list(pool))
+        return self.inner.select_task(context, task_features, pool)
+
+    def predict_act(self, context, tf):
+        self.acts.append(len(self.pools))
+        return True
+
+
+class TestLazyFallback:
+    @pytest.fixture
+    def counting(self):
+        problem = generate_instance(preset("temporal", num_tasks=6, rng_seed=7))
+        return problem, _CountingPolicy(HeuristicPolicy(select_rule(problem)))
+
+    def test_passing_top_pick_is_ranked_once(self, monkeypatch, counting):
+        monkeypatch.setattr("demosched.scheduler.schedulability_test",
+                            lambda state, problem: True)
+        problem, policy = counting
+        schedule = construct_schedule(problem, policy)
+        assert schedule.complete
+        assert len(policy.acts) == len(schedule.entries)
+        assert len(policy.pools) == len(policy.acts)  # one call per decision
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_vetoes_rank_only_the_fallbacks_tried(self, monkeypatch, counting,
+                                                  depth):
+        monkeypatch.setattr("demosched.scheduler.schedulability_test",
+                            lambda state, problem: False)
+        problem, policy = counting
+        construct_schedule(problem, policy, SchedulerConfig(fallback_depth=depth))
+        assert policy.acts
+        # after a decision's act check, each fallback ranks the pool less
+        # the picks already vetoed; the next decision's top pick follows
+        ends = [m - 1 for m in policy.acts[1:]] + [len(policy.pools)]
+        for mark, end in zip(policy.acts, ends):
+            top_pool = policy.pools[mark - 1]
+            fallbacks = policy.pools[mark:end]
+            assert len(fallbacks) == min(depth, len(top_pool)) - 1
+            assert [len(p) for p in fallbacks] == list(
+                range(len(top_pool) - 1, len(top_pool) - 1 - len(fallbacks), -1))
