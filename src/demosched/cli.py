@@ -98,6 +98,13 @@ def _min_leaf(ctx, param, value: str) -> int | None:
     return leaf
 
 
+def _load_model(path) -> PolicyModel:
+    try:
+        return PolicyModel.from_dict(load_json(path))
+    except ValueError as exc:
+        raise click.ClickException(f"{path}: {exc}") from exc
+
+
 @main.command()
 @click.option("--demos", "demo_paths", type=click.Path(exists=True),
               multiple=True, required=True)
@@ -121,7 +128,7 @@ def train(demo_paths, min_leaf, out):
               multiple=True, required=True)
 def evaluate(model_path, demo_paths):
     """Report decision accuracy of a model against held-out demonstrations."""
-    model = PolicyModel.from_dict(load_json(model_path))
+    model = _load_model(model_path)
     metrics = run_evaluate(model, _load_demos(demo_paths))
     click.echo(json.dumps({
         "sensitivity": metrics.sensitivity,
@@ -140,7 +147,7 @@ def evaluate(model_path, demo_paths):
 def schedule(problem_path, model_path, no_schedulability_test, fallback_depth, out):
     """Build a schedule by replaying a trained policy."""
     problem = problem_from_dict(load_json(problem_path))
-    model = PolicyModel.from_dict(load_json(model_path))
+    model = _load_model(model_path)
     config = SchedulerConfig(
         use_schedulability_test=not no_schedulability_test,
         fallback_depth=fallback_depth,

@@ -2,7 +2,7 @@
 
 Three constructions for the priority model (pairwise differences, pointwise
 per-task rows, and a fixed-width concatenation) plus the schedule-vs-idle
-set for the act classifier. Each row shape has one encoder (`pair_vector`,
+set for the act classifier. Each row shape has one encoder (`pair_rows`,
 `point_vector`, `wide_vector`), which the matching policy also scores with.
 """
 
@@ -41,8 +41,12 @@ PAIRWISE_FEATURE_NAMES = CONTEXT_FEATURE_NAMES + tuple(
 POINTWISE_FEATURE_NAMES = CONTEXT_FEATURE_NAMES + TASK_FEATURE_NAMES
 
 
-def pair_vector(context, features_a, features_b) -> list[float]:
-    return [*context, *(x - y for x, y in zip(features_a, features_b))]
+def pair_rows(context, a, b) -> np.ndarray:
+    """Rows `context ‖ a − b`; the context broadcasts over the feature rows,
+    so one call encodes a pair, a list of pairs or a pool's pair matrix."""
+    delta = np.subtract(a, b, dtype=float)
+    context = np.broadcast_to(context, delta.shape[:-1] + np.shape(context)[-1:])
+    return np.concatenate([context, delta], axis=-1)
 
 
 def point_vector(context, features) -> list[float]:
@@ -66,7 +70,7 @@ def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
     Idle observations contribute nothing; the result is exactly
     label-balanced by construction.
     """
-    rows, labels = [], []
+    contexts, firsts, seconds = [], [], []
     for demo in demos:
         for obs in demo.observations:
             if obs.scheduled is None:
@@ -77,13 +81,13 @@ def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
                 if other_id == sched_id:
                     continue
                 gamma_j = obs.task_features[other_id]
-                rows.append(pair_vector(obs.context, gamma_i, gamma_j))
-                labels.append(1)
-                rows.append(pair_vector(obs.context, gamma_j, gamma_i))
-                labels.append(0)
+                contexts += (obs.context, obs.context)
+                firsts += (gamma_i, gamma_j)
+                seconds += (gamma_j, gamma_i)
+    rows = pair_rows(contexts, firsts, seconds)
     return Dataset(
-        X=np.array(rows, dtype=float).reshape(len(rows), len(PAIRWISE_FEATURE_NAMES)),
-        y=np.array(labels, dtype=int),
+        X=rows.reshape(len(contexts), len(PAIRWISE_FEATURE_NAMES)),
+        y=np.tile(np.array([1, 0], dtype=int), len(contexts) // 2),
         feature_names=PAIRWISE_FEATURE_NAMES,
     )
 

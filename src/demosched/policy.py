@@ -19,7 +19,7 @@ from .datasets import (
     build_naive_dataset,
     build_pairwise_dataset,
     build_pointwise_dataset,
-    pair_vector,
+    pair_rows,
     point_vector,
     wide_vector,
 )
@@ -68,12 +68,10 @@ class PolicyModel(_LearnedPolicy):
     def pair_matrix(self, context, task_features, pool: list[str]) -> np.ndarray:
         """Entry [i, j] is the tree's probability that pool[i] ranks above
         pool[j]."""
-        rows = [
-            pair_vector(context, task_features[i], task_features[j])
-            for i in pool
-            for j in pool
-        ]
-        return self.priority_tree.predict_proba(np.array(rows)).reshape(len(pool), len(pool))
+        F = np.array([task_features[tid] for tid in pool], dtype=float)
+        rows = pair_rows(context, F[:, None], F[None, :])
+        probs = self.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
+        return probs.reshape(len(pool), len(pool))
 
     def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
         """Sum of pairwise win probabilities of each pool task against every

@@ -3,27 +3,19 @@
 Gini impurity, midpoint thresholds, deterministic first-best split (lowest
 feature index, then lowest threshold). Growth stops when a node is pure or
 when no split keeps `min_leaf` samples on both sides.
+
+A fitted tree is six parallel node arrays, which are also its JSON form:
+`feature`, `threshold`, `left`, `right` (all -1 at a leaf), `prob` (the
+positive-class share) and `count`. Node 0 is the root, and nodes are stored
+in right-first pre-order, so every parent comes before its children.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-
-@dataclass
-class _Node:
-    feature: int | None = None
-    threshold: float | None = None
-    left: "_Node | None" = None
-    right: "_Node | None" = None
-    prob: float | None = None  # positive-class probability at a leaf
-    count: int = 0
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature is None
+_ARRAYS = ("feature", "threshold", "left", "right", "prob", "count")
+_FEW_ROWS = 16  # predict_proba walks batches up to this size row by row
 
 
 class DecisionTree:
@@ -31,7 +23,16 @@ class DecisionTree:
         if min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
         self.min_leaf = min_leaf
-        self.root: _Node | None = None
+        self.feature: np.ndarray | None = None
+
+    def _set_nodes(self, feature, threshold, left, right, prob, count) -> None:
+        self.feature, self.left, self.right, self.count = (
+            np.asarray(a, dtype=np.intp) for a in (feature, left, right, count))
+        self.threshold, self.prob = (np.asarray(a, dtype=float) for a in (threshold, prob))
+
+    def _check_fitted(self) -> None:
+        if self.feature is None:
+            raise RuntimeError("tree is not fitted")
 
     # -- training -----------------------------------------------------------
 
@@ -43,110 +44,107 @@ class DecisionTree:
         if len(X) != len(y):
             raise ValueError("X and y length mismatch")
         min_leaf = min(self.min_leaf, len(X))  # clamp to dataset size
-        self.root = _grow(X, y, min_leaf)
+        self._set_nodes(*zip(*_grow(X, y, min_leaf)))
         return self
 
     # -- prediction ----------------------------------------------------------
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        if self.root is None:
-            raise RuntimeError("tree is not fitted")
+        self._check_fitted()
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        out = np.empty(len(X), dtype=float)
-        _route(self.root, X, np.arange(len(X)), out)
-        return out
+        if len(X) <= _FEW_ROWS:
+            # on a few rows, numpy's per-call cost outweighs a Python walk
+            return self.prob[[self._leaf(row) for row in X.tolist()]]
+        node = np.zeros(len(X), dtype=np.intp)
+        live = np.arange(len(X))
+        # one level per pass; rows drop out when they reach a leaf
+        while live.size:
+            at = node[live]
+            inner = self.feature[at] >= 0
+            live, at = live[inner], at[inner]
+            go_left = X[live, self.feature[at]] <= self.threshold[at]
+            node[live] = np.where(go_left, self.left[at], self.right[at])
+        return self.prob[node]
+
+    def _leaf(self, row: list[float]) -> int:
+        i = 0
+        while self.feature[i] >= 0:
+            i = self.left[i] if row[self.feature[i]] <= self.threshold[i] else self.right[i]
+        return i
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         # probability exactly 0.5 counts as positive
         return (self.predict_proba(X) >= 0.5).astype(int)
 
     def depth(self) -> int:
-        best = 0
-        stack = [(self.root, 0)]
-        while stack:
-            node, d = stack.pop()
-            if node.is_leaf:
-                best = max(best, d)
-            else:
-                stack.append((node.left, d + 1))
-                stack.append((node.right, d + 1))
-        return best
+        self._check_fitted()
+        # parents are stored before their children
+        depths = [0] * len(self.feature)
+        for i in np.flatnonzero(self.feature >= 0).tolist():
+            depths[self.left[i]] = depths[self.right[i]] = depths[i] + 1
+        return max(depths)
 
     def num_leaves(self) -> int:
-        count = 0
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                count += 1
-            else:
-                stack.extend((node.left, node.right))
-        return count
+        self._check_fitted()
+        return int((self.feature < 0).sum())
 
     # -- serialization -------------------------------------------------------
 
     def to_dict(self) -> dict:
         # flat node list with child indices; deep trees overflow nested JSON
-        nodes: list[dict] = []
-        order: list[_Node] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if not node.is_leaf:
-                stack.extend((node.left, node.right))
-        index = {id(n): i for i, n in enumerate(order)}
-        for node in order:
-            rec: dict = {"prob": node.prob, "count": node.count}
-            if not node.is_leaf:
-                rec.update(
-                    feature=node.feature,
-                    threshold=node.threshold,
-                    left=index[id(node.left)],
-                    right=index[id(node.right)],
-                )
+        self._check_fitted()
+        nodes = []
+        for f, t, l, r, p, c in zip(*(getattr(self, a).tolist() for a in _ARRAYS)):
+            rec: dict = {"prob": p, "count": c}
+            if f >= 0:
+                rec.update(feature=f, threshold=t, left=l, right=r)
             nodes.append(rec)
         return {"min_leaf": self.min_leaf, "nodes": nodes}
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTree":
+        """Raises ValueError unless the nodes form one tree stored parent
+        first: every internal node has `feature` >= 0 and children after
+        it, and every node but the root is the child of exactly one node."""
         tree = cls(min_leaf=int(data["min_leaf"]))
         records = data["nodes"]
-        built = [_Node(prob=float(r["prob"]), count=int(r["count"])) for r in records]
-        for node, rec in zip(built, records):
-            if "feature" in rec:
-                node.feature = int(rec["feature"])
-                node.threshold = float(rec["threshold"])
-                node.left = built[rec["left"]]
-                node.right = built[rec["right"]]
-        tree.root = built[0]
+        tree._set_nodes(*([r.get(a, -1) for r in records] for a in _ARRAYS[:4]),
+                        [r["prob"] for r in records], [r["count"] for r in records])
+        inner = np.array(["feature" in r for r in records], dtype=bool)
+        parents = np.tile(np.flatnonzero(inner), 2)
+        children = np.concatenate([tree.left[inner], tree.right[inner]])
+        if not (records and (tree.feature[inner] >= 0).all() and (parents < children).all()
+                and np.array_equal(np.sort(children), np.arange(1, len(records)))):
+            raise ValueError("malformed tree: nodes must form one tree, "
+                             "each internal node before its children")
         return tree
 
 
-def _grow(X: np.ndarray, y: np.ndarray, min_leaf: int) -> _Node:
+def _grow(X: np.ndarray, y: np.ndarray, min_leaf: int) -> list[list]:
+    """Node records [feature, threshold, left, right, prob, count], appended
+    as nodes are popped; each child's index is written into its parent's
+    `left` or `right` slot."""
     # explicit stack: unregularized trees can exceed the recursion limit
-    root = _Node()
-    stack = [(root, X, y)]
+    nodes: list[list] = []
+    stack = [(X, y, None, None)]
     while stack:
-        node, Xn, yn = stack.pop()
+        Xn, yn, parent, side = stack.pop()
+        if parent is not None:
+            parent[side] = len(nodes)
         n = len(yn)
         pos = int(yn.sum())
-        node.prob = pos / n
-        node.count = n
+        node = [-1, -1, -1, -1, pos / n, n]
+        nodes.append(node)
         if pos == 0 or pos == n or n < 2 * min_leaf:
             continue
         split = _best_split(Xn, yn, min_leaf)
         if split is None:
             continue
-        feature, threshold = split
-        mask = Xn[:, feature] <= threshold
-        node.feature = feature
-        node.threshold = threshold
-        node.left = _Node()
-        node.right = _Node()
-        stack.append((node.left, Xn[mask], yn[mask]))
-        stack.append((node.right, Xn[~mask], yn[~mask]))
-    return root
+        node[0], node[1] = split
+        mask = Xn[:, node[0]] <= node[1]
+        stack.append((Xn[mask], yn[mask], node, 2))
+        stack.append((Xn[~mask], yn[~mask], node, 3))
+    return nodes
 
 
 def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
@@ -185,17 +183,3 @@ def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
     if best[1] is None:
         return None
     return best[1], best[2]
-
-
-def _route(root: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None:
-    stack = [(root, idx)]
-    while stack:
-        node, ids = stack.pop()
-        if node.is_leaf:
-            out[ids] = node.prob
-            continue
-        mask = X[ids, node.feature] <= node.threshold
-        if mask.any():
-            stack.append((node.left, ids[mask]))
-        if not mask.all():
-            stack.append((node.right, ids[~mask]))

@@ -87,6 +87,22 @@ def test_evaluate_prints_metrics(workspace, runner):
     assert metrics["num_scheduling_obs"] == 5
 
 
+@pytest.mark.parametrize("child", [0, 99])
+def test_evaluate_rejects_malformed_model(workspace, runner, child):
+    """A priority-tree root whose left child is itself (a walk that never
+    ends) or out of range is refused at load, with exit code 1."""
+    data = load_json(workspace["model"])
+    root = data["priority_tree"]["nodes"][0]
+    assert "feature" in root
+    root["left"] = child
+    path = workspace["root"] / f"malformed{child}.json"
+    path.write_text(json.dumps(data))
+    result = runner.invoke(main, ["evaluate", "--model", str(path),
+                                  "--demos", workspace["demos"][0]])
+    assert result.exit_code == 1, result.output
+    assert "malformed tree" in result.output
+
+
 def test_schedule_and_optimize(workspace, runner):
     sched = str(workspace["root"] / "schedule.json")
     result = runner.invoke(main, ["schedule", "--problem", workspace["problem"],

@@ -11,7 +11,7 @@ from demosched.datasets import (
     build_naive_dataset,
     build_pairwise_dataset,
     build_pointwise_dataset,
-    pair_vector,
+    pair_rows,
     point_vector,
     wide_vector,
 )
@@ -27,12 +27,12 @@ def test_feature_name_layout():
     assert all(n.startswith("delta_") for n in PAIRWISE_FEATURE_NAMES[2:])
 
 
-def test_pair_vector_antisymmetric_delta():
+def test_pair_rows_antisymmetric_delta():
     ctx = ContextFeatures(2.0, 5.0)
     a = TaskFeatures(10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5)
     b = TaskFeatures(4.0, 0.0, 1.0, 1.0, 0.0, 2.0, 0.1)
-    ab = pair_vector(ctx, a, b)
-    ba = pair_vector(ctx, b, a)
+    ab = pair_rows(ctx, a, b).tolist()
+    ba = pair_rows(ctx, b, a).tolist()
     assert ab[:2] == ba[:2] == [2.0, 5.0]
     assert ab[2:] == [-x for x in ba[2:]]
 

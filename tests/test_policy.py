@@ -1,11 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
 from demosched.datasets import build_pairwise_dataset
+from demosched.demonstrator import demonstrate
+from demosched.experiments import KIND_PRESETS, make_config
 from demosched.features import ContextFeatures, TaskFeatures
+from demosched.generator import generate_instance
 from demosched.policy import (
     MIN_LEAF_GRID,
     HeuristicPolicy,
+    Metrics,
     PolicyModel,
     cross_validate_min_leaf,
     detect_anomalies,
@@ -39,11 +46,11 @@ def edf_model() -> PolicyModel:
     always schedules."""
     rows, labels = [], []
     for da, db in [(1, 2), (1, 3), (2, 5), (4, 9)]:
-        from demosched.datasets import pair_vector
+        from demosched.datasets import pair_rows
 
-        rows.append(pair_vector(CTX, tf(da), tf(db)))
+        rows.append(pair_rows(CTX, tf(da), tf(db)))
         labels.append(1)
-        rows.append(pair_vector(CTX, tf(db), tf(da)))
+        rows.append(pair_rows(CTX, tf(db), tf(da)))
         labels.append(0)
     priority = DecisionTree(min_leaf=1).fit(np.array(rows), np.array(labels))
     act = DecisionTree(min_leaf=1).fit(np.zeros((2, 9)), np.array([1, 1]))
@@ -261,3 +268,62 @@ class TestAnomalies:
     def test_empty_pool_raises(self):
         with pytest.raises(ValueError):
             detect_anomalies(edf_model(), CTX, {})
+
+
+# ---------------------------------------------------------------------------
+# Golden learner outputs
+# ---------------------------------------------------------------------------
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _golden_learner_demos():
+    """Noise-free 20-task demos of every kind, then ε=0.2 "dense" 8-task
+    demos."""
+    demos = []
+    for kind in KIND_PRESETS:
+        problem = generate_instance(make_config(kind, num_agents=2, num_tasks=20,
+                                                rng_seed=61))
+        demos.append(demonstrate(problem, epsilon=0.0, rng_seed=61))
+    for seed in range(62, 68):
+        problem = generate_instance(make_config("dense", num_agents=2, num_tasks=8,
+                                                rng_seed=seed))
+        demos.append(demonstrate(problem, epsilon=0.2, rng_seed=seed))
+    return demos
+
+
+def _golden_learner_outputs() -> dict:
+    train, test = split_demos(_golden_learner_demos(), 0.75, rng_seed=0)
+    data = build_pairwise_dataset(train)
+    out = {"pairwise X": _sha(data.X.tobytes()), "pairwise y": _sha(data.y.tobytes()),
+           "cv leaf": cross_validate_min_leaf(data)}
+    for leaf in (1, 5, out["cv leaf"]):
+        model = train_policy(train, min_leaf=leaf)
+        out[f"model {leaf}"] = _sha(json.dumps(model.to_dict(), sort_keys=True).encode())
+        out[f"evaluate {leaf}"] = evaluate(model, test)
+    return out
+
+
+# recorded with the linked-node tree and the per-pair row encoder that the
+# flat node arrays and `pair_rows` replaced
+GOLDEN_LEARNER = {
+    "pairwise X": "2798020947b6cfd6cb89f6bf911b12c719a69299ca8fd447b828ee8d24c19fb8",
+    "pairwise y": "a14b7351aa0eae8bc9e493dbdadbdb259605fbd0877f15e8af6f8ed5e8c5ba10",
+    "cv leaf": 10,
+    "model 1": "0d1d9085e873c6e3e179a758bee86eb56be245c62066d324ac27e5cd9bf37668",
+    "model 5": "0329a0c3bab050c217b23b1818ed9dc45374e007d118c45c50f2d2283744de42",
+    "model 10": "98f4d2fab6815bd2044d148ffba848cc5e91bb332e285233139c0c0bb155372f",
+    "evaluate 1": Metrics(sensitivity=0.8928571428571429, specificity=1.0,
+                          num_scheduling_obs=28, num_idle_obs=88),
+    "evaluate 5": Metrics(sensitivity=0.8571428571428571,
+                          specificity=0.8295454545454546,
+                          num_scheduling_obs=28, num_idle_obs=88),
+    "evaluate 10": Metrics(sensitivity=0.9285714285714286,
+                           specificity=0.8295454545454546,
+                           num_scheduling_obs=28, num_idle_obs=88),
+}
+
+
+def test_golden_learner():
+    assert _golden_learner_outputs() == GOLDEN_LEARNER

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from demosched.core import travel_ticks, validate_schedule
-from demosched.datasets import build_pairwise_dataset, pair_vector
+from demosched.datasets import build_pairwise_dataset, pair_rows
 from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import PROBLEM_KINDS, make_config
 from demosched.features import ContextFeatures, TaskFeatures
@@ -32,16 +32,34 @@ def as_tf(values):
     return TaskFeatures(*values)
 
 
+class _RowRecorder:
+    """Stands in for a priority tree and keeps the rows it is asked about."""
+
+    def predict_proba(self, X):
+        self.rows = np.array(X)
+        return np.zeros(len(self.rows))
+
+
 @given(ctx=st.tuples(finite, finite), a=feature_tuples, b=feature_tuples)
-def test_pair_vector_antisymmetry(ctx, a, b):
+def test_pair_rows_antisymmetry(ctx, a, b):
     context = ContextFeatures(*ctx)
-    ab = pair_vector(context, as_tf(a), as_tf(b))
-    ba = pair_vector(context, as_tf(b), as_tf(a))
+    ab = pair_rows(context, as_tf(a), as_tf(b)).tolist()
+    ba = pair_rows(context, as_tf(b), as_tf(a)).tolist()
     assert ab[:2] == ba[:2]
     assert ab[2:] == [-x for x in ba[2:]]
     # self-comparison always yields a zero delta
-    aa = pair_vector(context, as_tf(a), as_tf(a))
+    aa = pair_rows(context, as_tf(a), as_tf(a)).tolist()
     assert aa[2:] == [0.0] * 7
+    # the pool's pair matrix encodes entry [i, j] as the single pair (i, j)
+    feats = {"tA": as_tf(a), "tB": as_tf(b)}
+    recorder = _RowRecorder()
+    PolicyModel(priority_tree=recorder, act_tree=recorder).pair_matrix(
+        context, feats, ["tA", "tB"])
+    rows = recorder.rows.reshape(2, 2, -1)
+    for i, first in enumerate(feats):
+        for j, second in enumerate(feats):
+            assert rows[i, j].tolist() == pair_rows(
+                context, feats[first], feats[second]).tolist()
 
 
 @given(dist=st.floats(min_value=0.0, max_value=1e6),
