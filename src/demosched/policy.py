@@ -14,6 +14,8 @@ import numpy as np
 
 from .core import SCHEMA_VERSION
 from .datasets import (
+    PAIRWISE_FEATURE_NAMES,
+    POINTWISE_FEATURE_NAMES,
     Dataset,
     build_act_dataset,
     build_naive_dataset,
@@ -26,7 +28,7 @@ from .datasets import (
 from .demonstrator import Demonstration
 from .features import ContextFeatures, TaskFeatures
 from .heuristics import RuleKind, expert_choice
-from .tree import DecisionTree
+from .tree import DecisionTree, RankBins
 
 FEATURE_SCHEMA = "v1"
 
@@ -93,9 +95,19 @@ class PolicyModel(_LearnedPolicy):
         if data.get("feature_schema") != FEATURE_SCHEMA:
             raise ValueError(f"unsupported feature schema {data.get('feature_schema')!r}")
         return cls(
-            priority_tree=DecisionTree.from_dict(data["priority_tree"]),
-            act_tree=DecisionTree.from_dict(data["act_tree"]),
+            priority_tree=_load_tree(data["priority_tree"], len(PAIRWISE_FEATURE_NAMES)),
+            act_tree=_load_tree(data["act_tree"], len(POINTWISE_FEATURE_NAMES)),
         )
+
+
+def _load_tree(data: dict, width: int) -> DecisionTree:
+    """Raises ValueError when the tree splits on a column its rows, `width`
+    wide, do not have."""
+    tree = DecisionTree.from_dict(data)
+    if tree.feature.max() >= width:
+        raise ValueError(f"malformed tree: splits on feature {tree.feature.max()} "
+                         f"of rows {width} wide")
+    return tree
 
 
 class HeuristicPolicy:
@@ -171,7 +183,8 @@ def train_pointwise(demos: list[Demonstration], min_leaf: int = 1,
 def train_naive(demos: list[Demonstration], min_leaf: int = 1,
                 act_tree: DecisionTree | None = None) -> NaivePolicy:
     data = build_naive_dataset(demos)
-    trees = [DecisionTree(min_leaf=min_leaf).fit(data.X, (data.y == k).astype(int))
+    bins = RankBins(data.X)  # one ranking serves every one-vs-rest tree
+    trees = [DecisionTree(min_leaf=min_leaf).fit_bins(bins, (data.y == k).astype(int))
              for k in range(len(data.class_names))]
     if act_tree is None:
         act_tree = _fit(build_act_dataset(demos), min_leaf)
@@ -188,13 +201,13 @@ def cross_validate_min_leaf(
     if n < folds:
         raise ValueError(f"need at least {folds} examples, got {n}")
     splits = np.array_split(np.arange(n), folds)
+    bins = RankBins(dataset.X)  # one ranking serves every fold's fits
     best_acc, best_value = -1.0, None
     for value in candidates:
         accs = []
         for fold in splits:
-            mask = np.ones(n, dtype=bool)
-            mask[fold] = False
-            tree = DecisionTree(min_leaf=value).fit(dataset.X[mask], dataset.y[mask])
+            rows = np.delete(np.arange(n), fold)
+            tree = DecisionTree(min_leaf=value).fit_bins(bins, dataset.y, rows)
             accs.append(float((tree.predict(dataset.X[fold]) == dataset.y[fold]).mean()))
         acc = round(float(np.mean(accs)), 12)
         if acc > best_acc or (acc == best_acc and value > best_value):

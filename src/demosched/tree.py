@@ -4,6 +4,18 @@ Gini impurity, midpoint thresholds, deterministic first-best split (lowest
 feature index, then lowest threshold). Growth stops when a node is pure or
 when no split keeps `min_leaf` samples on both sides.
 
+Split search is the exact histogram form of CART's. `RankBins` ranks each
+column once: every distinct value becomes its own bin, and all columns share
+one bin space. A node's candidate cuts are its present bins, scored in
+(feature, value) order from per-bin row and positive counts, so ties and
+thresholds are what sorting the node's rows would give: the midpoint of the
+two values around the cut, or the lower value when the midpoint rounds up to
+the upper one. After a split, only the smaller child's histogram is counted
+from its rows; the larger child's is the parent's minus it, exact on integer
+counts (the subtraction of LightGBM, Ke et al. 2017). One ranking serves
+every fit on the same matrix: cross-validation folds and one-vs-rest trees
+fit row subsets or relabellings of it.
+
 A fitted tree is six parallel node arrays, which are also its JSON form:
 `feature`, `threshold`, `left`, `right` (all -1 at a leaf), `prob` (the
 positive-class share) and `count`. Node 0 is the root, and nodes are stored
@@ -16,6 +28,7 @@ import numpy as np
 
 _ARRAYS = ("feature", "threshold", "left", "right", "prob", "count")
 _FEW_ROWS = 16  # predict_proba walks batches up to this size row by row
+_COUNT_ROWS = 8192  # rows per bincount call when counting a histogram
 
 
 class DecisionTree:
@@ -37,14 +50,22 @@ class DecisionTree:
     # -- training -----------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        X = np.asarray(X, dtype=float)
+        return self.fit_bins(RankBins(X), y)
+
+    def fit_bins(self, bins: RankBins, y: np.ndarray,
+                 rows: np.ndarray | None = None) -> "DecisionTree":
+        """Fit on `rows` (default all) of a ranked matrix; `y` holds a 0/1
+        label for every row of the matrix."""
         y = np.asarray(y, dtype=int)
-        if X.ndim != 2 or len(X) == 0:
-            raise ValueError("training data must be a non-empty 2D array")
-        if len(X) != len(y):
+        if len(bins.codes) != len(y):
             raise ValueError("X and y length mismatch")
-        min_leaf = min(self.min_leaf, len(X))  # clamp to dataset size
-        self._set_nodes(*zip(*_grow(X, y, min_leaf)))
+        if ((y != 0) & (y != 1)).any():
+            raise ValueError("labels must be 0 or 1")
+        rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=np.intp)
+        if len(rows) == 0:
+            raise ValueError("no rows to fit")
+        min_leaf = min(self.min_leaf, len(rows))  # clamp to dataset size
+        self._set_nodes(*zip(*_grow(bins, y, rows, min_leaf)))
         return self
 
     # -- prediction ----------------------------------------------------------
@@ -120,66 +141,122 @@ class DecisionTree:
         return tree
 
 
-def _grow(X: np.ndarray, y: np.ndarray, min_leaf: int) -> list[list]:
-    """Node records [feature, threshold, left, right, prob, count], appended
-    as nodes are popped; each child's index is written into its parent's
-    `left` or `right` slot."""
-    # explicit stack: unregularized trees can exceed the recursion limit
-    nodes: list[list] = []
-    stack = [(X, y, None, None)]
-    while stack:
-        Xn, yn, parent, side = stack.pop()
-        if parent is not None:
-            parent[side] = len(nodes)
-        n = len(yn)
-        pos = int(yn.sum())
-        node = [-1, -1, -1, -1, pos / n, n]
-        nodes.append(node)
-        if pos == 0 or pos == n or n < 2 * min_leaf:
-            continue
-        split = _best_split(Xn, yn, min_leaf)
-        if split is None:
-            continue
-        node[0], node[1] = split
-        mask = Xn[:, node[0]] <= node[1]
-        stack.append((Xn[mask], yn[mask], node, 2))
-        stack.append((Xn[~mask], yn[~mask], node, 3))
-    return nodes
+class RankBins:
+    """A training matrix ranked once for every fit on its rows: each value
+    becomes its rank among its column's distinct values, offset so that
+    bin `b` holds value `values[b]` of column `column[b]`. Raises
+    ValueError on an empty or non-2D matrix, and on NaN, which would get a
+    bin of its own and so a cut that sorting the rows never offers."""
 
+    def __init__(self, X: np.ndarray):
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or len(X) == 0:
+            raise ValueError("training data must be a non-empty 2D array")
+        if np.isnan(X).any():
+            raise ValueError("training data contains NaN")
+        self.codes = np.empty(X.shape, dtype=np.int32)
+        values, offset = [], 0
+        for j, col in enumerate(X.T):
+            distinct, rank = np.unique(col, return_inverse=True)
+            self.codes[:, j] = rank + offset
+            offset += len(distinct)
+            values.append(distinct)
+        self.values = np.concatenate(values)
+        self.column = np.repeat(np.arange(len(values)), [len(v) for v in values])
 
-def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
-    """Lowest weighted child impurity; ties keep the earliest (feature,
-    threshold) encountered. Returns None when min_leaf leaves no valid cut."""
-    # zero-gain splits are allowed (a pure-fit tree needs them, e.g. on
-    # XOR-style data); recursion still terminates since children shrink
-    n = len(y)
-    best = (np.inf, None, None)
-    for j in range(X.shape[1]):
-        col = X[:, j]
-        order = np.argsort(col, kind="stable")
-        xs, ys = col[order], y[order]
-        # split positions between distinct neighbouring values
-        distinct = np.nonzero(np.diff(xs) > 0)[0] + 1
-        if len(distinct) == 0:
-            continue
-        valid = distinct[(distinct >= min_leaf) & (n - distinct >= min_leaf)]
-        if len(valid) == 0:
-            continue
-        cum_pos = np.cumsum(ys)
-        left_n = valid.astype(float)
-        left_pos = cum_pos[valid - 1].astype(float)
+    def histogram(self, rows: np.ndarray, pos: int) -> np.ndarray:
+        """Row counts (first row) and positive-row counts (second) of every
+        bin over `rows`, whose first `pos` rows are the positive ones."""
+        hist = np.empty((2, len(self.values)), dtype=np.int32)
+        for counts, counted in zip(hist, (rows, rows[:pos])):
+            # bincount copies its codes to int64; slices bound that copy
+            counts[:] = self._bincount(counted[:_COUNT_ROWS])
+            for start in range(_COUNT_ROWS, len(counted), _COUNT_ROWS):
+                counts += self._bincount(counted[start:start + _COUNT_ROWS])
+        return hist
+
+    def _bincount(self, rows: np.ndarray) -> np.ndarray:
+        return np.bincount(self.codes[rows].ravel(), minlength=len(self.values))
+
+    def best_cut(self, hist: np.ndarray, n: int, pos: int, min_leaf: int):
+        """(feature, last left bin, threshold) of the lowest weighted child
+        Gini over the cuts after each present bin that leave `min_leaf`
+        rows on both sides, or None when there is no such cut."""
+        # zero-gain splits are allowed (a pure-fit tree needs them, e.g. on
+        # XOR-style data); growth still ends since children shrink
+        present = np.flatnonzero(hist[0] > 0)
+        column = self.column[present]
+        # running sums restart at each column, whose bins hold n rows
+        left_n = np.cumsum(hist[0, present]) - n * column
+        left_pos = np.cumsum(hist[1, present]) - pos * column
+        cuts = np.flatnonzero((left_n >= min_leaf) & (left_n <= n - min_leaf))
+        if len(cuts) == 0:
+            return None
+        left_n = left_n[cuts].astype(float)
+        left_pos = left_pos[cuts].astype(float)
         right_n = n - left_n
-        right_pos = cum_pos[-1] - left_pos
+        right_pos = pos - left_pos
         lp = left_pos / left_n
         rp = right_pos / right_n
         weighted = (left_n * 2 * lp * (1 - lp) + right_n * 2 * rp * (1 - rp)) / n
-        k = int(np.argmin(weighted))
-        if weighted[k] < best[0]:
-            lo, hi = xs[valid[k] - 1], xs[valid[k]]
-            threshold = 0.5 * (lo + hi)
-            if threshold >= hi:  # midpoint of adjacent floats can round up
-                threshold = lo
-            best = (weighted[k], j, threshold)
-    if best[1] is None:
-        return None
-    return best[1], best[2]
+        # cuts run in (feature, value) order: ties keep the first
+        k = int(cuts[np.argmin(weighted)])
+        # a valid cut leaves rows on the right, so the next present bin is
+        # in the same column
+        b = int(present[k])
+        lo, hi = self.values[[b, present[k + 1]]].tolist()
+        threshold = 0.5 * (lo + hi)
+        if not lo <= threshold < hi:  # the midpoint of adjacent floats can
+            threshold = lo            # round up; inf + -inf or overflow too
+        return int(column[k]), b, threshold
+
+
+def _grow(bins: RankBins, y: np.ndarray, rows: np.ndarray, min_leaf: int) -> list[list]:
+    """Node records [feature, threshold, left, right, prob, count], appended
+    as nodes are popped; each child's index is written into its parent's
+    `left` or `right` slot.
+
+    Only a node that can split gets a histogram. After a split, the smaller
+    child's histogram is counted from its rows and the larger's is the
+    parent's minus it; a child that cannot split keeps none. Every node
+    keeps its positive rows first, so that counting them needs no copy.
+    """
+
+    def splittable(n: int, pos: int) -> bool:
+        return 0 < pos < n and n >= 2 * min_leaf
+
+    positive = y[rows] == 1
+    pos = int(np.count_nonzero(positive))
+    rows = np.concatenate([rows[positive], rows[~positive]])
+    hist = bins.histogram(rows, pos) if splittable(len(rows), pos) else None
+    # explicit stack: unregularized trees can exceed the recursion limit
+    nodes: list[list] = []
+    stack = [(rows, pos, hist, None, None)]
+    while stack:
+        rows, pos, hist, parent, side = stack.pop()
+        if parent is not None:
+            parent[side] = len(nodes)
+        n = len(rows)
+        node = [-1, -1, -1, -1, pos / n, n]
+        nodes.append(node)
+        split = None if hist is None else bins.best_cut(hist, n, pos, min_leaf)
+        if split is None:
+            continue
+        node[0], cut, node[1] = split
+        go_left = bins.codes[rows, node[0]] <= cut
+        parts = [rows[go_left], rows[~go_left]]  # order kept: positives first
+        left_pos = int(np.count_nonzero(go_left[:pos]))
+        part_pos = [left_pos, pos - left_pos]
+        wants = [splittable(len(part), c) for part, c in zip(parts, part_pos)]
+        hists = [None, None]
+        if any(wants):
+            small = int(len(parts[1]) < len(parts[0]))
+            counted = bins.histogram(parts[small], part_pos[small])
+            if wants[small]:
+                hists[small] = counted
+            if wants[1 - small]:
+                hist -= counted  # the parent is done with its histogram
+                hists[1 - small] = hist
+        for side in (2, 3):
+            stack.append((parts[side - 2], part_pos[side - 2], hists[side - 2], node, side))
+    return nodes

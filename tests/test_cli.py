@@ -103,6 +103,24 @@ def test_evaluate_rejects_malformed_model(workspace, runner, child):
     assert "malformed tree" in result.output
 
 
+def test_model_commands_reject_out_of_range_feature(workspace, runner):
+    """`evaluate` and `schedule` refuse a priority-tree root that splits on
+    column 50 of 9-wide rows at load, with exit code 1, not an IndexError
+    at the first prediction."""
+    data = load_json(workspace["model"])
+    root = data["priority_tree"]["nodes"][0]
+    assert "feature" in root
+    root["feature"] = 50
+    path = workspace["root"] / "wide.json"
+    path.write_text(json.dumps(data))
+    for command in (["evaluate", "--demos", workspace["demos"][0]],
+                    ["schedule", "--problem", workspace["problem"],
+                     "--out", str(workspace["root"] / "wide_schedule.json")]):
+        result = runner.invoke(main, [command[0], "--model", str(path), *command[1:]])
+        assert result.exit_code == 1, result.output
+        assert "feature 50 of rows 9 wide" in result.output
+
+
 def test_schedule_and_optimize(workspace, runner):
     sched = str(workspace["root"] / "schedule.json")
     result = runner.invoke(main, ["schedule", "--problem", workspace["problem"],

@@ -99,6 +99,19 @@ class TestPolicyModel:
         assert clone.select_task(CTX, feats, ["tA", "tB"]) == "tB"
         assert model.to_dict() == clone.to_dict()
 
+    @pytest.mark.parametrize("tree_key", ["priority_tree", "act_tree"])
+    def test_out_of_range_feature_rejected(self, tree_key):
+        """Both trees read 9-wide rows; a split on column 9 or beyond is
+        refused at load, not at the first prediction."""
+        model = edf_model()
+        model.act_tree = DecisionTree(min_leaf=1).fit(np.eye(9)[:2], np.array([0, 1]))
+        data = model.to_dict()
+        assert "feature" in data[tree_key]["nodes"][0]
+        PolicyModel.from_dict(data)
+        data[tree_key]["nodes"][0]["feature"] = 9
+        with pytest.raises(ValueError, match="feature 9 of rows 9 wide"):
+            PolicyModel.from_dict(data)
+
     def test_feature_schema_check(self):
         data = edf_model().to_dict()
         data["feature_schema"] = "v9"

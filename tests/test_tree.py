@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demosched.tree import DecisionTree
+from demosched.datasets import Dataset
+from demosched.policy import cross_validate_min_leaf
+from demosched.tree import DecisionTree, RankBins
 
 
 def oracle_best_split(X, y, min_leaf):
@@ -78,6 +80,27 @@ class TestFitBasics:
         tree = DecisionTree(min_leaf=1).fit(np.array([[a], [b]]), np.array([0, 1]))
         assert list(tree.predict(np.array([[a], [b]]))) == [0, 1]
 
+    @pytest.mark.parametrize("column", [
+        [-np.inf, np.inf],           # the midpoint inf + -inf is NaN
+        [-1.7e308, -1e308],          # the midpoint overflows to -inf
+        [1.0, np.inf],               # the midpoint is inf, so the cut is 1.0
+        [-np.inf, -np.inf, 0.0],     # equal infinities share one bin
+    ])
+    def test_threshold_separates_infinite_and_huge_values(self, column):
+        X = np.array(column)[:, None]
+        y = (np.arange(len(X)) == len(X) - 1).astype(int)
+        tree = DecisionTree(min_leaf=1).fit(X, y)
+        assert tree.num_leaves() == 2
+        assert list(tree.predict(X)) == list(y)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            DecisionTree().fit(np.array([[0.0], [np.nan]]), np.array([0, 1]))
+
+    def test_labels_must_be_binary(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            DecisionTree().fit(np.array([[0.0], [1.0]]), np.array([0, 2]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DecisionTree(min_leaf=0)
@@ -129,6 +152,18 @@ def test_deterministic_tie_break():
     tree = DecisionTree(min_leaf=1).fit(X, y)
     assert tree.feature[0] == 0
 
+
+
+def test_histogram_counts_every_row_across_slices():
+    """More rows than one bincount call counts: every row and every
+    positive row (the first `pos`) lands in its bins once."""
+    rng = np.random.default_rng(0)
+    bins = RankBins(rng.integers(0, 50, size=(20000, 3)).astype(float))
+    rows = rng.permutation(20000)[:19000]
+    expected = np.zeros((2, len(bins.values)), dtype=int)
+    for counts, counted in zip(expected, (rows, rows[:10000])):
+        np.add.at(counts, bins.codes[counted].ravel(), 1)
+    assert np.array_equal(bins.histogram(rows, 10000), expected)
 
 class TestSerialization:
     def test_roundtrip_predictions(self):
@@ -293,3 +328,156 @@ def test_arrays_match_reference_router(seed, rows, width, levels, near_equal, mi
     assert np.array_equal(tree.predict_proba(queries), expected)
     singles = np.concatenate([tree.predict_proba(q) for q in queries])
     assert np.array_equal(singles, expected)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-node argsort grower the rank-bin histograms replaced,
+# kept verbatim
+# ---------------------------------------------------------------------------
+
+def _grow(X: np.ndarray, y: np.ndarray, min_leaf: int) -> list[list]:
+    """Node records [feature, threshold, left, right, prob, count], appended
+    as nodes are popped; each child's index is written into its parent's
+    `left` or `right` slot."""
+    # explicit stack: unregularized trees can exceed the recursion limit
+    nodes: list[list] = []
+    stack = [(X, y, None, None)]
+    while stack:
+        Xn, yn, parent, side = stack.pop()
+        if parent is not None:
+            parent[side] = len(nodes)
+        n = len(yn)
+        pos = int(yn.sum())
+        node = [-1, -1, -1, -1, pos / n, n]
+        nodes.append(node)
+        if pos == 0 or pos == n or n < 2 * min_leaf:
+            continue
+        split = _best_split(Xn, yn, min_leaf)
+        if split is None:
+            continue
+        node[0], node[1] = split
+        mask = Xn[:, node[0]] <= node[1]
+        stack.append((Xn[mask], yn[mask], node, 2))
+        stack.append((Xn[~mask], yn[~mask], node, 3))
+    return nodes
+
+
+def _best_split(X: np.ndarray, y: np.ndarray, min_leaf: int):
+    """Lowest weighted child impurity; ties keep the earliest (feature,
+    threshold) encountered. Returns None when min_leaf leaves no valid cut."""
+    # zero-gain splits are allowed (a pure-fit tree needs them, e.g. on
+    # XOR-style data); recursion still terminates since children shrink
+    n = len(y)
+    best = (np.inf, None, None)
+    for j in range(X.shape[1]):
+        col = X[:, j]
+        order = np.argsort(col, kind="stable")
+        xs, ys = col[order], y[order]
+        # split positions between distinct neighbouring values
+        distinct = np.nonzero(np.diff(xs) > 0)[0] + 1
+        if len(distinct) == 0:
+            continue
+        valid = distinct[(distinct >= min_leaf) & (n - distinct >= min_leaf)]
+        if len(valid) == 0:
+            continue
+        cum_pos = np.cumsum(ys)
+        left_n = valid.astype(float)
+        left_pos = cum_pos[valid - 1].astype(float)
+        right_n = n - left_n
+        right_pos = cum_pos[-1] - left_pos
+        lp = left_pos / left_n
+        rp = right_pos / right_n
+        weighted = (left_n * 2 * lp * (1 - lp) + right_n * 2 * rp * (1 - rp)) / n
+        k = int(np.argmin(weighted))
+        if weighted[k] < best[0]:
+            lo, hi = xs[valid[k] - 1], xs[valid[k]]
+            threshold = 0.5 * (lo + hi)
+            if threshold >= hi:  # midpoint of adjacent floats can round up
+                threshold = lo
+            best = (weighted[k], j, threshold)
+    if best[1] is None:
+        return None
+    return best[1], best[2]
+
+
+def _reference_fit(X, y, min_leaf: int) -> DecisionTree:
+    """The parent-era `DecisionTree.fit`, growing with the reference."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    tree = DecisionTree(min_leaf=min_leaf)
+    tree._set_nodes(*zip(*_grow(X, y, min(min_leaf, len(X)))))
+    return tree
+
+
+def _reference_cross_validate(dataset, candidates, folds):
+    """The parent-era `cross_validate_min_leaf`, fitting each fold with the
+    reference."""
+    n = len(dataset)
+    splits = np.array_split(np.arange(n), folds)
+    best_acc, best_value = -1.0, None
+    for value in candidates:
+        accs = []
+        for fold in splits:
+            mask = np.ones(n, dtype=bool)
+            mask[fold] = False
+            tree = _reference_fit(dataset.X[mask], dataset.y[mask], value)
+            accs.append(float((tree.predict(dataset.X[fold]) == dataset.y[fold]).mean()))
+        acc = round(float(np.mean(accs)), 12)
+        if acc > best_acc or (acc == best_acc and value > best_value):
+            best_acc, best_value = acc, value
+    return best_value
+
+
+def _awkward_matrix(rng, rows, width, levels, signed_zeros, neighbours, constant):
+    """Integer-valued columns (ties, and zeros at level 0), optionally with
+    zeros of random sign, values nudged to their next float up, and a
+    constant column."""
+    X = rng.integers(0, levels, size=(rows, width)).astype(float)
+    if signed_zeros:
+        X[(X == 0) & (rng.random(X.shape) < 0.5)] = -0.0
+    if neighbours:
+        nudge = rng.random(X.shape) < 0.3
+        X[nudge] = np.nextafter(X[nudge], np.inf)
+    if constant:
+        X[:, rng.integers(width)] = X[0, 0]
+    return X
+
+
+_AWKWARD = dict(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 200),
+                width=st.integers(1, 4), levels=st.integers(1, 6),
+                signed_zeros=st.booleans(), neighbours=st.booleans(),
+                constant=st.booleans())
+
+
+@given(**_AWKWARD, min_leaf=st.sampled_from([1, 2, 3, 7, 25, "over half"]))
+@settings(max_examples=150, deadline=None)
+def test_histogram_grower_matches_reference(seed, rows, width, levels, signed_zeros,
+                                            neighbours, constant, min_leaf):
+    """The same tree as the argsort grower, node for node, on the whole
+    matrix and on a random row subset (a fold) of one shared ranking."""
+    rng = np.random.default_rng(seed)
+    X = _awkward_matrix(rng, rows, width, levels, signed_zeros, neighbours, constant)
+    y = rng.integers(0, 2, size=rows)
+    if min_leaf == "over half":
+        min_leaf = rows // 2 + 1
+    assert (DecisionTree(min_leaf=min_leaf).fit(X, y).to_dict()
+            == _reference_fit(X, y, min_leaf).to_dict())
+    bins = RankBins(X)
+    subset = np.flatnonzero(rng.random(rows) < rng.uniform(0.3, 1.0))
+    if len(subset):
+        assert (DecisionTree(min_leaf=min_leaf).fit_bins(bins, y, subset).to_dict()
+                == _reference_fit(X[subset], y[subset], min_leaf).to_dict())
+
+
+@given(**_AWKWARD, folds=st.integers(2, 5))
+@settings(max_examples=40, deadline=None)
+def test_cross_validation_matches_reference(seed, rows, width, levels, signed_zeros,
+                                            neighbours, constant, folds):
+    rng = np.random.default_rng(seed)
+    rows = max(rows, folds)
+    X = _awkward_matrix(rng, rows, width, levels, signed_zeros, neighbours, constant)
+    data = Dataset(X=X, y=rng.integers(0, 2, size=rows),
+                   feature_names=tuple(f"x{j}" for j in range(width)))
+    candidates = (1, 2, 3, 7, 25, 1000)
+    assert (cross_validate_min_leaf(data, candidates, folds)
+            == _reference_cross_validate(data, candidates, folds))
