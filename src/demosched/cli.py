@@ -12,6 +12,7 @@ import sys
 import click
 
 from .core import (
+    StructuralError,
     load_json,
     problem_from_dict,
     problem_to_dict,
@@ -44,20 +45,23 @@ def main():
     optimization with them."""
 
 
-def _load_demos(paths) -> list:
-    demos = []
-    for path in paths:
-        demos.append(demonstration_from_dict(load_json(path)))
-    if not demos:
-        raise click.ClickException("no demonstration files given")
-    return demos
+COUNT = click.IntRange(min=1)
+PROBABILITY = click.FloatRange(0.0, 1.0)
+
+
+def _load(path, parse):
+    """`parse` of the JSON at `path`; a malformed file is an error, not a traceback."""
+    try:
+        return parse(load_json(path))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise click.ClickException(f"{path}: {exc}") from exc
 
 
 @main.command()
 @click.option("--kind", type=click.Choice(["travel", "contention", "temporal"]),
               default="temporal", show_default=True)
-@click.option("--agents", type=int, default=2, show_default=True)
-@click.option("--tasks", type=int, default=20, show_default=True)
+@click.option("--agents", type=COUNT, default=2, show_default=True)
+@click.option("--tasks", type=COUNT, default=20, show_default=True)
 @click.option("--heterogeneous", is_flag=True,
               help="Vary task durations per agent and drop some capabilities.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -73,12 +77,12 @@ def generate(kind, agents, tasks, heterogeneous, seed, out):
 
 @main.command(name="demonstrate")
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
-@click.option("--epsilon", type=float, default=0.0, show_default=True)
+@click.option("--epsilon", type=PROBABILITY, default=0.0, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def demonstrate_cmd(problem_path, epsilon, seed, out):
     """Record one expert playthrough of a problem."""
-    problem = problem_from_dict(load_json(problem_path))
+    problem = _load(problem_path, problem_from_dict)
     demo = run_demonstrate(problem, epsilon=epsilon, rng_seed=seed)
     save_json(demonstration_to_dict(demo), out)
     click.echo(f"wrote {out} (rule={demo.rule_used.value}, "
@@ -98,13 +102,6 @@ def _min_leaf(ctx, param, value: str) -> int | None:
     return leaf
 
 
-def _load_model(path) -> PolicyModel:
-    try:
-        return PolicyModel.from_dict(load_json(path))
-    except ValueError as exc:
-        raise click.ClickException(f"{path}: {exc}") from exc
-
-
 @main.command()
 @click.option("--demos", "demo_paths", type=click.Path(exists=True),
               multiple=True, required=True)
@@ -113,7 +110,7 @@ def _load_model(path) -> PolicyModel:
 @click.option("--out", type=click.Path(), required=True)
 def train(demo_paths, min_leaf, out):
     """Train the pairwise priority and act models from demonstrations."""
-    demos = _load_demos(demo_paths)
+    demos = [_load(path, demonstration_from_dict) for path in demo_paths]
     if min_leaf is None:
         min_leaf = cross_validate_min_leaf(build_pairwise_dataset(demos))
         click.echo(f"cross-validated min_leaf: {min_leaf}")
@@ -128,8 +125,9 @@ def train(demo_paths, min_leaf, out):
               multiple=True, required=True)
 def evaluate(model_path, demo_paths):
     """Report decision accuracy of a model against held-out demonstrations."""
-    model = _load_model(model_path)
-    metrics = run_evaluate(model, _load_demos(demo_paths))
+    model = _load(model_path, PolicyModel.from_dict)
+    demos = [_load(path, demonstration_from_dict) for path in demo_paths]
+    metrics = run_evaluate(model, demos)
     click.echo(json.dumps({
         "sensitivity": metrics.sensitivity,
         "specificity": metrics.specificity,
@@ -142,12 +140,12 @@ def evaluate(model_path, demo_paths):
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
 @click.option("--no-schedulability-test", is_flag=True)
-@click.option("--fallback-depth", type=int, default=3, show_default=True)
+@click.option("--fallback-depth", type=COUNT, default=3, show_default=True)
 @click.option("--out", type=click.Path(), required=True)
 def schedule(problem_path, model_path, no_schedulability_test, fallback_depth, out):
     """Build a schedule by replaying a trained policy."""
-    problem = problem_from_dict(load_json(problem_path))
-    model = _load_model(model_path)
+    problem = _load(problem_path, problem_from_dict)
+    model = _load(model_path, PolicyModel.from_dict)
     config = SchedulerConfig(
         use_schedulability_test=not no_schedulability_test,
         fallback_depth=fallback_depth,
@@ -164,16 +162,19 @@ def schedule(problem_path, model_path, no_schedulability_test, fallback_depth, o
 @main.command()
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
 @click.option("--seed-schedule", "seed_path", type=click.Path(exists=True))
-@click.option("--gap", type=float, default=1e-3, show_default=True)
+@click.option("--gap", type=click.FloatRange(min=0.0), default=1e-3, show_default=True)
 @click.option("--node-limit", type=int)
 @click.option("--time-limit", type=float, help="Seconds.")
 @click.option("--out", type=click.Path(), required=True)
 def optimize(problem_path, seed_path, gap, node_limit, time_limit, out):
     """Minimize makespan exactly, optionally warm-started from a schedule."""
-    problem = problem_from_dict(load_json(problem_path))
-    seed = schedule_from_dict(load_json(seed_path)) if seed_path else None
-    result = branch_and_bound(problem, seed=seed, gap_threshold=gap,
-                              node_limit=node_limit, time_limit=time_limit)
+    problem = _load(problem_path, problem_from_dict)
+    seed = _load(seed_path, schedule_from_dict) if seed_path else None
+    try:
+        result = branch_and_bound(problem, seed=seed, gap_threshold=gap,
+                                  node_limit=node_limit, time_limit=time_limit)
+    except StructuralError as exc:  # the seed names a task or agent not in the problem
+        raise click.ClickException(f"{seed_path}: {exc}") from exc
     if result.schedule is None:
         raise click.ClickException(f"no feasible schedule found ({result.status})")
     save_json(schedule_to_dict(result.schedule), out)
@@ -202,8 +203,8 @@ def _finish(rows, out):
 
 
 @experiment.command()
-@click.option("--demos", type=int, default=150, show_default=True)
-@click.option("--epsilon", type=float, default=0.0, show_default=True)
+@click.option("--demos", type=COUNT, default=150, show_default=True)
+@click.option("--epsilon", type=PROBABILITY, default=0.0, show_default=True)
 @click.option("--num-seeds", type=int, default=5, show_default=True)
 @click.option("--min-leaf", default="10", show_default=True, callback=_min_leaf,
               help="Integer leaf size, or 'cv'.")
@@ -218,8 +219,8 @@ def accuracy(demos, epsilon, num_seeds, min_leaf, seed, out):
 
 
 @experiment.command()
-@click.option("--demos", type=int, default=50, show_default=True)
-@click.option("--epsilon", type=float, default=0.0, show_default=True)
+@click.option("--demos", type=COUNT, default=50, show_default=True)
+@click.option("--epsilon", type=PROBABILITY, default=0.0, show_default=True)
 @click.option("--num-seeds", type=int, default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())
@@ -232,8 +233,8 @@ def baselines(demos, epsilon, num_seeds, seed, out):
 
 @experiment.command()
 @click.option("--instances", type=int, default=20, show_default=True)
-@click.option("--tasks", type=int, default=9, show_default=True)
-@click.option("--train-tasks", type=int, help="Train the policy at a different size.")
+@click.option("--tasks", type=COUNT, default=9, show_default=True)
+@click.option("--train-tasks", type=COUNT, help="Train the policy at a different size.")
 @click.option("--time-limit", type=float, help="Per search, seconds.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())

@@ -7,16 +7,17 @@ return new states and never mutate their inputs.
 
 `Compiled` turns a problem into index tables once, and `earliest_start` is
 the one placement rule over them: the simulator, the featurizer, the
-schedulability test and branch and bound all read those tables. Only
-`validate_schedule` re-derives travel from the points, on purpose: it is
-the independent oracle the other paths are checked against.
+schedulability test and branch and bound all read those tables, and speak
+only task and agent indices; `Compiled.schedule` writes the ids back out.
+Only `validate_schedule` re-derives travel from the points, on purpose: it
+is the independent oracle the other paths are checked against.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 SCHEMA_VERSION = "v1"
 
@@ -33,6 +34,19 @@ class InfeasibleActionError(RuntimeError):
 
 def euclidean(a: Point, b: Point) -> float:
     return math.hypot(a[0] - b[0], a[1] - b[1])
+
+
+def origin_angle(a: Point, b: Point) -> float:
+    """Angle in radians between the origin->a and origin->b vectors.
+
+    Zero-length vectors make the angle undefined; treat it as 0.
+    """
+    na = math.hypot(*a)
+    nb = math.hypot(*b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    cos = (a[0] * b[0] + a[1] * b[1]) / (na * nb)
+    return math.acos(max(-1.0, min(1.0, cos)))
 
 
 def travel_ticks(distance: float, speed: float) -> int:
@@ -184,7 +198,8 @@ class Compiled:
     Tasks, agents and resources are indexed by their position in the
     problem. Locations are indexed too: task t's location is t and agent
     j's start location is num_tasks + j. `location[loc]` is the point,
-    `distance[loc][t]` the distance from it to task t and `travel[a][loc][t]`
+    `distance[loc][t]` the distance from it to task t, `angle[loc][t]` the
+    angle at the origin between the two points and `travel[a][loc][t]`
     agent a's travel ticks over that distance: the one place arrival times
     are derived. `capable[t]` lists the agents able to do t in id order, as
     `TaskSpec.capable_agents()` does; `duration[t][a]` is None where a
@@ -214,6 +229,8 @@ class Compiled:
         self.location = [t.location for t in tasks] + [a.start_location for a in agents]
         self.distance = [[euclidean(p, t.location) for t in tasks]
                          for p in self.location]
+        self.angle = [[origin_angle(p, t.location) for t in tasks]
+                      for p in self.location]
         # grid points repeat distances (about 90 distinct of 440 at 20
         # tasks), so each agent rounds each distinct distance once
         distinct = {d for row in self.distance for d in row}
@@ -227,12 +244,6 @@ class Compiled:
             return self.task_index[task_id]
         except KeyError:
             raise StructuralError(f"unknown task {task_id!r}") from None
-
-    def agent_at(self, agent_id: str) -> int:
-        try:
-            return self.agent_index[agent_id]
-        except KeyError:
-            raise StructuralError(f"unknown agent {agent_id!r}") from None
 
     def schedule(self, placements) -> Schedule:
         """The Schedule of (task, agent, start, finish) index placements."""
@@ -282,10 +293,9 @@ class SimState:
         return cls(cp, 0, (0,) * len(cp.agent_ids), cp.start_loc,
                    (0,) * cp.num_resources, (None,) * len(cp.task_ids), ())
 
-    def unfinished(self) -> list[TaskSpec]:
+    def unfinished(self) -> list[int]:
         """Tasks not yet started, in problem order."""
-        tasks = self.compiled.problem.tasks
-        return [tasks[t] for t, f in enumerate(self.finish) if f is None]
+        return [t for t, f in enumerate(self.finish) if f is None]
 
     def all_finished(self) -> bool:
         return all(f is not None and f <= self.time for f in self.finish)
@@ -297,21 +307,17 @@ class SimState:
         return all(finish[p] is not None and finish[p] + gap <= now
                    for p, gap in self.compiled.waits[t])
 
-    def candidates(self, agent_id: str) -> list[TaskSpec]:
-        """Tasks the given idle agent could start at the current tick: not
-        started, within its capability, every wait predecessor started, and
-        the earliest start on it not after now."""
+    def candidates(self, a: int) -> list[int]:
+        """Tasks the idle agent a could start at the current tick, in problem
+        order: not started, within its capability, every wait predecessor
+        started, and the earliest start on it not after now."""
         cp = self.compiled
-        a = cp.agent_at(agent_id)
         finish = self.finish
-        out = []
-        for t, f in enumerate(finish):
-            if (f is None and cp.duration[t][a] is not None
-                    and all(finish[p] is not None for p, _ in cp.waits[t])
-                    and earliest_start(cp, t, a, self.agent_free, self.agent_loc,
-                                       self.res_free, finish)[0] <= self.time):
-                out.append(cp.problem.tasks[t])
-        return out
+        return [t for t, f in enumerate(finish)
+                if f is None and cp.duration[t][a] is not None
+                and all(finish[p] is not None for p, _ in cp.waits[t])
+                and earliest_start(cp, t, a, self.agent_free, self.agent_loc,
+                                   self.res_free, finish)[0] <= self.time]
 
     def advanced_to(self, time: int) -> "SimState":
         """Move the clock forward."""
@@ -320,13 +326,17 @@ class SimState:
         return replace(self, time=time)
 
 
-def apply_action(state: SimState, task_id: str, agent_id: str) -> SimState:
-    """Start `task_id` on `agent_id` at the current tick.
+def apply_action(state: SimState, t: int, a: int) -> SimState:
+    """Start task t on agent a at the current tick.
 
-    Raises InfeasibleActionError naming the violated precondition.
+    Raises StructuralError for an index out of range and
+    InfeasibleActionError naming the violated precondition.
     """
     cp, now = state.compiled, state.time
-    t, a = cp.task_at(task_id), cp.agent_at(agent_id)
+    # a negative index would silently alias a task or agent from the end
+    if not (0 <= t < len(cp.task_ids) and 0 <= a < len(cp.agent_ids)):
+        raise StructuralError(f"task index {t} or agent index {a} out of range")
+    task_id, agent_id = cp.task_ids[t], cp.agent_ids[a]
     if state.finish[t] is not None:
         raise InfeasibleActionError(f"task {task_id!r} already started")
     if state.agent_free[a] > now:

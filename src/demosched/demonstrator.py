@@ -50,13 +50,12 @@ def demonstrate(
     rule = select_rule(problem, contention_threshold)
     rng = np.random.default_rng(rng_seed)
     observations: list[Observation] = []
-    contexts = {a.id: context_features(problem, a) for a in problem.agents}
+    contexts = [context_features(problem, agent) for agent in problem.agents]
 
-    def decide(state, agent_id, candidates):
-        features = extract_features(
-            state, problem.agent(agent_id), problem, state.unfinished()
-        )
-        ids = tuple(sorted(t.id for t in candidates))
+    def decide(state, a, candidates):
+        cp = state.compiled
+        features = extract_features(state, a, state.unfinished())
+        ids = tuple(sorted(cp.task_ids[t] for t in candidates))
         chosen = None
         if ids:
             if epsilon > 0.0 and rng.random() < epsilon:
@@ -66,13 +65,13 @@ def demonstrate(
         observations.append(
             Observation(
                 tick=state.time,
-                context=contexts[agent_id],
+                context=contexts[a],
                 task_features=features,
                 candidates=ids,
-                scheduled=(chosen, agent_id) if chosen is not None else None,
+                scheduled=(chosen, cp.agent_ids[a]) if chosen is not None else None,
             )
         )
-        return chosen
+        return None if chosen is None else cp.task_index[chosen]
 
     state, schedule = run_simulation(problem, decide)
     unfinished = sum(f is None or f > state.time for f in state.finish)

@@ -1,12 +1,12 @@
 """Per-task and per-context feature extraction, and the observation record
 emitted once per (tick, idle agent) during a demonstration playthrough.
 
-One featurizer serves both the expert, which records every unfinished task,
-and the scheduler, which featurizes only its feasible candidates."""
+One featurizer, over task and agent indices and reading only the compiled
+tables and the state, serves both the expert, which records every
+unfinished task, and the scheduler, which featurizes only its candidates."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -47,48 +47,33 @@ class Observation:
             raise ValueError("scheduled task missing from task_features")
 
 
-def origin_angle(a: tuple[float, float], b: tuple[float, float]) -> float:
-    """Angle in radians between the origin->a and origin->b vectors.
-
-    Zero-length vectors make the angle undefined; treat it as 0.
-    """
-    na = math.hypot(*a)
-    nb = math.hypot(*b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    cos = (a[0] * b[0] + a[1] * b[1]) / (na * nb)
-    return math.acos(max(-1.0, min(1.0, cos)))
-
-
-def extract_features(
-    state: SimState, agent: AgentSpec, problem: ProblemInstance, tasks
-) -> dict[str, TaskFeatures]:
-    """The seven per-task features at the current tick for `agent` and each
-    of `tasks`, which must all be unfinished. `problem` is the state's.
+def extract_features(state: SimState, a: int, tasks) -> dict[str, TaskFeatures]:
+    """The seven per-task features at the current tick for agent a and each
+    of `tasks`, task indices that must all be unfinished, keyed by task id
+    in the order given.
 
     Resource share counts run over every unfinished task, so a task's
     features do not depend on which other tasks are featurized with it.
-    Deadlines, distances and travel ticks are read from the compiled tables.
     """
     cp = state.compiled
-    share_counts: dict[str, int] = {}
-    for t in state.unfinished():
-        share_counts[t.resource] = share_counts.get(t.resource, 0) + 1
-    a = cp.agent_at(agent.id)
+    share_counts = [0] * cp.num_resources
+    for t, f in enumerate(state.finish):
+        if f is None:
+            share_counts[cp.resource[t]] += 1
     loc = state.agent_loc[a]
-    distance, travel, agent_point = cp.distance[loc], cp.travel[a][loc], cp.location[loc]
+    distance, angle, travel = cp.distance[loc], cp.angle[loc], cp.travel[a][loc]
     busy, now = state.agent_free[a], state.time
     out: dict[str, TaskFeatures] = {}
-    for task in tasks:
-        t = cp.task_at(task.id)
-        out[task.id] = TaskFeatures(
+    for t in tasks:
+        r = cp.resource[t]
+        out[cp.task_ids[t]] = TaskFeatures(
             deadline=float(cp.deadline[t]),
             precedence_satisfied=1.0 if state.waits_released(t) else 0.0,
-            resource_share_count=float(share_counts[task.resource] - 1),
-            resource_available=1.0 if state.res_free[cp.resource[t]] <= now else 0.0,
+            resource_share_count=float(share_counts[r] - 1),
+            resource_available=1.0 if state.res_free[r] <= now else 0.0,
             travel_time_remaining=float(max(0, busy + travel[t] - now)),
             travel_distance=distance[t],
-            angular_difference=origin_angle(agent_point, task.location),
+            angular_difference=angle[t],
         )
     return out
 

@@ -27,6 +27,9 @@ node is a handful of flat tuples over those indices, the fields of a
 canonical (start, task id) test and the child order) it compares their
 precomputed ranks in string order, so "t10" still precedes "t2" and the
 search, and the argument above, are those of the string-keyed form.
+
+Serial timing and perturbations place (task, agent) index pairs with
+`_place`; ids are looked up only where an order or a schedule comes in.
 """
 
 from __future__ import annotations
@@ -354,14 +357,6 @@ def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
     return placements
 
 
-def _timed_schedule(cp: Compiled, order: list[tuple[str, str]]) -> Schedule | None:
-    # ids are looked up as the order is placed, so an unknown task raises
-    # only if no earlier step fails
-    placements = _place(cp, ((cp.task_at(task_id), cp.agent_index.get(agent_id))
-                             for task_id, agent_id in order))
-    return None if placements is None else cp.schedule(placements)
-
-
 def timed_schedule(
     problem: ProblemInstance, order: list[tuple[str, str]]
 ) -> Schedule | None:
@@ -370,7 +365,12 @@ def timed_schedule(
     Returns None if the order violates wait precedence, a deadline, or the
     horizon.
     """
-    return _timed_schedule(Compiled(problem), order)
+    cp = Compiled(problem)
+    # ids are looked up as the order is placed, so an unknown task raises
+    # only if no earlier step fails
+    placements = _place(cp, ((cp.task_at(task_id), cp.agent_index.get(agent_id))
+                             for task_id, agent_id in order))
+    return None if placements is None else cp.schedule(placements)
 
 
 def brute_force_optimal(problem: ProblemInstance) -> Schedule | None:
@@ -400,10 +400,6 @@ class PerturbationError(RuntimeError):
     """Could not produce a feasible perturbed schedule within the retry budget."""
 
 
-def _order_of(schedule: Schedule) -> list[tuple[str, str]]:
-    return [(e.task_id, e.agent_id) for e in schedule.entries]
-
-
 def perturb(
     problem: ProblemInstance,
     schedule: Schedule,
@@ -416,7 +412,8 @@ def perturb(
 
     swap: exchange the agents of two tasks; steal: reassign one task to a
     different capable agent; sequence: exchange two positions in the task
-    order. count = 0 returns the schedule unchanged.
+    order. count = 0 returns the schedule unchanged. An unknown task raises
+    StructuralError; an unknown agent fails timing unless an edit replaces it.
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -426,13 +423,13 @@ def perturb(
         return schedule
     cp = Compiled(problem)
     rng = np.random.default_rng(rng_seed)
-    base = _order_of(schedule)
+    base = [(cp.task_at(e.task_id), cp.agent_index.get(e.agent_id))
+            for e in schedule.entries]
     n = len(base)
     if n < 2:
         raise PerturbationError("schedule too small to perturb")
     for _ in range(max_retries):
         order = list(base)
-        ok = True
         for _ in range(count):
             if kind == "sequence":
                 i, j = rng.choice(n, size=2, replace=False)
@@ -441,24 +438,23 @@ def perturb(
                 i, j = rng.choice(n, size=2, replace=False)
                 ti, ai = order[i]
                 tj, aj = order[j]
-                if (aj not in problem.task(ti).durations
-                        or ai not in problem.task(tj).durations or ai == aj):
-                    ok = False
+                if (ai == aj or ai is None or aj is None
+                        or cp.duration[ti][aj] is None or cp.duration[tj][ai] is None):
                     break
                 order[i], order[j] = (ti, aj), (tj, ai)
             else:  # steal
                 i = int(rng.integers(n))
                 ti, ai = order[i]
-                others = [a for a in problem.task(ti).capable_agents() if a != ai]
+                # capable agents in id order, so the draw matches the ids'
+                others = [a for a in cp.capable[ti] if a != ai]
                 if not others:
-                    ok = False
                     break
                 order[i] = (ti, others[int(rng.integers(len(others)))])
-        if not ok:
-            continue
-        result = _timed_schedule(cp, order)
-        if result is not None and result.complete:
-            return result
+        else:  # every edit applied
+            placements = _place(cp, order)
+            result = None if placements is None else cp.schedule(placements)
+            if result is not None and result.complete:
+                return result
     raise PerturbationError(
         f"no feasible {kind} perturbation with count={count} "
         f"after {max_retries} attempts"

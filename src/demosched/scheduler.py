@@ -19,8 +19,12 @@ class SchedulerConfig:
     use_schedulability_test: bool = True
     fallback_depth: int = 3  # how many ranked candidates the test may try
 
+    def __post_init__(self):
+        if self.fallback_depth < 1:
+            raise ValueError("fallback_depth must be >= 1")
 
-def schedulability_test(state: SimState, problem: ProblemInstance) -> bool:
+
+def schedulability_test(state: SimState) -> bool:
     """Optimistic check that no task is already doomed to miss its deadline.
 
     Uses lower bounds (ignores resource contention, unstarted predecessors
@@ -31,7 +35,7 @@ def schedulability_test(state: SimState, problem: ProblemInstance) -> bool:
     cp, now, finish = state.compiled, state.time, state.finish
     for t, f in enumerate(finish):
         if f is not None:
-            deadline = problem.tasks[t].abs_deadline
+            deadline = cp.problem.tasks[t].abs_deadline
             if f > now and deadline is not None and f > deadline:
                 return False
             continue
@@ -59,27 +63,29 @@ def construct_schedule(
     horizon; callers check `schedule.complete`.
     """
 
-    def decide(state, agent_id, candidates):
+    contexts = [context_features(problem, agent) for agent in problem.agents]
+
+    def decide(state, a, candidates):
         if not candidates:
             return None
-        agent = problem.agent(agent_id)
-        context = context_features(problem, agent)
-        feats = extract_features(state, agent, problem, candidates)
+        index = state.compiled.task_index
+        context = contexts[a]
+        feats = extract_features(state, a, candidates)
         pool = sorted(feats)
         top = policy.select_task(context, feats, pool)
         if not policy.predict_act(context, feats[top]):
             return None
         if not config.use_schedulability_test:
-            return top
+            return index[top]
         # rank lazily: the next pick is asked for only once this one fails
-        pick, remaining, tries = top, pool, max(1, config.fallback_depth)
+        pick, remaining, tries = top, pool, config.fallback_depth
         while True:
-            if schedulability_test(apply_action(state, pick, agent_id), problem):
-                return pick
+            if schedulability_test(apply_action(state, index[pick], a)):
+                return index[pick]
             remaining = [tid for tid in remaining if tid != pick]
             tries -= 1
             if not tries or not remaining:
-                return top  # every fallback looked doomed; commit to the favourite
+                return index[top]  # every fallback looked doomed; commit to the favourite
             pick = policy.select_task(context, feats, remaining)
 
     _, schedule = run_simulation(problem, decide)

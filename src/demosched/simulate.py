@@ -2,9 +2,9 @@
 
 Both the mock expert and the learned-policy scheduler run through this loop,
 so a policy that wraps the expert's rule reproduces the expert's schedule
-entry for entry. The state is the compiled problem's (`core.SimState`),
-built once per playthrough; candidates and placements follow the
-earliest-start rule that branch and bound uses.
+entry for entry. The state is the compiled problem's (`core.SimState`), over
+task and agent indices, built once per playthrough; candidates and
+placements follow the earliest-start rule that branch and bound uses.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from typing import Callable
 
 from .core import ProblemInstance, Schedule, SimState, apply_action
 
-# decide(state, agent_id, candidates) -> task id to start now, or None
-DecideFn = Callable[[SimState, str, list], str | None]
+# decide(state, agent index, candidate task indices in problem order)
+# -> task index to start now, or None
+DecideFn = Callable[[SimState, int, list[int]], int | None]
 
 
 def run_simulation(problem: ProblemInstance, decide: DecideFn) -> tuple[SimState, Schedule]:
@@ -22,15 +23,16 @@ def run_simulation(problem: ProblemInstance, decide: DecideFn) -> tuple[SimState
     pick at most one task per tick. Stops when every task has finished or the
     horizon is reached."""
     state = SimState.initial(problem)
-    agents = sorted((agent_id, a) for a, agent_id in enumerate(state.compiled.agent_ids))
-    for t in range(problem.horizon + 1):
-        state = state.advanced_to(t)
+    cp = state.compiled
+    agents = sorted(range(len(cp.agent_ids)), key=cp.agent_rank.__getitem__)
+    for tick in range(problem.horizon + 1):
+        state = state.advanced_to(tick)
         if state.all_finished():
             break
-        for agent_id, a in agents:
-            if state.agent_free[a] > t:
+        for a in agents:
+            if state.agent_free[a] > tick:
                 continue
-            chosen = decide(state, agent_id, state.candidates(agent_id))
+            chosen = decide(state, a, state.candidates(a))
             if chosen is not None:
-                state = apply_action(state, chosen, agent_id)
-    return state, state.compiled.schedule(state.placements)
+                state = apply_action(state, chosen, a)
+    return state, cp.schedule(state.placements)

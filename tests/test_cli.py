@@ -155,6 +155,92 @@ def test_experiment_sensitivity(workspace, runner):
     assert header == "experiment,condition,metric,value,replicate,seed"
 
 
+def _with_required(workspace, args):
+    """`args` plus whatever its command requires besides the option tried."""
+    out = str(workspace["root"] / "never_written.json")
+    problem, model = workspace["problem"], workspace["model"]
+    required = {
+        "generate": ["--out", out],
+        "demonstrate": ["--problem", problem, "--out", out],
+        "schedule": ["--problem", problem, "--model", model, "--out", out],
+        "optimize": ["--problem", problem, "--out", out],
+    }
+    return args + required.get(args[0], [])
+
+
+@pytest.mark.parametrize("args", [
+    ["generate", "--tasks", "0"],
+    ["generate", "--agents", "0"],
+    ["experiment", "covas", "--tasks", "0"],
+    ["experiment", "covas", "--train-tasks", "0"],
+    ["demonstrate", "--epsilon", "2"],
+    ["experiment", "accuracy", "--epsilon", "1.5"],
+    ["experiment", "baselines", "--epsilon", "1.5"],
+    ["experiment", "accuracy", "--demos", "0"],
+    ["experiment", "baselines", "--demos", "0"],
+    ["schedule", "--fallback-depth", "0"],
+    ["schedule", "--fallback-depth", "-3"],
+    ["optimize", "--gap", "-1"],
+], ids=" ".join)
+def test_out_of_range_option_is_usage_error(workspace, runner, args):
+    """An out-of-range count, probability, depth or gap exits 2 with the
+    option named, rather than a traceback or a silent clamp."""
+    result = runner.invoke(main, _with_required(workspace, args))
+    assert result.exit_code == 2, result.output
+    assert f"Invalid value for '{args[-2]}'" in result.output
+    assert not (workspace["root"] / "never_written.json").exists()
+
+
+def _write_json(workspace, name, data) -> str:
+    path = workspace["root"] / name
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _assert_error_message(result, path):
+    """Exit 1 through a ClickException naming the file, not a traceback."""
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert f"Error: {path}: " in result.output
+
+
+@pytest.mark.parametrize("command", ["demonstrate", "schedule", "optimize"])
+@pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0"])
+def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
+    data = load_json(workspace["problem"])
+    if flaw == "schema-v0":
+        data["schema_version"] = "v0"
+    else:
+        first, second = data["tasks"][:2]
+        first["waits"] = [[second["id"], 0]]
+        second["waits"] = [[first["id"], 0]]
+    path = _write_json(workspace, f"{flaw}.json", data)
+    args = _with_required(workspace, [command])
+    args[args.index("--problem") + 1] = path
+    _assert_error_message(runner.invoke(main, args), path)
+
+
+def test_train_rejects_non_demo_file(workspace, runner):
+    result = runner.invoke(main, ["train", "--demos", workspace["problem"],
+                                  "--min-leaf", "5",
+                                  "--out", str(workspace["root"] / "x.json")])
+    _assert_error_message(result, workspace["problem"])
+
+
+def test_optimize_rejects_seed_naming_unknown_task(workspace, runner):
+    sched = str(workspace["root"] / "seed_source.json")
+    result = runner.invoke(main, ["schedule", "--problem", workspace["problem"],
+                                  "--model", workspace["model"], "--out", sched])
+    assert result.exit_code == 0, result.output
+    data = load_json(sched)
+    data["entries"][0][0] = "zz"
+    path = _write_json(workspace, "seed_zz.json", data)
+    result = runner.invoke(main, _with_required(
+        workspace, ["optimize", "--seed-schedule", path]))
+    _assert_error_message(result, path)
+    assert "'zz'" in result.output
+
+
 def test_help_lists_subcommands(runner):
     result = runner.invoke(main, ["--help"])
     for cmd in ("generate", "demonstrate", "train", "evaluate", "schedule",

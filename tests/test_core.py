@@ -148,6 +148,12 @@ def test_task_lookup_errors(tiny_problem):
         tiny_problem.task("tA").duration_for("aX")
 
 
+def start(state, task_id, agent_id):
+    """`apply_action` on the task and agent with the given ids."""
+    cp = state.compiled
+    return apply_action(state, cp.task_index[task_id], cp.agent_index[agent_id])
+
+
 def started(state):
     """task id -> (agent id, start) of every placement."""
     cp = state.compiled
@@ -178,7 +184,7 @@ class TestSimState:
 
     def test_advance_completes_pending(self, tiny_problem):
         state = SimState.initial(tiny_problem)
-        state = apply_action(state, "tA", "a0")
+        state = start(state, "tA", "a0")
         assert "tA" in pending(state)
         later = state.advanced_to(2)
         assert finished(later) == {"tA": 2}
@@ -192,13 +198,14 @@ class TestSimState:
             state.advanced_to(2)
 
     def test_pending_task_not_unfinished(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
-        assert {t.id for t in state.unfinished()} == {"tB", "tC"}
+        state = start(SimState.initial(tiny_problem), "tA", "a0")
+        cp = state.compiled
+        assert {cp.task_ids[t] for t in state.unfinished()} == {"tB", "tC"}
 
 
 class TestApplyAction:
     def test_updates_everything(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
+        state = start(SimState.initial(tiny_problem), "tA", "a0")
         cp = state.compiled
         a0 = cp.agent_index["a0"]
         assert started(state)["tA"] == ("a0", 0)
@@ -208,33 +215,39 @@ class TestApplyAction:
         assert cp.location[state.agent_loc[a0]] == (0.0, 0.0)
 
     def test_busy_agent(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
+        state = start(SimState.initial(tiny_problem), "tA", "a0")
         with pytest.raises(InfeasibleActionError, match="busy"):
-            apply_action(state, "tB", "a0")
+            start(state, "tB", "a0")
 
     def test_busy_resource(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
+        state = start(SimState.initial(tiny_problem), "tA", "a0")
         with pytest.raises(InfeasibleActionError, match="resource"):
-            apply_action(state, "tC", "a1")
+            start(state, "tC", "a1")
 
     def test_unreachable(self, tiny_problem):
         # a1 stands at (10, 0); tA is 10 units away, 5 ticks at speed 2
         with pytest.raises(InfeasibleActionError, match="reach"):
-            apply_action(SimState.initial(tiny_problem), "tA", "a1")
+            start(SimState.initial(tiny_problem), "tA", "a1")
 
     def test_wait_not_satisfied(self, tiny_problem):
         state = SimState.initial(tiny_problem).advanced_to(5)
         with pytest.raises(InfeasibleActionError, match="alive"):
-            apply_action(state, "tB", "a0")
+            start(state, "tB", "a0")
 
     def test_already_started(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), "tA", "a0").advanced_to(3)
+        state = start(SimState.initial(tiny_problem), "tA", "a0").advanced_to(3)
         with pytest.raises(InfeasibleActionError, match="already started"):
-            apply_action(state, "tA", "a0")
+            start(state, "tA", "a0")
+
+    @pytest.mark.parametrize("task,agent", [(-1, 0), (3, 0), (0, -1), (0, 2)])
+    def test_index_out_of_range(self, tiny_problem, task, agent):
+        # a negative index must not alias the last task or agent
+        with pytest.raises(StructuralError, match="index"):
+            apply_action(SimState.initial(tiny_problem), task, agent)
 
 
 def test_alive_enabled_gap(tiny_problem):
-    state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
+    state = start(SimState.initial(tiny_problem), "tA", "a0")
     tB = state.compiled.task_index["tB"]
     # tA finishes at 2; tB needs a one-tick gap, so enabled from t=3
     assert not state.advanced_to(2).waits_released(tB)
@@ -244,9 +257,11 @@ def test_alive_enabled_gap(tiny_problem):
 def test_agent_can_reach(tiny_problem):
     # a1 stands on tC; tA, with no wait and a free resource, is 5 ticks away
     state = SimState.initial(tiny_problem)
-    assert "tC" in [t.id for t in state.candidates("a1")]
-    assert "tA" not in [t.id for t in state.candidates("a1")]
-    assert "tA" in [t.id for t in state.advanced_to(5).candidates("a1")]
+    cp = state.compiled
+    a1 = cp.agent_index["a1"]
+    assert "tC" in [cp.task_ids[t] for t in state.candidates(a1)]
+    assert "tA" not in [cp.task_ids[t] for t in state.candidates(a1)]
+    assert "tA" in [cp.task_ids[t] for t in state.advanced_to(5).candidates(a1)]
 
 
 class TestSchedule:

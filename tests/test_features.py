@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from demosched.core import SimState, apply_action
+from demosched.core import SimState, apply_action, origin_angle
 from demosched.simulate import run_simulation
 from demosched.features import (
     CONTEXT_FEATURE_NAMES,
@@ -14,7 +14,6 @@ from demosched.features import (
     extract_features,
     observation_from_dict,
     observation_to_dict,
-    origin_angle,
 )
 
 
@@ -37,15 +36,16 @@ class TestOriginAngle:
         assert origin_angle((0.0, 0.0), (1.0, 1.0)) == 0.0
 
 
-def one(state, agent, problem, task_id):
-    return extract_features(state, agent, problem, [problem.task(task_id)])[task_id]
+def one(state, agent_id, task_id):
+    cp = state.compiled
+    return extract_features(state, cp.agent_index[agent_id],
+                            [cp.task_index[task_id]])[task_id]
 
 
 class TestExtractFeatures:
     def test_initial_state_values(self, tiny_problem):
         state = SimState.initial(tiny_problem)
-        a1 = tiny_problem.agent("a1")
-        tf = one(state, a1, tiny_problem, "tC")
+        tf = one(state, "a1", "tC")
         assert tf.deadline == 15.0
         assert tf.precedence_satisfied == 1.0
         assert tf.resource_share_count == 1.0  # tA shares r0, self excluded
@@ -55,22 +55,19 @@ class TestExtractFeatures:
 
     def test_travel_time(self, tiny_problem):
         state = SimState.initial(tiny_problem)
-        a0 = tiny_problem.agent("a0")
-        tf = one(state, a0, tiny_problem, "tB")
+        tf = one(state, "a0", "tB")
         assert tf.travel_distance == 4.0
         assert tf.travel_time_remaining == 2.0  # 4 units at speed 2
         assert tf.precedence_satisfied == 0.0  # waits on tA
 
     def test_default_deadline_is_horizon(self, tiny_problem):
         state = SimState.initial(tiny_problem)
-        a0 = tiny_problem.agent("a0")
-        tf = one(state, a0, tiny_problem, "tA")
+        tf = one(state, "a0", "tA")
         assert tf.deadline == float(tiny_problem.horizon)
 
     def test_after_start_resource_blocked(self, tiny_problem):
-        state = apply_action(SimState.initial(tiny_problem), "tA", "a0")
-        a1 = tiny_problem.agent("a1")
-        tf = one(state, a1, tiny_problem, "tC")
+        state = apply_action(SimState.initial(tiny_problem), 0, 0)  # tA on a0
+        tf = one(state, "a1", "tC")
         assert tf.resource_available == 0.0
         assert tf.resource_share_count == 0.0  # tA no longer unfinished
 
@@ -80,17 +77,19 @@ def test_batch_matches_single(temporal_demo):
     every unfinished task: share counts always run over the unfinished set."""
     problem = temporal_demo.problem
     state = SimState.initial(problem)
+    cp = state.compiled
     for entry in temporal_demo.schedule.entries[:3]:
-        state = apply_action(state.advanced_to(entry.start), entry.task_id,
-                             entry.agent_id)
+        state = apply_action(state.advanced_to(entry.start),
+                             cp.task_index[entry.task_id],
+                             cp.agent_index[entry.agent_id])
     unfinished = state.unfinished()
     assert len(unfinished) < len(problem.tasks)
-    for agent in problem.agents:
-        batch = extract_features(state, agent, problem, unfinished)
-        assert set(batch) == {t.id for t in unfinished}
-        for task in unfinished:
-            assert extract_features(state, agent, problem, [task]) == {
-                task.id: batch[task.id]}
+    for a in range(len(problem.agents)):
+        batch = extract_features(state, a, unfinished)
+        assert set(batch) == {cp.task_ids[t] for t in unfinished}
+        for t in unfinished:
+            assert extract_features(state, a, [t]) == {
+                cp.task_ids[t]: batch[cp.task_ids[t]]}
 
 
 def test_batch_matches_single_during_demo(temporal_demo):
@@ -101,13 +100,15 @@ def test_batch_matches_single_during_demo(temporal_demo):
     recorded = iter(temporal_demo.observations)
     checked = 0
 
-    def replay(state, agent_id, candidates):
+    def replay(state, a, candidates):
         nonlocal checked
+        cp = state.compiled
         obs = next(recorded)
-        subset = extract_features(state, problem.agent(agent_id), problem, candidates)
-        assert subset == {t.id: obs.task_features[t.id] for t in candidates}
+        subset = extract_features(state, a, candidates)
+        ids = [cp.task_ids[t] for t in candidates]
+        assert subset == {tid: obs.task_features[tid] for tid in ids}
         checked += len(subset)
-        return obs.scheduled[0] if obs.scheduled else None
+        return cp.task_index[obs.scheduled[0]] if obs.scheduled else None
 
     run_simulation(problem, replay)
     assert checked > 0

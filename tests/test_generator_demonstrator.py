@@ -120,15 +120,14 @@ class TestDemonstrate:
         assert temporal_demo.rule_used is RuleKind.TEMPORAL_REQUIREMENTS
         replayed = []
 
-        def expert(state, agent_id, candidates):
+        def expert(state, a, candidates):
             if not candidates:
                 replayed.append(None)
                 return None
-            feats = extract_features(state, problem.agent(agent_id), problem,
-                                     candidates)
+            feats = extract_features(state, a, candidates)
             pick = expert_choice(temporal_demo.rule_used, feats, sorted(feats))
             replayed.append(pick)
-            return pick
+            return state.compiled.task_index[pick]
 
         run_simulation(problem, expert)
         recorded = [o.scheduled[0] if o.scheduled else None
@@ -189,5 +188,5 @@ def test_feasible_candidates_respect_capability():
     from demosched.core import SimState
 
     state = SimState.initial(problem)
-    assert state.candidates("a0") == []
-    assert [t.id for t in state.candidates("a1")] == ["t0"]
+    assert state.candidates(0) == []  # a0
+    assert [state.compiled.task_ids[t] for t in state.candidates(1)] == ["t0"]

@@ -1,7 +1,14 @@
 import pytest
 
-from demosched.core import AgentSpec, ProblemInstance, SimState, TaskSpec, euclidean
-from demosched.features import extract_features, origin_angle
+from demosched.core import (
+    AgentSpec,
+    ProblemInstance,
+    SimState,
+    TaskSpec,
+    euclidean,
+    origin_angle,
+)
+from demosched.features import extract_features
 from demosched.heuristics import (
     ALPHA1,
     ALPHA2,
@@ -48,8 +55,10 @@ class TestSelectRule:
 def pick(rule, problem, tasks=None, agent_id="a0"):
     """The rule's choice over `tasks` (default: all) at the initial state."""
     state = SimState.initial(problem)
+    cp = state.compiled
     tasks = list(problem.tasks) if tasks is None else tasks
-    feats = extract_features(state, problem.agent(agent_id), problem, tasks)
+    feats = extract_features(state, cp.agent_index[agent_id],
+                             [cp.task_index[t.id] for t in tasks])
     return expert_choice(rule, feats, [t.id for t in tasks])
 
 
@@ -126,7 +135,8 @@ def live_score(rule, state, agent_id, task, problem):
         theta = origin_angle(loc, task.location)
         return dist + ALPHA1 * theta + ALPHA2 * dist * theta
     if rule is RuleKind.RESOURCE_CONTENTION:
-        share = sum(1 for u in state.unfinished() if u.resource == task.resource)
+        share = sum(1 for u in state.unfinished()
+                    if problem.tasks[u].resource == task.resource)
         return -(share - ALPHA3 * deadline)
     return float(deadline)
 
@@ -139,16 +149,18 @@ def test_feature_scores_reproduce_live_choice(rule, temporal_problem):
     problem = temporal_problem
     checked = []
 
-    def decide(state, agent_id, candidates):
+    def decide(state, a, candidates):
         if not candidates:
             return None
-        agent = problem.agent(agent_id)
-        feats = extract_features(state, agent, problem, state.unfinished())
-        replay = expert_choice(rule, feats, [t.id for t in candidates])
-        live = min(candidates, key=lambda t: (
+        cp = state.compiled
+        agent_id = cp.agent_ids[a]
+        tasks = [problem.tasks[t] for t in candidates]
+        feats = extract_features(state, a, state.unfinished())
+        replay = expert_choice(rule, feats, [t.id for t in tasks])
+        live = min(tasks, key=lambda t: (
             live_score(rule, state, agent_id, t, problem), t.id)).id
         checked.append(replay == live)
-        return replay
+        return cp.task_index[replay]
 
     run_simulation(problem, decide)
     assert checked and all(checked)

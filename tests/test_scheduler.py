@@ -27,21 +27,22 @@ class TestSchedulabilityTest:
 
     def test_fresh_feasible_state(self):
         problem = self._problem(deadline=15)
-        assert schedulability_test(SimState.initial(problem), problem)
+        assert schedulability_test(SimState.initial(problem))
 
     def test_unreachable_deadline(self):
         # travel 8 + duration 2 > deadline 9
         problem = self._problem(deadline=9)
-        assert not schedulability_test(SimState.initial(problem), problem)
+        assert not schedulability_test(SimState.initial(problem))
 
     def test_pending_task_past_deadline(self, tiny_problem):
+        tC, a1 = 2, 1
         state = SimState.initial(tiny_problem).advanced_to(5)
-        state = apply_action(state, "tC", "a1")
+        state = apply_action(state, tC, a1)
         # pretend time slipped: restart tC late enough to bust its deadline
         late = SimState.initial(tiny_problem).advanced_to(14)
-        late = apply_action(late, "tC", "a1")
-        assert not schedulability_test(late, tiny_problem)
-        assert schedulability_test(state, tiny_problem)
+        late = apply_action(late, tC, a1)
+        assert not schedulability_test(late)
+        assert schedulability_test(state)
 
     def test_wait_chain_pushes_start(self):
         problem = ProblemInstance(
@@ -55,9 +56,9 @@ class TestSchedulabilityTest:
             resources=("r0", "r1"),
             horizon=20,
         )
-        state = apply_action(SimState.initial(problem), "t0", "a0")
+        state = apply_action(SimState.initial(problem), 0, 0)  # t0 on a0
         # t0 finishes at 4, so t1 cannot finish before 6 > deadline 5
-        assert not schedulability_test(state, problem)
+        assert not schedulability_test(state)
 
 
 class TestConstructSchedule:
@@ -89,6 +90,11 @@ class TestConstructSchedule:
         b = construct_schedule(problem, model,
                                SchedulerConfig(fallback_depth=1))
         assert a.complete and b.complete
+
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_fallback_depth_below_one_rejected(self, depth):
+        with pytest.raises(ValueError, match="fallback_depth"):
+            SchedulerConfig(fallback_depth=depth)
 
     def test_stalling_policy_returns_incomplete(self, temporal_problem):
         class NeverAct:
@@ -129,7 +135,7 @@ class TestLazyFallback:
 
     def test_passing_top_pick_is_ranked_once(self, monkeypatch, counting):
         monkeypatch.setattr("demosched.scheduler.schedulability_test",
-                            lambda state, problem: True)
+                            lambda state: True)
         problem, policy = counting
         schedule = construct_schedule(problem, policy)
         assert schedule.complete
@@ -140,7 +146,7 @@ class TestLazyFallback:
     def test_vetoes_rank_only_the_fallbacks_tried(self, monkeypatch, counting,
                                                   depth):
         monkeypatch.setattr("demosched.scheduler.schedulability_test",
-                            lambda state, problem: False)
+                            lambda state: False)
         problem, policy = counting
         construct_schedule(problem, policy, SchedulerConfig(fallback_depth=depth))
         assert policy.acts

@@ -21,12 +21,13 @@ from demosched.core import (
     TaskSpec,
     apply_action,
     euclidean,
+    origin_angle,
     schedule_to_dict,
     travel_ticks,
 )
 from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import KIND_PRESETS, make_config
-from demosched.features import TaskFeatures, extract_features, origin_angle
+from demosched.features import TaskFeatures, extract_features
 from demosched.generator import generate_instance
 from demosched.heuristics import RuleKind, expert_choice, select_rule
 from demosched.policy import HeuristicPolicy, train_policy
@@ -188,28 +189,33 @@ def test_tables_match_reference(kind, homogeneous, shape, epsilon, seed):
     rng = np.random.default_rng(seed)
     checked = []
 
-    def decide(state, agent_id, candidates):
+    def decide(state, a, candidates):
+        cp = state.compiled
+        agent_id = cp.agent_ids[a]
         ref = RefState.of(state, problem)
-        agent = problem.agent(agent_id)
-        assert candidates == feasible_candidates(ref, agent_id, problem)
+        agent = problem.agents[a]
+        assert [cp.task_ids[t] for t in candidates] == [
+            t.id for t in feasible_candidates(ref, agent_id, problem)]
         unfinished = state.unfinished()
-        assert unfinished == ref.unfinished(problem)
-        features = extract_features(state, agent, problem, unfinished)
-        assert features == reference_features(ref, agent, problem, unfinished)
-        assert schedulability_test(state, problem) == \
+        ref_unfinished = ref.unfinished(problem)
+        assert [cp.task_ids[t] for t in unfinished] == [t.id for t in ref_unfinished]
+        features = extract_features(state, a, unfinished)
+        assert list(features.items()) == list(
+            reference_features(ref, agent, problem, ref_unfinished).items())
+        assert schedulability_test(state) == \
             reference_schedulability_test(ref, problem)
-        for task in candidates:
-            hypothetical = apply_action(state, task.id, agent_id)
-            assert schedulability_test(hypothetical, problem) == \
+        for t in candidates:
+            hypothetical = apply_action(state, t, a)
+            assert schedulability_test(hypothetical) == \
                 reference_schedulability_test(RefState.of(hypothetical, problem),
                                               problem)
         checked.append(len(candidates))
-        ids = sorted(t.id for t in candidates)
+        ids = sorted(cp.task_ids[t] for t in candidates)
         if not ids or rng.random() < 0.1:
             return None
         if rng.random() < epsilon:
-            return ids[int(rng.integers(len(ids)))]
-        return expert_choice(rule, features, ids)
+            return cp.task_index[ids[int(rng.integers(len(ids)))]]
+        return cp.task_index[expert_choice(rule, features, ids)]
 
     run_simulation(problem, decide)
     assert sum(checked) > 0
