@@ -46,6 +46,8 @@ def main():
 
 
 COUNT = click.IntRange(min=1)
+# the 85/15 train/test split needs at least one held-out demonstration
+DEMOS = click.IntRange(min=2)
 PROBABILITY = click.FloatRange(0.0, 1.0)
 
 
@@ -203,9 +205,9 @@ def _finish(rows, out):
 
 
 @experiment.command()
-@click.option("--demos", type=COUNT, default=150, show_default=True)
+@click.option("--demos", type=DEMOS, default=150, show_default=True)
 @click.option("--epsilon", type=PROBABILITY, default=0.0, show_default=True)
-@click.option("--num-seeds", type=int, default=5, show_default=True)
+@click.option("--num-seeds", type=COUNT, default=5, show_default=True)
 @click.option("--min-leaf", default="10", show_default=True, callback=_min_leaf,
               help="Integer leaf size, or 'cv'.")
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -219,9 +221,9 @@ def accuracy(demos, epsilon, num_seeds, min_leaf, seed, out):
 
 
 @experiment.command()
-@click.option("--demos", type=COUNT, default=50, show_default=True)
+@click.option("--demos", type=DEMOS, default=50, show_default=True)
 @click.option("--epsilon", type=PROBABILITY, default=0.0, show_default=True)
-@click.option("--num-seeds", type=int, default=5, show_default=True)
+@click.option("--num-seeds", type=COUNT, default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())
 def baselines(demos, epsilon, num_seeds, seed, out):
@@ -232,7 +234,7 @@ def baselines(demos, epsilon, num_seeds, seed, out):
 
 
 @experiment.command()
-@click.option("--instances", type=int, default=20, show_default=True)
+@click.option("--instances", type=COUNT, default=20, show_default=True)
 @click.option("--tasks", type=COUNT, default=9, show_default=True)
 @click.option("--train-tasks", type=COUNT, help="Train the policy at a different size.")
 @click.option("--time-limit", type=float, help="Per search, seconds.")

@@ -11,13 +11,19 @@ schedulability test and branch and bound all read those tables, and speak
 only task and agent indices; `Compiled.schedule` writes the ids back out.
 Only `validate_schedule` re-derives travel from the points, on purpose: it
 is the independent oracle the other paths are checked against.
+
+A `SimState` only grows by `apply_action`, which starts a task on an idle
+agent at the current tick. So an agent's release time is the finish of its
+last placement, and `all_finished` needs only the placement count and the
+latest release time. `SimState.candidates` is exactly the set of tasks
+`apply_action` accepts, checked in one pass over the tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 SCHEMA_VERSION = "v1"
 
@@ -39,13 +45,19 @@ def euclidean(a: Point, b: Point) -> float:
 def origin_angle(a: Point, b: Point) -> float:
     """Angle in radians between the origin->a and origin->b vectors.
 
-    Zero-length vectors make the angle undefined; treat it as 0.
+    Zero-length vectors make the angle undefined; treat it as 0, and so
+    too when the product of the two lengths underflows to 0.
     """
-    na = math.hypot(*a)
-    nb = math.hypot(*b)
-    if na == 0.0 or nb == 0.0:
+    return _angle(a, b, math.hypot(*a), math.hypot(*b))
+
+
+def _angle(a: Point, b: Point, na: float, nb: float) -> float:
+    """`origin_angle(a, b)` given the norms of a and b. Swapping a and b
+    gives the same float: the products and their sum commute exactly."""
+    norms = na * nb
+    if norms == 0.0:
         return 0.0
-    cos = (a[0] * b[0] + a[1] * b[1]) / (na * nb)
+    cos = (a[0] * b[0] + a[1] * b[1]) / norms
     return math.acos(max(-1.0, min(1.0, cos)))
 
 
@@ -225,12 +237,23 @@ class Compiled:
         self.deadline = [problem.effective_deadline(t) for t in tasks]
         self.waits = [tuple((self.task_index[p], gap) for p, gap in t.waits)
                       for t in tasks]
-        self.start_loc = tuple(range(len(tasks), len(tasks) + len(agents)))
+        n = len(tasks)
+        self.start_loc = tuple(range(n, n + len(agents)))
         self.location = [t.location for t in tasks] + [a.start_location for a in agents]
-        self.distance = [[euclidean(p, t.location) for t in tasks]
-                         for p in self.location]
-        self.angle = [[origin_angle(p, t.location) for t in tasks]
-                      for p in self.location]
+        norm = [math.hypot(*p) for p in self.location]
+        self.distance = [[0.0] * n for _ in self.location]
+        self.angle = [[0.0] * n for _ in self.location]
+        for i, p in enumerate(self.location):
+            dist_i, angle_i = self.distance[i], self.angle[i]
+            # task-to-task distances and angles are symmetric to the bit, so
+            # a task row starts at the diagonal and mirrors into the columns;
+            # an agent's start row is filled in full
+            for t in range(i if i < n else 0, n):
+                q = self.location[t]
+                d, theta = euclidean(p, q), _angle(p, q, norm[i], norm[t])
+                dist_i[t], angle_i[t] = d, theta
+                if i < n:
+                    self.distance[t][i], self.angle[t][i] = d, theta
         # grid points repeat distances (about 90 distinct of 440 at 20
         # tasks), so each agent rounds each distinct distance once
         distinct = {d for row in self.distance for d in row}
@@ -277,7 +300,15 @@ class SimState:
     per-agent release times and location indices, per-resource release
     times, per-task finish times (None until started) and the placements
     made so far. A started task has finished once its finish is at or
-    before `time` and is pending while it is after."""
+    before `time` and is pending while it is after.
+
+    Invariant: placements are only appended by `apply_action`, which starts
+    a task on an idle agent, so an agent's release time is the finish of
+    its last placement (0 before its first) and no placement finishes
+    later. Every task has therefore finished once all are placed and no
+    agent's release time is after `time`, which is what `all_finished`
+    checks.
+    """
 
     compiled: Compiled
     time: int
@@ -298,32 +329,41 @@ class SimState:
         return [t for t, f in enumerate(self.finish) if f is None]
 
     def all_finished(self) -> bool:
-        return all(f is not None and f <= self.time for f in self.finish)
+        return (len(self.placements) == len(self.finish)
+                and max(self.agent_free, default=0) <= self.time)
 
     def waits_released(self, t: int) -> bool:
         """True iff every wait predecessor of task t finished at least its
         gap ago."""
         finish, now = self.finish, self.time
-        return all(finish[p] is not None and finish[p] + gap <= now
-                   for p, gap in self.compiled.waits[t])
+        for p, gap in self.compiled.waits[t]:
+            f = finish[p]
+            if f is None or f + gap > now:
+                return False
+        return True
 
     def candidates(self, a: int) -> list[int]:
-        """Tasks the idle agent a could start at the current tick, in problem
-        order: not started, within its capability, every wait predecessor
-        started, and the earliest start on it not after now."""
-        cp = self.compiled
-        finish = self.finish
+        """Tasks agent a could start at the current tick, in problem order:
+        exactly those `apply_action` accepts. Each is unstarted, within a's
+        capability, its waits released and its resource free, and a's travel
+        to it fits in the time since a was freed, so a busy agent has none."""
+        cp, finish, now = self.compiled, self.finish, self.time
+        slack = now - self.agent_free[a]
+        if slack < 0:
+            return []
+        travel, res_free = cp.travel[a][self.agent_loc[a]], self.res_free
+        duration, resource, waits = cp.duration, cp.resource, cp.waits
         return [t for t, f in enumerate(finish)
-                if f is None and cp.duration[t][a] is not None
-                and all(finish[p] is not None for p, _ in cp.waits[t])
-                and earliest_start(cp, t, a, self.agent_free, self.agent_loc,
-                                   self.res_free, finish)[0] <= self.time]
+                if f is None and duration[t][a] is not None and travel[t] <= slack
+                and res_free[resource[t]] <= now
+                and (not waits[t] or self.waits_released(t))]
 
     def advanced_to(self, time: int) -> "SimState":
         """Move the clock forward."""
         if time < self.time:
             raise ValueError("time cannot move backwards")
-        return replace(self, time=time)
+        return SimState(self.compiled, time, self.agent_free, self.agent_loc,
+                        self.res_free, self.finish, self.placements)
 
 
 def apply_action(state: SimState, t: int, a: int) -> SimState:
@@ -351,13 +391,13 @@ def apply_action(state: SimState, t: int, a: int) -> SimState:
     if cp.duration[t][a] is None:
         raise StructuralError(f"agent {agent_id!r} cannot perform task {task_id!r}")
     fin = now + cp.duration[t][a]
-    return replace(
-        state,
-        agent_free=state.agent_free[:a] + (fin,) + state.agent_free[a + 1:],
-        agent_loc=state.agent_loc[:a] + (t,) + state.agent_loc[a + 1:],
-        res_free=state.res_free[:r] + (fin,) + state.res_free[r + 1:],
-        finish=state.finish[:t] + (fin,) + state.finish[t + 1:],
-        placements=state.placements + ((t, a, now, fin),),
+    return SimState(
+        cp, now,
+        state.agent_free[:a] + (fin,) + state.agent_free[a + 1:],
+        state.agent_loc[:a] + (t,) + state.agent_loc[a + 1:],
+        state.res_free[:r] + (fin,) + state.res_free[r + 1:],
+        state.finish[:t] + (fin,) + state.finish[t + 1:],
+        state.placements + ((t, a, now, fin),),
     )
 
 

@@ -56,25 +56,28 @@ def extract_features(state: SimState, a: int, tasks) -> dict[str, TaskFeatures]:
     features do not depend on which other tasks are featurized with it.
     """
     cp = state.compiled
+    finish, now, res_free = state.finish, state.time, state.res_free
+    resource, waits, deadline, task_ids = cp.resource, cp.waits, cp.deadline, cp.task_ids
     share_counts = [0] * cp.num_resources
-    for t, f in enumerate(state.finish):
+    for t, f in enumerate(finish):
         if f is None:
-            share_counts[cp.resource[t]] += 1
+            share_counts[resource[t]] += 1
     loc = state.agent_loc[a]
     distance, angle, travel = cp.distance[loc], cp.angle[loc], cp.travel[a][loc]
-    busy, now = state.agent_free[a], state.time
+    busy = state.agent_free[a]
+    row = tuple.__new__  # positional, in TaskFeatures' field order
     out: dict[str, TaskFeatures] = {}
     for t in tasks:
-        r = cp.resource[t]
-        out[cp.task_ids[t]] = TaskFeatures(
-            deadline=float(cp.deadline[t]),
-            precedence_satisfied=1.0 if state.waits_released(t) else 0.0,
-            resource_share_count=float(share_counts[r] - 1),
-            resource_available=1.0 if state.res_free[r] <= now else 0.0,
-            travel_time_remaining=float(max(0, busy + travel[t] - now)),
-            travel_distance=distance[t],
-            angular_difference=angle[t],
-        )
+        r = resource[t]
+        out[task_ids[t]] = row(TaskFeatures, (
+            float(deadline[t]),
+            1.0 if not waits[t] or state.waits_released(t) else 0.0,
+            float(share_counts[r] - 1),
+            1.0 if res_free[r] <= now else 0.0,
+            float(max(0, busy + travel[t] - now)),
+            distance[t],
+            angle[t],
+        ))
     return out
 
 

@@ -200,16 +200,18 @@ def cross_validate_min_leaf(
     n = len(dataset)
     if n < folds:
         raise ValueError(f"need at least {folds} examples, got {n}")
-    splits = np.array_split(np.arange(n), folds)
     bins = RankBins(dataset.X)  # one ranking serves every fold's fits
+    accs: list[list[float]] = [[] for _ in candidates]
+    for fold in np.array_split(np.arange(n), folds):
+        rows = np.delete(np.arange(n), fold)
+        # every leaf size's fit on this fold starts from one root count
+        hist = bins.root_histogram(dataset.y, rows)
+        for value, fold_accs in zip(candidates, accs):
+            tree = DecisionTree(min_leaf=value).fit_bins(bins, dataset.y, rows, hist)
+            fold_accs.append(float((tree.predict(dataset.X[fold]) == dataset.y[fold]).mean()))
     best_acc, best_value = -1.0, None
-    for value in candidates:
-        accs = []
-        for fold in splits:
-            rows = np.delete(np.arange(n), fold)
-            tree = DecisionTree(min_leaf=value).fit_bins(bins, dataset.y, rows)
-            accs.append(float((tree.predict(dataset.X[fold]) == dataset.y[fold]).mean()))
-        acc = round(float(np.mean(accs)), 12)
+    for value, fold_accs in zip(candidates, accs):
+        acc = round(float(np.mean(fold_accs)), 12)
         if acc > best_acc or (acc == best_acc and value > best_value):
             best_acc, best_value = acc, value
     return best_value

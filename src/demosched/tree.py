@@ -14,7 +14,8 @@ the upper one. After a split, only the smaller child's histogram is counted
 from its rows; the larger child's is the parent's minus it, exact on integer
 counts (the subtraction of LightGBM, Ke et al. 2017). One ranking serves
 every fit on the same matrix: cross-validation folds and one-vs-rest trees
-fit row subsets or relabellings of it.
+fit row subsets or relabellings of it, and fits on the same rows can share
+one root histogram.
 
 A fitted tree is six parallel node arrays, which are also its JSON form:
 `feature`, `threshold`, `left`, `right` (all -1 at a leaf), `prob` (the
@@ -52,10 +53,12 @@ class DecisionTree:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         return self.fit_bins(RankBins(X), y)
 
-    def fit_bins(self, bins: RankBins, y: np.ndarray,
-                 rows: np.ndarray | None = None) -> "DecisionTree":
+    def fit_bins(self, bins: RankBins, y: np.ndarray, rows: np.ndarray | None = None,
+                 hist: np.ndarray | None = None) -> "DecisionTree":
         """Fit on `rows` (default all) of a ranked matrix; `y` holds a 0/1
-        label for every row of the matrix."""
+        label for every row of the matrix. `hist`, when given, is
+        `bins.root_histogram(y, rows)`, counted once for several fits on
+        the same rows; the fit reads a copy."""
         y = np.asarray(y, dtype=int)
         if len(bins.codes) != len(y):
             raise ValueError("X and y length mismatch")
@@ -65,7 +68,7 @@ class DecisionTree:
         if len(rows) == 0:
             raise ValueError("no rows to fit")
         min_leaf = min(self.min_leaf, len(rows))  # clamp to dataset size
-        self._set_nodes(*zip(*_grow(bins, y, rows, min_leaf)))
+        self._set_nodes(*zip(*_grow(bins, y, rows, min_leaf, hist)))
         return self
 
     # -- prediction ----------------------------------------------------------
@@ -175,6 +178,11 @@ class RankBins:
                 counts += self._bincount(counted[start:start + _COUNT_ROWS])
         return hist
 
+    def root_histogram(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The histogram a fit on `rows` under 0/1 labels `y` counts at its
+        root."""
+        return self.histogram(*_positives_first(y, rows))
+
     def _bincount(self, rows: np.ndarray) -> np.ndarray:
         return np.bincount(self.codes[rows].ravel(), minlength=len(self.values))
 
@@ -211,7 +219,14 @@ class RankBins:
         return int(column[k]), b, threshold
 
 
-def _grow(bins: RankBins, y: np.ndarray, rows: np.ndarray, min_leaf: int) -> list[list]:
+def _positives_first(y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """`rows` with its positive rows first, and how many there are."""
+    positive = y[rows] == 1
+    return np.concatenate([rows[positive], rows[~positive]]), int(np.count_nonzero(positive))
+
+
+def _grow(bins: RankBins, y: np.ndarray, rows: np.ndarray, min_leaf: int,
+          hist: np.ndarray | None) -> list[list]:
     """Node records [feature, threshold, left, right, prob, count], appended
     as nodes are popped; each child's index is written into its parent's
     `left` or `right` slot.
@@ -220,15 +235,17 @@ def _grow(bins: RankBins, y: np.ndarray, rows: np.ndarray, min_leaf: int) -> lis
     child's histogram is counted from its rows and the larger's is the
     parent's minus it; a child that cannot split keeps none. Every node
     keeps its positive rows first, so that counting them needs no copy.
+    A root histogram passed in is copied, since splits subtract from it.
     """
 
     def splittable(n: int, pos: int) -> bool:
         return 0 < pos < n and n >= 2 * min_leaf
 
-    positive = y[rows] == 1
-    pos = int(np.count_nonzero(positive))
-    rows = np.concatenate([rows[positive], rows[~positive]])
-    hist = bins.histogram(rows, pos) if splittable(len(rows), pos) else None
+    rows, pos = _positives_first(y, rows)
+    if not splittable(len(rows), pos):
+        hist = None
+    else:
+        hist = bins.histogram(rows, pos) if hist is None else hist.copy()
     # explicit stack: unregularized trees can exceed the recursion limit
     nodes: list[list] = []
     stack = [(rows, pos, hist, None, None)]

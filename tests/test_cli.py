@@ -178,13 +178,19 @@ def _with_required(workspace, args):
     ["experiment", "baselines", "--epsilon", "1.5"],
     ["experiment", "accuracy", "--demos", "0"],
     ["experiment", "baselines", "--demos", "0"],
+    ["experiment", "accuracy", "--demos", "1"],
+    ["experiment", "baselines", "--demos", "1"],
+    ["experiment", "accuracy", "--num-seeds", "0"],
+    ["experiment", "baselines", "--num-seeds", "0"],
+    ["experiment", "covas", "--instances", "0"],
     ["schedule", "--fallback-depth", "0"],
     ["schedule", "--fallback-depth", "-3"],
     ["optimize", "--gap", "-1"],
 ], ids=" ".join)
 def test_out_of_range_option_is_usage_error(workspace, runner, args):
     """An out-of-range count, probability, depth or gap exits 2 with the
-    option named, rather than a traceback or a silent clamp."""
+    option named, rather than a traceback, a silent clamp or an experiment
+    that runs no replicate and prints an empty line."""
     result = runner.invoke(main, _with_required(workspace, args))
     assert result.exit_code == 2, result.output
     assert f"Invalid value for '{args[-2]}'" in result.output

@@ -35,6 +35,10 @@ class TestOriginAngle:
     def test_zero_vector(self):
         assert origin_angle((0.0, 0.0), (1.0, 1.0)) == 0.0
 
+    def test_lengths_whose_product_underflows(self):
+        # 1e-200 squared is below the smallest float: no division by zero
+        assert origin_angle((0.0, 1e-200), (1e-200, 0.0)) == 0.0
+
 
 def one(state, agent_id, task_id):
     cp = state.compiled

@@ -11,13 +11,15 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from demosched.core import (
     AgentSpec,
+    Compiled,
     InfeasibleActionError,
     ProblemInstance,
+    SimState,
     TaskSpec,
     apply_action,
     euclidean,
@@ -167,11 +169,24 @@ def reference_schedulability_test(state: RefState, problem: ProblemInstance) -> 
     return True
 
 
-@given(kind=st.sampled_from(list(KIND_PRESETS)), homogeneous=st.booleans(),
-       shape=st.sampled_from([(6, 2, False), (10, 2, True), (12, 3, True),
-                              (12, 2, False)]),
-       epsilon=st.sampled_from([0.2, 0.5]),
-       seed=st.integers(min_value=0, max_value=10_000))
+# playthroughs on instances whose task and agent ids order differently as
+# strings and positions when `shape` says to relabel
+_PLAYTHROUGHS = dict(
+    kind=st.sampled_from(list(KIND_PRESETS)), homogeneous=st.booleans(),
+    shape=st.sampled_from([(6, 2, False), (10, 2, True), (12, 3, True), (12, 2, False)]),
+    epsilon=st.sampled_from([0.2, 0.5]),
+    seed=st.integers(min_value=0, max_value=10_000))
+
+
+def _playthrough_problem(kind, homogeneous, shape, seed) -> ProblemInstance:
+    num_tasks, num_agents, relabel = shape
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks,
+        homogeneous=homogeneous, rng_seed=seed))
+    return _relabel(problem, seed) if relabel else problem
+
+
+@given(**_PLAYTHROUGHS)
 @settings(max_examples=30, deadline=None)
 def test_tables_match_reference(kind, homogeneous, shape, epsilon, seed):
     """At every decision of an epsilon-noisy playthrough, which sometimes
@@ -179,12 +194,7 @@ def test_tables_match_reference(kind, homogeneous, shape, epsilon, seed):
     schedulability verdict on the state and on each candidate's
     hypothetical state equal the string-keyed reference's, on instances
     whose task and agent ids order differently as strings and positions."""
-    num_tasks, num_agents, relabel = shape
-    problem = generate_instance(make_config(
-        kind, num_agents=num_agents, num_tasks=num_tasks,
-        homogeneous=homogeneous, rng_seed=seed))
-    if relabel:
-        problem = _relabel(problem, seed)
+    problem = _playthrough_problem(kind, homogeneous, shape, seed)
     rule = select_rule(problem)
     rng = np.random.default_rng(seed)
     checked = []
@@ -219,6 +229,86 @@ def test_tables_match_reference(kind, homogeneous, shape, epsilon, seed):
 
     run_simulation(problem, decide)
     assert sum(checked) > 0
+
+
+@given(**_PLAYTHROUGHS)
+@settings(max_examples=30, deadline=None)
+def test_every_tick_matches_reference(kind, homogeneous, shape, epsilon, seed):
+    """After every clock move and every action of an epsilon-noisy
+    playthrough, including ticks where no agent is idle, `all_finished`
+    equals the reference's "every task finished", and every agent's
+    candidates equal the reference's; a busy agent has none."""
+    problem = _playthrough_problem(kind, homogeneous, shape, seed)
+    rule = select_rule(problem)
+    rng = np.random.default_rng(seed)
+    state = SimState.initial(problem)
+    cp = state.compiled
+    busy_checked = 0
+
+    def check(state) -> bool:
+        nonlocal busy_checked
+        ref = RefState.of(state, problem)
+        done = len(ref.finished) == len(problem.tasks)
+        assert state.all_finished() == done
+        for a, agent_id in enumerate(cp.agent_ids):
+            candidates = [cp.task_ids[t] for t in state.candidates(a)]
+            assert candidates == [
+                t.id for t in feasible_candidates(ref, agent_id, problem)]
+            if not ref.agent_idle(agent_id):
+                assert candidates == []
+                busy_checked += 1
+        return done
+
+    for tick in range(problem.horizon + 1):
+        state = state.advanced_to(tick)
+        if check(state):
+            break
+        for a in range(len(cp.agent_ids)):
+            ids = sorted(cp.task_ids[t] for t in state.candidates(a))
+            if not ids or rng.random() < 0.1:
+                continue
+            if rng.random() < epsilon:
+                chosen = ids[int(rng.integers(len(ids)))]
+            else:
+                chosen = expert_choice(rule, extract_features(
+                    state, a, [cp.task_index[tid] for tid in ids]), ids)
+            state = apply_action(state, cp.task_index[chosen], a)
+            check(state)
+    assert busy_checked > 0
+
+
+_COORD = st.one_of(st.integers(-2, 2).map(float),
+                   st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False))
+_POINT = st.tuples(_COORD, _COORD)
+
+
+@given(task_points=st.lists(_POINT, min_size=1, max_size=7),
+       agent_points=st.lists(_POINT, min_size=1, max_size=3),
+       speeds=st.lists(st.floats(0.1, 5.0), min_size=3, max_size=3))
+@example(task_points=[(3.0, 4.0), (3.0, 4.0), (0.0, 0.0), (-3.0, -4.0)],
+         agent_points=[(1.0, 1.0), (3.0, 4.0)], speeds=[1.5, 0.7, 2.0])
+@example(task_points=[(2.0, 0.0), (0.0, 5.0), (2.0, 0.0)],
+         agent_points=[(0.0, 0.0), (-0.0, 0.0)], speeds=[1.0, 2.5, 1.0])
+@settings(max_examples=100, deadline=None)
+def test_compiled_tables_match_formulas(task_points, agent_points, speeds):
+    """Every entry of `Compiled.distance`, `angle` and `travel`, mirrored
+    task-to-task halves and agent-start rows alike, equals `euclidean`,
+    `origin_angle` and `travel_ticks` on the points, as floats compared
+    with ==; repeated points and points at the origin included."""
+    agents = tuple(AgentSpec(f"a{j}", p, speeds[j])
+                   for j, p in enumerate(agent_points))
+    tasks = tuple(TaskSpec(f"t{i}", p, {a.id: 1 for a in agents}, "r")
+                  for i, p in enumerate(task_points))
+    problem = ProblemInstance((30.0, 30.0), agents, tasks, ("r",), len(tasks))
+    cp = Compiled(problem)
+    points = list(task_points) + list(agent_points)
+    assert cp.location == points
+    for loc, p in enumerate(points):
+        for t, q in enumerate(task_points):
+            assert cp.distance[loc][t] == euclidean(p, q)
+            assert cp.angle[loc][t] == origin_angle(p, q)
+            for a, agent in enumerate(agents):
+                assert cp.travel[a][loc][t] == travel_ticks(euclidean(p, q), agent.speed)
 
 
 # ---------------------------------------------------------------------------

@@ -481,3 +481,42 @@ def test_cross_validation_matches_reference(seed, rows, width, levels, signed_ze
     candidates = (1, 2, 3, 7, 25, 1000)
     assert (cross_validate_min_leaf(data, candidates, folds)
             == _reference_cross_validate(data, candidates, folds))
+
+
+def test_cross_validation_counts_each_fold_root_once(monkeypatch):
+    """One root-sized histogram count per fold, shared by every leaf size:
+    any other count is a child's, at most half its parent's rows."""
+    rng = np.random.default_rng(5)
+    rows, folds = 400, 5
+    data = Dataset(X=rng.integers(0, 6, size=(rows, 3)).astype(float),
+                   y=rng.integers(0, 2, size=rows), feature_names=("a", "b", "c"))
+    counted = []
+    histogram = RankBins.histogram
+
+    def spy(self, rows, pos):
+        counted.append(len(rows))
+        return histogram(self, rows, pos)
+
+    monkeypatch.setattr(RankBins, "histogram", spy)
+    cross_validate_min_leaf(data, folds=folds)
+    root = rows - rows // folds
+    assert counted.count(root) == folds
+    assert all(n == root or n <= root // 2 for n in counted)
+
+
+def test_fit_from_root_histogram_reads_a_copy():
+    """A fit given the root histogram grows the tree a fit counting its own
+    would, and leaves the histogram as it was for the next fit."""
+    rng = np.random.default_rng(6)
+    X = rng.integers(0, 5, size=(300, 3)).astype(float)
+    y = rng.integers(0, 2, size=300)
+    bins = RankBins(X)
+    rows = np.flatnonzero(rng.random(300) < 0.8)
+    hist = bins.root_histogram(y, rows)
+    before = hist.copy()
+    for min_leaf in (1, 4, 25):
+        tree = DecisionTree(min_leaf=min_leaf).fit_bins(bins, y, rows, hist)
+        assert tree.num_leaves() > 1
+        assert (tree.to_dict()
+                == DecisionTree(min_leaf=min_leaf).fit_bins(bins, y, rows).to_dict())
+        assert np.array_equal(hist, before)
