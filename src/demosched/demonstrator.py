@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ProblemInstance, Schedule, problem_from_dict, problem_to_dict
+from .core import SCHEMA_VERSION, ProblemInstance, Schedule, problem_from_dict
+from .core import problem_to_dict, schedule_from_dict, schedule_to_dict
 from .features import (
     Observation,
     context_features,
@@ -90,8 +91,6 @@ def demonstrate(
 
 
 def demonstration_to_dict(demo: Demonstration) -> dict:
-    from .core import SCHEMA_VERSION, schedule_to_dict
-
     return {
         "schema_version": SCHEMA_VERSION,
         "problem": problem_to_dict(demo.problem),
@@ -104,8 +103,6 @@ def demonstration_to_dict(demo: Demonstration) -> dict:
 
 
 def demonstration_from_dict(data: dict) -> Demonstration:
-    from .core import schedule_from_dict
-
     return Demonstration(
         problem=problem_from_dict(data["problem"]),
         observations=tuple(observation_from_dict(o) for o in data["observations"]),

@@ -32,28 +32,25 @@ from .policy import (
     train_pointwise,
     train_policy,
 )
-from .scheduler import SchedulerConfig, construct_schedule
+from .scheduler import construct_schedule
 
 CSV_FIELDS = ("experiment", "condition", "metric", "value", "replicate", "seed")
 
 PROBLEM_KINDS = ("travel", "contention", "temporal")
 
-# keep travel instances small: slow agents on a big grid spend most of the
-# run in transit, which bloats demonstrations without adding signal.
-# "dense" is the noise benchmark: fast agents in a compact workspace make
-# nearly every alive task a candidate, so epsilon mistakes pick from many
-# tasks and actually corrupt the training signal
-KIND_PRESETS: dict[str, str] = {
-    "travel": "travel",
-    "contention": "contention",
-    "temporal": "temporal",
-    "dense": "temporal",
-}
-KIND_OVERRIDES: dict[str, dict] = {
-    "travel": {"grid": (10, 10), "speed_range": (0.6, 1.0)},
-    "contention": {},
-    "temporal": {},
-    "dense": {"grid": (6, 6), "speed_range": (9.0, 12.0)},
+MIN_LEAF = 10  # the leaf size every fixed-leaf model trains with
+
+# kind -> (generator preset, overrides). Travel instances stay small: slow
+# agents on a big grid spend most of the run in transit, which bloats
+# demonstrations without adding signal. "dense" is the noise benchmark: fast
+# agents in a compact workspace make nearly every alive task a candidate, so
+# epsilon mistakes pick from many tasks and actually corrupt the training
+# signal
+KIND_PRESETS: dict[str, tuple[str, dict]] = {
+    "travel": ("travel", {"grid": (10, 10), "speed_range": (0.6, 1.0)}),
+    "contention": ("contention", {}),
+    "temporal": ("temporal", {}),
+    "dense": ("temporal", {"grid": (6, 6), "speed_range": (9.0, 12.0)}),
 }
 
 
@@ -82,26 +79,15 @@ def write_rows_csv(rows: list[ResultRow], path: str) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_FIELDS)
-        for r in rows:
-            writer.writerow(
-                [r.experiment, r.condition, r.metric, repr(float(r.value)),
-                 r.replicate, r.seed]
-            )
+        writer.writerows([r.experiment, r.condition, r.metric, repr(float(r.value)),
+                          r.replicate, r.seed] for r in rows)
 
 
 def read_rows_csv(path: str) -> list[ResultRow]:
-    out = []
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            out.append(ResultRow(
-                experiment=rec["experiment"],
-                condition=rec["condition"],
-                metric=rec["metric"],
-                value=float(rec["value"]),
-                replicate=int(rec["replicate"]),
-                seed=int(rec["seed"]),
-            ))
-    return out
+        return [ResultRow(rec["experiment"], rec["condition"], rec["metric"],
+                          float(rec["value"]), int(rec["replicate"]), int(rec["seed"]))
+                for rec in csv.DictReader(fh)]
 
 
 def summarize(rows: list[ResultRow]) -> dict[tuple[str, str, str], tuple[float, float, int]]:
@@ -116,10 +102,9 @@ def summarize(rows: list[ResultRow]) -> dict[tuple[str, str, str], tuple[float, 
 
 
 def format_summary(rows: list[ResultRow]) -> str:
-    lines = []
-    for (exp, cond, metric), (mean, std, n) in sorted(summarize(rows).items()):
-        lines.append(f"{exp} | {cond} | {metric}: {mean:.4f} +/- {std:.4f} (n={n})")
-    return "\n".join(lines)
+    return "\n".join(
+        f"{exp} | {cond} | {metric}: {mean:.4f} +/- {std:.4f} (n={n})"
+        for (exp, cond, metric), (mean, std, n) in sorted(summarize(rows).items()))
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +112,8 @@ def format_summary(rows: list[ResultRow]) -> str:
 # ---------------------------------------------------------------------------
 
 def make_config(kind: str, **overrides) -> GenConfig:
-    merged = dict(KIND_OVERRIDES[kind])
-    merged.update(overrides)
-    return preset(KIND_PRESETS[kind], **merged)
+    name, kind_overrides = KIND_PRESETS[kind]
+    return preset(name, **{**kind_overrides, **overrides})
 
 
 def collect_demos(
@@ -139,46 +123,42 @@ def collect_demos(
     stream_seed: int,
     num_agents: int = 2,
     num_tasks: int = 20,
-    homogeneous: bool = True,
-    **config_overrides,
 ) -> list[Demonstration]:
     """One demonstration per freshly generated problem, cycling through the
     requested problem kinds."""
-    kinds = list(kinds)
     demos = []
     for i in range(num_demos):
         kind = kinds[i % len(kinds)]
-        cfg = make_config(
-            kind,
-            num_agents=num_agents,
-            num_tasks=num_tasks,
-            homogeneous=homogeneous,
-            rng_seed=derive_seed(stream_seed, "gen", kind, i),
-            **config_overrides,
-        )
+        cfg = make_config(kind, num_agents=num_agents, num_tasks=num_tasks,
+                          rng_seed=derive_seed(stream_seed, "gen", kind, i))
+        demo = generate_demonstrated(cfg)
         rng_seed = derive_seed(stream_seed, "demo", kind, i)
         if epsilon == 0.0:
             # a noise-free expert never draws, so the generator's verifying
             # run is this demonstration but for its recorded seed
-            demos.append(replace(generate_demonstrated(cfg), epsilon=epsilon,
-                                 rng_seed=rng_seed))
-            continue
-        demos.append(demonstrate(
-            generate_instance(cfg),
-            epsilon=epsilon,
-            rng_seed=rng_seed,
-            contention_threshold=cfg.contention_threshold,
-        ))
+            demo = replace(demo, epsilon=epsilon, rng_seed=rng_seed)
+        else:
+            demo = demonstrate(demo.problem, epsilon, rng_seed,
+                               cfg.contention_threshold)
+        demos.append(demo)
     return demos
 
 
-def _train_all(train: list[Demonstration], min_leaf: int):
-    """Train all three priority models with a shared act classifier so the
-    comparison isolates the priority representation."""
-    pairwise = train_policy(train, min_leaf)
-    pointwise = train_pointwise(train, min_leaf, act_tree=pairwise.act_tree)
-    naive = train_naive(train, min_leaf, act_tree=pairwise.act_tree)
-    return pairwise, pointwise, naive
+def _replicates(experiment, condition, num_seeds, master_seed, kinds,
+                num_demos, epsilon, **sizes):
+    """(replicate, stream, train, test) per seed: a fresh demonstration
+    stream, split 85/15."""
+    for rep in range(num_seeds):
+        stream = derive_seed(master_seed, experiment, condition, rep)
+        demos = collect_demos(kinds, num_demos, epsilon, stream, **sizes)
+        yield rep, stream, *split_demos(demos, 0.85, rng_seed=stream % 2**32)
+
+
+def _accuracy_rows(experiment, condition, metrics, rep, stream) -> list[ResultRow]:
+    return [ResultRow(experiment, condition, name, value, rep, stream)
+            for name, value in (("sensitivity", metrics.sensitivity),
+                                ("specificity", metrics.specificity))
+            if value is not None]
 
 
 # ---------------------------------------------------------------------------
@@ -192,9 +172,8 @@ def run_accuracy_sweep(
     num_agents: int = 2,
     num_tasks: int = 20,
     kinds=PROBLEM_KINDS,
-    min_leaf: int | None = 10,
+    min_leaf: int | None = MIN_LEAF,
     master_seed: int = 0,
-    experiment: str = "accuracy",
 ) -> list[ResultRow]:
     """Held-out decision accuracy of the pairwise policy.
 
@@ -210,23 +189,17 @@ def run_accuracy_sweep(
     )
     condition = data_condition + ",min_leaf=" + (
         "cv" if min_leaf is None else str(min_leaf))
-    for rep in range(num_seeds):
-        stream = derive_seed(master_seed, experiment, data_condition, rep)
-        demos = collect_demos(kinds, num_demos, epsilon, stream,
-                              num_agents=num_agents, num_tasks=num_tasks)
-        train, test = split_demos(demos, 0.85, rng_seed=stream % 2**32)
+    for rep, stream, train, test in _replicates(
+            "accuracy", data_condition, num_seeds, master_seed, kinds,
+            num_demos, epsilon, num_agents=num_agents, num_tasks=num_tasks):
         leaf = min_leaf
         if leaf is None:
             leaf = cross_validate_min_leaf(build_pairwise_dataset(train))
-            rows.append(ResultRow(experiment, condition, "min_leaf_selected",
+            rows.append(ResultRow("accuracy", condition, "min_leaf_selected",
                                   float(leaf), rep, stream))
-        metrics = evaluate(train_policy(train, leaf), test)
-        if metrics.sensitivity is not None:
-            rows.append(ResultRow(experiment, condition, "sensitivity",
-                                  metrics.sensitivity, rep, stream))
-        if metrics.specificity is not None:
-            rows.append(ResultRow(experiment, condition, "specificity",
-                                  metrics.specificity, rep, stream))
+        rows += _accuracy_rows("accuracy", condition,
+                               evaluate(train_policy(train, leaf), test),
+                               rep, stream)
     return rows
 
 
@@ -234,89 +207,72 @@ def run_baseline_comparison(
     num_demos: int = 50,
     epsilon: float = 0.0,
     num_seeds: int = 5,
-    num_agents: int = 2,
     num_tasks: int = 20,
     kinds=PROBLEM_KINDS,
-    min_leaf: int = 10,
     master_seed: int = 0,
-    experiment: str = "baselines",
 ) -> list[ResultRow]:
-    """Pairwise vs pointwise vs fixed-width priority models, paired on the
-    same demonstrations, splits and act classifier."""
+    """Pairwise vs pointwise vs fixed-width priority models on 2 agents,
+    paired on the same demonstrations and splits. All three share the
+    pairwise model's act classifier, so the comparison isolates the priority
+    representation."""
     rows: list[ResultRow] = []
     base_condition = condition_label(demos=num_demos, epsilon=epsilon,
-                                     agents=num_agents, tasks=num_tasks)
-    for rep in range(num_seeds):
-        stream = derive_seed(master_seed, experiment, base_condition, rep)
-        demos = collect_demos(kinds, num_demos, epsilon, stream,
-                              num_agents=num_agents, num_tasks=num_tasks)
-        train, test = split_demos(demos, 0.85, rng_seed=stream % 2**32)
-        models = dict(zip(("pairwise", "pointwise", "naive"),
-                          _train_all(train, min_leaf)))
-        for name, model in models.items():
-            metrics = evaluate(model, test)
-            condition = base_condition + f",model={name}"
-            if metrics.sensitivity is not None:
-                rows.append(ResultRow(experiment, condition, "sensitivity",
-                                      metrics.sensitivity, rep, stream))
-            if metrics.specificity is not None:
-                rows.append(ResultRow(experiment, condition, "specificity",
-                                      metrics.specificity, rep, stream))
+                                     agents=2, tasks=num_tasks)
+    for rep, stream, train, test in _replicates(
+            "baselines", base_condition, num_seeds, master_seed, kinds,
+            num_demos, epsilon, num_tasks=num_tasks):
+        pairwise = train_policy(train, MIN_LEAF)
+        act = pairwise.act_tree
+        for name, model in (
+                ("pairwise", pairwise),
+                ("pointwise", train_pointwise(train, MIN_LEAF, act_tree=act)),
+                ("naive", train_naive(train, MIN_LEAF, act_tree=act))):
+            rows += _accuracy_rows("baselines", base_condition + f",model={name}",
+                                   evaluate(model, test), rep, stream)
     return rows
 
 
 def run_covas_benchmark(
     num_instances: int = 20,
     num_tasks: int = 9,
-    num_agents: int = 2,
     train_num_tasks: int | None = None,
     train_demos: int = 30,
-    kind: str = "temporal",
-    min_leaf: int = 10,
-    gap_threshold: float = 1e-3,
     node_limit: int | None = None,
     time_limit: float | None = None,
     master_seed: int = 0,
-    experiment: str = "covas",
-    homogeneous: bool = True,
-    **config_overrides,
 ) -> list[ResultRow]:
-    """Cold vs policy-seeded exact search on fresh instances.
+    """Cold vs policy-seeded exact search on fresh temporal instances with 2
+    homogeneous agents, to the default 1e-3 gap.
 
     train_num_tasks lets the policy train on a different instance size than
     it seeds, exercising transfer.
     """
     rows: list[ResultRow] = []
     train_n = train_num_tasks if train_num_tasks is not None else num_tasks
-    condition = condition_label(tasks=num_tasks, agents=num_agents,
-                                train_tasks=train_n, kind=kind,
-                                homogeneous=homogeneous)
-    train_stream = derive_seed(master_seed, experiment, condition, "train")
-    demos = collect_demos([kind], train_demos, 0.0, train_stream,
-                          num_agents=num_agents, num_tasks=train_n,
-                          homogeneous=homogeneous, **config_overrides)
-    policy = train_policy(demos, min_leaf)
+    condition = condition_label(tasks=num_tasks, agents=2, train_tasks=train_n,
+                                kind="temporal", homogeneous=True)
+    train_stream = derive_seed(master_seed, "covas", condition, "train")
+    demos = collect_demos(["temporal"], train_demos, 0.0, train_stream,
+                          num_tasks=train_n)
+    policy = train_policy(demos, MIN_LEAF)
     for i in range(num_instances):
-        stream = derive_seed(master_seed, experiment, condition, "inst", i)
-        cfg = make_config(kind, num_agents=num_agents, num_tasks=num_tasks,
-                          rng_seed=stream, homogeneous=homogeneous,
-                          **config_overrides)
-        problem = generate_instance(cfg)
-        seed_schedule = construct_schedule(problem, policy, SchedulerConfig())
+        stream = derive_seed(master_seed, "covas", condition, "inst", i)
+        problem = generate_instance(make_config(
+            "temporal", num_tasks=num_tasks, rng_seed=stream))
+        seed_schedule = construct_schedule(problem, policy)
         seed_ok = seed_schedule.complete and validate_schedule(
             problem, seed_schedule).feasible
-        cold = branch_and_bound(problem, gap_threshold=gap_threshold,
-                                node_limit=node_limit, time_limit=time_limit)
+        cold = branch_and_bound(problem, node_limit=node_limit,
+                                time_limit=time_limit)
         warm = branch_and_bound(problem,
                                 seed=seed_schedule if seed_ok else None,
-                                gap_threshold=gap_threshold,
                                 node_limit=node_limit, time_limit=time_limit)
 
         def put(metric, value):
-            rows.append(ResultRow(experiment, condition, metric,
+            rows.append(ResultRow("covas", condition, metric,
                                   float(value), i, stream))
 
-        put("seed_feasible", 1.0 if seed_ok else 0.0)
+        put("seed_feasible", seed_ok)
         put("nodes_cold", cold.nodes_explored)
         put("nodes_seeded", warm.nodes_explored)
         put("wall_cold", cold.wall_time)
@@ -336,52 +292,40 @@ def run_covas_benchmark(
 
 
 def run_sensitivity_grid(
-    num_problems: int = 5,
-    num_replicates: int = 2,
-    num_tasks: int = 5,
-    num_agents: int = 2,
-    presets=PROBLEM_KINDS,
-    kinds=PERTURBATION_KINDS,
-    counts=(1, 2, 3),
     paper_scale: bool = False,
     master_seed: int = 0,
-    experiment: str = "sensitivity",
 ) -> list[ResultRow]:
     """Objective degradation of the exact optimum under structured edits.
 
-    Grid cells are (problem preset, edit kind, edit count); each cell holds
-    num_problems * num_replicates ratios, plus count=0 control rows that are
-    identically 1.0. paper_scale raises the volume to 15 problems and 5
-    replicates (2025 grid points).
+    Grid cells are (problem preset, edit kind, edit count 1-3) on 5-task,
+    2-agent instances; each cell holds 5 problems x 2 replicates of ratios,
+    plus count=0 control rows that are identically 1.0. paper_scale raises
+    the volume to 15 problems and 5 replicates (2025 grid points).
     """
-    if paper_scale:
-        num_problems, num_replicates = 15, 5
+    num_problems, num_replicates = (15, 5) if paper_scale else (5, 2)
     rows: list[ResultRow] = []
-    for pk in presets:
+    for pk in PROBLEM_KINDS:
         for p in range(num_problems):
-            stream = derive_seed(master_seed, experiment, pk, "problem", p)
+            stream = derive_seed(master_seed, "sensitivity", pk, "problem", p)
             # deadline-free instances keep every edit re-timeable
-            cfg = make_config(pk, num_agents=num_agents, num_tasks=num_tasks,
-                              fraction_with_deadlines=0.0, rng_seed=stream)
-            problem = generate_instance(cfg)
+            problem = generate_instance(make_config(
+                pk, num_agents=2, num_tasks=5, fraction_with_deadlines=0.0,
+                rng_seed=stream))
             optimal = branch_and_bound(problem, gap_threshold=0.0).schedule
             assert optimal is not None  # expert-feasible instances always solve
-            for kind in kinds:
-                for count in (0,) + tuple(counts):
+            for kind in PERTURBATION_KINDS:
+                for count in range(4):
                     for r in range(num_replicates):
                         pseed = derive_seed(stream, kind, count, r)
                         condition = condition_label(preset=pk, kind=kind,
                                                     count=count)
                         try:
-                            edited = perturb(problem, optimal, kind, count,
-                                             rng_seed=pseed)
+                            metric, value = "objective_ratio", objective_ratio(
+                                perturb(problem, optimal, kind, count,
+                                        rng_seed=pseed), optimal)
                         except PerturbationError:
-                            rows.append(ResultRow(
-                                experiment, condition, "perturbation_failed",
-                                1.0, p * num_replicates + r, pseed))
-                            continue
-                        rows.append(ResultRow(
-                            experiment, condition, "objective_ratio",
-                            objective_ratio(edited, optimal),
-                            p * num_replicates + r, pseed))
+                            metric, value = "perturbation_failed", 1.0
+                        rows.append(ResultRow("sensitivity", condition, metric,
+                                              value, p * num_replicates + r,
+                                              pseed))
     return rows

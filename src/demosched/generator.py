@@ -21,6 +21,7 @@ from .core import (
     TaskSpec,
     travel_ticks,
 )
+from .demonstrator import Demonstration, IncompleteDemonstrationError, demonstrate
 from .heuristics import CONTENTION_THRESHOLD
 
 
@@ -168,11 +169,9 @@ def generate_instance(config: GenConfig) -> ProblemInstance:
     return generate_demonstrated(config).problem
 
 
-def generate_demonstrated(config: GenConfig):
+def generate_demonstrated(config: GenConfig) -> Demonstration:
     """The Demonstration, noise-free with rng_seed 0, that verified the
     instance `generate_instance` returns for `config`."""
-    from .demonstrator import IncompleteDemonstrationError, demonstrate
-
     rng = np.random.default_rng(config.rng_seed)
     last_error: Exception | None = None
     for _ in range(config.max_retries):

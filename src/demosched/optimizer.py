@@ -294,15 +294,13 @@ def branch_and_bound(
         "pruned_bound": pruned_bound,
         "peak_open": peak_open,
     }
-    if incumbent is None:
+    if incumbent is None and status == "optimal":
         # a limit hit before any incumbent is not proof of infeasibility
-        final = status if status in ("node_limit", "time_limit") else "infeasible"
-        return BnBResult(None, None, global_lb, float("inf"), nodes_explored, wall,
-                         seeded, seed_objective, tuple(trace), final, stats)
+        status = "infeasible"
     lb = min(global_lb, ub)
     return BnBResult(
         schedule=incumbent,
-        objective=incumbent.objective,
+        objective=None if incumbent is None else incumbent.objective,
         lower_bound=lb,
         gap=gap_of(lb),
         nodes_explored=nodes_explored,
@@ -394,6 +392,7 @@ def brute_force_optimal(problem: ProblemInstance) -> Schedule | None:
 # ---------------------------------------------------------------------------
 
 PERTURBATION_KINDS = ("swap", "steal", "sequence")
+_PERTURB_RETRIES = 200  # edit draws before perturb gives up
 
 
 class PerturbationError(RuntimeError):
@@ -406,7 +405,6 @@ def perturb(
     kind: str,
     count: int,
     rng_seed: int = 0,
-    max_retries: int = 200,
 ) -> Schedule:
     """Apply `count` random edits of one kind, then re-time from scratch.
 
@@ -428,7 +426,7 @@ def perturb(
     n = len(base)
     if n < 2:
         raise PerturbationError("schedule too small to perturb")
-    for _ in range(max_retries):
+    for _ in range(_PERTURB_RETRIES):
         order = list(base)
         for _ in range(count):
             if kind == "sequence":
@@ -457,7 +455,7 @@ def perturb(
                 return result
     raise PerturbationError(
         f"no feasible {kind} perturbation with count={count} "
-        f"after {max_retries} attempts"
+        f"after {_PERTURB_RETRIES} attempts"
     )
 
 

@@ -155,6 +155,21 @@ def test_experiment_sensitivity(workspace, runner):
     assert header == "experiment,condition,metric,value,replicate,seed"
 
 
+@pytest.mark.parametrize("args", [
+    ["accuracy", "--demos", "2", "--num-seeds", "1"],
+    ["baselines", "--demos", "2", "--num-seeds", "1"],
+    ["covas", "--instances", "1", "--tasks", "5"],
+], ids=" ".join)
+def test_experiment_run_through(workspace, runner, args):
+    """Each experiment command runs its driver with the options it passes."""
+    out = str(workspace["root"] / f"{args[0]}.csv")
+    result = runner.invoke(main, ["experiment", *args, "--out", out])
+    assert result.exit_code == 0, result.output
+    with open(out) as fh:
+        header = fh.readline().strip()
+    assert header == "experiment,condition,metric,value,replicate,seed"
+
+
 def _with_required(workspace, args):
     """`args` plus whatever its command requires besides the option tried."""
     out = str(workspace["root"] / "never_written.json")

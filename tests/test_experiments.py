@@ -1,11 +1,15 @@
+import hashlib
+import inspect
+import json
+
 import numpy as np
 import pytest
 
 from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import (
     CSV_FIELDS,
-    KIND_OVERRIDES,
     KIND_PRESETS,
+    PROBLEM_KINDS,
     ResultRow,
     collect_demos,
     condition_label,
@@ -43,7 +47,7 @@ def test_condition_label_sorted():
 
 def test_make_config_applies_kind_overrides():
     cfg = make_config("dense", num_tasks=8)
-    assert cfg.grid == KIND_OVERRIDES["dense"]["grid"]
+    assert cfg.grid == KIND_PRESETS["dense"][1]["grid"]
     assert cfg.num_tasks == 8
     assert set(KIND_PRESETS) == {"travel", "contention", "temporal", "dense"}
 
@@ -74,12 +78,25 @@ def test_noise_free_demos_reuse_the_verifying_run(monkeypatch):
         runs.append(1)
         return demonstrate(*args, **kwargs)
 
-    # the generator imports the expert lazily from its module
-    monkeypatch.setattr("demosched.demonstrator.demonstrate", counted)
+    monkeypatch.setattr("demosched.generator.demonstrate", counted)
     monkeypatch.setattr("demosched.experiments.demonstrate", counted)
     demos = collect_demos(kinds, 4, 0.0, stream, num_tasks=5)
     assert [demonstration_to_dict(d) for d in demos] == expected
     assert len(runs) == 4
+
+
+def test_noisy_demos_rerun_the_expert():
+    """Above epsilon 0 each demo is a fresh noisy expert run on the
+    generated problem, with its own derived seed."""
+    kinds, stream = ["dense", "contention"], 5
+    demos = collect_demos(kinds, 4, 0.3, stream, num_tasks=6)
+    for i, demo in enumerate(demos):
+        kind = kinds[i % 2]
+        cfg = make_config(kind, num_tasks=6, rng_seed=derive_seed(stream, "gen", kind, i))
+        expected = demonstrate(generate_instance(cfg), 0.3,
+                               derive_seed(stream, "demo", kind, i),
+                               cfg.contention_threshold)
+        assert demonstration_to_dict(demo) == demonstration_to_dict(expected)
 
 
 class TestCsvRoundtrip:
@@ -183,3 +200,83 @@ class TestSensitivityGrid:
                 and "count=0" not in r.condition]
         assert len(data) + sum(r.metric == "perturbation_failed"
                                for r in rows) == 2025
+
+
+# ---------------------------------------------------------------------------
+# Golden rows
+# ---------------------------------------------------------------------------
+
+def _rows_digest(rows) -> str:
+    """SHA-256 of the rows, with wall-clock metrics zeroed."""
+    records = [[r.experiment, r.condition, r.metric,
+                0.0 if r.metric.startswith("wall_") else float(r.value),
+                r.replicate, r.seed] for r in rows]
+    return hashlib.sha256(json.dumps(records).encode()).hexdigest()
+
+
+def _demos_digest(demos) -> str:
+    return hashlib.sha256(json.dumps(
+        [demonstration_to_dict(d) for d in demos], sort_keys=True).encode()).hexdigest()
+
+
+_GOLDEN_RUNS = {
+    "accuracy": lambda: run_accuracy_sweep(
+        num_demos=9, num_seeds=1, num_tasks=6, kinds=("temporal", "travel"),
+        min_leaf=None, master_seed=9),
+    "accuracy-noisy": lambda: run_accuracy_sweep(
+        num_demos=4, epsilon=0.3, num_seeds=2, num_agents=3, num_tasks=5,
+        kinds=("dense",), min_leaf=2, master_seed=4),
+    "baselines": lambda: run_baseline_comparison(
+        num_demos=9, epsilon=0.3, num_seeds=1, num_tasks=6,
+        kinds=("dense", "temporal"), master_seed=5),
+    "covas": lambda: run_covas_benchmark(
+        num_instances=2, num_tasks=5, train_num_tasks=6, train_demos=4,
+        node_limit=200, master_seed=5),
+    "sensitivity": lambda: run_sensitivity_grid(master_seed=2),
+}
+
+# Recorded with the drivers as they were before the replicate loop, the
+# demo path and the kind table were each shared, and before the parameters
+# no caller set were removed.
+GOLDEN_ROWS = {
+    "accuracy": "cae6039341d23ded76244df303c68a68a895cd8aef31475377def7b95fec2b2e",
+    "accuracy-noisy": "3d1245ae337941223d9cf22a02ad955db0b17b149ee9f258facf2913449630e4",
+    "baselines": "a5bc463b76ebe10a613f86172f46a7aef2f187170930127fb5fe393e4980c27a",
+    "covas": "73af281a96ab2fcba5ea00bd7961cc651c6681c492e21d2ce9fde2f397a17983",
+    "sensitivity": "4b220a92082253f4f196df3b6fb5817246065d439a7fb17536c783c488555ef6",
+    "demos-0.0": "6303997b48b536c5c8ae0abc2e37d141fb08e338234073a7f72d29dd9d508c9b",
+    "demos-0.3": "3b604f2a06de2976c2bf3cd24455f7482f356222c847f358bd3e3a5d6071a109",
+}
+
+
+def test_golden_rows():
+    got = {name: _rows_digest(run()) for name, run in _GOLDEN_RUNS.items()}
+    kinds = ["travel", "contention", "temporal", "dense"]
+    for epsilon in (0.0, 0.3):
+        got[f"demos-{epsilon}"] = _demos_digest(
+            collect_demos(kinds, 4, epsilon, 11, num_tasks=5))
+    assert got == GOLDEN_ROWS
+
+
+def test_driver_signatures():
+    """Every option a driver takes, with its default. The CLI, the tests and
+    the benchmark set all of these; a new one needs a caller."""
+    def options(f):
+        return [(name, p.default) for name, p in inspect.signature(f).parameters.items()]
+
+    empty = inspect.Parameter.empty
+    assert options(collect_demos) == [
+        ("kinds", empty), ("num_demos", empty), ("epsilon", empty),
+        ("stream_seed", empty), ("num_agents", 2), ("num_tasks", 20)]
+    assert options(run_accuracy_sweep) == [
+        ("num_demos", 150), ("epsilon", 0.0), ("num_seeds", 5), ("num_agents", 2),
+        ("num_tasks", 20), ("kinds", PROBLEM_KINDS), ("min_leaf", 10),
+        ("master_seed", 0)]
+    assert options(run_baseline_comparison) == [
+        ("num_demos", 50), ("epsilon", 0.0), ("num_seeds", 5), ("num_tasks", 20),
+        ("kinds", PROBLEM_KINDS), ("master_seed", 0)]
+    assert options(run_covas_benchmark) == [
+        ("num_instances", 20), ("num_tasks", 9), ("train_num_tasks", None),
+        ("train_demos", 30), ("node_limit", None), ("time_limit", None),
+        ("master_seed", 0)]
+    assert options(run_sensitivity_grid) == [("paper_scale", False), ("master_seed", 0)]

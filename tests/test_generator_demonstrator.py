@@ -102,9 +102,7 @@ class TestGenerateInstance:
         def always_fails(problem, **kw):
             raise IncompleteDemonstrationError("stub")
 
-        # generate_instance imports the expert lazily from the module
-        monkeypatch.setattr("demosched.demonstrator.demonstrate",
-                            always_fails)
+        monkeypatch.setattr("demosched.generator.demonstrate", always_fails)
         with pytest.raises(GenerationError):
             generate_instance(preset("temporal", num_tasks=3, max_retries=2))
 
