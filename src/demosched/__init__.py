@@ -12,7 +12,6 @@ from .core import (
     StructuralError,
     TaskSpec,
     Violation,
-    makespan,
     validate_schedule,
 )
 from .demonstrator import Demonstration, IncompleteDemonstrationError, demonstrate
@@ -24,14 +23,12 @@ from .optimizer import (
     brute_force_optimal,
     objective_ratio,
     perturb,
-    warm_start_optimize,
 )
 from .policy import (
     HeuristicPolicy,
     Metrics,
     PolicyModel,
     cross_validate_min_leaf,
-    detect_anomalies,
     evaluate,
     split_demos,
     train_policy,
@@ -68,10 +65,8 @@ __all__ = [
     "construct_schedule",
     "cross_validate_min_leaf",
     "demonstrate",
-    "detect_anomalies",
     "evaluate",
     "generate_instance",
-    "makespan",
     "objective_ratio",
     "perturb",
     "preset",
@@ -79,6 +74,5 @@ __all__ = [
     "split_demos",
     "train_policy",
     "validate_schedule",
-    "warm_start_optimize",
     "__version__",
 ]

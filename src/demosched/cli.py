@@ -49,6 +49,7 @@ COUNT = click.IntRange(min=1)
 # the 85/15 train/test split needs at least one held-out demonstration
 DEMOS = click.IntRange(min=2)
 PROBABILITY = click.FloatRange(0.0, 1.0)
+SECONDS = click.FloatRange(min=0.0)
 
 
 def _load(path, parse):
@@ -165,8 +166,8 @@ def schedule(problem_path, model_path, no_schedulability_test, fallback_depth, o
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
 @click.option("--seed-schedule", "seed_path", type=click.Path(exists=True))
 @click.option("--gap", type=click.FloatRange(min=0.0), default=1e-3, show_default=True)
-@click.option("--node-limit", type=int)
-@click.option("--time-limit", type=float, help="Seconds.")
+@click.option("--node-limit", type=click.IntRange(min=0))
+@click.option("--time-limit", type=SECONDS, help="Seconds.")
 @click.option("--out", type=click.Path(), required=True)
 def optimize(problem_path, seed_path, gap, node_limit, time_limit, out):
     """Minimize makespan exactly, optionally warm-started from a schedule."""
@@ -237,7 +238,7 @@ def baselines(demos, epsilon, num_seeds, seed, out):
 @click.option("--instances", type=COUNT, default=20, show_default=True)
 @click.option("--tasks", type=COUNT, default=9, show_default=True)
 @click.option("--train-tasks", type=COUNT, help="Train the policy at a different size.")
-@click.option("--time-limit", type=float, help="Per search, seconds.")
+@click.option("--time-limit", type=SECONDS, help="Per search, seconds.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())
 def covas(instances, tasks, train_tasks, time_limit, seed, out):

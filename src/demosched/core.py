@@ -437,10 +437,6 @@ class Schedule:
         raise StructuralError(f"task {task_id!r} not in schedule")
 
 
-def makespan(schedule: Schedule) -> int:
-    return max((e.finish for e in schedule.entries), default=0)
-
-
 @dataclass(frozen=True)
 class Violation:
     kind: str  # wait | abs_deadline | resource_overlap | agent_overlap |
@@ -575,6 +571,11 @@ def problem_from_dict(data: dict) -> ProblemInstance:
         unknown = sorted(k for k, v in t.items() if k not in TASK_KEYS and v)
         if unknown:
             raise StructuralError(f"task {t.get('id')!r} sets unsupported {unknown}")
+        deadline = t.get("abs_deadline")
+        if deadline is not None and type(deadline) is not int:  # bool is refused too
+            raise StructuralError(
+                f"task {t.get('id')!r} abs_deadline must be an integer or null, "
+                f"got {deadline!r}")
     return ProblemInstance(
         grid_size=tuple(data["grid_size"]),
         agents=tuple(

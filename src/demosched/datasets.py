@@ -8,7 +8,6 @@ set for the act classifier. Each row shape has one encoder (`pair_rows`,
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,13 +25,6 @@ class Dataset:
 
     def __len__(self) -> int:
         return len(self.y)
-
-    def to_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(self.feature_names) + ["label"])
-            for row, label in zip(self.X, self.y):
-                writer.writerow([repr(float(v)) for v in row] + [int(label)])
 
 
 PAIRWISE_FEATURE_NAMES = CONTEXT_FEATURE_NAMES + tuple(

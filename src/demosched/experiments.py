@@ -83,13 +83,6 @@ def write_rows_csv(rows: list[ResultRow], path: str) -> None:
                           r.replicate, r.seed] for r in rows)
 
 
-def read_rows_csv(path: str) -> list[ResultRow]:
-    with open(path, newline="") as fh:
-        return [ResultRow(rec["experiment"], rec["condition"], rec["metric"],
-                          float(rec["value"]), int(rec["replicate"]), int(rec["seed"]))
-                for rec in csv.DictReader(fh)]
-
-
 def summarize(rows: list[ResultRow]) -> dict[tuple[str, str, str], tuple[float, float, int]]:
     """(experiment, condition, metric) -> (mean, stddev, count)."""
     groups: dict[tuple[str, str, str], list[float]] = {}

@@ -2,9 +2,9 @@
 
 Every generated instance is replayed once by the noise-free mock expert; if
 the expert cannot finish all tasks inside the horizon the instance is
-discarded and redrawn (bounded retries). `generate_demonstrated` hands that
-verifying demonstration back, so a caller that wants the noise-free
-demonstration does not run the expert twice.
+discarded and redrawn, at most `MAX_RETRIES` draws in all.
+`generate_demonstrated` hands that verifying demonstration back, so a caller
+that wants the noise-free demonstration does not run the expert twice.
 """
 
 from __future__ import annotations
@@ -25,6 +25,12 @@ from .demonstrator import Demonstration, IncompleteDemonstrationError, demonstra
 from .heuristics import CONTENTION_THRESHOLD
 
 
+FRACTION_WITH_WAITS = 0.25
+DURATION_RANGE = (2, 8)
+DEADLINE_SLACK = (0.6, 1.4)  # multiplies serial load
+MAX_RETRIES = 25
+
+
 class GenerationError(RuntimeError):
     """Retry budget exhausted without a demonstrably feasible instance."""
 
@@ -35,22 +41,15 @@ class GenConfig:
     num_tasks: int = 20
     grid: tuple[int, int] = (20, 20)
     homogeneous: bool = True
-    fraction_with_waits: float = 0.25
     fraction_with_deadlines: float = 0.6
     num_resources: int = 10
-    duration_range: tuple[int, int] = (2, 8)
     speed_range: tuple[float, float] = (1.5, 3.0)
-    deadline_slack: tuple[float, float] = (0.6, 1.4)  # multiplies serial load
     rng_seed: int = 0
     contention_threshold: int = CONTENTION_THRESHOLD
-    max_retries: int = 25
 
     def __post_init__(self):
-        for p in (self.fraction_with_waits, self.fraction_with_deadlines):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError("fractions must be in [0, 1]")
-        if self.duration_range[0] > self.duration_range[1] or self.duration_range[0] <= 0:
-            raise ValueError("bad duration range")
+        if not 0.0 <= self.fraction_with_deadlines <= 1.0:
+            raise ValueError("fraction_with_deadlines must be in [0, 1]")
         if self.speed_range[0] > self.speed_range[1] or self.speed_range[0] <= 0:
             raise ValueError("bad speed range")
         if min(self.num_agents, self.num_tasks, self.num_resources) < 1:
@@ -97,7 +96,7 @@ def _sample_instance(config: GenConfig, rng: np.random.Generator) -> ProblemInst
         )
         for i in range(config.num_agents)
     )
-    lo, hi = config.duration_range
+    lo, hi = DURATION_RANGE
     min_speed = min(a.speed for a in agents)
     diag = math.hypot(width, height)
     max_travel = travel_ticks(diag, min_speed)
@@ -123,7 +122,7 @@ def _sample_instance(config: GenConfig, rng: np.random.Generator) -> ProblemInst
                       for _ in range(config.num_tasks)]
     waits: list[tuple[tuple[str, int], ...]] = []
     for i in range(config.num_tasks):
-        if i > 0 and rng.random() < config.fraction_with_waits:
+        if i > 0 and rng.random() < FRACTION_WITH_WAITS:
             pred = int(rng.integers(i))  # earlier index keeps the graph acyclic
             waits.append(((_task_id(pred, config.num_tasks), int(rng.integers(0, 5))),))
         else:
@@ -139,7 +138,7 @@ def _sample_instance(config: GenConfig, rng: np.random.Generator) -> ProblemInst
     for i in range(config.num_tasks):
         if rng.random() < config.fraction_with_deadlines:
             floor = int(max(d for d in durations[i].values())) + max_travel + 2
-            slack = rng.uniform(*config.deadline_slack)
+            slack = rng.uniform(*DEADLINE_SLACK)
             deadlines.append(max(floor, int(round(slack * load))))
         else:
             deadlines.append(None)
@@ -174,7 +173,7 @@ def generate_demonstrated(config: GenConfig) -> Demonstration:
     instance `generate_instance` returns for `config`."""
     rng = np.random.default_rng(config.rng_seed)
     last_error: Exception | None = None
-    for _ in range(config.max_retries):
+    for _ in range(MAX_RETRIES):
         problem = _sample_instance(config, rng)
         try:
             return demonstrate(problem, epsilon=0.0, rng_seed=0,
@@ -182,5 +181,5 @@ def generate_demonstrated(config: GenConfig) -> Demonstration:
         except (IncompleteDemonstrationError, InfeasibleActionError) as exc:
             last_error = exc
     raise GenerationError(
-        f"no feasible instance after {config.max_retries} draws: {last_error}"
+        f"no feasible instance after {MAX_RETRIES} draws: {last_error}"
     )

@@ -50,7 +50,6 @@ from .core import (
     earliest_start,
     validate_schedule,
 )
-from .scheduler import SchedulerConfig, construct_schedule
 
 GAP_THRESHOLD = 1e-3
 
@@ -311,17 +310,6 @@ def branch_and_bound(
         status=status,
         stats=stats,
     )
-
-
-def warm_start_optimize(
-    problem: ProblemInstance,
-    policy,
-    scheduler_config: SchedulerConfig = SchedulerConfig(),
-    **bnb_kwargs,
-) -> BnBResult:
-    """Build a schedule with the policy, then use it to seed the search."""
-    seed = construct_schedule(problem, policy, scheduler_config)
-    return branch_and_bound(problem, seed=seed, **bnb_kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,6 @@ agent should stay idle.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +64,6 @@ class PolicyModel(_LearnedPolicy):
     def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
         self.priority_tree = priority_tree
         self.act_tree = act_tree
-        self.feature_schema = FEATURE_SCHEMA
 
     def pair_matrix(self, context, task_features, pool: list[str]) -> np.ndarray:
         """Entry [i, j] is the tree's probability that pool[i] ranks above
@@ -84,7 +82,7 @@ class PolicyModel(_LearnedPolicy):
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_VERSION,
-            "feature_schema": self.feature_schema,
+            "feature_schema": FEATURE_SCHEMA,
             "kind": "pairwise",
             "priority_tree": self.priority_tree.to_dict(),
             "act_tree": self.act_tree.to_dict(),
@@ -271,53 +269,3 @@ def split_demos(
     train = [demos[i] for i in order[:cut]]
     test = [demos[i] for i in order[cut:]]
     return train, test
-
-
-# ---------------------------------------------------------------------------
-# Ranking anomaly detection
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AnomalyReport:
-    cycles: tuple[tuple[str, str, str], ...]
-    disagreements: tuple[tuple[str, str], ...]
-
-    @property
-    def clean(self) -> bool:
-        return not self.cycles and not self.disagreements
-
-
-def detect_anomalies(
-    model: PolicyModel,
-    context: ContextFeatures,
-    task_features: dict[str, TaskFeatures],
-    pool: list[str] | None = None,
-) -> AnomalyReport:
-    """Find intransitive pairwise triples and pairs where the pairwise
-    winner loses the cumulative ranking."""
-    ids = sorted(pool if pool is not None else task_features)
-    if not ids:
-        raise ValueError("empty candidate pool")
-    if len(ids) == 1:
-        return AnomalyReport(cycles=(), disagreements=())
-    probs = model.pair_matrix(context, task_features, ids)
-    wins = {
-        (i, j): probs[a, b] > 0.5
-        for a, i in enumerate(ids)
-        for b, j in enumerate(ids)
-        if a != b
-    }
-    cycles = []
-    for i, j, k in itertools.combinations(ids, 3):
-        if wins[(i, j)] and wins[(j, k)] and wins[(k, i)]:
-            cycles.append((i, j, k))
-        elif wins[(j, i)] and wins[(k, j)] and wins[(i, k)]:
-            cycles.append((i, k, j))
-    scores = dict(zip(ids, probs.sum(axis=1)))
-    disagreements = [
-        (i, j)
-        for i in ids
-        for j in ids
-        if i != j and wins[(i, j)] and scores[j] > scores[i]
-    ]
-    return AnomalyReport(cycles=tuple(cycles), disagreements=tuple(disagreements))

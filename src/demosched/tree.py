@@ -100,14 +100,6 @@ class DecisionTree:
         # probability exactly 0.5 counts as positive
         return (self.predict_proba(X) >= 0.5).astype(int)
 
-    def depth(self) -> int:
-        self._check_fitted()
-        # parents are stored before their children
-        depths = [0] * len(self.feature)
-        for i in np.flatnonzero(self.feature >= 0).tolist():
-            depths[self.left[i]] = depths[self.right[i]] = depths[i] + 1
-        return max(depths)
-
     def num_leaves(self) -> int:
         self._check_fitted()
         return int((self.feature < 0).sum())

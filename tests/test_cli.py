@@ -201,9 +201,12 @@ def _with_required(workspace, args):
     ["schedule", "--fallback-depth", "0"],
     ["schedule", "--fallback-depth", "-3"],
     ["optimize", "--gap", "-1"],
+    ["optimize", "--node-limit", "-5"],
+    ["optimize", "--time-limit", "-1"],
+    ["experiment", "covas", "--time-limit", "-1"],
 ], ids=" ".join)
 def test_out_of_range_option_is_usage_error(workspace, runner, args):
-    """An out-of-range count, probability, depth or gap exits 2 with the
+    """An out-of-range count, probability, depth, gap or limit exits 2 with the
     option named, rather than a traceback, a silent clamp or an experiment
     that runs no replicate and prints an empty line."""
     result = runner.invoke(main, _with_required(workspace, args))
@@ -226,11 +229,13 @@ def _assert_error_message(result, path):
 
 
 @pytest.mark.parametrize("command", ["demonstrate", "schedule", "optimize"])
-@pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0"])
+@pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0", "string-deadline"])
 def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
     data = load_json(workspace["problem"])
     if flaw == "schema-v0":
         data["schema_version"] = "v0"
+    elif flaw == "string-deadline":
+        data["tasks"][0]["abs_deadline"] = str(data["tasks"][0]["abs_deadline"])
     else:
         first, second = data["tasks"][:2]
         first["waits"] = [[second["id"], 0]]

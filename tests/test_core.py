@@ -14,7 +14,6 @@ from demosched.core import (
     apply_action,
     euclidean,
     load_json,
-    makespan,
     problem_from_dict,
     problem_to_dict,
     save_json,
@@ -274,7 +273,6 @@ class TestSchedule:
         schedule = Schedule.from_entries(entries, tiny_problem)
         assert [e.task_id for e in schedule.entries] == ["tA", "tC", "tB"]
         assert schedule.objective == 8
-        assert makespan(schedule) == 8
         assert schedule.complete
 
     def test_incomplete_flag(self, tiny_problem):
@@ -385,6 +383,14 @@ class TestSerialization:
         data = problem_to_dict(tiny_problem)
         data["tasks"][1]["waits"] = [["tA", -4]]
         with pytest.raises(StructuralError, match="negative wait gap"):
+            problem_from_dict(data)
+
+    @pytest.mark.parametrize("deadline", ["39", 39.0, True])
+    def test_non_integer_deadline_rejected(self, tiny_problem, deadline):
+        # the solvers compare deadlines with integer finish times
+        data = problem_to_dict(tiny_problem)
+        data["tasks"][0]["abs_deadline"] = deadline
+        with pytest.raises(StructuralError, match="'tA' abs_deadline must be an integer"):
             problem_from_dict(data)
 
     def test_file_roundtrip(self, tiny_problem, tmp_path):

@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 
@@ -127,14 +125,3 @@ class TestNaiveDataset:
         with pytest.raises(HeterogeneousTaskCountError):
             build_naive_dataset([temporal_demo, small])
 
-
-def test_to_csv_roundtrip(tmp_path, temporal_demo):
-    ds = build_pairwise_dataset([temporal_demo])
-    path = tmp_path / "data.csv"
-    ds.to_csv(str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == list(PAIRWISE_FEATURE_NAMES) + ["label"]
-    assert len(rows) == len(ds) + 1
-    back = np.array([[float(v) for v in r[:-1]] for r in rows[1:]])
-    assert np.array_equal(back, ds.X)  # repr() round-trips floats exactly

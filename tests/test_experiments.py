@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -5,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+import demosched
 from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import (
     CSV_FIELDS,
@@ -16,7 +19,6 @@ from demosched.experiments import (
     derive_seed,
     format_summary,
     make_config,
-    read_rows_csv,
     run_accuracy_sweep,
     run_baseline_comparison,
     run_covas_benchmark,
@@ -24,7 +26,7 @@ from demosched.experiments import (
     summarize,
     write_rows_csv,
 )
-from demosched.generator import generate_instance
+from demosched.generator import GenConfig, generate_instance
 
 
 class TestSeedDerivation:
@@ -110,7 +112,13 @@ class TestCsvRoundtrip:
     def test_roundtrip(self, tmp_path):
         path = str(tmp_path / "rows.csv")
         write_rows_csv(self._rows(), path)
-        assert read_rows_csv(path) == self._rows()
+        with open(path, newline="") as fh:
+            assert list(csv.reader(fh)) == [
+                list(CSV_FIELDS),
+                ["exp", "cond=a", "sensitivity", "0.9", "0", "42"],
+                ["exp", "cond=a", "sensitivity", "0.8", "1", "43"],
+                ["exp", "cond=b", "specificity", "1.0", "0", "44"],
+            ]
 
     def test_header(self, tmp_path):
         path = str(tmp_path / "rows.csv")
@@ -280,3 +288,29 @@ def test_driver_signatures():
         ("train_demos", 30), ("node_limit", None), ("time_limit", None),
         ("master_seed", 0)]
     assert options(run_sensitivity_grid) == [("paper_scale", False), ("master_seed", 0)]
+
+
+def test_genconfig_fields():
+    """Every generator knob, with its default; a new one needs a caller."""
+    assert [(f.name, f.default) for f in dataclasses.fields(GenConfig)] == [
+        ("num_agents", 2), ("num_tasks", 20), ("grid", (20, 20)),
+        ("homogeneous", True), ("fraction_with_deadlines", 0.6),
+        ("num_resources", 10), ("speed_range", (1.5, 3.0)), ("rng_seed", 0),
+        ("contention_threshold", 100)]
+
+
+def test_package_exports():
+    """The names `import demosched` offers; a new one needs a caller."""
+    assert sorted(demosched.__all__) == [
+        "AgentSpec", "BnBResult", "DecisionTree", "Demonstration",
+        "FeasibilityReport", "GenConfig", "GenerationError", "HeuristicPolicy",
+        "IncompleteDemonstrationError", "InfeasibleActionError", "Metrics",
+        "PerturbationError", "PolicyModel", "ProblemInstance", "Schedule",
+        "ScheduleEntry", "SchedulerConfig", "SimState", "StructuralError",
+        "TaskSpec", "Violation", "__version__", "branch_and_bound",
+        "brute_force_optimal", "construct_schedule", "cross_validate_min_leaf",
+        "demonstrate", "evaluate", "generate_instance", "objective_ratio",
+        "perturb", "preset", "schedulability_test", "split_demos",
+        "train_policy", "validate_schedule"]
+    for name in demosched.__all__:
+        assert hasattr(demosched, name), name

@@ -14,7 +14,13 @@ from demosched.demonstrator import (
     demonstration_to_dict,
 )
 from demosched.features import extract_features
-from demosched.generator import GenConfig, GenerationError, generate_instance, preset
+from demosched.generator import (
+    DURATION_RANGE,
+    GenConfig,
+    GenerationError,
+    generate_instance,
+    preset,
+)
 from demosched.heuristics import RuleKind, expert_choice
 from demosched.simulate import run_simulation
 
@@ -24,10 +30,8 @@ class TestGenConfig:
         GenConfig()
 
     @pytest.mark.parametrize("kw", [
-        {"fraction_with_waits": -0.1},
+        {"fraction_with_deadlines": -0.1},
         {"fraction_with_deadlines": 1.5},
-        {"duration_range": (0, 5)},
-        {"duration_range": (6, 5)},
         {"speed_range": (0.0, 1.0)},
         {"speed_range": (2.0, 1.0)},
         {"num_agents": 0},
@@ -76,7 +80,7 @@ class TestGenerateInstance:
         problem = generate_instance(cfg)
         assert len(problem.tasks) == 7
         assert len(problem.agents) == 3
-        lo, hi = cfg.duration_range
+        lo, hi = DURATION_RANGE
         for t in problem.tasks:
             assert all(lo <= d <= hi for d in t.durations.values())
         slo, shi = cfg.speed_range
@@ -103,8 +107,9 @@ class TestGenerateInstance:
             raise IncompleteDemonstrationError("stub")
 
         monkeypatch.setattr("demosched.generator.demonstrate", always_fails)
+        monkeypatch.setattr("demosched.generator.MAX_RETRIES", 2)
         with pytest.raises(GenerationError):
-            generate_instance(preset("temporal", num_tasks=3, max_retries=2))
+            generate_instance(preset("temporal", num_tasks=3))
 
 
 class TestDemonstrate:

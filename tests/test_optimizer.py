@@ -34,7 +34,6 @@ from demosched.optimizer import (
     objective_ratio,
     perturb,
     timed_schedule,
-    warm_start_optimize,
 )
 from demosched.policy import HeuristicPolicy
 from demosched.heuristics import RuleKind
@@ -142,8 +141,8 @@ class TestWarmStart:
         for seed_idx in range(5):
             problem = generate_instance(preset("temporal", num_tasks=6,
                                                rng_seed=200 + seed_idx))
-            greedy = warm_start_optimize(
-                problem, HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS))
+            greedy = branch_and_bound(problem, seed=construct_schedule(
+                problem, HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)))
             cold = branch_and_bound(problem)
             assert greedy.seeded
             assert greedy.nodes_explored <= cold.nodes_explored
@@ -598,6 +597,6 @@ class TestStats:
         policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
         for label, problem, node_limit in list(_golden_corpus())[:3]:
             cold = branch_and_bound(problem).stats
-            warm = warm_start_optimize(problem, policy).stats
+            warm = branch_and_bound(problem, seed=construct_schedule(problem, policy)).stats
             for key in ("bound_evals", "children_generated"):
                 assert warm[key] <= cold[key], (label, key)

@@ -15,7 +15,6 @@ from demosched.policy import (
     Metrics,
     PolicyModel,
     cross_validate_min_leaf,
-    detect_anomalies,
     evaluate,
     split_demos,
     train_naive,
@@ -91,6 +90,21 @@ class TestPolicyModel:
         scores = model.scores(CTX, feats, ["tA", "tB"])
         assert set(scores) == {"tA", "tB"}
         assert scores["tB"] > scores["tA"]
+
+    def test_scores_sum_the_pair_matrix(self):
+        """On an intransitive tree (a task wins when its deadline is one
+        lower, or three higher) each score is its pair-matrix row sum."""
+        rows = np.zeros((6, 9))
+        rows[:, 2] = [-2.0, -1.0, -1.0, -1.0, 1.0, 2.0]  # delta_deadline
+        priority = DecisionTree(min_leaf=1).fit(rows, np.array([0, 1, 1, 0, 0, 1]))
+        act = DecisionTree(min_leaf=1).fit(np.zeros((2, 9)), np.array([1, 1]))
+        model = PolicyModel(priority_tree=priority, act_tree=act)
+        feats = {"tA": tf(1), "tB": tf(2), "tC": tf(3), "tD": tf(5)}
+        ids = sorted(feats)
+        probs = model.pair_matrix(CTX, feats, ids)
+        assert probs.shape == (4, 4)
+        scores = model.scores(CTX, feats, ids)
+        assert [scores[tid] for tid in ids] == probs.sum(axis=1).tolist()
 
     def test_roundtrip(self):
         model = edf_model()
@@ -231,56 +245,6 @@ class TestSplitDemos:
     def test_single_demo(self, temporal_demo):
         train, test = split_demos([temporal_demo], 0.85, rng_seed=0)
         assert len(train) == 1 and len(test) == 0
-
-
-class TestAnomalies:
-    def _cyclic_model(self):
-        """Pairwise tree with rock-paper-scissors preferences: a task wins
-        when its deadline is one lower, or three higher (wrap-around)."""
-        col = 2  # delta_deadline position in the pair vector
-        rows = np.zeros((6, 9))
-        rows[:, col] = [-2.0, -1.0, -1.0, -1.0, 1.0, 2.0]
-        y = np.array([0, 1, 1, 0, 0, 1])
-        priority = DecisionTree(min_leaf=1).fit(rows, y)
-        act = DecisionTree(min_leaf=1).fit(np.zeros((2, 9)), np.array([1, 1]))
-        return PolicyModel(priority_tree=priority, act_tree=act)
-
-    def test_detects_cycle_and_disagreement(self):
-        model = self._cyclic_model()
-        feats = {"tA": tf(1), "tB": tf(2), "tC": tf(3)}
-        report = detect_anomalies(model, CTX, feats)
-        assert not report.clean
-        assert ("tA", "tB", "tC") in report.cycles
-        # B beats C pairwise but C outscores B cumulatively
-        assert ("tB", "tC") in report.disagreements
-
-    def test_wins_read_the_pair_matrix(self):
-        model = self._cyclic_model()
-        feats = {"tA": tf(1), "tB": tf(2), "tC": tf(3), "tD": tf(5)}
-        ids = sorted(feats)
-        probs = model.pair_matrix(CTX, feats, ids)
-        assert probs.shape == (4, 4)
-        scores = model.scores(CTX, feats, ids)
-        assert [scores[tid] for tid in ids] == probs.sum(axis=1).tolist()
-        report = detect_anomalies(model, CTX, feats)
-        assert report.disagreements == (("tB", "tC"),)
-        for i, j in report.disagreements:
-            assert probs[ids.index(i), ids.index(j)] > 0.5
-            assert scores[j] > scores[i]
-
-    def test_monotone_model_is_clean(self):
-        model = edf_model()
-        feats = {"tA": tf(1), "tB": tf(4), "tC": tf(7), "tD": tf(9)}
-        report = detect_anomalies(model, CTX, feats)
-        assert report.clean
-
-    def test_single_task_trivially_clean(self):
-        report = detect_anomalies(edf_model(), CTX, {"tA": tf(1)})
-        assert report.clean
-
-    def test_empty_pool_raises(self):
-        with pytest.raises(ValueError):
-            detect_anomalies(edf_model(), CTX, {})
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,6 @@ class TestFitBasics:
         tree = DecisionTree(min_leaf=1).fit(np.array([[0.0], [1.0], [2.0]]),
                                             np.array([1, 1, 1]))
         assert tree.num_leaves() == 1
-        assert tree.depth() == 0
         assert list(tree.predict_proba([[5.0]])) == [1.0]
 
     def test_linear_separable(self):
@@ -50,14 +49,14 @@ class TestFitBasics:
         y = np.array([0, 0, 1, 1])
         tree = DecisionTree(min_leaf=1).fit(X, y)
         assert list(tree.predict(X)) == [0, 0, 1, 1]
-        assert tree.depth() == 1
+        assert tree.num_leaves() == 2
 
     def test_xor_needs_zero_gain_splits(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         tree = DecisionTree(min_leaf=1).fit(X, y)
         assert list(tree.predict(X)) == list(y)
-        assert tree.depth() >= 2
+        assert tree.num_leaves() == 4
 
     def test_min_leaf_blocks_split(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -113,7 +112,7 @@ class TestFitBasics:
 
     def test_unfitted_tree_raises(self):
         tree = DecisionTree()
-        for method in (tree.depth, tree.num_leaves, tree.to_dict):
+        for method in (tree.num_leaves, tree.to_dict):
             with pytest.raises(RuntimeError, match="not fitted"):
                 method()
 
@@ -274,19 +273,6 @@ def _route(root: _Node, X: np.ndarray, idx: np.ndarray, out: np.ndarray) -> None
             stack.append((node.right, ids[~mask]))
 
 
-def _reference_depth(root: _Node) -> int:
-    best = 0
-    stack = [(root, 0)]
-    while stack:
-        node, d = stack.pop()
-        if node.is_leaf:
-            best = max(best, d)
-        else:
-            stack.append((node.left, d + 1))
-            stack.append((node.right, d + 1))
-    return best
-
-
 def _reference_num_leaves(root: _Node) -> int:
     count = 0
     stack = [root]
@@ -315,7 +301,6 @@ def test_arrays_match_reference_router(seed, rows, width, levels, near_equal, mi
     y = rng.integers(0, 2, size=rows)
     tree = DecisionTree(min_leaf=min_leaf).fit(X, y)
     root = _reference_root(tree.to_dict())
-    assert tree.depth() == _reference_depth(root)
     assert tree.num_leaves() == _reference_num_leaves(root)
 
     at_thresholds = np.repeat(X[:1], len(tree.feature), axis=0)
