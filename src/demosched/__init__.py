@@ -15,7 +15,7 @@ from .core import (
     validate_schedule,
 )
 from .demonstrator import Demonstration, IncompleteDemonstrationError, demonstrate
-from .generator import GenConfig, GenerationError, generate_instance, preset
+from .generator import GenConfig, GenerationError, generate_instance
 from .optimizer import (
     BnBResult,
     PerturbationError,
@@ -69,7 +69,6 @@ __all__ = [
     "generate_instance",
     "objective_ratio",
     "perturb",
-    "preset",
     "schedulability_test",
     "split_demos",
     "train_policy",

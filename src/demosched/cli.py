@@ -25,6 +25,7 @@ from .datasets import build_pairwise_dataset
 from .demonstrator import demonstrate as run_demonstrate
 from .demonstrator import demonstration_from_dict, demonstration_to_dict
 from .experiments import (
+    PROBLEM_KINDS,
     format_summary,
     make_config,
     run_accuracy_sweep,
@@ -61,7 +62,7 @@ def _load(path, parse):
 
 
 @main.command()
-@click.option("--kind", type=click.Choice(["travel", "contention", "temporal"]),
+@click.option("--kind", type=click.Choice(PROBLEM_KINDS),
               default="temporal", show_default=True)
 @click.option("--agents", type=COUNT, default=2, show_default=True)
 @click.option("--tasks", type=COUNT, default=20, show_default=True)

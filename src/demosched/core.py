@@ -562,6 +562,20 @@ def problem_to_dict(problem: ProblemInstance) -> dict:
     }
 
 
+def _number(value, what: str, kinds=(int, float)):
+    """`value` if it is a finite number of a type in `kinds`; a bool never is."""
+    if type(value) not in kinds or not abs(value) < math.inf:
+        noun = "an integer" if kinds == (int,) else "a finite number"
+        raise StructuralError(f"{what} must be {noun}, got {value!r}")
+    return value
+
+
+def _point(value, what: str) -> Point:
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise StructuralError(f"{what} must be two finite numbers, got {value!r}")
+    return tuple(_number(v, what) for v in value)
+
+
 def problem_from_dict(data: dict) -> ProblemInstance:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise StructuralError(f"unsupported schema version {data.get('schema_version')!r}")
@@ -571,30 +585,30 @@ def problem_from_dict(data: dict) -> ProblemInstance:
         unknown = sorted(k for k, v in t.items() if k not in TASK_KEYS and v)
         if unknown:
             raise StructuralError(f"task {t.get('id')!r} sets unsupported {unknown}")
-        deadline = t.get("abs_deadline")
-        if deadline is not None and type(deadline) is not int:  # bool is refused too
-            raise StructuralError(
-                f"task {t.get('id')!r} abs_deadline must be an integer or null, "
-                f"got {deadline!r}")
     return ProblemInstance(
-        grid_size=tuple(data["grid_size"]),
+        grid_size=_point(data["grid_size"], "grid_size"),
         agents=tuple(
-            AgentSpec(a["id"], tuple(a["start_location"]), a["speed"])
+            AgentSpec(a["id"],
+                      _point(a["start_location"], f"agent {a['id']!r} start_location"),
+                      _number(a["speed"], f"agent {a['id']!r} speed"))
             for a in data["agents"]
         ),
         tasks=tuple(
             TaskSpec(
                 id=t["id"],
-                location=tuple(t["location"]),
-                durations={k: int(v) for k, v in t["durations"].items()},
+                location=_point(t["location"], f"task {t['id']!r} location"),
+                durations={k: _number(v, f"task {t['id']!r} duration", (int,))
+                           for k, v in t["durations"].items()},
                 resource=t["resource"],
-                abs_deadline=t.get("abs_deadline"),
-                waits=tuple((w[0], int(w[1])) for w in t.get("waits", [])),
+                abs_deadline=None if t.get("abs_deadline") is None else _number(
+                    t["abs_deadline"], f"task {t['id']!r} abs_deadline", (int,)),
+                waits=tuple((pred, _number(gap, f"task {t['id']!r} wait gap", (int,)))
+                            for pred, gap in t.get("waits", [])),
             )
             for t in data["tasks"]
         ),
         resources=tuple(data["resources"]),
-        horizon=int(data["horizon"]),
+        horizon=_number(data["horizon"], "horizon", (int,)),
     )
 
 

@@ -8,7 +8,7 @@ set for the act classifier. Each row shape has one encoder (`pair_rows`,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,6 @@ from .features import CONTEXT_FEATURE_NAMES, TASK_FEATURE_NAMES
 class Dataset:
     X: np.ndarray
     y: np.ndarray
-    feature_names: tuple[str, ...]
-    class_names: tuple[str, ...] = field(default=("0", "1"))
 
     def __len__(self) -> int:
         return len(self.y)
@@ -80,7 +78,6 @@ def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
     return Dataset(
         X=rows.reshape(len(contexts), len(PAIRWISE_FEATURE_NAMES)),
         y=np.tile(np.array([1, 0], dtype=int), len(contexts) // 2),
-        feature_names=PAIRWISE_FEATURE_NAMES,
     )
 
 
@@ -100,7 +97,6 @@ def build_act_dataset(demos: list[Demonstration]) -> Dataset:
     return Dataset(
         X=np.array(rows, dtype=float).reshape(len(rows), len(POINTWISE_FEATURE_NAMES)),
         y=np.array(labels, dtype=int),
-        feature_names=POINTWISE_FEATURE_NAMES,
     )
 
 
@@ -119,7 +115,6 @@ def build_pointwise_dataset(demos: list[Demonstration]) -> Dataset:
     return Dataset(
         X=np.array(rows, dtype=float).reshape(len(rows), len(POINTWISE_FEATURE_NAMES)),
         y=np.array(labels, dtype=int),
-        feature_names=POINTWISE_FEATURE_NAMES,
     )
 
 
@@ -146,12 +141,8 @@ def build_naive_dataset(demos: list[Demonstration]) -> Dataset:
                 continue
             rows.append(wide_vector(obs.context, obs.task_features, index))
             labels.append(index[obs.scheduled[0]])
-    names = CONTEXT_FEATURE_NAMES + tuple(
-        f"task{k}_{name}" for k in range(n) for name in TASK_FEATURE_NAMES
-    )
+    width = len(CONTEXT_FEATURE_NAMES) + n * len(TASK_FEATURE_NAMES)
     return Dataset(
-        X=np.array(rows, dtype=float).reshape(len(rows), len(names)),
+        X=np.array(rows, dtype=float).reshape(len(rows), width),
         y=np.array(labels, dtype=int),
-        feature_names=names,
-        class_names=tuple(str(k) for k in range(n)),
     )

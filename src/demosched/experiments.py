@@ -16,7 +16,7 @@ import numpy as np
 from .core import validate_schedule
 from .datasets import build_pairwise_dataset
 from .demonstrator import Demonstration, demonstrate
-from .generator import GenConfig, generate_demonstrated, generate_instance, preset
+from .generator import generate_demonstrated, generate_instance, make_config
 from .optimizer import (
     PERTURBATION_KINDS,
     PerturbationError,
@@ -39,19 +39,6 @@ CSV_FIELDS = ("experiment", "condition", "metric", "value", "replicate", "seed")
 PROBLEM_KINDS = ("travel", "contention", "temporal")
 
 MIN_LEAF = 10  # the leaf size every fixed-leaf model trains with
-
-# kind -> (generator preset, overrides). Travel instances stay small: slow
-# agents on a big grid spend most of the run in transit, which bloats
-# demonstrations without adding signal. "dense" is the noise benchmark: fast
-# agents in a compact workspace make nearly every alive task a candidate, so
-# epsilon mistakes pick from many tasks and actually corrupt the training
-# signal
-KIND_PRESETS: dict[str, tuple[str, dict]] = {
-    "travel": ("travel", {"grid": (10, 10), "speed_range": (0.6, 1.0)}),
-    "contention": ("contention", {}),
-    "temporal": ("temporal", {}),
-    "dense": ("temporal", {"grid": (6, 6), "speed_range": (9.0, 12.0)}),
-}
 
 
 @dataclass(frozen=True)
@@ -103,11 +90,6 @@ def format_summary(rows: list[ResultRow]) -> str:
 # ---------------------------------------------------------------------------
 # Demonstration corpora
 # ---------------------------------------------------------------------------
-
-def make_config(kind: str, **overrides) -> GenConfig:
-    name, kind_overrides = KIND_PRESETS[kind]
-    return preset(name, **{**kind_overrides, **overrides})
-
 
 def collect_demos(
     kinds,

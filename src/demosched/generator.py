@@ -1,5 +1,18 @@
 """Random instance generation with expert-verified feasibility.
 
+`make_config` gives each problem kind's configuration. "travel",
+"contention" and "temporal" each trigger one branch of the expert's rule
+cascade:
+- "travel": slow agents. The grid stays small: on a big one agents spend
+  most of the run in transit, which bloats demonstrations without adding
+  signal.
+- "contention": two shared resources, under a contention threshold scaled
+  to the task count.
+- "temporal": a distinct resource and a deadline for every task.
+"dense" is the noise benchmark: temporal tasks, with fast agents in a
+compact workspace, make nearly every alive task a candidate, so epsilon
+mistakes pick from many tasks and actually corrupt the training signal.
+
 Every generated instance is replayed once by the noise-free mock expert; if
 the expert cannot finish all tasks inside the horizon the instance is
 discarded and redrawn, at most `MAX_RETRIES` draws in all.
@@ -10,17 +23,11 @@ that wants the noise-free demonstration does not run the expert twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    AgentSpec,
-    InfeasibleActionError,
-    ProblemInstance,
-    TaskSpec,
-    travel_ticks,
-)
+from .core import AgentSpec, ProblemInstance, TaskSpec, travel_ticks
 from .demonstrator import Demonstration, IncompleteDemonstrationError, demonstrate
 from .heuristics import CONTENTION_THRESHOLD
 
@@ -56,27 +63,22 @@ class GenConfig:
             raise ValueError("counts must be positive")
 
 
-def preset(kind: str, **overrides) -> GenConfig:
-    """Configurations that trigger each branch of the rule cascade.
+# kind -> the GenConfig fields it sets, given the task count
+KIND_FIELDS = {
+    "travel": lambda n: dict(grid=(10, 10), speed_range=(0.6, 1.0),
+                             fraction_with_deadlines=0.3),
+    "contention": lambda n: dict(num_resources=2,
+                                 contention_threshold=max(2, n * n // 4)),
+    "temporal": lambda n: dict(num_resources=n, fraction_with_deadlines=1.0),
+    "dense": lambda n: dict(num_resources=n, fraction_with_deadlines=1.0,
+                            grid=(6, 6), speed_range=(9.0, 12.0)),
+}
 
-    "travel": slow agents; "contention": few shared resources and a
-    threshold scaled to the task count; "temporal": distinct resources and
-    deadlines on every task.
-    """
-    if kind == "travel":
-        base = GenConfig(speed_range=(0.4, 0.9), fraction_with_deadlines=0.3)
-    elif kind == "contention":
-        num_tasks = int(overrides.get("num_tasks", GenConfig.num_tasks))
-        base = GenConfig(
-            num_resources=2,
-            contention_threshold=max(2, num_tasks * num_tasks // 4),
-        )
-    elif kind == "temporal":
-        num_tasks = int(overrides.get("num_tasks", GenConfig.num_tasks))
-        base = GenConfig(num_resources=num_tasks, fraction_with_deadlines=1.0)
-    else:
-        raise ValueError(f"unknown preset {kind!r}")
-    return replace(base, **overrides)
+
+def make_config(kind: str, **overrides) -> GenConfig:
+    """The configuration of problem kind `kind`, with `overrides` applied last."""
+    num_tasks = int(overrides.get("num_tasks", GenConfig.num_tasks))
+    return GenConfig(**{**KIND_FIELDS[kind](num_tasks), **overrides})
 
 
 def _task_id(i: int, n: int) -> str:
@@ -178,7 +180,7 @@ def generate_demonstrated(config: GenConfig) -> Demonstration:
         try:
             return demonstrate(problem, epsilon=0.0, rng_seed=0,
                                contention_threshold=config.contention_threshold)
-        except (IncompleteDemonstrationError, InfeasibleActionError) as exc:
+        except IncompleteDemonstrationError as exc:
             last_error = exc
     raise GenerationError(
         f"no feasible instance after {MAX_RETRIES} draws: {last_error}"

@@ -171,22 +171,18 @@ def train_policy(demos: list[Demonstration], min_leaf: int = 1) -> PolicyModel:
     )
 
 
-def train_pointwise(demos: list[Demonstration], min_leaf: int = 1,
-                    act_tree: DecisionTree | None = None) -> PointwisePolicy:
-    if act_tree is None:
-        act_tree = _fit(build_act_dataset(demos), min_leaf)
+def train_pointwise(demos: list[Demonstration], min_leaf: int,
+                    act_tree: DecisionTree) -> PointwisePolicy:
     return PointwisePolicy(_fit(build_pointwise_dataset(demos), min_leaf), act_tree)
 
 
-def train_naive(demos: list[Demonstration], min_leaf: int = 1,
-                act_tree: DecisionTree | None = None) -> NaivePolicy:
+def train_naive(demos: list[Demonstration], min_leaf: int,
+                act_tree: DecisionTree) -> NaivePolicy:
     data = build_naive_dataset(demos)
     bins = RankBins(data.X)  # one ranking serves every one-vs-rest tree
-    trees = [DecisionTree(min_leaf=min_leaf).fit_bins(bins, (data.y == k).astype(int))
-             for k in range(len(data.class_names))]
-    if act_tree is None:
-        act_tree = _fit(build_act_dataset(demos), min_leaf)
     task_ids = sorted(t.id for t in demos[0].problem.tasks)
+    trees = [DecisionTree(min_leaf=min_leaf).fit_bins(bins, (data.y == k).astype(int))
+             for k in range(len(task_ids))]
     return NaivePolicy(class_trees=trees, task_ids=task_ids, act_tree=act_tree)
 
 

@@ -34,7 +34,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         for number in sorted(CRITERION_LINES):
             terminalreporter.write_line(CRITERION_LINES[number])
 from demosched.demonstrator import demonstrate
-from demosched.generator import generate_instance, preset
+from demosched.generator import generate_instance, make_config
 
 
 @pytest.fixture
@@ -67,8 +67,8 @@ def tiny_problem() -> ProblemInstance:
 
 @pytest.fixture(scope="session")
 def temporal_problem() -> ProblemInstance:
-    return generate_instance(preset("temporal", num_tasks=6, num_agents=2,
-                                    rng_seed=42))
+    return generate_instance(make_config("temporal", num_tasks=6, num_agents=2,
+                                         rng_seed=42))
 
 
 @pytest.fixture(scope="session")
@@ -81,7 +81,7 @@ def small_demos():
     """Five clean demonstrations on distinct small temporal instances."""
     out = []
     for s in range(5):
-        problem = generate_instance(preset("temporal", num_tasks=6,
-                                           num_agents=2, rng_seed=100 + s))
+        problem = generate_instance(make_config("temporal", num_tasks=6,
+                                                num_agents=2, rng_seed=100 + s))
         out.append(demonstrate(problem, epsilon=0.0, rng_seed=s))
     return out

@@ -228,14 +228,30 @@ def _assert_error_message(result, path):
     assert f"Error: {path}: " in result.output
 
 
+# flaw -> (owner list, key, value) set on the problem's first task or agent
+_BAD_NUMBERS = {
+    "string-location": ("tasks", "location", ["1", "2"]),
+    "short-location": ("tasks", "location", [1]),
+    "nan-location": ("tasks", "location", [float("nan"), 1]),
+    "fractional-duration": ("tasks", "durations", {"a0": 2.7, "a1": 3}),
+    "string-start": ("agents", "start_location", ["0", "0"]),
+    "string-speed": ("agents", "speed", "2"),
+    "infinite-speed": ("agents", "speed", float("inf")),
+}
+
+
 @pytest.mark.parametrize("command", ["demonstrate", "schedule", "optimize"])
-@pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0", "string-deadline"])
+@pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0", "string-deadline",
+                                  *_BAD_NUMBERS])
 def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
     data = load_json(workspace["problem"])
     if flaw == "schema-v0":
         data["schema_version"] = "v0"
     elif flaw == "string-deadline":
         data["tasks"][0]["abs_deadline"] = str(data["tasks"][0]["abs_deadline"])
+    elif flaw in _BAD_NUMBERS:
+        owners, key, value = _BAD_NUMBERS[flaw]
+        data[owners][0][key] = value
     else:
         first, second = data["tasks"][:2]
         first["waits"] = [[second["id"], 0]]

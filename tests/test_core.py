@@ -393,6 +393,28 @@ class TestSerialization:
         with pytest.raises(StructuralError, match="'tA' abs_deadline must be an integer"):
             problem_from_dict(data)
 
+    @pytest.mark.parametrize("owner,key,value", [
+        ("task", "location", ["1", "2"]),
+        ("task", "location", [1]),
+        ("task", "location", [math.nan, 1]),
+        ("task", "durations", {"a0": 2.7, "a1": 2}),
+        ("task", "waits", [["tC", 1.5]]),
+        ("agent", "start_location", ["0", "0"]),
+        ("agent", "speed", "2"),
+        ("agent", "speed", math.inf),
+        ("agent", "speed", True),
+        ("problem", "grid_size", [10.0, math.inf]),
+        ("problem", "horizon", 40.0),
+    ])
+    def test_malformed_number_rejected(self, tiny_problem, owner, key, value):
+        # the simulator needs finite coordinates and speeds, and whole ticks
+        data = problem_to_dict(tiny_problem)
+        target = {"task": data["tasks"][0], "agent": data["agents"][0], "problem": data}
+        target[owner][key] = value
+        name = {"task": "task 'tA'", "agent": "agent 'a0'", "problem": key}[owner]
+        with pytest.raises(StructuralError, match=f"^{name} .*must be"):
+            problem_from_dict(data)
+
     def test_file_roundtrip(self, tiny_problem, tmp_path):
         path = str(tmp_path / "problem.json")
         save_json(problem_to_dict(tiny_problem), path)

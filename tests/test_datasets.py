@@ -15,7 +15,7 @@ from demosched.datasets import (
 )
 from demosched.demonstrator import demonstrate
 from demosched.features import ContextFeatures, TaskFeatures
-from demosched.generator import generate_instance, preset
+from demosched.generator import generate_instance, make_config
 
 
 def test_feature_name_layout():
@@ -104,7 +104,6 @@ class TestNaiveDataset:
         n = len(temporal_demo.problem.tasks)
         ds = build_naive_dataset([temporal_demo])
         assert ds.X.shape[1] == 2 + 7 * n
-        assert len(ds.class_names) == n
         assert set(ds.y) <= set(range(n))
 
     def test_finished_blocks_zeroed(self, temporal_demo):
@@ -120,7 +119,7 @@ class TestNaiveDataset:
                 assert np.all(block == 0.0)
 
     def test_rejects_mixed_task_counts(self, temporal_demo):
-        other = generate_instance(preset("temporal", num_tasks=4, rng_seed=55))
+        other = generate_instance(make_config("temporal", num_tasks=4, rng_seed=55))
         small = demonstrate(other, epsilon=0.0, rng_seed=0)
         with pytest.raises(HeterogeneousTaskCountError):
             build_naive_dataset([temporal_demo, small])

@@ -11,7 +11,6 @@ import demosched
 from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import (
     CSV_FIELDS,
-    KIND_PRESETS,
     PROBLEM_KINDS,
     ResultRow,
     collect_demos,
@@ -26,7 +25,7 @@ from demosched.experiments import (
     summarize,
     write_rows_csv,
 )
-from demosched.generator import GenConfig, generate_instance
+from demosched.generator import KIND_FIELDS, GenConfig, generate_instance
 
 
 class TestSeedDerivation:
@@ -49,9 +48,9 @@ def test_condition_label_sorted():
 
 def test_make_config_applies_kind_overrides():
     cfg = make_config("dense", num_tasks=8)
-    assert cfg.grid == KIND_PRESETS["dense"][1]["grid"]
+    assert cfg.grid == (6, 6)
     assert cfg.num_tasks == 8
-    assert set(KIND_PRESETS) == {"travel", "contention", "temporal", "dense"}
+    assert set(KIND_FIELDS) == {"travel", "contention", "temporal", "dense"}
 
 
 def test_collect_demos_cycles_kinds():
@@ -299,6 +298,28 @@ def test_genconfig_fields():
         ("contention_threshold", 100)]
 
 
+def test_kind_configs_pinned():
+    """Every field of each kind's configuration at 6 and 20 tasks: each
+    field feeds the instance draws that the golden digests pin."""
+    def config(grid, deadlines, resources, speeds, threshold, num_tasks):
+        return {"num_agents": 2, "num_tasks": num_tasks, "grid": grid,
+                "homogeneous": True, "fraction_with_deadlines": deadlines,
+                "num_resources": resources, "speed_range": speeds, "rng_seed": 0,
+                "contention_threshold": threshold}
+
+    assert {(kind, n): dataclasses.asdict(make_config(kind, num_tasks=n))
+            for kind in KIND_FIELDS for n in (6, 20)} == {
+        ("travel", 6): config((10, 10), 0.3, 10, (0.6, 1.0), 100, 6),
+        ("travel", 20): config((10, 10), 0.3, 10, (0.6, 1.0), 100, 20),
+        ("contention", 6): config((20, 20), 0.6, 2, (1.5, 3.0), 9, 6),
+        ("contention", 20): config((20, 20), 0.6, 2, (1.5, 3.0), 100, 20),
+        ("temporal", 6): config((20, 20), 1.0, 6, (1.5, 3.0), 100, 6),
+        ("temporal", 20): config((20, 20), 1.0, 20, (1.5, 3.0), 100, 20),
+        ("dense", 6): config((6, 6), 1.0, 6, (9.0, 12.0), 100, 6),
+        ("dense", 20): config((6, 6), 1.0, 20, (9.0, 12.0), 100, 20),
+    }
+
+
 def test_package_exports():
     """The names `import demosched` offers; a new one needs a caller."""
     assert sorted(demosched.__all__) == [
@@ -310,7 +331,7 @@ def test_package_exports():
         "TaskSpec", "Violation", "__version__", "branch_and_bound",
         "brute_force_optimal", "construct_schedule", "cross_validate_min_leaf",
         "demonstrate", "evaluate", "generate_instance", "objective_ratio",
-        "perturb", "preset", "schedulability_test", "split_demos",
+        "perturb", "schedulability_test", "split_demos",
         "train_policy", "validate_schedule"]
     for name in demosched.__all__:
         assert hasattr(demosched, name), name

@@ -19,7 +19,7 @@ from demosched.generator import (
     GenConfig,
     GenerationError,
     generate_instance,
-    preset,
+    make_config,
 )
 from demosched.heuristics import RuleKind, expert_choice
 from demosched.simulate import run_simulation
@@ -45,38 +45,39 @@ class TestGenConfig:
 
 class TestPresets:
     def test_travel_kind_has_slow_agents(self):
-        problem = generate_instance(preset("travel", num_tasks=5, rng_seed=1))
+        problem = generate_instance(make_config("travel", num_tasks=5, rng_seed=1,
+                                                grid=(20, 20), speed_range=(0.4, 0.9)))
         assert min(a.speed for a in problem.agents) <= 1.0
 
     def test_temporal_kind_all_deadlines(self):
-        problem = generate_instance(preset("temporal", num_tasks=5, rng_seed=1))
+        problem = generate_instance(make_config("temporal", num_tasks=5, rng_seed=1))
         assert all(t.abs_deadline is not None for t in problem.tasks)
         assert len(problem.resources) == 5
 
     def test_contention_kind_few_resources(self):
-        cfg = preset("contention", num_tasks=8, rng_seed=1)
+        cfg = make_config("contention", num_tasks=8, rng_seed=1)
         assert cfg.num_resources == 2
         assert cfg.contention_threshold == 16
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
-            preset("nope")
+        with pytest.raises(KeyError):
+            make_config("nope")
 
     def test_overrides_win(self):
-        cfg = preset("temporal", num_agents=3, rng_seed=9)
+        cfg = make_config("temporal", num_agents=3, rng_seed=9)
         assert cfg.num_agents == 3
         assert cfg.rng_seed == 9
 
 
 class TestGenerateInstance:
     def test_deterministic(self):
-        cfg = preset("temporal", num_tasks=6, rng_seed=7)
+        cfg = make_config("temporal", num_tasks=6, rng_seed=7)
         a = generate_instance(cfg)
         b = generate_instance(cfg)
         assert problem_to_dict(a) == problem_to_dict(b)
 
     def test_counts_and_ranges(self):
-        cfg = preset("temporal", num_tasks=7, num_agents=3, rng_seed=2)
+        cfg = make_config("temporal", num_tasks=7, num_agents=3, rng_seed=2)
         problem = generate_instance(cfg)
         assert len(problem.tasks) == 7
         assert len(problem.agents) == 3
@@ -88,15 +89,15 @@ class TestGenerateInstance:
             assert slo <= a.speed <= shi
 
     def test_expert_completes_generated_instance(self):
-        problem = generate_instance(preset("contention", num_tasks=6, rng_seed=3))
+        problem = generate_instance(make_config("contention", num_tasks=6, rng_seed=3))
         demo = demonstrate(problem, epsilon=0.0, rng_seed=0,
                            contention_threshold=9)
         assert demo.schedule.complete
         assert validate_schedule(problem, demo.schedule).feasible
 
     def test_heterogeneous_durations(self):
-        cfg = preset("temporal", num_tasks=10, num_agents=2,
-                     homogeneous=False, rng_seed=4)
+        cfg = make_config("temporal", num_tasks=10, num_agents=2,
+                          homogeneous=False, rng_seed=4)
         problem = generate_instance(cfg)
         assert any(len(set(t.durations.values())) > 1 for t in problem.tasks
                    if len(t.durations) > 1)
@@ -109,7 +110,7 @@ class TestGenerateInstance:
         monkeypatch.setattr("demosched.generator.demonstrate", always_fails)
         monkeypatch.setattr("demosched.generator.MAX_RETRIES", 2)
         with pytest.raises(GenerationError):
-            generate_instance(preset("temporal", num_tasks=3))
+            generate_instance(make_config("temporal", num_tasks=3))
 
 
 class TestDemonstrate:

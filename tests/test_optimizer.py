@@ -25,7 +25,7 @@ from demosched.core import (
 )
 from demosched.demonstrator import demonstrate
 from demosched.experiments import PROBLEM_KINDS, make_config
-from demosched.generator import generate_instance, preset
+from demosched.generator import generate_instance
 from demosched.optimizer import (
     PERTURBATION_KINDS,
     PerturbationError,
@@ -89,8 +89,10 @@ class TestBranchAndBound:
     def test_matches_brute_force(self):
         for kind, seed in [("temporal", 0), ("travel", 1), ("contention", 2),
                            ("temporal", 3), ("travel", 4)]:
-            problem = generate_instance(preset(kind, num_tasks=4,
-                                               num_agents=2, rng_seed=seed))
+            # travel draws keep the wide grid and slow speeds they were picked on
+            slow = {"grid": (20, 20), "speed_range": (0.4, 0.9)} if kind == "travel" else {}
+            problem = generate_instance(make_config(kind, num_tasks=4, num_agents=2,
+                                                    rng_seed=seed, **slow))
             exact = branch_and_bound(problem, gap_threshold=0.0)
             oracle = brute_force_optimal(problem)
             assert exact.objective == oracle.objective
@@ -139,8 +141,8 @@ class TestWarmStart:
 
     def test_seeded_never_explores_more(self):
         for seed_idx in range(5):
-            problem = generate_instance(preset("temporal", num_tasks=6,
-                                               rng_seed=200 + seed_idx))
+            problem = generate_instance(make_config("temporal", num_tasks=6,
+                                                    rng_seed=200 + seed_idx))
             greedy = branch_and_bound(problem, seed=construct_schedule(
                 problem, HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)))
             cold = branch_and_bound(problem)
@@ -194,7 +196,7 @@ class TestPerturb:
     @pytest.fixture(scope="class")
     @staticmethod
     def optimal():
-        problem = generate_instance(preset(
+        problem = generate_instance(make_config(
             "temporal", num_tasks=5, num_agents=2,
             fraction_with_deadlines=0.0, rng_seed=77))
         return problem, branch_and_bound(problem, gap_threshold=0.0).schedule

@@ -6,9 +6,8 @@ import pytest
 
 from demosched.datasets import build_pairwise_dataset
 from demosched.demonstrator import demonstrate
-from demosched.experiments import KIND_PRESETS, make_config
 from demosched.features import ContextFeatures, TaskFeatures
-from demosched.generator import generate_instance
+from demosched.generator import KIND_FIELDS, generate_instance, make_config
 from demosched.policy import (
     MIN_LEAF_GRID,
     HeuristicPolicy,
@@ -148,7 +147,8 @@ class TestHeuristicPolicy:
 
 class TestBaselinePolicies:
     def test_pointwise_smoke(self, small_demos):
-        policy = train_pointwise(small_demos, min_leaf=5)
+        act = train_policy(small_demos, min_leaf=5).act_tree
+        policy = train_pointwise(small_demos, min_leaf=5, act_tree=act)
         obs = next(o for o in small_demos[0].observations if o.scheduled)
         pick = policy.select_task(obs.context, obs.task_features,
                                   list(obs.candidates))
@@ -158,7 +158,8 @@ class TestBaselinePolicies:
 
     def test_naive_smoke(self, small_demos):
         # the fixed-width model needs a uniform task count; restrict to one
-        policy = train_naive(small_demos[:1], min_leaf=1)
+        act = train_policy(small_demos[:1], min_leaf=1).act_tree
+        policy = train_naive(small_demos[:1], min_leaf=1, act_tree=act)
         obs = next(o for o in small_demos[0].observations if o.scheduled)
         pick = policy.select_task(obs.context, obs.task_features,
                                   list(obs.candidates))
@@ -167,7 +168,10 @@ class TestBaselinePolicies:
 
     @pytest.mark.parametrize("train", [train_policy, train_pointwise, train_naive])
     def test_select_task_takes_the_best_score(self, small_demos, train):
-        policy = train(small_demos[:1], min_leaf=1)
+        # the baselines take the pairwise model's act tree, as in the experiments
+        kw = {} if train is train_policy else {
+            "act_tree": train_policy(small_demos[:1], min_leaf=1).act_tree}
+        policy = train(small_demos[:1], min_leaf=1, **kw)
         for obs in small_demos[0].observations:
             pool = sorted(obs.task_features)
             if not pool:
@@ -188,19 +192,18 @@ class TestCrossValidation:
         y = (X[:, 0] > 0.5).astype(int)
         flip = rng.random(400) < 0.3
         y[flip] = 1 - y[flip]
-        ds = Dataset(X=X, y=y, feature_names=("x",))
+        ds = Dataset(X=X, y=y)
         assert cross_validate_min_leaf(ds) > 1
 
     def test_clean_ties_go_to_larger_leaf(self):
         # constant labels: every leaf size scores 1.0, the largest wins
         X = np.arange(50, dtype=float).reshape(-1, 1)
         y = np.ones(50, dtype=int)
-        ds = Dataset(X=X, y=y, feature_names=("x",))
+        ds = Dataset(X=X, y=y)
         assert cross_validate_min_leaf(ds) == MIN_LEAF_GRID[-1]
 
     def test_too_few_examples(self):
-        ds = Dataset(X=np.zeros((3, 1)), y=np.zeros(3, dtype=int),
-                     feature_names=("x",))
+        ds = Dataset(X=np.zeros((3, 1)), y=np.zeros(3, dtype=int))
         with pytest.raises(ValueError):
             cross_validate_min_leaf(ds)
 
@@ -259,7 +262,7 @@ def _golden_learner_demos():
     """Noise-free 20-task demos of every kind, then ε=0.2 "dense" 8-task
     demos."""
     demos = []
-    for kind in KIND_PRESETS:
+    for kind in KIND_FIELDS:
         problem = generate_instance(make_config(kind, num_agents=2, num_tasks=20,
                                                 rng_seed=61))
         demos.append(demonstrate(problem, epsilon=0.0, rng_seed=61))

@@ -11,7 +11,7 @@ from demosched.datasets import build_pairwise_dataset, pair_rows
 from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import PROBLEM_KINDS, make_config
 from demosched.features import ContextFeatures, TaskFeatures
-from demosched.generator import generate_instance, preset
+from demosched.generator import generate_instance
 from demosched.heuristics import select_rule
 from demosched.optimizer import (
     PerturbationError,
@@ -75,8 +75,8 @@ def test_travel_ticks_bounds(dist, speed):
 @given(seed=st.integers(min_value=0, max_value=50))
 @settings(max_examples=15, deadline=None)
 def test_pairwise_dataset_balance_and_mirror(seed):
-    problem = generate_instance(preset("temporal", num_tasks=4,
-                                       rng_seed=seed))
+    problem = generate_instance(make_config("temporal", num_tasks=4,
+                                            rng_seed=seed))
     demo = demonstrate(problem, epsilon=0.3, rng_seed=seed)
     ds = build_pairwise_dataset([demo])
     if len(ds) == 0:
@@ -109,8 +109,8 @@ def test_select_task_pool_order_invariance(pool_perm, offsets):
 def test_oracle_self_consistency(seed):
     """Replaying the generating rule against its own demonstration scores a
     perfect 1.0 on both metrics."""
-    problem = generate_instance(preset("temporal", num_tasks=5,
-                                       rng_seed=seed))
+    problem = generate_instance(make_config("temporal", num_tasks=5,
+                                            rng_seed=seed))
     demo = demonstrate(problem, epsilon=0.0, rng_seed=0)
     metrics = evaluate(HeuristicPolicy(demo.rule_used), [demo])
     assert metrics.sensitivity == 1.0
@@ -136,9 +136,9 @@ def test_perturbation_feasible_and_covering(kind, count, rng_seed,
 
 @pytest.fixture(scope="module")
 def perturb_base():
-    problem = generate_instance(preset("temporal", num_tasks=5, num_agents=2,
-                                       fraction_with_deadlines=0.0,
-                                       rng_seed=13))
+    problem = generate_instance(make_config("temporal", num_tasks=5, num_agents=2,
+                                            fraction_with_deadlines=0.0,
+                                            rng_seed=13))
     return problem, branch_and_bound(problem, gap_threshold=0.0).schedule
 
 
@@ -212,7 +212,7 @@ def test_noise_rate_matches_uniform_model():
     """With epsilon=1 every decision is uniform over the k feasible
     candidates, so the expected rate of agreeing with the rule's own pick
     for the same state is mean(1/k)."""
-    problem = generate_instance(make_dense(num_tasks=8, rng_seed=21))
+    problem = generate_instance(make_config("dense", num_tasks=8, rng_seed=21))
     rule = select_rule(problem)
     oracle = HeuristicPolicy(rule)
     expected_terms = []
@@ -233,8 +233,3 @@ def test_noise_rate_matches_uniform_model():
     # three-sigma binomial tolerance around the analytic rate
     sigma = float(np.sqrt(max(expected * (1 - expected), 0.01) / len(hits)))
     assert abs(observed - expected) <= 3 * sigma
-
-
-def make_dense(num_tasks, rng_seed):
-    return preset("temporal", num_tasks=num_tasks, rng_seed=rng_seed,
-                  grid=(6, 6), speed_range=(9.0, 12.0))

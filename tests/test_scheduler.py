@@ -8,7 +8,7 @@ from demosched.core import (
     apply_action,
     validate_schedule,
 )
-from demosched.generator import generate_instance, preset
+from demosched.generator import generate_instance, make_config
 from demosched.heuristics import select_rule
 from demosched.policy import HeuristicPolicy, train_policy
 from demosched.scheduler import SchedulerConfig, construct_schedule, schedulability_test
@@ -68,7 +68,9 @@ class TestConstructSchedule:
         from demosched.demonstrator import demonstrate
         from demosched.heuristics import select_rule
 
-        problem = generate_instance(preset(kind, num_tasks=6, rng_seed=seed))
+        # the travel draw keeps the wide grid and slow speeds it was picked on
+        slow = {"grid": (20, 20), "speed_range": (0.4, 0.9)} if kind == "travel" else {}
+        problem = generate_instance(make_config(kind, num_tasks=6, rng_seed=seed, **slow))
         rule = select_rule(problem)
         expert = demonstrate(problem, epsilon=0.0, rng_seed=0)
         rebuilt = construct_schedule(problem, HeuristicPolicy(rule),
@@ -130,7 +132,7 @@ class _CountingPolicy:
 class TestLazyFallback:
     @pytest.fixture
     def counting(self):
-        problem = generate_instance(preset("temporal", num_tasks=6, rng_seed=7))
+        problem = generate_instance(make_config("temporal", num_tasks=6, rng_seed=7))
         return problem, _CountingPolicy(HeuristicPolicy(select_rule(problem)))
 
     def test_passing_top_pick_is_ranked_once(self, monkeypatch, counting):

@@ -28,9 +28,8 @@ from demosched.core import (
     travel_ticks,
 )
 from demosched.demonstrator import demonstrate, demonstration_to_dict
-from demosched.experiments import KIND_PRESETS, make_config
 from demosched.features import TaskFeatures, extract_features
-from demosched.generator import generate_instance
+from demosched.generator import KIND_FIELDS, generate_instance, make_config
 from demosched.heuristics import RuleKind, expert_choice, select_rule
 from demosched.policy import HeuristicPolicy, train_policy
 from demosched.scheduler import SchedulerConfig, construct_schedule, schedulability_test
@@ -172,7 +171,7 @@ def reference_schedulability_test(state: RefState, problem: ProblemInstance) -> 
 # playthroughs on instances whose task and agent ids order differently as
 # strings and positions when `shape` says to relabel
 _PLAYTHROUGHS = dict(
-    kind=st.sampled_from(list(KIND_PRESETS)), homogeneous=st.booleans(),
+    kind=st.sampled_from(list(KIND_FIELDS)), homogeneous=st.booleans(),
     shape=st.sampled_from([(6, 2, False), (10, 2, True), (12, 3, True), (12, 2, False)]),
     epsilon=st.sampled_from([0.2, 0.5]),
     seed=st.integers(min_value=0, max_value=10_000))
@@ -320,7 +319,7 @@ def _digest(obj) -> str:
 
 
 def _golden_demos():
-    for kind in KIND_PRESETS:
+    for kind in KIND_FIELDS:
         for homogeneous in (True, False):
             problem = generate_instance(make_config(
                 kind, num_agents=2, num_tasks=8, homogeneous=homogeneous,

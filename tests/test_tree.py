@@ -461,8 +461,7 @@ def test_cross_validation_matches_reference(seed, rows, width, levels, signed_ze
     rng = np.random.default_rng(seed)
     rows = max(rows, folds)
     X = _awkward_matrix(rng, rows, width, levels, signed_zeros, neighbours, constant)
-    data = Dataset(X=X, y=rng.integers(0, 2, size=rows),
-                   feature_names=tuple(f"x{j}" for j in range(width)))
+    data = Dataset(X=X, y=rng.integers(0, 2, size=rows))
     candidates = (1, 2, 3, 7, 25, 1000)
     assert (cross_validate_min_leaf(data, candidates, folds)
             == _reference_cross_validate(data, candidates, folds))
@@ -474,7 +473,7 @@ def test_cross_validation_counts_each_fold_root_once(monkeypatch):
     rng = np.random.default_rng(5)
     rows, folds = 400, 5
     data = Dataset(X=rng.integers(0, 6, size=(rows, 3)).astype(float),
-                   y=rng.integers(0, 2, size=rows), feature_names=("a", "b", "c"))
+                   y=rng.integers(0, 2, size=rows))
     counted = []
     histogram = RankBins.histogram
 
