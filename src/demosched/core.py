@@ -153,22 +153,28 @@ class ProblemInstance:
         """Task ids with every wait predecessor before its successors: a
         post-order DFS in problem order, predecessors in listed order.
         Raises on a cycle."""
-        order, stack = {}, set()
+        order = {}
         graph = {t.id: [p for p, _ in t.waits] for t in self.tasks}
-
-        def visit(node: str) -> None:
-            if node in order:
-                return
-            if node in stack:
-                raise StructuralError("wait-constraint graph has a cycle")
-            stack.add(node)
-            for pred in graph[node]:
-                visit(pred)
-            stack.discard(node)
-            order[node] = len(order)
-
-        for tid in graph:
-            visit(tid)
+        for root in graph:
+            if root in order:
+                continue
+            # an explicit stack of (node, its unvisited predecessors), so a
+            # long wait chain cannot exhaust the interpreter's recursion limit
+            path, on_path = [(root, iter(graph[root]))], {root}
+            while path:
+                node, preds = path[-1]
+                for pred in preds:
+                    if pred in order:
+                        continue
+                    if pred in on_path:
+                        raise StructuralError("wait-constraint graph has a cycle")
+                    on_path.add(pred)
+                    path.append((pred, iter(graph[pred])))
+                    break
+                else:
+                    path.pop()
+                    on_path.discard(node)
+                    order[node] = len(order)
         return list(order)
 
     def task(self, task_id: str) -> TaskSpec:
@@ -576,6 +582,18 @@ def _point(value, what: str) -> Point:
     return tuple(_number(v, what) for v in value)
 
 
+def _durations(value, what: str) -> dict[str, int]:
+    if not isinstance(value, dict):
+        raise StructuralError(f"{what} must be an object of integers, got {value!r}")
+    return {k: _number(v, what, (int,)) for k, v in value.items()}
+
+
+def _wait(value, what: str) -> tuple[str, int]:
+    if not isinstance(value, (list, tuple)) or len(value) != 2 or not isinstance(value[0], str):
+        raise StructuralError(f"{what} must be a [task id, integer] pair, got {value!r}")
+    return value[0], _number(value[1], f"{what} gap", (int,))
+
+
 def problem_from_dict(data: dict) -> ProblemInstance:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise StructuralError(f"unsupported schema version {data.get('schema_version')!r}")
@@ -597,13 +615,11 @@ def problem_from_dict(data: dict) -> ProblemInstance:
             TaskSpec(
                 id=t["id"],
                 location=_point(t["location"], f"task {t['id']!r} location"),
-                durations={k: _number(v, f"task {t['id']!r} duration", (int,))
-                           for k, v in t["durations"].items()},
+                durations=_durations(t["durations"], f"task {t['id']!r} durations"),
                 resource=t["resource"],
                 abs_deadline=None if t.get("abs_deadline") is None else _number(
                     t["abs_deadline"], f"task {t['id']!r} abs_deadline", (int,)),
-                waits=tuple((pred, _number(gap, f"task {t['id']!r} wait gap", (int,)))
-                            for pred, gap in t.get("waits", [])),
+                waits=tuple(_wait(w, f"task {t['id']!r} wait") for w in t.get("waits", [])),
             )
             for t in data["tasks"]
         ),
@@ -626,11 +642,23 @@ def schedule_to_dict(schedule: Schedule) -> dict:
 def schedule_from_dict(data: dict) -> Schedule:
     if data.get("schema_version") != SCHEMA_VERSION:
         raise StructuralError(f"unsupported schema version {data.get('schema_version')!r}")
+    if type(data["complete"]) is not bool:
+        raise StructuralError(f"schedule complete must be true or false, got {data['complete']!r}")
     return Schedule(
-        entries=tuple(ScheduleEntry(t, a, int(s), int(f)) for t, a, s, f in data["entries"]),
-        objective=int(data["objective"]),
-        complete=bool(data["complete"]),
+        entries=tuple(_entry(e, k) for k, e in enumerate(data["entries"])),
+        objective=_number(data["objective"], "schedule objective", (int,)),
+        complete=data["complete"],
     )
+
+
+def _entry(value, k: int) -> ScheduleEntry:
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise StructuralError(
+            f"schedule entry {k} must be [task id, agent id, start, finish], got {value!r}")
+    task_id, agent_id, start, finish = value
+    what = f"schedule entry {k} (task {task_id!r})"
+    return ScheduleEntry(task_id, agent_id, _number(start, f"{what} start", (int,)),
+                         _number(finish, f"{what} finish", (int,)))
 
 
 def save_json(obj: dict, path: str) -> None:

@@ -2,8 +2,10 @@
 
 Three constructions for the priority model (pairwise differences, pointwise
 per-task rows, and a fixed-width concatenation) plus the schedule-vs-idle
-set for the act classifier. Each row shape has one encoder (`pair_rows`,
-`point_vector`, `wide_vector`), which the matching policy also scores with.
+set for the act classifier. The pairwise, pointwise and act sets are read
+from one walk over the observations. Each row shape has one encoder
+(`pair_rows`, `point_vector`, `wide_vector`), which the matching policy
+also scores with.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ PAIRWISE_FEATURE_NAMES = CONTEXT_FEATURE_NAMES + tuple(
     f"delta_{name}" for name in TASK_FEATURE_NAMES
 )
 POINTWISE_FEATURE_NAMES = CONTEXT_FEATURE_NAMES + TASK_FEATURE_NAMES
+_CONTEXT = len(CONTEXT_FEATURE_NAMES)  # a point row's context columns
 
 
 def pair_rows(context, a, b) -> np.ndarray:
@@ -54,68 +57,54 @@ def wide_vector(context, task_features, index: dict[str, int]) -> list[float]:
     return vec
 
 
+def _rows(demos: list[Demonstration]):
+    """Every observation's `point_vector` rows, one per unfinished task, in
+    observation order and by task id within each observation. Also returns,
+    per row, the index of the row its observation picked (-1 when the
+    observation idled) and whether the row is that pick."""
+    flat, pick_of = [], []  # one flat list, not a list per row: half the peak memory
+    for demo in demos:
+        for obs in demo.observations:
+            ids = sorted(obs.task_features)
+            pick = -1 if obs.scheduled is None else len(pick_of) + ids.index(obs.scheduled[0])
+            pick_of += [pick] * len(ids)
+            for tid in ids:
+                flat += point_vector(obs.context, obs.task_features[tid])
+    pick_of = np.array(pick_of, dtype=int)
+    X = np.array(flat, dtype=float).reshape(len(pick_of), len(POINTWISE_FEATURE_NAMES))
+    return X, pick_of, pick_of == np.arange(len(pick_of))
+
+
 def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
     """One positive and one mirrored negative per (scheduled, other) pair.
 
     Idle observations contribute nothing; the result is exactly
     label-balanced by construction.
     """
-    contexts, firsts, seconds = [], [], []
-    for demo in demos:
-        for obs in demo.observations:
-            if obs.scheduled is None:
-                continue
-            sched_id = obs.scheduled[0]
-            gamma_i = obs.task_features[sched_id]
-            for other_id in sorted(obs.task_features):
-                if other_id == sched_id:
-                    continue
-                gamma_j = obs.task_features[other_id]
-                contexts += (obs.context, obs.context)
-                firsts += (gamma_i, gamma_j)
-                seconds += (gamma_j, gamma_i)
-    rows = pair_rows(contexts, firsts, seconds)
+    X, pick_of, picked = _rows(demos)
+    other = np.flatnonzero((pick_of >= 0) & ~picked)
+    firsts = np.stack([X[pick_of[other], _CONTEXT:], X[other, _CONTEXT:]], axis=1)
+    rows = pair_rows(X[other, None, :_CONTEXT], firsts, firsts[:, ::-1])
     return Dataset(
-        X=rows.reshape(len(contexts), len(PAIRWISE_FEATURE_NAMES)),
-        y=np.tile(np.array([1, 0], dtype=int), len(contexts) // 2),
+        X=rows.reshape(2 * len(other), len(PAIRWISE_FEATURE_NAMES)),
+        y=np.tile(np.array([1, 0], dtype=int), len(other)),
     )
 
 
 def build_act_dataset(demos: list[Demonstration]) -> Dataset:
     """Positives from scheduling observations, one negative per unfinished
     task at each idle observation."""
-    rows, labels = [], []
-    for demo in demos:
-        for obs in demo.observations:
-            if obs.scheduled is not None:
-                rows.append(point_vector(obs.context, obs.task_features[obs.scheduled[0]]))
-                labels.append(1)
-            else:
-                for tid in sorted(obs.task_features):
-                    rows.append(point_vector(obs.context, obs.task_features[tid]))
-                    labels.append(0)
-    return Dataset(
-        X=np.array(rows, dtype=float).reshape(len(rows), len(POINTWISE_FEATURE_NAMES)),
-        y=np.array(labels, dtype=int),
-    )
+    X, pick_of, picked = _rows(demos)
+    keep = picked | (pick_of < 0)
+    return Dataset(X=X[keep], y=picked[keep].astype(int))
 
 
 def build_pointwise_dataset(demos: list[Demonstration]) -> Dataset:
     """Per-task rows from scheduling observations, labelled 1 only for the
     task the expert picked."""
-    rows, labels = [], []
-    for demo in demos:
-        for obs in demo.observations:
-            if obs.scheduled is None:
-                continue
-            sched_id = obs.scheduled[0]
-            for tid in sorted(obs.task_features):
-                rows.append(point_vector(obs.context, obs.task_features[tid]))
-                labels.append(1 if tid == sched_id else 0)
-    return Dataset(
-        X=np.array(rows, dtype=float).reshape(len(rows), len(POINTWISE_FEATURE_NAMES)),
-        y=np.array(labels, dtype=int),
-    )
+    X, pick_of, picked = _rows(demos)
+    keep = pick_of >= 0
+    return Dataset(X=X[keep], y=picked[keep].astype(int))
 
 
 class HeterogeneousTaskCountError(ValueError):

@@ -15,8 +15,8 @@ import numpy as np
 
 from .core import validate_schedule
 from .datasets import build_pairwise_dataset
-from .demonstrator import Demonstration, demonstrate
-from .generator import generate_demonstrated, generate_instance, make_config
+from .demonstrator import Demonstration, IncompleteDemonstrationError, demonstrate
+from .generator import MAX_RETRIES, generate_demonstrated, generate_instance, make_config
 from .optimizer import (
     PERTURBATION_KINDS,
     PerturbationError,
@@ -100,7 +100,15 @@ def collect_demos(
     num_tasks: int = 20,
 ) -> list[Demonstration]:
     """One demonstration per freshly generated problem, cycling through the
-    requested problem kinds."""
+    requested problem kinds.
+
+    A noisy expert can run past the horizon that the noise-free one met.
+    Such a run is retried on the same problem with the seed
+    `derive_seed(stream_seed, "demo", kind, i, attempt)` for attempt 1, 2,
+    ..., within `MAX_RETRIES` runs in all, and the demonstration records
+    the seed that completed; when every run falls short, the last error is
+    raised.
+    """
     demos = []
     for i in range(num_demos):
         kind = kinds[i % len(kinds)]
@@ -111,11 +119,18 @@ def collect_demos(
         if epsilon == 0.0:
             # a noise-free expert never draws, so the generator's verifying
             # run is this demonstration but for its recorded seed
-            demo = replace(demo, epsilon=epsilon, rng_seed=rng_seed)
-        else:
-            demo = demonstrate(demo.problem, epsilon, rng_seed,
-                               cfg.contention_threshold)
-        demos.append(demo)
+            demos.append(replace(demo, epsilon=epsilon, rng_seed=rng_seed))
+            continue
+        for attempt in range(MAX_RETRIES):
+            seed = rng_seed if attempt == 0 else derive_seed(
+                stream_seed, "demo", kind, i, attempt)
+            try:
+                demos.append(demonstrate(demo.problem, epsilon, seed,
+                                         cfg.contention_threshold))
+                break
+            except IncompleteDemonstrationError:
+                if attempt == MAX_RETRIES - 1:
+                    raise
     return demos
 
 

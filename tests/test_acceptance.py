@@ -101,10 +101,8 @@ def test_criterion_5_exactness():
     matches = 0
     for i in range(50):
         kind = kinds[i % 3]
-        # travel draws keep the wide grid and slow speeds they were picked on
-        slow = {"grid": (20, 20), "speed_range": (0.4, 0.9)} if kind == "travel" else {}
         problem = generate_instance(make_config(
-            kind, num_tasks=3 + (i % 2), num_agents=2, rng_seed=5000 + i, **slow))
+            kind, num_tasks=3 + (i % 2), num_agents=2, rng_seed=5000 + i))
         exact = branch_and_bound(problem, gap_threshold=0.0)
         oracle = brute_force_optimal(problem)
         if oracle is not None and exact.objective == oracle.objective:

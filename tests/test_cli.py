@@ -229,7 +229,7 @@ def _assert_error_message(result, path):
 
 
 # flaw -> (owner list, key, value) set on the problem's first task or agent
-_BAD_NUMBERS = {
+_BAD_VALUES = {
     "string-location": ("tasks", "location", ["1", "2"]),
     "short-location": ("tasks", "location", [1]),
     "nan-location": ("tasks", "location", [float("nan"), 1]),
@@ -237,20 +237,23 @@ _BAD_NUMBERS = {
     "string-start": ("agents", "start_location", ["0", "0"]),
     "string-speed": ("agents", "speed", "2"),
     "infinite-speed": ("agents", "speed", float("inf")),
+    "list-durations": ("tasks", "durations", [3, 3]),
+    "short-wait": ("tasks", "waits", [["t01"]]),
+    "string-wait": ("tasks", "waits", ["t01"]),
 }
 
 
 @pytest.mark.parametrize("command", ["demonstrate", "schedule", "optimize"])
 @pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0", "string-deadline",
-                                  *_BAD_NUMBERS])
+                                  *_BAD_VALUES])
 def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
     data = load_json(workspace["problem"])
     if flaw == "schema-v0":
         data["schema_version"] = "v0"
     elif flaw == "string-deadline":
         data["tasks"][0]["abs_deadline"] = str(data["tasks"][0]["abs_deadline"])
-    elif flaw in _BAD_NUMBERS:
-        owners, key, value = _BAD_NUMBERS[flaw]
+    elif flaw in _BAD_VALUES:
+        owners, key, value = _BAD_VALUES[flaw]
         data[owners][0][key] = value
     else:
         first, second = data["tasks"][:2]
@@ -259,7 +262,10 @@ def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
     path = _write_json(workspace, f"{flaw}.json", data)
     args = _with_required(workspace, [command])
     args[args.index("--problem") + 1] = path
-    _assert_error_message(runner.invoke(main, args), path)
+    result = runner.invoke(main, args)
+    _assert_error_message(result, path)
+    if flaw in _BAD_VALUES:  # the message names the task or agent at fault
+        assert repr(data[_BAD_VALUES[flaw][0]][0]["id"]) in result.output
 
 
 def test_train_rejects_non_demo_file(workspace, runner):
@@ -281,6 +287,41 @@ def test_optimize_rejects_seed_naming_unknown_task(workspace, runner):
         workspace, ["optimize", "--seed-schedule", path]))
     _assert_error_message(result, path)
     assert "'zz'" in result.output
+
+
+# flaw -> (position in the first entry, None for the whole entry, or a
+# top-level key; the value set there)
+_BAD_SEEDS = {
+    "string-start": (2, "3"),
+    "fractional-finish": (3, 2.7),
+    "short-entry": (None, ["t00", "a0", 0]),
+    "fractional-objective": ("objective", 2.5),
+    "string-complete": ("complete", "no"),
+}
+
+
+@pytest.mark.parametrize("flaw", _BAD_SEEDS)
+def test_optimize_rejects_malformed_seed_schedule(workspace, runner, flaw):
+    """A seed schedule's start, finish and objective are integers, each
+    entry four values and `complete` a bool; anything else exits 1 with a
+    message, not a read of "3" as 3, 2.7 as 2 or "no" as true."""
+    sched = str(workspace["root"] / "seed_source.json")
+    result = runner.invoke(main, ["schedule", "--problem", workspace["problem"],
+                                  "--model", workspace["model"], "--out", sched])
+    assert result.exit_code == 0, result.output
+    data = load_json(sched)
+    entry, value = _BAD_SEEDS[flaw]
+    if isinstance(entry, int):
+        data["entries"][0][entry] = value
+    elif entry is None:
+        data["entries"][0] = value
+    else:
+        data[entry] = value
+    path = _write_json(workspace, f"seed_{flaw}.json", data)
+    result = runner.invoke(main, _with_required(
+        workspace, ["optimize", "--seed-schedule", path]))
+    _assert_error_message(result, path)
+    assert "schedule" in result.output
 
 
 def test_help_lists_subcommands(runner):

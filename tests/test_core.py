@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -106,6 +107,18 @@ class TestProblemValidation:
         )
         # post-order in problem order, predecessors in listed order
         assert problem.wait_order() == ["t3", "t1", "t2", "t0"]
+
+    def test_long_wait_chain_loads_and_orders(self):
+        # each task waits on the next one listed, so the search from the
+        # first task runs 1,200 predecessors deep
+        ids = [f"t{i:04d}" for i in range(1200)]
+        problem = self._base(
+            tasks=tuple(TaskSpec(tid, (0.0, 0.0), {"a0": 1}, "r0", waits=tuple(
+                (nxt, 0) for nxt in ids[i + 1 : i + 2])) for i, tid in enumerate(ids)),
+            horizon=1200,
+        )
+        assert problem.wait_order() == ids[::-1]
+        assert problem_from_dict(problem_to_dict(problem)) == problem
 
     def test_unknown_wait_target(self):
         with pytest.raises(StructuralError, match="unknown task"):
@@ -405,15 +418,40 @@ class TestSerialization:
         ("agent", "speed", True),
         ("problem", "grid_size", [10.0, math.inf]),
         ("problem", "horizon", 40.0),
+        ("task", "durations", [3, 3]),
+        ("task", "waits", [["tC"]]),
+        ("task", "waits", ["tC"]),
+        ("task", "waits", [[3, 1]]),
     ])
     def test_malformed_number_rejected(self, tiny_problem, owner, key, value):
-        # the simulator needs finite coordinates and speeds, and whole ticks
+        # the simulator needs finite coordinates and speeds, whole ticks,
+        # durations by agent id and waits as (task id, gap) pairs
         data = problem_to_dict(tiny_problem)
         target = {"task": data["tasks"][0], "agent": data["agents"][0], "problem": data}
         target[owner][key] = value
         name = {"task": "task 'tA'", "agent": "agent 'a0'", "problem": key}[owner]
         with pytest.raises(StructuralError, match=f"^{name} .*must be"):
             problem_from_dict(data)
+
+    @pytest.mark.parametrize("flaw,value", [
+        ("entry 0 (task 'tA') start", ["tA", "a0", "0", 2]),
+        ("entry 0 (task 'tA') finish", ["tA", "a0", 0, 2.7]),
+        ("entry 0 must be", ["tA", "a0", 0]),
+        ("objective", 2.5),
+        ("complete", "no"),
+    ], ids=["string-start", "fractional-finish", "short-entry", "fractional-objective",
+            "string-complete"])
+    def test_malformed_schedule_rejected(self, tiny_problem, flaw, value):
+        # a schedule is read as written, never coerced: "3" is not 3, 2.7
+        # is not 2 and "no" is not true
+        data = schedule_to_dict(Schedule.from_entries(
+            [ScheduleEntry("tA", "a0", 0, 2)], tiny_problem))
+        if flaw.startswith("entry"):
+            data["entries"][0] = value
+        else:
+            data[flaw] = value
+        with pytest.raises(StructuralError, match=f"^schedule {re.escape(flaw)}"):
+            schedule_from_dict(data)
 
     def test_file_roundtrip(self, tiny_problem, tmp_path):
         path = str(tmp_path / "problem.json")

@@ -1,5 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demosched.datasets import (
     PAIRWISE_FEATURE_NAMES,
@@ -14,8 +18,10 @@ from demosched.datasets import (
     wide_vector,
 )
 from demosched.demonstrator import demonstrate
-from demosched.features import ContextFeatures, TaskFeatures
+from demosched.experiments import PROBLEM_KINDS, collect_demos
+from demosched.features import ContextFeatures, Observation, TaskFeatures
 from demosched.generator import generate_instance, make_config
+from test_optimizer import _relabel
 
 
 def test_feature_name_layout():
@@ -124,3 +130,103 @@ class TestNaiveDataset:
         with pytest.raises(HeterogeneousTaskCountError):
             build_naive_dataset([temporal_demo, small])
 
+
+
+# The three per-builder loops the shared walk replaced, kept as references.
+
+def _reference_pairwise(demos):
+    contexts, firsts, seconds = [], [], []
+    for demo in demos:
+        for obs in demo.observations:
+            if obs.scheduled is None:
+                continue
+            sched_id = obs.scheduled[0]
+            gamma_i = obs.task_features[sched_id]
+            for other_id in sorted(obs.task_features):
+                if other_id == sched_id:
+                    continue
+                gamma_j = obs.task_features[other_id]
+                contexts += (obs.context, obs.context)
+                firsts += (gamma_i, gamma_j)
+                seconds += (gamma_j, gamma_i)
+    rows = pair_rows(contexts, firsts, seconds)
+    return (rows.reshape(len(contexts), len(PAIRWISE_FEATURE_NAMES)),
+            np.tile(np.array([1, 0], dtype=int), len(contexts) // 2))
+
+
+def _reference_act(demos):
+    rows, labels = [], []
+    for demo in demos:
+        for obs in demo.observations:
+            if obs.scheduled is not None:
+                rows.append(point_vector(obs.context, obs.task_features[obs.scheduled[0]]))
+                labels.append(1)
+            else:
+                for tid in sorted(obs.task_features):
+                    rows.append(point_vector(obs.context, obs.task_features[tid]))
+                    labels.append(0)
+    return (np.array(rows, dtype=float).reshape(len(rows), len(POINTWISE_FEATURE_NAMES)),
+            np.array(labels, dtype=int))
+
+
+def _reference_pointwise(demos):
+    rows, labels = [], []
+    for demo in demos:
+        for obs in demo.observations:
+            if obs.scheduled is None:
+                continue
+            sched_id = obs.scheduled[0]
+            for tid in sorted(obs.task_features):
+                rows.append(point_vector(obs.context, obs.task_features[tid]))
+                labels.append(1 if tid == sched_id else 0)
+    return (np.array(rows, dtype=float).reshape(len(rows), len(POINTWISE_FEATURE_NAMES)),
+            np.array(labels, dtype=int))
+
+
+def _assert_builders_match_references(demos):
+    for build, reference in [(build_pairwise_dataset, _reference_pairwise),
+                             (build_act_dataset, _reference_act),
+                             (build_pointwise_dataset, _reference_pointwise)]:
+        ds, (X, y) = build(demos), reference(demos)
+        for got, want in [(ds.X, X), (ds.y, y)]:
+            assert (got.shape, got.dtype) == (want.shape, want.dtype), build.__name__
+            assert got.tobytes() == want.tobytes(), build.__name__
+
+
+_value = st.floats(-50, 50, allow_nan=False).map(float)
+
+
+@st.composite
+def _observation(draw):
+    # ids drawn in any order, so insertion order and id order differ
+    ids = draw(st.lists(st.sampled_from(["t2", "t10", "t0", "b", "a7"]),
+                        unique=True, max_size=5))
+    features = {tid: TaskFeatures(*draw(st.lists(_value, min_size=7, max_size=7)))
+                for tid in ids}
+    pick = draw(st.sampled_from([None, *ids]))
+    return Observation(tick=0, context=ContextFeatures(draw(_value), draw(_value)),
+                       task_features=features, candidates=tuple(ids),
+                       scheduled=None if pick is None else (pick, "a0"))
+
+
+@given(st.lists(st.lists(_observation(), max_size=6), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_builders_match_reference_loops(observations):
+    """The shared walk gives each builder the reference loop's X and y, byte
+    for byte: pair order, row order and labels, including no demos, demos
+    without observations and idle-only demos."""
+    _assert_builders_match_references(
+        [SimpleNamespace(observations=tuple(obs)) for obs in observations])
+
+
+@pytest.mark.parametrize("corpus", ["noisy-dense", "relabeled"])
+def test_builders_match_reference_loops_on_demos(corpus):
+    """The same on recorded demonstrations: noisy 8-task "dense" ones, and
+    ones on problems whose task id order differs from problem order."""
+    if corpus == "noisy-dense":
+        demos = collect_demos(["dense"], 6, 0.2, 5, num_tasks=8)
+    else:
+        demos = [demonstrate(_relabel(generate_instance(make_config(
+            kind, num_tasks=9, rng_seed=seed)), seed), 0.1, seed)
+            for kind in PROBLEM_KINDS for seed in range(2)]
+    _assert_builders_match_references(demos)

@@ -8,7 +8,11 @@ import numpy as np
 import pytest
 
 import demosched
-from demosched.demonstrator import demonstrate, demonstration_to_dict
+from demosched.demonstrator import (
+    IncompleteDemonstrationError,
+    demonstrate,
+    demonstration_to_dict,
+)
 from demosched.experiments import (
     CSV_FIELDS,
     PROBLEM_KINDS,
@@ -98,6 +102,25 @@ def test_noisy_demos_rerun_the_expert():
                                derive_seed(stream, "demo", kind, i),
                                cfg.contention_threshold)
         assert demonstration_to_dict(demo) == demonstration_to_dict(expected)
+
+
+def test_noisy_demo_past_the_horizon_is_retried(monkeypatch):
+    """A noisy run that leaves a task unfinished is run again on the same
+    problem with the next attempt's seed, and the demo records the seed
+    that completed; with no retry left the run's error is raised."""
+    kinds, stream = ["travel", "contention", "temporal", "dense"], 77
+    demos = collect_demos(kinds, 8, 0.2, stream, num_tasks=6)
+    assert len(demos) == 8
+    retried = demos[7]
+    threshold = make_config("dense", num_tasks=6).contention_threshold
+    with pytest.raises(IncompleteDemonstrationError):
+        demonstrate(retried.problem, 0.2, derive_seed(stream, "demo", "dense", 7), threshold)
+    assert retried.rng_seed == derive_seed(stream, "demo", "dense", 7, 1)
+    assert demonstration_to_dict(retried) == demonstration_to_dict(
+        demonstrate(retried.problem, 0.2, retried.rng_seed, threshold))
+    monkeypatch.setattr("demosched.experiments.MAX_RETRIES", 1)
+    with pytest.raises(IncompleteDemonstrationError):
+        collect_demos(kinds, 8, 0.2, stream, num_tasks=6)
 
 
 class TestCsvRoundtrip:

@@ -45,8 +45,7 @@ class TestGenConfig:
 
 class TestPresets:
     def test_travel_kind_has_slow_agents(self):
-        problem = generate_instance(make_config("travel", num_tasks=5, rng_seed=1,
-                                                grid=(20, 20), speed_range=(0.4, 0.9)))
+        problem = generate_instance(make_config("travel", num_tasks=5, rng_seed=1))
         assert min(a.speed for a in problem.agents) <= 1.0
 
     def test_temporal_kind_all_deadlines(self):

@@ -89,10 +89,8 @@ class TestBranchAndBound:
     def test_matches_brute_force(self):
         for kind, seed in [("temporal", 0), ("travel", 1), ("contention", 2),
                            ("temporal", 3), ("travel", 4)]:
-            # travel draws keep the wide grid and slow speeds they were picked on
-            slow = {"grid": (20, 20), "speed_range": (0.4, 0.9)} if kind == "travel" else {}
             problem = generate_instance(make_config(kind, num_tasks=4, num_agents=2,
-                                                    rng_seed=seed, **slow))
+                                                    rng_seed=seed))
             exact = branch_and_bound(problem, gap_threshold=0.0)
             oracle = brute_force_optimal(problem)
             assert exact.objective == oracle.objective

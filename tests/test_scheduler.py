@@ -68,9 +68,7 @@ class TestConstructSchedule:
         from demosched.demonstrator import demonstrate
         from demosched.heuristics import select_rule
 
-        # the travel draw keeps the wide grid and slow speeds it was picked on
-        slow = {"grid": (20, 20), "speed_range": (0.4, 0.9)} if kind == "travel" else {}
-        problem = generate_instance(make_config(kind, num_tasks=6, rng_seed=seed, **slow))
+        problem = generate_instance(make_config(kind, num_tasks=6, rng_seed=seed))
         rule = select_rule(problem)
         expert = demonstrate(problem, epsilon=0.0, rng_seed=0)
         rebuilt = construct_schedule(problem, HeuristicPolicy(rule),
