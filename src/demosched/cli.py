@@ -6,6 +6,7 @@ can be scripted and artifacts inspected or diffed.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -21,10 +22,10 @@ from .core import (
     schedule_to_dict,
     validate_schedule,
 )
-from .datasets import build_pairwise_dataset
 from .demonstrator import demonstrate as run_demonstrate
 from .demonstrator import demonstration_from_dict, demonstration_to_dict
 from .experiments import (
+    MIN_LEAF,
     PROBLEM_KINDS,
     format_summary,
     make_config,
@@ -35,8 +36,8 @@ from .experiments import (
     write_rows_csv,
 )
 from .generator import generate_instance
-from .optimizer import branch_and_bound
-from .policy import PolicyModel, cross_validate_min_leaf, evaluate as run_evaluate, train_policy
+from .optimizer import GAP_THRESHOLD, branch_and_bound
+from .policy import PolicyModel, evaluate as run_evaluate, train_policy
 from .scheduler import SchedulerConfig, construct_schedule
 
 
@@ -115,10 +116,12 @@ def _min_leaf(ctx, param, value: str) -> int | None:
 def train(demo_paths, min_leaf, out):
     """Train the pairwise priority and act models from demonstrations."""
     demos = [_load(path, demonstration_from_dict) for path in demo_paths]
+    try:
+        model = train_policy(demos, min_leaf=min_leaf)
+    except ValueError as exc:  # e.g. one-task demonstrations make no pairwise rows
+        raise click.ClickException(f"cannot train on these demonstrations: {exc}") from exc
     if min_leaf is None:
-        min_leaf = cross_validate_min_leaf(build_pairwise_dataset(demos))
-        click.echo(f"cross-validated min_leaf: {min_leaf}")
-    model = train_policy(demos, min_leaf=min_leaf)
+        click.echo(f"cross-validated min_leaf: {model.priority_tree.min_leaf}")
     save_json(model.to_dict(), out)
     click.echo(f"wrote {out}")
 
@@ -132,29 +135,20 @@ def evaluate(model_path, demo_paths):
     model = _load(model_path, PolicyModel.from_dict)
     demos = [_load(path, demonstration_from_dict) for path in demo_paths]
     metrics = run_evaluate(model, demos)
-    click.echo(json.dumps({
-        "sensitivity": metrics.sensitivity,
-        "specificity": metrics.specificity,
-        "num_scheduling_obs": metrics.num_scheduling_obs,
-        "num_idle_obs": metrics.num_idle_obs,
-    }, indent=2))
+    click.echo(json.dumps(dataclasses.asdict(metrics), indent=2))
 
 
 @main.command()
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
 @click.option("--model", "model_path", type=click.Path(exists=True), required=True)
-@click.option("--no-schedulability-test", is_flag=True)
-@click.option("--fallback-depth", type=COUNT, default=3, show_default=True)
+@click.option("--fallback-depth", type=COUNT, default=SchedulerConfig.fallback_depth,
+              show_default=True, help="1 replays the top pick with no test.")
 @click.option("--out", type=click.Path(), required=True)
-def schedule(problem_path, model_path, no_schedulability_test, fallback_depth, out):
+def schedule(problem_path, model_path, fallback_depth, out):
     """Build a schedule by replaying a trained policy."""
     problem = _load(problem_path, problem_from_dict)
     model = _load(model_path, PolicyModel.from_dict)
-    config = SchedulerConfig(
-        use_schedulability_test=not no_schedulability_test,
-        fallback_depth=fallback_depth,
-    )
-    result = construct_schedule(problem, model, config)
+    result = construct_schedule(problem, model, SchedulerConfig(fallback_depth))
     save_json(schedule_to_dict(result), out)
     report = validate_schedule(problem, result)
     click.echo(f"wrote {out} (objective={result.objective}, "
@@ -166,7 +160,8 @@ def schedule(problem_path, model_path, no_schedulability_test, fallback_depth, o
 @main.command()
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
 @click.option("--seed-schedule", "seed_path", type=click.Path(exists=True))
-@click.option("--gap", type=click.FloatRange(min=0.0), default=1e-3, show_default=True)
+@click.option("--gap", type=click.FloatRange(min=0.0), default=GAP_THRESHOLD,
+              show_default=True)
 @click.option("--node-limit", type=click.IntRange(min=0))
 @click.option("--time-limit", type=SECONDS, help="Seconds.")
 @click.option("--out", type=click.Path(), required=True)
@@ -210,7 +205,7 @@ def _finish(rows, out):
 @click.option("--demos", type=DEMOS, default=150, show_default=True)
 @click.option("--epsilon", type=PROBABILITY, default=0.0, show_default=True)
 @click.option("--num-seeds", type=COUNT, default=5, show_default=True)
-@click.option("--min-leaf", default="10", show_default=True, callback=_min_leaf,
+@click.option("--min-leaf", default=str(MIN_LEAF), show_default=True, callback=_min_leaf,
               help="Integer leaf size, or 'cv'.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())

@@ -274,6 +274,12 @@ class Compiled:
         except KeyError:
             raise StructuralError(f"unknown task {task_id!r}") from None
 
+    def agent_at(self, agent_id: str) -> int:
+        try:
+            return self.agent_index[agent_id]
+        except KeyError:
+            raise StructuralError(f"unknown agent {agent_id!r}") from None
+
     def schedule(self, placements) -> Schedule:
         """The Schedule of (task, agent, start, finish) index placements."""
         return Schedule.from_entries(

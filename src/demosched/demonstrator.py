@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SCHEMA_VERSION, ProblemInstance, Schedule, problem_from_dict
+from .core import SCHEMA_VERSION, ProblemInstance, Schedule, StructuralError, problem_from_dict
 from .core import problem_to_dict, schedule_from_dict, schedule_to_dict
 from .features import (
     Observation,
@@ -103,9 +103,16 @@ def demonstration_to_dict(demo: Demonstration) -> dict:
 
 
 def demonstration_from_dict(data: dict) -> Demonstration:
+    problem = problem_from_dict(data["problem"])
+    observations = []
+    for i, obs in enumerate(data["observations"]):
+        try:
+            observations.append(observation_from_dict(obs))
+        except StructuralError as exc:
+            raise StructuralError(f"observation {i}: {exc}") from None
     return Demonstration(
-        problem=problem_from_dict(data["problem"]),
-        observations=tuple(observation_from_dict(o) for o in data["observations"]),
+        problem=problem,
+        observations=tuple(observations),
         rule_used=RuleKind(data["rule_used"]),
         epsilon=float(data["epsilon"]),
         rng_seed=int(data["rng_seed"]),

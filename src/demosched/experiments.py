@@ -14,7 +14,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import validate_schedule
-from .datasets import build_pairwise_dataset
 from .demonstrator import Demonstration, IncompleteDemonstrationError, demonstrate
 from .generator import MAX_RETRIES, generate_demonstrated, generate_instance, make_config
 from .optimizer import (
@@ -25,7 +24,6 @@ from .optimizer import (
     perturb,
 )
 from .policy import (
-    cross_validate_min_leaf,
     evaluate,
     split_demos,
     train_naive,
@@ -182,13 +180,11 @@ def run_accuracy_sweep(
     for rep, stream, train, test in _replicates(
             "accuracy", data_condition, num_seeds, master_seed, kinds,
             num_demos, epsilon, num_agents=num_agents, num_tasks=num_tasks):
-        leaf = min_leaf
-        if leaf is None:
-            leaf = cross_validate_min_leaf(build_pairwise_dataset(train))
+        model = train_policy(train, min_leaf)
+        if min_leaf is None:
             rows.append(ResultRow("accuracy", condition, "min_leaf_selected",
-                                  float(leaf), rep, stream))
-        rows += _accuracy_rows("accuracy", condition,
-                               evaluate(train_policy(train, leaf), test),
+                                  float(model.priority_tree.min_leaf), rep, stream))
+        rows += _accuracy_rows("accuracy", condition, evaluate(model, test),
                                rep, stream)
     return rows
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import AgentSpec, ProblemInstance, SimState
+from .core import AgentSpec, ProblemInstance, SimState, StructuralError, _number
 
 
 # Feature rows are tuples in field order: the datasets' row encoders and the
@@ -98,11 +98,32 @@ def observation_to_dict(obs: Observation) -> dict:
     }
 
 
+def _finite(values, width: int, what: str) -> list:
+    """`values` if it is a list of `width` finite numbers."""
+    if not isinstance(values, (list, tuple)) or len(values) != width:
+        raise StructuralError(f"{what} must be {width} finite numbers, got {values!r}")
+    return [_number(v, what) for v in values]
+
+
 def observation_from_dict(data: dict) -> Observation:
+    """Raises StructuralError unless every feature row is finite and of its
+    width, every candidate is featurized and `scheduled` names a candidate."""
+    task_features = {tid: TaskFeatures(*_finite(vals, len(TASK_FEATURE_NAMES),
+                                                f"task {tid!r} features"))
+                     for tid, vals in data["task_features"].items()}
+    candidates = tuple(data["candidates"])
+    missing = [tid for tid in candidates if tid not in task_features]
+    if missing:
+        raise StructuralError(f"candidates {missing!r} have no task features")
+    scheduled = tuple(data["scheduled"]) if data["scheduled"] else None
+    if scheduled is not None and (len(scheduled) != 2 or scheduled[0] not in candidates):
+        raise StructuralError(f"scheduled must be a [candidate, agent id] pair, "
+                              f"got {data['scheduled']!r}")
     return Observation(
         tick=int(data["tick"]),
-        context=ContextFeatures(*data["context"]),
-        task_features={tid: TaskFeatures(*vals) for tid, vals in data["task_features"].items()},
-        candidates=tuple(data["candidates"]),
-        scheduled=tuple(data["scheduled"]) if data["scheduled"] else None,
+        context=ContextFeatures(*_finite(data["context"], len(CONTEXT_FEATURE_NAMES),
+                                         "context")),
+        task_features=task_features,
+        candidates=candidates,
+        scheduled=scheduled,
     )

@@ -319,15 +319,14 @@ def branch_and_bound(
 def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
     """Earliest-start timing of (task, agent) index pairs in the given order,
     as (task, agent, start, finish) placements. None if an agent cannot do
-    its task (an agent of None is an unknown id), or if the order violates
-    wait precedence or a deadline."""
+    its task, or if the order violates wait precedence or a deadline."""
     agent_free = [0] * len(cp.agent_ids)
     agent_loc = list(cp.start_loc)
     res_free = [0] * cp.num_resources
     finish: list[int | None] = [None] * len(cp.task_ids)
     placements = []
     for t, a in order:
-        if a is None or cp.duration[t][a] is None:
+        if cp.duration[t][a] is None:
             return None
         if any(finish[p] is None for p, _ in cp.waits[t]):
             return None
@@ -348,14 +347,13 @@ def timed_schedule(
 ) -> Schedule | None:
     """Earliest-start timing of tasks in the given (task, agent) order.
 
-    Returns None if the order violates wait precedence, a deadline, or the
-    horizon.
+    Returns None if an agent cannot do its task, or if the order violates
+    wait precedence, a deadline, or the horizon. An unknown task or agent id
+    raises StructuralError before anything is placed.
     """
     cp = Compiled(problem)
-    # ids are looked up as the order is placed, so an unknown task raises
-    # only if no earlier step fails
-    placements = _place(cp, ((cp.task_at(task_id), cp.agent_index.get(agent_id))
-                             for task_id, agent_id in order))
+    placements = _place(cp, [(cp.task_at(task_id), cp.agent_at(agent_id))
+                             for task_id, agent_id in order])
     return None if placements is None else cp.schedule(placements)
 
 
@@ -398,19 +396,18 @@ def perturb(
 
     swap: exchange the agents of two tasks; steal: reassign one task to a
     different capable agent; sequence: exchange two positions in the task
-    order. count = 0 returns the schedule unchanged. An unknown task raises
-    StructuralError; an unknown agent fails timing unless an edit replaces it.
+    order. count = 0 returns the schedule unchanged. An unknown task or
+    agent id raises StructuralError, at any count.
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if count < 0:
         raise ValueError("count must be >= 0")
+    cp = Compiled(problem)
+    base = [(cp.task_at(e.task_id), cp.agent_at(e.agent_id)) for e in schedule.entries]
     if count == 0:
         return schedule
-    cp = Compiled(problem)
     rng = np.random.default_rng(rng_seed)
-    base = [(cp.task_at(e.task_id), cp.agent_index.get(e.agent_id))
-            for e in schedule.entries]
     n = len(base)
     if n < 2:
         raise PerturbationError("schedule too small to perturb")
@@ -424,8 +421,7 @@ def perturb(
                 i, j = rng.choice(n, size=2, replace=False)
                 ti, ai = order[i]
                 tj, aj = order[j]
-                if (ai == aj or ai is None or aj is None
-                        or cp.duration[ti][aj] is None or cp.duration[tj][ai] is None):
+                if ai == aj or cp.duration[ti][aj] is None or cp.duration[tj][ai] is None:
                     break
                 order[i], order[j] = (ti, aj), (tj, ai)
             else:  # steal

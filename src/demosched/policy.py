@@ -39,7 +39,9 @@ class _LearnedPolicy:
     model supplies `scores(context, task_features, pool)`, one number per
     pool task, higher preferred."""
 
-    act_tree: DecisionTree
+    def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
+        self.priority_tree = priority_tree
+        self.act_tree = act_tree
 
     def select_task(
         self,
@@ -60,10 +62,6 @@ class _LearnedPolicy:
 
 class PolicyModel(_LearnedPolicy):
     """Pairwise-ranking priority tree plus a schedule-vs-idle act tree."""
-
-    def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
-        self.priority_tree = priority_tree
-        self.act_tree = act_tree
 
     def pair_matrix(self, context, task_features, pool: list[str]) -> np.ndarray:
         """Entry [i, j] is the tree's probability that pool[i] ranks above
@@ -129,10 +127,6 @@ class HeuristicPolicy:
 class PointwisePolicy(_LearnedPolicy):
     """Baseline: score each task independently; highest probability wins."""
 
-    def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
-        self.priority_tree = priority_tree
-        self.act_tree = act_tree
-
     def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
         rows = np.array([point_vector(context, task_features[tid]) for tid in pool])
         return dict(zip(pool, self.priority_tree.predict_proba(rows).tolist()))
@@ -164,9 +158,14 @@ def _fit(data: Dataset, min_leaf: int) -> DecisionTree:
     return DecisionTree(min_leaf=min_leaf).fit(data.X, data.y)
 
 
-def train_policy(demos: list[Demonstration], min_leaf: int = 1) -> PolicyModel:
+def train_policy(demos: list[Demonstration], min_leaf: int | None = 1) -> PolicyModel:
+    """min_leaf=None picks the leaf size of both trees by
+    `cross_validate_min_leaf` on the pairwise set."""
+    pairwise = build_pairwise_dataset(demos)
+    if min_leaf is None:
+        min_leaf = cross_validate_min_leaf(pairwise)
     return PolicyModel(
-        priority_tree=_fit(build_pairwise_dataset(demos), min_leaf),
+        priority_tree=_fit(pairwise, min_leaf),
         act_tree=_fit(build_act_dataset(demos), min_leaf),
     )
 

@@ -1,8 +1,8 @@
 """Schedule construction by replaying a learned policy tick by tick.
 
 The policy ranks the feasible candidates, the act model decides whether to
-schedule at all, and an optional schedulability test can veto the top pick
-in favour of the next-ranked candidate.
+schedule at all, and, unless `fallback_depth` is 1, a schedulability test
+can veto the top pick in favour of the next-ranked candidate.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from .simulate import run_simulation
 
 @dataclass(frozen=True)
 class SchedulerConfig:
-    use_schedulability_test: bool = True
-    fallback_depth: int = 3  # how many ranked candidates the test may try
+    fallback_depth: int = 3  # ranked candidates the test may try; 1 runs no test
 
     def __post_init__(self):
         if self.fallback_depth < 1:
@@ -75,7 +74,7 @@ def construct_schedule(
         top = policy.select_task(context, feats, pool)
         if not policy.predict_act(context, feats[top]):
             return None
-        if not config.use_schedulability_test:
+        if config.fallback_depth == 1:
             return index[top]
         # rank lazily: the next pick is asked for only once this one fails
         pick, remaining, tries = top, pool, config.fallback_depth

@@ -17,10 +17,11 @@ every fit on the same matrix: cross-validation folds and one-vs-rest trees
 fit row subsets or relabellings of it, and fits on the same rows can share
 one root histogram.
 
-A fitted tree is six parallel node arrays, which are also its JSON form:
-`feature`, `threshold`, `left`, `right` (all -1 at a leaf), `prob` (the
-positive-class share) and `count`. Node 0 is the root, and nodes are stored
-in right-first pre-order, so every parent comes before its children.
+A fitted tree is six parallel node arrays: `feature`, `threshold`, `left`,
+`right` (all -1 at a leaf), `prob` (the positive-class share) and `count`.
+Node 0 is the root, and nodes are stored in right-first pre-order, so every
+parent comes before its children. Its JSON form lists one record per node
+in that order, and a leaf's record leaves out the four split fields.
 """
 
 from __future__ import annotations

@@ -275,6 +275,59 @@ def test_train_rejects_non_demo_file(workspace, runner):
     _assert_error_message(result, workspace["problem"])
 
 
+def _first_scheduled(observations) -> dict:
+    return next(o for o in observations if o["scheduled"])
+
+
+# flaw -> edit of the first observation that schedules a task
+_BAD_OBSERVATIONS = {
+    "string-context": lambda o: o.update(context=["x", "y"]),
+    "short-context": lambda o: o.update(context=[1.0]),
+    "nan-feature": lambda o: o["task_features"][o["candidates"][0]].__setitem__(
+        0, float("nan")),
+    "short-features": lambda o: o["task_features"][o["candidates"][0]].pop(),
+    "unfeaturized-candidate": lambda o: o["task_features"].pop(o["candidates"][0]),
+    "scheduled-non-candidate": lambda o: o.update(candidates=[
+        c for c in o["candidates"] if c != o["scheduled"][0]]),
+}
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+@pytest.mark.parametrize("flaw", _BAD_OBSERVATIONS)
+def test_malformed_demo_is_error_message(workspace, runner, command, flaw):
+    """A demonstration whose observation has a non-numeric, non-finite or
+    short feature row, an unfeaturized candidate or a scheduled task that
+    was not a candidate exits 1 with a message naming the observation."""
+    data = load_json(workspace["demos"][0])
+    observation = _first_scheduled(data["observations"])
+    _BAD_OBSERVATIONS[flaw](observation)
+    path = _write_json(workspace, f"demo_{flaw}.json", data)
+    args = {"train": ["train", "--out", str(workspace["root"] / "never_written.json")],
+            "evaluate": ["evaluate", "--model", workspace["model"]]}[command]
+    result = runner.invoke(main, args + ["--demos", path])
+    _assert_error_message(result, path)
+    assert f"observation {data['observations'].index(observation)}: " in result.output
+    assert not (workspace["root"] / "never_written.json").exists()
+
+
+@pytest.mark.parametrize("min_leaf", ["cv", "1"])
+def test_train_on_untrainable_demos_is_error_message(tmp_path, runner, min_leaf):
+    """One-task demonstrations give no pairwise rows to fit: exit 1 with a
+    message, not a traceback."""
+    problem, demo = str(tmp_path / "problem.json"), str(tmp_path / "demo.json")
+    for args in (["generate", "--kind", "temporal", "--tasks", "1", "--seed", "3",
+                  "--out", problem],
+                 ["demonstrate", "--problem", problem, "--out", demo]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+    result = runner.invoke(main, ["train", "--demos", demo, "--min-leaf", min_leaf,
+                                  "--out", str(tmp_path / "model.json")])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit), result.exception
+    assert "Error: cannot train on these demonstrations: " in result.output
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_optimize_rejects_seed_naming_unknown_task(workspace, runner):
     sched = str(workspace["root"] / "seed_source.json")
     result = runner.invoke(main, ["schedule", "--problem", workspace["problem"],

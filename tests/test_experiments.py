@@ -30,6 +30,7 @@ from demosched.experiments import (
     write_rows_csv,
 )
 from demosched.generator import KIND_FIELDS, GenConfig, generate_instance
+from demosched.scheduler import SchedulerConfig
 
 
 class TestSeedDerivation:
@@ -319,6 +320,12 @@ def test_genconfig_fields():
         ("homogeneous", True), ("fraction_with_deadlines", 0.6),
         ("num_resources", 10), ("speed_range", (1.5, 3.0)), ("rng_seed", 0),
         ("contention_threshold", 100)]
+
+
+def test_schedulerconfig_fields():
+    """Every replay knob, with its default; a new one needs a caller."""
+    assert [(f.name, f.default) for f in dataclasses.fields(SchedulerConfig)] == [
+        ("fallback_depth", 3)]
 
 
 def test_kind_configs_pinned():

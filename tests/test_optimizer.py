@@ -74,7 +74,20 @@ class TestTimedSchedule:
         assert timed_schedule(tiny_problem, order) is None
 
     def test_incapable_agent(self, serial_problem):
-        assert timed_schedule(serial_problem, [("t0", "aX")]) is None
+        """An agent of the problem that cannot do its task is a timing
+        failure."""
+        problem = replace(serial_problem, agents=serial_problem.agents + (
+            AgentSpec("a1", (0.0, 0.0), 2.0),))
+        assert timed_schedule(problem, [("t0", "a1")]) is None
+
+    @pytest.mark.parametrize("unknown,name", [(("tA", "aX"), "unknown agent 'aX'"),
+                                              (("zz", "a0"), "unknown task 'zz'")])
+    def test_unknown_id_raises(self, tiny_problem, unknown, name):
+        """Every id is resolved before anything is placed, so an unknown one
+        raises even after a step that fails timing (tB before its wait
+        predecessor tA)."""
+        with pytest.raises(StructuralError, match=name):
+            timed_schedule(tiny_problem, [("tB", "a0"), unknown])
 
 
 class TestBranchAndBound:
@@ -200,8 +213,13 @@ class TestPerturb:
         return problem, branch_and_bound(problem, gap_threshold=0.0).schedule
 
     def test_count_zero_is_identity(self, optimal):
+        """count=0 returns the schedule itself, once its ids resolve."""
         problem, schedule = optimal
         assert perturb(problem, schedule, "swap", 0) is schedule
+        for field, unknown in (("task_id", "zz"), ("agent_id", "aX")):
+            entries = (replace(schedule.entries[0], **{field: unknown}),) + schedule.entries[1:]
+            with pytest.raises(StructuralError, match=unknown):
+                perturb(problem, replace(schedule, entries=entries), "swap", 0)
 
     @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
     def test_output_feasible_and_covering(self, optimal, kind):
@@ -271,9 +289,7 @@ def _golden_perturbation_corpus():
 
 
 # SHA-256 of the outcomes (a schedule, or a PerturbationError's message) of
-# each kind at counts 1-3 and seeds 0-1, and of each kind at count 1 and
-# seeds 0-3 from the expert schedule with its first entry's agent renamed to
-# an unknown "aX" (only a steal can replace it), recorded with the id-keyed
+# each kind at counts 1-3 and seeds 0-1, recorded with the id-keyed
 # perturbations this module's index form replaced
 GOLDEN_PERTURBATIONS = {
     "temporal-6-801 swap":
@@ -282,32 +298,24 @@ GOLDEN_PERTURBATIONS = {
         "882ad978c3aed94fbfe253792cc77d9bb83a9e508edd9eece3763f808c7f5be3",
     "temporal-6-801 sequence":
         "5e30282e50093510d57a5b7202c761e9f86da29fd2d543aaf2363c7b58576e8c",
-    "temporal-6-801 unknown-agent":
-        "7606601b0ab005727dff265c30e126ce83828254e4bd6a3496c529fa30fac577",
     "contention-7-802 swap":
         "5ecba6f4fdfbce60101276ac160002b2ae59fda498ae8e1dc01f6276e24bb40e",
     "contention-7-802 steal":
         "02b12b05169df8c1acada6448e8774f3a10fedcaae3ae50bd924e394675b0c4d",
     "contention-7-802 sequence":
         "01f0ce153edb838a4830d76184019b9bed19bfcb77cd93110bad2d039932ff94",
-    "contention-7-802 unknown-agent":
-        "713efb07f8ec4ecd9eb354611dc6342b83a25a155dd321488d16afa8aabd3265",
     "dense-8-803 swap":
         "f25e1315c69943ca28f8185c56094132f7e114b2434abb323bdf43f46fb31995",
     "dense-8-803 steal":
         "0a6fa4bba2275b4135f8db3b680cfbfa86c33c1b7970f08e45f071e58ebac83c",
     "dense-8-803 sequence":
         "132a16992bfe611d2377a45f93bd86b1fe6bb0a7a774ee27a832dfa9d5cda76e",
-    "dense-8-803 unknown-agent":
-        "124e3c1584178ba49bf6e8fb67a0b780570bdf2dc30a03b7d4d929cca0d2a2e0",
     "travel-8-804 swap":
         "9e0e269b8bc7cefaa52ec2dabeb4dba37554cbac06364e3926fb94a206b851cd",
     "travel-8-804 steal":
         "7b6be83d16910d52c3c0f8382e0735cb11e11bb7264d17bb4d71f7d4c7558186",
     "travel-8-804 sequence":
         "0b2c0282529226cc1a7e2b734fa11288031d3f5e6475b5682e4d6c37d76bba16",
-    "travel-8-804 unknown-agent":
-        "6cc95e787821b1488f93443b138910971356427bbc41b3b35df7af4a846cc927",
 }
 
 
@@ -321,11 +329,11 @@ def test_golden_perturbations():
             got[f"{label} {kind}"] = digest([
                 _perturbation_outcome(problem, schedule, kind, count, rng_seed)
                 for count in (1, 2, 3) for rng_seed in (0, 1)])
+        # an unknown agent is refused up front, as an unknown task is
         renamed = (replace(schedule.entries[0], agent_id="aX"),) + schedule.entries[1:]
-        unknown = replace(schedule, entries=renamed)
-        got[f"{label} unknown-agent"] = digest([
-            _perturbation_outcome(problem, unknown, kind, 1, rng_seed)
-            for kind in PERTURBATION_KINDS for rng_seed in range(4)])
+        for kind in PERTURBATION_KINDS:
+            with pytest.raises(StructuralError, match="unknown agent 'aX'"):
+                perturb(problem, replace(schedule, entries=renamed), kind, 1)
     assert got == GOLDEN_PERTURBATIONS
 
 

@@ -207,6 +207,13 @@ class TestCrossValidation:
         with pytest.raises(ValueError):
             cross_validate_min_leaf(ds)
 
+    def test_train_policy_cross_validates_when_leaf_is_none(self, small_demos):
+        """min_leaf=None trains both trees at the leaf size CV picks on the
+        pairwise set."""
+        leaf = cross_validate_min_leaf(build_pairwise_dataset(small_demos))
+        assert (train_policy(small_demos, None).to_dict()
+                == train_policy(small_demos, leaf).to_dict())
+
 
 class TestEvaluate:
     def test_trained_policy_fits_training_demos(self, small_demos):

@@ -1,5 +1,6 @@
 import pytest
 
+from demosched import scheduler
 from demosched.core import (
     AgentSpec,
     ProblemInstance,
@@ -72,7 +73,7 @@ class TestConstructSchedule:
         rule = select_rule(problem)
         expert = demonstrate(problem, epsilon=0.0, rng_seed=0)
         rebuilt = construct_schedule(problem, HeuristicPolicy(rule),
-                                     SchedulerConfig(use_schedulability_test=False))
+                                     SchedulerConfig(fallback_depth=1))
         assert rebuilt.entries == expert.schedule.entries
 
     def test_trained_policy_completes(self, small_demos):
@@ -82,14 +83,16 @@ class TestConstructSchedule:
             assert schedule.complete
             assert validate_schedule(demo.problem, schedule).feasible
 
-    def test_schedulability_test_can_be_disabled(self, small_demos):
+    def test_schedulability_test_can_be_disabled(self, small_demos, monkeypatch):
+        """At depth 1 the top pick is committed to and the test never runs."""
         model = train_policy(small_demos, min_leaf=5)
         problem = small_demos[0].problem
-        a = construct_schedule(problem, model,
-                               SchedulerConfig(use_schedulability_test=False))
-        b = construct_schedule(problem, model,
-                               SchedulerConfig(fallback_depth=1))
-        assert a.complete and b.complete
+
+        def never(state):
+            raise AssertionError("schedulability_test called at depth 1")
+
+        monkeypatch.setattr(scheduler, "schedulability_test", never)
+        assert construct_schedule(problem, model, SchedulerConfig(fallback_depth=1)).complete
 
     @pytest.mark.parametrize("depth", [0, -3])
     def test_fallback_depth_below_one_rejected(self, depth):

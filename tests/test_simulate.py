@@ -372,13 +372,9 @@ GOLDEN_REPLAYS = {
         "fa2072367084fb3522a4935212ec36e258bad8a52c754d9c484e02b4acba0f09",
     "trained depth-1":
         "fa2072367084fb3522a4935212ec36e258bad8a52c754d9c484e02b4acba0f09",
-    "trained no-test":
-        "fa2072367084fb3522a4935212ec36e258bad8a52c754d9c484e02b4acba0f09",
     "travel default":
         "880080e3671e32e9948a12efcdc0f07383a4bdc87d68afda0556bd59e622e749",
     "travel depth-1":
-        "28cf41d6dc0ce1479be22a5d58a1ac3f2d2e9f170c0c8f68d687e8bf85ef057a",
-    "travel no-test":
         "28cf41d6dc0ce1479be22a5d58a1ac3f2d2e9f170c0c8f68d687e8bf85ef057a",
 }
 
@@ -391,7 +387,6 @@ def test_golden_demonstrations_and_replays():
                            min_leaf=5)
     travel = HeuristicPolicy(RuleKind.TRAVEL_DISTANCE)
     configs = {"default": SchedulerConfig(),
-               "no-test": SchedulerConfig(use_schedulability_test=False),
                "depth-1": SchedulerConfig(fallback_depth=1)}
     problems = [d.problem for d in demos.values() if d.epsilon == 0.0]
     replays = {
