@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 SCHEMA_VERSION = "v1"
@@ -78,17 +79,6 @@ class TaskSpec:
     abs_deadline: int | None = None
     waits: tuple[tuple[str, int], ...] = ()  # (predecessor id, min gap W)
 
-    def capable_agents(self) -> list[str]:
-        return sorted(self.durations)
-
-    def duration_for(self, agent_id: str) -> int:
-        try:
-            return self.durations[agent_id]
-        except KeyError:
-            raise StructuralError(
-                f"agent {agent_id!r} cannot perform task {self.id!r}"
-            ) from None
-
 
 @dataclass(frozen=True)
 class AgentSpec:
@@ -115,6 +105,10 @@ class ProblemInstance:
             raise StructuralError("duplicate agent ids")
         if len(set(task_ids)) != len(task_ids):
             raise StructuralError("duplicate task ids")
+        if len(set(self.resources)) != len(self.resources):
+            raise StructuralError("duplicate resource ids")
+        if not self.tasks:
+            raise StructuralError("problem has no tasks")
         known = set(task_ids)
         for agent in self.agents:
             if agent.speed <= 0:
@@ -177,22 +171,6 @@ class ProblemInstance:
                     order[node] = len(order)
         return list(order)
 
-    def task(self, task_id: str) -> TaskSpec:
-        for t in self.tasks:
-            if t.id == task_id:
-                return t
-        raise StructuralError(f"unknown task {task_id!r}")
-
-    def agent(self, agent_id: str) -> AgentSpec:
-        for a in self.agents:
-            if a.id == agent_id:
-                return a
-        raise StructuralError(f"unknown agent {agent_id!r}")
-
-    def effective_deadline(self, task: TaskSpec) -> int:
-        """Absolute deadline, or the horizon for deadline-less tasks."""
-        return task.abs_deadline if task.abs_deadline is not None else self.horizon
-
     def contention_degree(self) -> int:
         """Sum over all ordered task pairs (i, j), including i == j, of
         the indicator that they require the same resource."""
@@ -219,9 +197,9 @@ class Compiled:
     `distance[loc][t]` the distance from it to task t, `angle[loc][t]` the
     angle at the origin between the two points and `travel[a][loc][t]`
     agent a's travel ticks over that distance: the one place arrival times
-    are derived. `capable[t]` lists the agents able to do t in id order, as
-    `TaskSpec.capable_agents()` does; `duration[t][a]` is None where a
-    cannot. `deadline[t]` is the effective deadline. `task_rank` and
+    are derived. `capable[t]` lists the agents able to do t in id order;
+    `duration[t][a]` is None where a cannot. `deadline[t]` is t's absolute
+    deadline, or the horizon where it has none. `task_rank` and
     `agent_rank` are the ids' positions in string order.
     """
 
@@ -238,9 +216,10 @@ class Compiled:
         self.num_resources = len(res_index)
         self.resource = [res_index[t.resource] for t in tasks]
         self.duration = [[t.durations.get(a.id) for a in agents] for t in tasks]
-        self.capable = [tuple(self.agent_index[a] for a in t.capable_agents())
+        self.capable = [tuple(self.agent_index[a] for a in sorted(t.durations))
                         for t in tasks]
-        self.deadline = [problem.effective_deadline(t) for t in tasks]
+        self.deadline = [problem.horizon if t.abs_deadline is None else t.abs_deadline
+                         for t in tasks]
         self.waits = [tuple((self.task_index[p], gap) for p, gap in t.waits)
                       for t in tasks]
         n = len(tasks)
@@ -439,20 +418,11 @@ class Schedule:
             complete = sorted(scheduled) == sorted(t.id for t in problem.tasks)
         return cls(entries=ordered, objective=objective, complete=complete)
 
-    def assignment(self) -> dict[str, str]:
-        return {e.task_id: e.agent_id for e in self.entries}
-
-    def entry(self, task_id: str) -> ScheduleEntry:
-        for e in self.entries:
-            if e.task_id == task_id:
-                return e
-        raise StructuralError(f"task {task_id!r} not in schedule")
-
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # wait | abs_deadline | resource_overlap | agent_overlap |
-    #            reachability | duration | coverage
+    kind: str  # assignment | wait | abs_deadline | resource_overlap |
+    #            agent_overlap | reachability | duration | coverage
     detail: str
 
 
@@ -466,19 +436,29 @@ class FeasibilityReport:
 
 
 def validate_schedule(problem: ProblemInstance, schedule: Schedule) -> FeasibilityReport:
-    """Replay every constraint against the schedule. Violations are data."""
+    """Replay every constraint against the schedule. Violations are data, never raised."""
     out: list[Violation] = []
-    entries = {e.task_id: e for e in schedule.entries}
-    seen: dict[str, int] = {}
+    tasks = {t.id: t for t in problem.tasks}
+    agents = {a.id: a for a in problem.agents}
+    placed = []  # entries the problem can place; only these are checked further
     for e in schedule.entries:
-        seen[e.task_id] = seen.get(e.task_id, 0) + 1
-    for tid, n in seen.items():
+        task = tasks.get(e.task_id)
+        if task is not None and e.agent_id in task.durations:
+            placed.append(e)
+        else:
+            why = ("unknown task" if task is None else
+                   "unknown agent" if e.agent_id not in agents else "agent cannot perform it")
+            out.append(Violation("assignment",
+                                 f"task {e.task_id!r} on agent {e.agent_id!r}: {why}"))
+
+    entries = {e.task_id: e for e in placed}
+    for tid, n in Counter(e.task_id for e in placed).items():
         if n > 1:
             out.append(Violation("coverage", f"task {tid!r} scheduled {n} times"))
 
-    for e in schedule.entries:
-        task = problem.task(e.task_id)
-        expected = task.duration_for(e.agent_id)
+    for e in placed:
+        task = tasks[e.task_id]
+        expected = task.durations[e.agent_id]
         if e.finish - e.start != expected:
             out.append(Violation(
                 "duration",
@@ -505,8 +485,8 @@ def validate_schedule(problem: ProblemInstance, schedule: Schedule) -> Feasibili
 
     by_resource: dict[str, list[ScheduleEntry]] = {}
     by_agent: dict[str, list[ScheduleEntry]] = {}
-    for e in schedule.entries:
-        by_resource.setdefault(problem.task(e.task_id).resource, []).append(e)
+    for e in placed:
+        by_resource.setdefault(tasks[e.task_id].resource, []).append(e)
         by_agent.setdefault(e.agent_id, []).append(e)
     for res, group in by_resource.items():
         for i, a in enumerate(group):
@@ -517,7 +497,7 @@ def validate_schedule(problem: ProblemInstance, schedule: Schedule) -> Feasibili
                         f"{a.task_id!r} and {b.task_id!r} overlap on {res!r}",
                     ))
     for agent_id, group in by_agent.items():
-        agent = problem.agent(agent_id)
+        agent = agents[agent_id]
         ordered = sorted(group, key=lambda e: e.start)
         for i, a in enumerate(ordered):
             for b in ordered[i + 1:]:
@@ -530,7 +510,7 @@ def validate_schedule(problem: ProblemInstance, schedule: Schedule) -> Feasibili
         loc = agent.start_location
         free = 0
         for e in ordered:
-            task = problem.task(e.task_id)
+            task = tasks[e.task_id]
             arrival = free + travel_ticks(euclidean(loc, task.location), agent.speed)
             if e.start < arrival:
                 out.append(Violation(
@@ -582,6 +562,12 @@ def _number(value, what: str, kinds=(int, float)):
     return value
 
 
+def _id(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise StructuralError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def _point(value, what: str) -> Point:
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise StructuralError(f"{what} must be two finite numbers, got {value!r}")
@@ -612,24 +598,24 @@ def problem_from_dict(data: dict) -> ProblemInstance:
     return ProblemInstance(
         grid_size=_point(data["grid_size"], "grid_size"),
         agents=tuple(
-            AgentSpec(a["id"],
+            AgentSpec(_id(a["id"], "agent id"),
                       _point(a["start_location"], f"agent {a['id']!r} start_location"),
                       _number(a["speed"], f"agent {a['id']!r} speed"))
             for a in data["agents"]
         ),
         tasks=tuple(
             TaskSpec(
-                id=t["id"],
+                id=_id(t["id"], "task id"),
                 location=_point(t["location"], f"task {t['id']!r} location"),
                 durations=_durations(t["durations"], f"task {t['id']!r} durations"),
-                resource=t["resource"],
+                resource=_id(t["resource"], f"task {t['id']!r} resource"),
                 abs_deadline=None if t.get("abs_deadline") is None else _number(
                     t["abs_deadline"], f"task {t['id']!r} abs_deadline", (int,)),
                 waits=tuple(_wait(w, f"task {t['id']!r} wait") for w in t.get("waits", [])),
             )
             for t in data["tasks"]
         ),
-        resources=tuple(data["resources"]),
+        resources=tuple(_id(r, "resource id") for r in data["resources"]),
         horizon=_number(data["horizon"], "horizon", (int,)),
     )
 
@@ -662,8 +648,10 @@ def _entry(value, k: int) -> ScheduleEntry:
         raise StructuralError(
             f"schedule entry {k} must be [task id, agent id, start, finish], got {value!r}")
     task_id, agent_id, start, finish = value
+    _id(task_id, f"schedule entry {k} task id")
     what = f"schedule entry {k} (task {task_id!r})"
-    return ScheduleEntry(task_id, agent_id, _number(start, f"{what} start", (int,)),
+    return ScheduleEntry(task_id, _id(agent_id, f"{what} agent id"),
+                         _number(start, f"{what} start", (int,)),
                          _number(finish, f"{what} finish", (int,)))
 
 

@@ -57,19 +57,18 @@ def wide_vector(context, task_features, index: dict[str, int]) -> list[float]:
     return vec
 
 
-def _rows(demos: list[Demonstration]):
-    """Every observation's `point_vector` rows, one per unfinished task, in
+def _rows(observations):
+    """Each observation's `point_vector` rows, one per unfinished task, in
     observation order and by task id within each observation. Also returns,
     per row, the index of the row its observation picked (-1 when the
     observation idled) and whether the row is that pick."""
     flat, pick_of = [], []  # one flat list, not a list per row: half the peak memory
-    for demo in demos:
-        for obs in demo.observations:
-            ids = sorted(obs.task_features)
-            pick = -1 if obs.scheduled is None else len(pick_of) + ids.index(obs.scheduled[0])
-            pick_of += [pick] * len(ids)
-            for tid in ids:
-                flat += point_vector(obs.context, obs.task_features[tid])
+    for obs in observations:
+        ids = sorted(obs.task_features)
+        pick = -1 if obs.scheduled is None else len(pick_of) + ids.index(obs.scheduled[0])
+        pick_of += [pick] * len(ids)
+        for tid in ids:
+            flat += point_vector(obs.context, obs.task_features[tid])
     pick_of = np.array(pick_of, dtype=int)
     X = np.array(flat, dtype=float).reshape(len(pick_of), len(POINTWISE_FEATURE_NAMES))
     return X, pick_of, pick_of == np.arange(len(pick_of))
@@ -81,7 +80,7 @@ def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
     Idle observations contribute nothing; the result is exactly
     label-balanced by construction.
     """
-    X, pick_of, picked = _rows(demos)
+    X, pick_of, picked = _rows(o for d in demos for o in d.observations)
     other = np.flatnonzero((pick_of >= 0) & ~picked)
     firsts = np.stack([X[pick_of[other], _CONTEXT:], X[other, _CONTEXT:]], axis=1)
     rows = pair_rows(X[other, None, :_CONTEXT], firsts, firsts[:, ::-1])
@@ -94,7 +93,7 @@ def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
 def build_act_dataset(demos: list[Demonstration]) -> Dataset:
     """Positives from scheduling observations, one negative per unfinished
     task at each idle observation."""
-    X, pick_of, picked = _rows(demos)
+    X, pick_of, picked = _rows(o for d in demos for o in d.observations)
     keep = picked | (pick_of < 0)
     return Dataset(X=X[keep], y=picked[keep].astype(int))
 
@@ -102,9 +101,8 @@ def build_act_dataset(demos: list[Demonstration]) -> Dataset:
 def build_pointwise_dataset(demos: list[Demonstration]) -> Dataset:
     """Per-task rows from scheduling observations, labelled 1 only for the
     task the expert picked."""
-    X, pick_of, picked = _rows(demos)
-    keep = pick_of >= 0
-    return Dataset(X=X[keep], y=picked[keep].astype(int))
+    X, _, picked = _rows(o for d in demos for o in d.observations if o.scheduled is not None)
+    return Dataset(X=X, y=picked.astype(int))
 
 
 class HeterogeneousTaskCountError(ValueError):

@@ -156,17 +156,22 @@ def branch_and_bound(
 ) -> BnBResult:
     """Minimize makespan exactly, or to within `gap_threshold`.
 
-    An infeasible or incomplete seed is rejected with a warning and the
-    search proceeds cold.
+    A seed naming a task or agent the problem lacks raises StructuralError.
+    An infeasible or incomplete seed, or one giving a task to an agent that
+    cannot do it, is rejected with a warning and the search proceeds cold.
     """
     t0 = _time.perf_counter()
 
+    cp = _Compiled(problem)
     incumbent: Schedule | None = None
     ub = float("inf")
     seeded = False
     seed_objective = None
     trace: list[tuple[int, int]] = []
     if seed is not None:
+        for e in seed.entries:
+            cp.task_at(e.task_id)
+            cp.agent_at(e.agent_id)
         # a seed's objective and coverage are recomputed, never trusted: a
         # loaded file states both and validation checks neither
         seed = Schedule.from_entries(seed.entries, problem)
@@ -184,7 +189,6 @@ def branch_and_bound(
                 stacklevel=2,
             )
 
-    cp = _Compiled(problem)
     lower_bound = cp.lower_bound
     capable, waits, deadline = cp.capable, cp.waits, cp.deadline
     resource, task_rank, agent_rank = cp.resource, cp.task_rank, cp.agent_rank

@@ -240,16 +240,22 @@ _BAD_VALUES = {
     "list-durations": ("tasks", "durations", [3, 3]),
     "short-wait": ("tasks", "waits", [["t01"]]),
     "string-wait": ("tasks", "waits", ["t01"]),
+    "number-task-id": ("tasks", "id", 5),
+    "number-agent-id": ("agents", "id", 5),
 }
 
 
 @pytest.mark.parametrize("command", ["demonstrate", "schedule", "optimize"])
 @pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0", "string-deadline",
-                                  *_BAD_VALUES])
+                                  "duplicate-resource", "no-tasks", *_BAD_VALUES])
 def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
     data = load_json(workspace["problem"])
     if flaw == "schema-v0":
         data["schema_version"] = "v0"
+    elif flaw == "duplicate-resource":
+        data["resources"].append(data["tasks"][0]["resource"])
+    elif flaw == "no-tasks":
+        data["tasks"] = []
     elif flaw == "string-deadline":
         data["tasks"][0]["abs_deadline"] = str(data["tasks"][0]["abs_deadline"])
     elif flaw in _BAD_VALUES:
@@ -350,14 +356,17 @@ _BAD_SEEDS = {
     "short-entry": (None, ["t00", "a0", 0]),
     "fractional-objective": ("objective", 2.5),
     "string-complete": ("complete", "no"),
+    "number-task-id": (0, 3),
+    "number-agent-id": (1, 0),
 }
 
 
 @pytest.mark.parametrize("flaw", _BAD_SEEDS)
 def test_optimize_rejects_malformed_seed_schedule(workspace, runner, flaw):
-    """A seed schedule's start, finish and objective are integers, each
-    entry four values and `complete` a bool; anything else exits 1 with a
-    message, not a read of "3" as 3, 2.7 as 2 or "no" as true."""
+    """A seed schedule's ids are strings, its start, finish and objective
+    integers, each entry four values and `complete` a bool; anything else
+    exits 1 with a message, not a read of "3" as 3, 2.7 as 2 or "no" as
+    true."""
     sched = str(workspace["root"] / "seed_source.json")
     result = runner.invoke(main, ["schedule", "--problem", workspace["problem"],
                                   "--model", workspace["model"], "--out", sched])

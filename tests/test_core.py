@@ -1,10 +1,12 @@
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
 from demosched.core import (
     AgentSpec,
+    Compiled,
     InfeasibleActionError,
     ProblemInstance,
     Schedule,
@@ -12,6 +14,7 @@ from demosched.core import (
     SimState,
     StructuralError,
     TaskSpec,
+    Violation,
     apply_action,
     euclidean,
     load_json,
@@ -57,6 +60,16 @@ class TestProblemValidation:
         with pytest.raises(StructuralError, match="duplicate agent"):
             self._base(agents=(AgentSpec("a0", (0.0, 0.0), 1.0),
                                AgentSpec("a0", (1.0, 0.0), 1.0)))
+
+    def test_duplicate_resource_ids(self):
+        # the compiled tables index resources by id, so a repeat would leave
+        # a task's resource index past the release-time table
+        with pytest.raises(StructuralError, match="duplicate resource"):
+            self._base(resources=("r0", "r0"))
+
+    def test_no_tasks(self):
+        with pytest.raises(StructuralError, match="no tasks"):
+            self._base(tasks=())
 
     def test_duplicate_task_ids(self):
         with pytest.raises(StructuralError, match="duplicate task"):
@@ -142,8 +155,8 @@ class TestProblemValidation:
 
 
 def test_effective_deadline(tiny_problem):
-    assert tiny_problem.effective_deadline(tiny_problem.task("tC")) == 15
-    assert tiny_problem.effective_deadline(tiny_problem.task("tA")) == 40
+    # tC's absolute deadline; the horizon for the deadline-less tA and tB
+    assert Compiled(tiny_problem).deadline == [40, 40, 15]
 
 
 def test_contention_degree(tiny_problem):
@@ -152,12 +165,22 @@ def test_contention_degree(tiny_problem):
 
 
 def test_task_lookup_errors(tiny_problem):
-    with pytest.raises(StructuralError):
-        tiny_problem.task("nope")
-    with pytest.raises(StructuralError):
-        tiny_problem.agent("nope")
-    with pytest.raises(StructuralError):
-        tiny_problem.task("tA").duration_for("aX")
+    cp = Compiled(tiny_problem)
+    with pytest.raises(StructuralError, match="unknown task 'nope'"):
+        cp.task_at("nope")
+    with pytest.raises(StructuralError, match="unknown agent 'nope'"):
+        cp.agent_at("nope")
+
+
+def test_spec_types_are_plain_data():
+    """The problem and schedule types hold data; every lookup derived from
+    them lives in `Compiled`, or in `validate_schedule`'s own tables."""
+    def methods(cls):
+        return sorted(k for k in vars(cls)
+                      if not k.startswith("_") and callable(getattr(cls, k)))
+    assert methods(TaskSpec) == []
+    assert methods(ProblemInstance) == ["check", "contention_degree", "wait_order"]
+    assert methods(Schedule) == ["from_entries"]
 
 
 def start(state, task_id, agent_id):
@@ -293,12 +316,6 @@ class TestSchedule:
                                          tiny_problem)
         assert not schedule.complete
 
-    def test_entry_lookup(self, tiny_problem):
-        schedule = Schedule.from_entries([ScheduleEntry("tA", "a0", 0, 2)])
-        assert schedule.entry("tA").finish == 2
-        with pytest.raises(StructuralError):
-            schedule.entry("tB")
-
 
 class TestValidateSchedule:
     def _sched(self, *entries):
@@ -353,6 +370,21 @@ class TestValidateSchedule:
                                 ScheduleEntry("tA", "a1", 5, 7)),
                        objective=7, complete=False)
         assert "coverage" in self._kinds(tiny_problem, bad)
+
+    @pytest.mark.parametrize("task,agent,why", [
+        ("tX", "a0", "unknown task"),
+        ("tC", "aX", "unknown agent"),
+        ("tC", "a0", "agent cannot perform it"),
+    ])
+    def test_misassigned_entry_reported_and_left_out(self, tiny_problem, task, agent, why):
+        # tC is a1's alone here; the bad entry would otherwise also overlap
+        # tA on r0 and on a0, and miss its span
+        tasks = tiny_problem.tasks[:2] + (replace(tiny_problem.tasks[2], durations={"a1": 2}),)
+        problem = replace(tiny_problem, tasks=tasks)
+        good = [ScheduleEntry("tA", "a0", 0, 2), ScheduleEntry("tB", "a0", 5, 8)]
+        report = validate_schedule(problem, self._sched(ScheduleEntry(task, agent, 1, 9), *good))
+        assert report.violations == (
+            Violation("assignment", f"task {task!r} on agent {agent!r}: {why}"),)
 
 
 class TestSerialization:
@@ -439,8 +471,10 @@ class TestSerialization:
         ("entry 0 must be", ["tA", "a0", 0]),
         ("objective", 2.5),
         ("complete", "no"),
+        ("entry 0 task id must be a string", [3, "a0", 0, 2]),
+        ("entry 0 (task 'tA') agent id must be a string", ["tA", 0, 0, 2]),
     ], ids=["string-start", "fractional-finish", "short-entry", "fractional-objective",
-            "string-complete"])
+            "string-complete", "number-task", "number-agent"])
     def test_malformed_schedule_rejected(self, tiny_problem, flaw, value):
         # a schedule is read as written, never coerced: "3" is not 3, 2.7
         # is not 2 and "no" is not true
@@ -452,6 +486,23 @@ class TestSerialization:
             data[flaw] = value
         with pytest.raises(StructuralError, match=f"^schedule {re.escape(flaw)}"):
             schedule_from_dict(data)
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda d: d["tasks"][0].update(id=5), "task id must be a string, got 5"),
+        (lambda d: d["agents"][0].update(id=5), "agent id must be a string, got 5"),
+        (lambda d: d.update(resources=["r0", 5]), "resource id must be a string, got 5"),
+        (lambda d: d["tasks"][0].update(resource=5),
+         "task 'tA' resource must be a string, got 5"),
+        (lambda d: d["resources"].append("r0"), "duplicate resource ids"),
+        (lambda d: d.update(tasks=[]), "problem has no tasks"),
+    ], ids=["task-id", "agent-id", "resource-id", "task-resource", "duplicate-resource",
+            "no-tasks"])
+    def test_malformed_ids_rejected(self, tiny_problem, edit, message):
+        # ids are compared and sorted as strings, so 5 is not an id
+        data = problem_to_dict(tiny_problem)
+        edit(data)
+        with pytest.raises(StructuralError, match=f"^{re.escape(message)}$"):
+            problem_from_dict(data)
 
     def test_file_roundtrip(self, tiny_problem, tmp_path):
         path = str(tmp_path / "problem.json")

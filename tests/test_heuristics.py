@@ -65,7 +65,7 @@ def pick(rule, problem, tasks=None, agent_id="a0"):
 class TestVrpPriority:
     def test_prefers_near_task(self):
         problem = build_problem()
-        cands = [problem.task("t0"), problem.task("t1")]
+        cands = [t for t in problem.tasks if t.id in ("t0", "t1")]
         assert pick(RuleKind.TRAVEL_DISTANCE, problem, cands) == "t0"
 
     def test_angle_term_breaks_distance_tie(self):
@@ -104,7 +104,7 @@ def test_edf_priority():
     problem = build_problem()
     assert pick(RuleKind.TEMPORAL_REQUIREMENTS, problem) == "t1"  # deadline 10
     # deadline-less tasks fall back to the horizon
-    assert pick(RuleKind.TEMPORAL_REQUIREMENTS, problem, [problem.task("t2")]) == "t2"
+    assert pick(RuleKind.TEMPORAL_REQUIREMENTS, problem, [problem.tasks[2]]) == "t2"
 
 
 def test_rule_choice_dispatch():
@@ -127,7 +127,7 @@ def test_empty_candidates_raise():
 def live_score(rule, state, agent_id, task, problem):
     """Each rule computed straight from the problem and the simulation state,
     higher-is-better scores negated so that lower always wins."""
-    deadline = problem.effective_deadline(task)
+    deadline = problem.horizon if task.abs_deadline is None else task.abs_deadline
     if rule is RuleKind.TRAVEL_DISTANCE:
         cp = state.compiled
         loc = cp.location[state.agent_loc[cp.agent_index[agent_id]]]

@@ -58,10 +58,11 @@ def serial_problem():
 class TestTimedSchedule:
     def test_hand_timing(self, serial_problem):
         schedule = timed_schedule(serial_problem, [("t0", "a0"), ("t1", "a0")])
-        assert schedule.entry("t0").start == 0
-        assert schedule.entry("t0").finish == 3
+        entry = {e.task_id: e for e in schedule.entries}
+        assert entry["t0"].start == 0
+        assert entry["t0"].finish == 3
         # two travel ticks after t0 finishes
-        assert schedule.entry("t1").start == 5
+        assert entry["t1"].start == 5
         assert schedule.objective == 7
 
     def test_wait_order_violation(self, tiny_problem):
@@ -170,6 +171,32 @@ class TestWarmStart:
         assert not result.seeded
         assert result.objective == 7
 
+    @pytest.mark.parametrize("field,message", [("task_id", "unknown task 'zz'"),
+                                               ("agent_id", "unknown agent 'zz'")])
+    def test_seed_naming_unknown_id_raises(self, serial_problem, field, message):
+        seed = timed_schedule(serial_problem, [("t0", "a0"), ("t1", "a0")])
+        entries = (replace(seed.entries[0], **{field: "zz"}),) + seed.entries[1:]
+        with pytest.raises(StructuralError, match=message):
+            branch_and_bound(serial_problem, seed=replace(seed, entries=entries))
+
+    def test_incapable_agent_seed_rejected_with_warning(self):
+        """A seed giving t0 to a1, which cannot do it, is a poor warm start,
+        not an error: the search warns and runs cold."""
+        problem = ProblemInstance(
+            grid_size=(10.0, 10.0),
+            agents=(AgentSpec("a0", (0.0, 0.0), 2.0), AgentSpec("a1", (0.0, 0.0), 2.0)),
+            tasks=(TaskSpec("t0", (0.0, 0.0), {"a0": 3}, "r0"),
+                   TaskSpec("t1", (4.0, 0.0), {"a0": 2, "a1": 2}, "r1")),
+            resources=("r0", "r1"),
+            horizon=30,
+        )
+        seed = Schedule.from_entries(
+            [ScheduleEntry("t0", "a1", 0, 3), ScheduleEntry("t1", "a0", 2, 4)], problem)
+        with pytest.warns(UserWarning, match="'t0' on agent 'a1': agent cannot perform it"):
+            result = branch_and_bound(problem, seed=seed)
+        assert not result.seeded
+        assert result.objective == branch_and_bound(problem).objective == 4
+
     def test_incomplete_seed_rejected(self, serial_problem):
         partial = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 3)],
                                         serial_problem)
@@ -235,7 +262,9 @@ class TestPerturb:
     def test_steal_changes_assignment(self, optimal):
         problem, schedule = optimal
         result = perturb(problem, schedule, "steal", 1, rng_seed=0)
-        assert result.assignment() != schedule.assignment()
+        def assignment(sched):
+            return {e.task_id: e.agent_id for e in sched.entries}
+        assert assignment(result) != assignment(schedule)
 
     def test_deterministic(self, optimal):
         problem, schedule = optimal
@@ -374,7 +403,7 @@ def _make_lower_bound(problem: ProblemInstance):
     # fastest capable agent: a static floor on incremental travel
     from_task: dict[str, int] = {}
     for t in problem.tasks:
-        smax = max(speed[a] for a in t.capable_agents())
+        smax = max(speed[a] for a in sorted(t.durations))
         hops = [
             travel_ticks(euclidean(u.location, t.location), smax)
             for u in problem.tasks
@@ -401,12 +430,12 @@ def _make_lower_bound(problem: ProblemInstance):
         for t in unplaced:
             direct = min(
                 node.agent_free[a] + hop(node.agent_loc[a], t, a)
-                for a in t.capable_agents()
+                for a in sorted(t.durations)
             )
             ready[t.id] = direct
             incr = min(
                 from_task[t.id],
-                min(hop(node.agent_loc[a], t, a) for a in t.capable_agents()),
+                min(hop(node.agent_loc[a], t, a) for a in sorted(t.durations)),
             )
             load += _min_duration(t) + incr
             per_res[t.resource] = per_res.get(t.resource, 0) + _min_duration(t)
@@ -425,7 +454,7 @@ def _make_lower_bound(problem: ProblemInstance):
                 if pred in node.finish:
                     e = max(e, node.finish[pred] + gap)
                 else:
-                    p = problem.task(pred)
+                    p = next(u for u in problem.tasks if u.id == pred)
                     e = max(e, earliest(p) + _min_duration(p) + gap)
             est[task.id] = e
             return e

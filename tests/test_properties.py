@@ -1,12 +1,14 @@
 """Property suites: dataset symmetry, ranking invariances, oracle
 self-consistency, perturbation safety and determinism."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from demosched.core import travel_ticks, validate_schedule
+from demosched.core import Schedule, travel_ticks, validate_schedule
 from demosched.datasets import build_pairwise_dataset, pair_rows
 from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import PROBLEM_KINDS, make_config
@@ -197,6 +199,44 @@ def test_every_returned_schedule_is_valid(kind, homogeneous, num_agents,
     for schedule in schedules:
         if schedule is not None:
             assert violation_kinds(problem, schedule) == set()
+
+
+@given(kind=st.sampled_from(PROBLEM_KINDS), homogeneous=st.booleans(),
+       num_agents=st.integers(min_value=2, max_value=3),
+       num_tasks=st.integers(min_value=2, max_value=8),
+       seed=st.integers(min_value=0, max_value=10_000),
+       edit=st.sampled_from(["unknown task", "unknown agent", "incapable agent"]),
+       data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_misassigned_entry_is_one_violation(kind, homogeneous, num_agents, num_tasks,
+                                            seed, edit, data):
+    """Editing one entry of a program-built schedule to name an unknown task,
+    an unknown agent or an agent that cannot do the task gives exactly one
+    "assignment" violation naming both ids, followed by the report of the
+    schedule without that entry: the oracle returns and never raises."""
+    # only heterogeneous problems have agents that cannot do some task
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks,
+        homogeneous=homogeneous and edit != "incapable agent", rng_seed=seed))
+    entries = demonstrate(problem).schedule.entries
+    agents = [a.id for a in problem.agents]
+    durations = {t.id: t.durations for t in problem.tasks}
+    if edit == "incapable agent":
+        edits = [(i, a) for i, e in enumerate(entries)
+                 for a in agents if a not in durations[e.task_id]]
+        assume(edits)
+        i, agent = data.draw(st.sampled_from(edits))
+        bad = replace(entries[i], agent_id=agent)
+    else:
+        i = data.draw(st.integers(min_value=0, max_value=len(entries) - 1))
+        field = "task_id" if edit == "unknown task" else "agent_id"
+        bad = replace(entries[i], **{field: "zz"})
+    schedule = Schedule(entries[:i] + (bad,) + entries[i + 1:], 0, False)
+    rest = Schedule(entries[:i] + entries[i + 1:], 0, False)
+    first, *others = validate_schedule(problem, schedule).violations
+    assert first.kind == "assignment"
+    assert f"task {bad.task_id!r} on agent {bad.agent_id!r}: " in first.detail
+    assert tuple(others) == validate_schedule(problem, rest).violations
 
 
 @given(seed=st.integers(min_value=0, max_value=1000),

@@ -98,7 +98,7 @@ def agent_can_reach(state: RefState, agent: AgentSpec, task: TaskSpec) -> bool:
 
 def feasible_candidates(state: RefState, agent_id: str, problem: ProblemInstance) -> list:
     """Tasks the given idle agent could start at the current tick."""
-    agent = problem.agent(agent_id)
+    agent = next(a for a in problem.agents if a.id == agent_id)
     out = []
     for task in state.unfinished(problem):
         if (
@@ -124,7 +124,7 @@ def reference_features(
         dist = euclidean(agent_loc, t.location)
         arrival = busy + travel_ticks(dist, agent.speed)
         out[t.id] = TaskFeatures(
-            deadline=float(problem.effective_deadline(t)),
+            deadline=float(problem.horizon if t.abs_deadline is None else t.abs_deadline),
             precedence_satisfied=1.0 if is_alive_enabled(state, t) else 0.0,
             resource_share_count=float(share_counts[t.resource] - 1),
             resource_available=1.0 if state.resource_free(t.resource) else 0.0,
@@ -142,7 +142,7 @@ def reference_schedulability_test(state: RefState, problem: ProblemInstance) -> 
     so a False answer is a certain miss while True is only a maybe.
     """
     for tid, finish in state.pending_finish.items():
-        task = problem.task(tid)
+        task = next(t for t in problem.tasks if t.id == tid)
         if task.abs_deadline is not None and finish > task.abs_deadline:
             return False
     for task in state.unfinished(problem):
@@ -153,14 +153,14 @@ def reference_schedulability_test(state: RefState, problem: ProblemInstance) -> 
                 f = state.pending_finish.get(pred)
             if f is not None:
                 enable = max(enable, f + gap)
-        deadline = problem.effective_deadline(task)
+        deadline = problem.horizon if task.abs_deadline is None else task.abs_deadline
         ok = False
-        for agent_id in task.capable_agents():
-            agent = problem.agent(agent_id)
+        for agent_id in sorted(task.durations):
+            agent = next(a for a in problem.agents if a.id == agent_id)
             dist = euclidean(state.agent_location[agent_id], task.location)
             ready = state.agent_busy_until[agent_id] + travel_ticks(dist, agent.speed)
             start = max(enable, ready)
-            if start + task.duration_for(agent_id) <= deadline:
+            if start + task.durations[agent_id] <= deadline:
                 ok = True
                 break
         if not ok:
