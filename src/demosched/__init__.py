@@ -25,7 +25,6 @@ from .optimizer import (
     perturb,
 )
 from .policy import (
-    HeuristicPolicy,
     Metrics,
     PolicyModel,
     cross_validate_min_leaf,
@@ -46,7 +45,6 @@ __all__ = [
     "FeasibilityReport",
     "GenConfig",
     "GenerationError",
-    "HeuristicPolicy",
     "IncompleteDemonstrationError",
     "InfeasibleActionError",
     "Metrics",

@@ -407,21 +407,16 @@ class Schedule:
     complete: bool
 
     @classmethod
-    def from_entries(
-        cls, entries: list[ScheduleEntry], problem: ProblemInstance | None = None
-    ) -> "Schedule":
+    def from_entries(cls, entries: list[ScheduleEntry], problem: ProblemInstance) -> "Schedule":
         ordered = tuple(sorted(entries, key=lambda e: (e.start, e.task_id)))
         objective = max((e.finish for e in ordered), default=0)
-        complete = True
-        if problem is not None:
-            scheduled = [e.task_id for e in ordered]
-            complete = sorted(scheduled) == sorted(t.id for t in problem.tasks)
+        complete = sorted(e.task_id for e in ordered) == sorted(t.id for t in problem.tasks)
         return cls(entries=ordered, objective=objective, complete=complete)
 
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # assignment | wait | abs_deadline | resource_overlap |
+    kind: str  # assignment | wait | abs_deadline | horizon | resource_overlap |
     #            agent_overlap | reachability | duration | coverage
     detail: str
 
@@ -468,6 +463,11 @@ def validate_schedule(problem: ProblemInstance, schedule: Schedule) -> Feasibili
             out.append(Violation(
                 "abs_deadline",
                 f"task {e.task_id!r} finishes {e.finish} > {task.abs_deadline}",
+            ))
+        if e.finish > problem.horizon:
+            out.append(Violation(
+                "horizon",
+                f"task {e.task_id!r} finishes {e.finish} > horizon {problem.horizon}",
             ))
         for pred, gap in task.waits:
             if pred not in entries:

@@ -8,8 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SCHEMA_VERSION, ProblemInstance, Schedule, StructuralError, problem_from_dict
-from .core import problem_to_dict, schedule_from_dict, schedule_to_dict
+from .core import SCHEMA_VERSION, ProblemInstance, Schedule, StructuralError, _number
+from .core import problem_from_dict, problem_to_dict, schedule_from_dict, schedule_to_dict
 from .features import (
     Observation,
     context_features,
@@ -103,6 +103,11 @@ def demonstration_to_dict(demo: Demonstration) -> dict:
 
 
 def demonstration_from_dict(data: dict) -> Demonstration:
+    if data.get("schema_version") != SCHEMA_VERSION:
+        raise StructuralError(f"unsupported schema version {data.get('schema_version')!r}")
+    epsilon = _number(data["epsilon"], "demonstration epsilon")
+    if not 0.0 <= epsilon <= 1.0:
+        raise StructuralError(f"demonstration epsilon must be in [0, 1], got {epsilon!r}")
     problem = problem_from_dict(data["problem"])
     observations = []
     for i, obs in enumerate(data["observations"]):
@@ -114,7 +119,7 @@ def demonstration_from_dict(data: dict) -> Demonstration:
         problem=problem,
         observations=tuple(observations),
         rule_used=RuleKind(data["rule_used"]),
-        epsilon=float(data["epsilon"]),
-        rng_seed=int(data["rng_seed"]),
+        epsilon=float(epsilon),
+        rng_seed=_number(data["rng_seed"], "demonstration rng_seed", (int,)),
         schedule=schedule_from_dict(data["schedule"]),
     )

@@ -120,7 +120,7 @@ def observation_from_dict(data: dict) -> Observation:
         raise StructuralError(f"scheduled must be a [candidate, agent id] pair, "
                               f"got {data['scheduled']!r}")
     return Observation(
-        tick=int(data["tick"]),
+        tick=_number(data["tick"], "tick", (int,)),
         context=ContextFeatures(*_finite(data["context"], len(CONTEXT_FEATURE_NAMES),
                                          "context")),
         task_features=task_features,

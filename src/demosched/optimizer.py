@@ -28,8 +28,8 @@ canonical (start, task id) test and the child order) it compares their
 precomputed ranks in string order, so "t10" still precedes "t2" and the
 search, and the argument above, are those of the string-keyed form.
 
-Serial timing and perturbations place (task, agent) index pairs with
-`_place`; ids are looked up only where an order or a schedule comes in.
+The exhaustive oracle and perturbations place (task, agent) index pairs
+with `_place`; ids are looked up only where a schedule comes in.
 """
 
 from __future__ import annotations
@@ -108,8 +108,6 @@ class _Compiled(Compiled):
           could physically reach each task (direct travel never
           overestimates a detour, by the triangle inequality).
         """
-        if not unplaced:
-            return float(makespan)
         capable, mind, waits = self.capable, self.min_duration, self.waits
         from_task, resource = self.from_task, self.resource
         rows = [table[loc] for table, loc in zip(self.travel, agent_loc)]
@@ -211,8 +209,6 @@ def branch_and_bound(
     def gap_of(lb: float) -> float:
         if not math.isfinite(ub):
             return float("inf")
-        if ub <= 0:
-            return 0.0
         return max(0.0, (ub - lb) / ub)
 
     global_lb = root_bound
@@ -317,7 +313,7 @@ def branch_and_bound(
 
 
 # ---------------------------------------------------------------------------
-# Serial timing and exhaustive baseline
+# Exhaustive baseline
 # ---------------------------------------------------------------------------
 
 def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
@@ -344,21 +340,6 @@ def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
         res_free[cp.resource[t]] = fin
         finish[t] = fin
     return placements
-
-
-def timed_schedule(
-    problem: ProblemInstance, order: list[tuple[str, str]]
-) -> Schedule | None:
-    """Earliest-start timing of tasks in the given (task, agent) order.
-
-    Returns None if an agent cannot do its task, or if the order violates
-    wait precedence, a deadline, or the horizon. An unknown task or agent id
-    raises StructuralError before anything is placed.
-    """
-    cp = Compiled(problem)
-    placements = _place(cp, [(cp.task_at(task_id), cp.agent_at(agent_id))
-                             for task_id, agent_id in order])
-    return None if placements is None else cp.schedule(placements)
 
 
 def brute_force_optimal(problem: ProblemInstance) -> Schedule | None:

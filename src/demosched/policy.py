@@ -26,7 +26,6 @@ from .datasets import (
 )
 from .demonstrator import Demonstration
 from .features import ContextFeatures, TaskFeatures
-from .heuristics import RuleKind, expert_choice
 from .tree import DecisionTree, RankBins
 
 FEATURE_SCHEMA = "v1"
@@ -88,6 +87,10 @@ class PolicyModel(_LearnedPolicy):
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolicyModel":
+        if data.get("schema_version") != SCHEMA_VERSION:
+            raise ValueError(f"unsupported schema version {data.get('schema_version')!r}")
+        if data.get("kind") != "pairwise":
+            raise ValueError(f"unsupported model kind {data.get('kind')!r}")
         if data.get("feature_schema") != FEATURE_SCHEMA:
             raise ValueError(f"unsupported feature schema {data.get('feature_schema')!r}")
         return cls(
@@ -104,24 +107,6 @@ def _load_tree(data: dict, width: int) -> DecisionTree:
         raise ValueError(f"malformed tree: splits on feature {tree.feature.max()} "
                          f"of rows {width} wide")
     return tree
-
-
-class HeuristicPolicy:
-    """The mock expert's rule wrapped behind the policy interface, used as a
-    self-consistency oracle and as a drop-in scheduler policy."""
-
-    def __init__(self, rule: RuleKind):
-        self.rule = rule
-
-    def select_task(self, context, task_features, pool):
-        return expert_choice(self.rule, task_features, pool)
-
-    def predict_act(self, context, tf) -> bool:
-        return (
-            tf.precedence_satisfied >= 1.0
-            and tf.resource_available >= 1.0
-            and tf.travel_time_remaining <= 0.0
-        )
 
 
 class PointwisePolicy(_LearnedPolicy):

@@ -1,6 +1,6 @@
 import pytest
 
-from demosched.core import AgentSpec, ProblemInstance, TaskSpec
+from demosched.core import AgentSpec, Compiled, ProblemInstance, TaskSpec
 
 # acceptance tests register one line per criterion; the summary hook prints
 # them after the run so they are visible even when every test passes
@@ -35,6 +35,35 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(CRITERION_LINES[number])
 from demosched.demonstrator import demonstrate
 from demosched.generator import generate_instance, make_config
+from demosched.heuristics import RuleKind, expert_choice
+from demosched.optimizer import _place
+
+
+def timed_schedule(problem, order):
+    """Earliest-start timing of (task id, agent id) pairs in the given order,
+    or None where an agent cannot do its task or the order breaks a wait or
+    a deadline."""
+    cp = Compiled(problem)
+    placements = _place(cp, [(cp.task_index[t], cp.agent_index[a]) for t, a in order])
+    return None if placements is None else cp.schedule(placements)
+
+
+class HeuristicPolicy:
+    """The mock expert's rule wrapped behind the policy interface, used as a
+    self-consistency oracle and as a drop-in scheduler policy."""
+
+    def __init__(self, rule: RuleKind):
+        self.rule = rule
+
+    def select_task(self, context, task_features, pool):
+        return expert_choice(self.rule, task_features, pool)
+
+    def predict_act(self, context, tf) -> bool:
+        return (
+            tf.precedence_satisfied >= 1.0
+            and tf.resource_available >= 1.0
+            and tf.travel_time_remaining <= 0.0
+        )
 
 
 @pytest.fixture

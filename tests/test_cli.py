@@ -87,20 +87,31 @@ def test_evaluate_prints_metrics(workspace, runner):
     assert metrics["num_scheduling_obs"] == 5
 
 
-@pytest.mark.parametrize("child", [0, 99])
-def test_evaluate_rejects_malformed_model(workspace, runner, child):
+# flaw -> (edit of a trained model, the message refusing it)
+_BAD_MODELS = {
+    "0": (lambda m: m["priority_tree"]["nodes"][0].update(left=0), "malformed tree"),
+    "99": (lambda m: m["priority_tree"]["nodes"][0].update(left=99), "malformed tree"),
+    "future-version": (lambda m: m.update(schema_version="v9"),
+                       "unsupported schema version 'v9'"),
+    "pointwise": (lambda m: m.update(kind="pointwise"), "unsupported model kind 'pointwise'"),
+}
+
+
+@pytest.mark.parametrize("flaw", _BAD_MODELS)
+def test_evaluate_rejects_malformed_model(workspace, runner, flaw):
     """A priority-tree root whose left child is itself (a walk that never
-    ends) or out of range is refused at load, with exit code 1."""
+    ends) or out of range, a schema version other than v1 or a kind other
+    than pairwise is refused at load, with exit code 1."""
     data = load_json(workspace["model"])
-    root = data["priority_tree"]["nodes"][0]
-    assert "feature" in root
-    root["left"] = child
-    path = workspace["root"] / f"malformed{child}.json"
+    assert "feature" in data["priority_tree"]["nodes"][0]
+    edit, message = _BAD_MODELS[flaw]
+    edit(data)
+    path = workspace["root"] / f"malformed-{flaw}.json"
     path.write_text(json.dumps(data))
     result = runner.invoke(main, ["evaluate", "--model", str(path),
                                   "--demos", workspace["demos"][0]])
     assert result.exit_code == 1, result.output
-    assert "malformed tree" in result.output
+    assert message in result.output
 
 
 def test_model_commands_reject_out_of_range_feature(workspace, runner):
@@ -295,24 +306,42 @@ _BAD_OBSERVATIONS = {
     "unfeaturized-candidate": lambda o: o["task_features"].pop(o["candidates"][0]),
     "scheduled-non-candidate": lambda o: o.update(candidates=[
         c for c in o["candidates"] if c != o["scheduled"][0]]),
+    "fractional-tick": lambda o: o.update(tick=3.7),
+    "string-tick": lambda o: o.update(tick="3"),
+}
+
+# flaw -> edit of the demonstration's own fields
+_BAD_DEMOS = {
+    "future-version": lambda d: d.update(schema_version="v9"),
+    "no-version": lambda d: d.pop("schema_version"),
+    "fractional-seed": lambda d: d.update(rng_seed=2.9),
+    "string-epsilon": lambda d: d.update(epsilon="0.5"),
+    "epsilon-above-one": lambda d: d.update(epsilon=7.0),
 }
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate"])
-@pytest.mark.parametrize("flaw", _BAD_OBSERVATIONS)
+@pytest.mark.parametrize("flaw", [*_BAD_OBSERVATIONS, *_BAD_DEMOS])
 def test_malformed_demo_is_error_message(workspace, runner, command, flaw):
     """A demonstration whose observation has a non-numeric, non-finite or
-    short feature row, an unfeaturized candidate or a scheduled task that
-    was not a candidate exits 1 with a message naming the observation."""
+    short feature row, an unfeaturized candidate, a scheduled task that was
+    not a candidate or a tick that is not an integer exits 1 with a message
+    naming the observation. So does one whose schema version is not v1,
+    whose rng_seed is not an integer or whose epsilon is not a number in
+    [0, 1], naming the file."""
     data = load_json(workspace["demos"][0])
     observation = _first_scheduled(data["observations"])
-    _BAD_OBSERVATIONS[flaw](observation)
+    if flaw in _BAD_OBSERVATIONS:
+        _BAD_OBSERVATIONS[flaw](observation)
+    else:
+        _BAD_DEMOS[flaw](data)
     path = _write_json(workspace, f"demo_{flaw}.json", data)
     args = {"train": ["train", "--out", str(workspace["root"] / "never_written.json")],
             "evaluate": ["evaluate", "--model", workspace["model"]]}[command]
     result = runner.invoke(main, args + ["--demos", path])
     _assert_error_message(result, path)
-    assert f"observation {data['observations'].index(observation)}: " in result.output
+    if flaw in _BAD_OBSERVATIONS:
+        assert f"observation {data['observations'].index(observation)}: " in result.output
     assert not (workspace["root"] / "never_written.json").exists()
 
 

@@ -318,11 +318,12 @@ class TestSchedule:
 
 
 class TestValidateSchedule:
-    def _sched(self, *entries):
-        return Schedule.from_entries(list(entries))
+    def _sched(self, problem, *entries):
+        return Schedule.from_entries(list(entries), problem)
 
     def test_feasible(self, tiny_problem):
         schedule = self._sched(
+            tiny_problem,
             ScheduleEntry("tA", "a0", 0, 2),
             ScheduleEntry("tC", "a1", 2, 4),  # r0 frees when tA finishes
             ScheduleEntry("tB", "a0", 5, 8),
@@ -333,35 +334,35 @@ class TestValidateSchedule:
         return {v.kind for v in validate_schedule(problem, schedule).violations}
 
     def test_duration_mismatch(self, tiny_problem):
-        bad = self._sched(ScheduleEntry("tA", "a0", 0, 5))
+        bad = self._sched(tiny_problem, ScheduleEntry("tA", "a0", 0, 5))
         assert "duration" in self._kinds(tiny_problem, bad)
 
     def test_deadline_miss(self, tiny_problem):
-        bad = self._sched(ScheduleEntry("tC", "a1", 14, 16))
+        bad = self._sched(tiny_problem, ScheduleEntry("tC", "a1", 14, 16))
         assert "abs_deadline" in self._kinds(tiny_problem, bad)
 
     def test_wait_violation(self, tiny_problem):
-        bad = self._sched(ScheduleEntry("tA", "a0", 0, 2),
+        bad = self._sched(tiny_problem, ScheduleEntry("tA", "a0", 0, 2),
                           ScheduleEntry("tB", "a0", 2, 5))
         assert "wait" in self._kinds(tiny_problem, bad)
 
     def test_wait_predecessor_missing(self, tiny_problem):
-        bad = self._sched(ScheduleEntry("tB", "a0", 5, 8))
+        bad = self._sched(tiny_problem, ScheduleEntry("tB", "a0", 5, 8))
         assert "wait" in self._kinds(tiny_problem, bad)
 
     def test_resource_overlap(self, tiny_problem):
-        bad = self._sched(ScheduleEntry("tA", "a0", 0, 2),
+        bad = self._sched(tiny_problem, ScheduleEntry("tA", "a0", 0, 2),
                           ScheduleEntry("tC", "a1", 1, 3))
         assert "resource_overlap" in self._kinds(tiny_problem, bad)
 
     def test_agent_overlap(self, tiny_problem):
-        bad = self._sched(ScheduleEntry("tA", "a0", 0, 2),
+        bad = self._sched(tiny_problem, ScheduleEntry("tA", "a0", 0, 2),
                           ScheduleEntry("tB", "a0", 1, 4))
         assert "agent_overlap" in self._kinds(tiny_problem, bad)
 
     def test_reachability(self, tiny_problem):
         # a0 needs two ticks to get to (4, 0)
-        bad = self._sched(ScheduleEntry("tB", "a0", 1, 4))
+        bad = self._sched(tiny_problem, ScheduleEntry("tB", "a0", 1, 4))
         kinds = self._kinds(tiny_problem, bad)
         assert "reachability" in kinds
 
@@ -382,7 +383,7 @@ class TestValidateSchedule:
         tasks = tiny_problem.tasks[:2] + (replace(tiny_problem.tasks[2], durations={"a1": 2}),)
         problem = replace(tiny_problem, tasks=tasks)
         good = [ScheduleEntry("tA", "a0", 0, 2), ScheduleEntry("tB", "a0", 5, 8)]
-        report = validate_schedule(problem, self._sched(ScheduleEntry(task, agent, 1, 9), *good))
+        report = validate_schedule(problem, self._sched(problem, ScheduleEntry(task, agent, 1, 9), *good))
         assert report.violations == (
             Violation("assignment", f"task {task!r} on agent {agent!r}: {why}"),)
 
@@ -403,7 +404,7 @@ class TestSerialization:
         data["schema_version"] = "v0"
         with pytest.raises(StructuralError, match="schema version"):
             problem_from_dict(data)
-        sdata = schedule_to_dict(Schedule.from_entries([]))
+        sdata = schedule_to_dict(Schedule.from_entries([], tiny_problem))
         sdata["schema_version"] = "v2"
         with pytest.raises(StructuralError, match="schema version"):
             schedule_from_dict(sdata)

@@ -1,8 +1,10 @@
+import ast
 import csv
 import dataclasses
 import hashlib
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -354,7 +356,7 @@ def test_package_exports():
     """The names `import demosched` offers; a new one needs a caller."""
     assert sorted(demosched.__all__) == [
         "AgentSpec", "BnBResult", "DecisionTree", "Demonstration",
-        "FeasibilityReport", "GenConfig", "GenerationError", "HeuristicPolicy",
+        "FeasibilityReport", "GenConfig", "GenerationError",
         "IncompleteDemonstrationError", "InfeasibleActionError", "Metrics",
         "PerturbationError", "PolicyModel", "ProblemInstance", "Schedule",
         "ScheduleEntry", "SchedulerConfig", "SimState", "StructuralError",
@@ -365,3 +367,37 @@ def test_package_exports():
         "train_policy", "validate_schedule"]
     for name in demosched.__all__:
         assert hasattr(demosched, name), name
+
+
+# public names no entry point calls, kept on purpose
+UNCALLED_ALLOWED = {
+    "brute_force_optimal": "the exhaustive oracle C5 checks branch and bound against",
+    "origin_angle": "defines the angle feature that tests compare `Compiled.angle` to",
+}
+
+
+def test_every_public_function_has_a_caller():
+    """Every undecorated top-level public function or class in the library
+    (`__init__.py` aside) and the benchmark is named somewhere in them,
+    other than by its own definition: code only tests reach belongs in the
+    tests."""
+    root = Path(__file__).resolve().parents[1]
+    paths = [p for p in sorted((root / "src" / "demosched").glob("*.py"))
+             if p.name != "__init__.py"] + sorted((root / "perfbench").glob("*.py"))
+    defined, used = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_") and not node.decorator_list):
+                defined[node.name] = path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    uncalled = {name: where for name, where in defined.items()
+                if name not in used and name not in UNCALLED_ALLOWED}
+    assert uncalled == {}

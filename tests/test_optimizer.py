@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import HeuristicPolicy, timed_schedule
 from demosched import optimizer
 from demosched.core import (
     AgentSpec,
@@ -17,6 +18,7 @@ from demosched.core import (
     ScheduleEntry,
     StructuralError,
     TaskSpec,
+    Violation,
     euclidean,
     schedule_from_dict,
     schedule_to_dict,
@@ -33,9 +35,7 @@ from demosched.optimizer import (
     brute_force_optimal,
     objective_ratio,
     perturb,
-    timed_schedule,
 )
-from demosched.policy import HeuristicPolicy
 from demosched.heuristics import RuleKind
 from demosched.scheduler import construct_schedule
 
@@ -80,15 +80,6 @@ class TestTimedSchedule:
         problem = replace(serial_problem, agents=serial_problem.agents + (
             AgentSpec("a1", (0.0, 0.0), 2.0),))
         assert timed_schedule(problem, [("t0", "a1")]) is None
-
-    @pytest.mark.parametrize("unknown,name", [(("tA", "aX"), "unknown agent 'aX'"),
-                                              (("zz", "a0"), "unknown task 'zz'")])
-    def test_unknown_id_raises(self, tiny_problem, unknown, name):
-        """Every id is resolved before anything is placed, so an unknown one
-        raises even after a step that fails timing (tB before its wait
-        predecessor tA)."""
-        with pytest.raises(StructuralError, match=name):
-            timed_schedule(tiny_problem, [("tB", "a0"), unknown])
 
 
 class TestBranchAndBound:
@@ -196,6 +187,19 @@ class TestWarmStart:
             result = branch_and_bound(problem, seed=seed)
         assert not result.seeded
         assert result.objective == branch_and_bound(problem).objective == 4
+
+    def test_seed_past_horizon_rejected_with_warning(self, tiny_problem):
+        """tB running 100-103 breaks no other rule, but the horizon is 40:
+        the seed is reported and refused, not taken as a 103 incumbent."""
+        late = Schedule.from_entries(
+            [ScheduleEntry("tA", "a0", 0, 2), ScheduleEntry("tC", "a1", 2, 4),
+             ScheduleEntry("tB", "a0", 100, 103)], tiny_problem)
+        assert validate_schedule(tiny_problem, late).violations == (
+            Violation("horizon", "task 'tB' finishes 103 > horizon 40"),)
+        with pytest.warns(UserWarning, match="rejected: task 'tB' finishes 103 > horizon 40"):
+            result = branch_and_bound(tiny_problem, seed=late, node_limit=0)
+        assert not result.seeded
+        assert result.objective is None
 
     def test_incomplete_seed_rejected(self, serial_problem):
         partial = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 3)],
@@ -366,11 +370,11 @@ def test_golden_perturbations():
     assert got == GOLDEN_PERTURBATIONS
 
 
-def test_objective_ratio():
-    worse = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 12)])
-    base = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 10)])
+def test_objective_ratio(serial_problem):
+    worse = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 12)], serial_problem)
+    base = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 10)], serial_problem)
     assert objective_ratio(worse, base) == pytest.approx(1.2)
-    empty = Schedule.from_entries([])
+    empty = Schedule.from_entries([], serial_problem)
     with pytest.raises(ValueError):
         objective_ratio(worse, empty)
 

@@ -4,13 +4,13 @@ import json
 import numpy as np
 import pytest
 
+from conftest import HeuristicPolicy
 from demosched.datasets import build_pairwise_dataset
 from demosched.demonstrator import demonstrate
 from demosched.features import ContextFeatures, TaskFeatures
 from demosched.generator import KIND_FIELDS, generate_instance, make_config
 from demosched.policy import (
     MIN_LEAF_GRID,
-    HeuristicPolicy,
     Metrics,
     PolicyModel,
     cross_validate_min_leaf,

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from conftest import HeuristicPolicy, timed_schedule
 from demosched.core import Schedule, travel_ticks, validate_schedule
 from demosched.datasets import build_pairwise_dataset, pair_rows
 from demosched.demonstrator import demonstrate, demonstration_to_dict
@@ -19,9 +20,8 @@ from demosched.optimizer import (
     PerturbationError,
     branch_and_bound,
     perturb,
-    timed_schedule,
 )
-from demosched.policy import HeuristicPolicy, PolicyModel, evaluate, train_policy
+from demosched.policy import PolicyModel, evaluate, train_policy
 from demosched.scheduler import construct_schedule
 from demosched.simulate import run_simulation
 from demosched.tree import DecisionTree

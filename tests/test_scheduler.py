@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import HeuristicPolicy
 from demosched import scheduler
 from demosched.core import (
     AgentSpec,
@@ -11,7 +12,7 @@ from demosched.core import (
 )
 from demosched.generator import generate_instance, make_config
 from demosched.heuristics import select_rule
-from demosched.policy import HeuristicPolicy, train_policy
+from demosched.policy import train_policy
 from demosched.scheduler import SchedulerConfig, construct_schedule, schedulability_test
 
 

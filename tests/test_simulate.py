@@ -14,6 +14,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import HeuristicPolicy
 from demosched.core import (
     AgentSpec,
     Compiled,
@@ -31,7 +32,7 @@ from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.features import TaskFeatures, extract_features
 from demosched.generator import KIND_FIELDS, generate_instance, make_config
 from demosched.heuristics import RuleKind, expert_choice, select_rule
-from demosched.policy import HeuristicPolicy, train_policy
+from demosched.policy import train_policy
 from demosched.scheduler import SchedulerConfig, construct_schedule, schedulability_test
 from demosched.simulate import run_simulation
 from test_optimizer import _relabel
