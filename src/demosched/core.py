@@ -198,8 +198,8 @@ class Compiled:
     angle at the origin between the two points and `travel[a][loc][t]`
     agent a's travel ticks over that distance: the one place arrival times
     are derived. `capable[t]` lists the agents able to do t in id order;
-    `duration[t][a]` is None where a cannot. `deadline[t]` is t's absolute
-    deadline, or the horizon where it has none. `task_rank` and
+    `duration[t][a]` is None where a cannot. `deadline[t]` is the horizon,
+    or t's absolute deadline where that is earlier. `task_rank` and
     `agent_rank` are the ids' positions in string order.
     """
 
@@ -218,8 +218,8 @@ class Compiled:
         self.duration = [[t.durations.get(a.id) for a in agents] for t in tasks]
         self.capable = [tuple(self.agent_index[a] for a in sorted(t.durations))
                         for t in tasks]
-        self.deadline = [problem.horizon if t.abs_deadline is None else t.abs_deadline
-                         for t in tasks]
+        self.deadline = [problem.horizon if t.abs_deadline is None
+                         else min(t.abs_deadline, problem.horizon) for t in tasks]
         self.waits = [tuple((self.task_index[p], gap) for p, gap in t.waits)
                       for t in tasks]
         n = len(tasks)

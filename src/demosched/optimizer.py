@@ -20,13 +20,15 @@ prune.)
 
 Each call compiles the problem once (`core.Compiled`, the tables the
 simulator reads too), and places tasks by the shared `core.earliest_start`
-rule. This module adds only what the search alone reads: the lower bound,
-its per-task travel floor and a topological task order (`_Compiled`). A
-node is a handful of flat tuples over those indices, the fields of a
-`core.SimState` without its clock. Where the order above compares ids (the
-canonical (start, task id) test and the child order) it compares their
-precomputed ranks in string order, so "t10" still precedes "t2" and the
-search, and the argument above, are those of the string-keyed form.
+rule. This module adds only what the search alone reads (`_Compiled`): the
+lower bound, its per-task travel floor, each task's least added load (read
+by the constant-time screen a child passes before its full bound) and a
+topological task order. A node is a handful of flat tuples over those
+indices, the fields of a `core.SimState` without its clock. Where the order
+above compares ids (the canonical (start, task id) test and the child
+order) it compares their precomputed ranks in string order, so "t10" still
+precedes "t2" and the search, and the argument above, are those of the
+string-keyed form.
 
 The exhaustive oracle and perturbations place (task, agent) index pairs
 with `_place`; ids are looked up only where a schedule comes in.
@@ -66,16 +68,18 @@ class BnBResult:
     seed_objective: int | None
     incumbent_trace: tuple[tuple[int, int], ...]  # (nodes explored, objective)
     status: str  # optimal | gap_reached | node_limit | time_limit | infeasible
-    # work counters, deterministic: bound_evals, children_generated (the
-    # placements tried at expanded nodes), pruned_canonical, pruned_deadline,
-    # pruned_bound (children cut by the incumbent) and peak_open
+    # work counters, deterministic: bound_evals (full bounds only),
+    # children_generated (the placements tried at expanded nodes),
+    # pruned_canonical, pruned_deadline, pruned_screen and pruned_bound
+    # (children cut by the incumbent, by the O(1) screen or by the full
+    # bound) and peak_open
     stats: dict[str, int] = field(default_factory=dict)
 
 
 class _Compiled(Compiled):
     """The compiled problem plus what only the search reads: each task's
-    cheapest hop in from another task's location, a topological task order
-    and the lower bound."""
+    cheapest hop in from another task's location, its least added load, a
+    topological task order and the lower bound."""
 
     def __init__(self, problem: ProblemInstance):
         super().__init__(problem)
@@ -88,6 +92,12 @@ class _Compiled(Compiled):
             hops = [self.travel[fastest][u][t] for u in range(num_tasks) if u != t]
             self.from_task.append(min(hops) if hops else 0)
         self.min_duration = [min(t.durations.values()) for t in problem.tasks]
+        # least each task adds to the agents' summed load wherever it goes
+        # next: its shortest duration plus the cheaper of a hop in from
+        # another task and a capable agent's trip from its start
+        self.unit_load = [
+            d + min(hop, *(self.travel[a][self.start_loc[a]][t] for a in self.capable[t]))
+            for t, (d, hop) in enumerate(zip(self.min_duration, self.from_task))]
         self.topological = [self.task_index[tid] for tid in problem.wait_order()]
 
     def lower_bound(self, agent_free, agent_loc, res_free, finish, unplaced,
@@ -190,6 +200,7 @@ def branch_and_bound(
     lower_bound = cp.lower_bound
     capable, waits, deadline = cp.capable, cp.waits, cp.deadline
     resource, task_rank, agent_rank = cp.resource, cp.task_rank, cp.agent_rank
+    unit_load, mind = cp.unit_load, cp.min_duration
     num_agents = len(cp.agent_ids)
 
     # a node: (placements, agent release times, agent location indices,
@@ -203,7 +214,8 @@ def branch_and_bound(
     stack = [(root_bound, root_bound, root)]
     nodes_explored = 0
     status = "optimal"
-    pruned_canonical = pruned_deadline = completed = pushed = pruned_bound = 0
+    pruned_canonical = pruned_deadline = completed = pushed = 0
+    pruned_screen = pruned_bound = 0
     peak_open = 1
 
     def gap_of(lb: float) -> float:
@@ -233,6 +245,27 @@ def branch_and_bound(
         if placed:
             last_task, _, last_start, _ = placed[-1]
             last = (last_start, task_rank[last_task])
+        # With an incumbent, a child (t on agent a, finishing at fin on
+        # resource r) is screened in O(1) before its tuples and full bound
+        # are built. The screen is the larger of
+        #   ceil((sum(agent_free) - agent_free[a] + fin + U - unit_load[t]) / m)
+        #   fin + W[r] - min_duration[t]
+        # where U sums `unit_load` and W[r] sums `min_duration` over the
+        # node's unplaced tasks (on r). Each is at most the full bound's load
+        # or resource component, since an agent stands at its start or at a
+        # placed task, so a child the screen prunes is one the full bound
+        # would prune and the search is unchanged. The second term is at
+        # least fin, and the node's makespan is below its bound and so below
+        # ub, which covers the makespan component. The rooms move the node's
+        # share of each term to ub's side.
+        screening = ub < math.inf
+        if screening:
+            cap = int(ub)
+            load_room = (cap - 1) * num_agents - sum(agent_free)
+            res_room = [cap] * cp.num_resources
+            for t in unplaced:
+                load_room -= unit_load[t]
+                res_room[resource[t]] -= mind[t]
         children = []
         for i, t in enumerate(unplaced):
             if any(finish[p] is None for p, _ in waits[t]):
@@ -258,6 +291,10 @@ def branch_and_bound(
                         trace.append((nodes_explored, child_makespan))
                     continue
                 r = resource[t]
+                if screening and (fin - agent_free[a] - unit_load[t] > load_room
+                                  or fin - mind[t] >= res_room[r]):
+                    pruned_screen += 1
+                    continue
                 child = (agent_free[:a] + (fin,) + agent_free[a + 1:],
                          agent_loc[:a] + (t,) + agent_loc[a + 1:],
                          res_free[:r] + (fin,) + res_free[r + 1:],
@@ -281,15 +318,17 @@ def branch_and_bound(
         global_lb = ub if incumbent is not None else global_lb
 
     wall = _time.perf_counter() - t0
-    # every child generated was pruned by canonical order or by deadline,
-    # completed a schedule, or had its bound evaluated (and was then pruned
-    # or pushed); the root's bound is evaluated too
+    # every child generated was pruned by canonical order, by deadline or by
+    # the screen, completed a schedule, or had its full bound evaluated (and
+    # was then pruned or pushed); the root's bound is evaluated too
     bounded = pruned_bound + pushed
     stats = {
         "bound_evals": 1 + bounded,
-        "children_generated": pruned_canonical + pruned_deadline + completed + bounded,
+        "children_generated": (pruned_canonical + pruned_deadline + pruned_screen
+                               + completed + bounded),
         "pruned_canonical": pruned_canonical,
         "pruned_deadline": pruned_deadline,
+        "pruned_screen": pruned_screen,
         "pruned_bound": pruned_bound,
         "peak_open": peak_open,
     }

@@ -5,7 +5,6 @@ These run full experiment volumes and take a few minutes in total.
 """
 
 import numpy as np
-import pytest
 
 from conftest import record_criterion
 from demosched.experiments import (

@@ -150,7 +150,8 @@ def test_schedule_and_optimize(workspace, runner):
     assert report["gap"] <= 1e-3
     stats = report["stats"]
     assert set(stats) == {"bound_evals", "children_generated", "pruned_canonical",
-                          "pruned_deadline", "pruned_bound", "peak_open"}
+                          "pruned_deadline", "pruned_screen", "pruned_bound",
+                          "peak_open"}
     assert stats["bound_evals"] >= 1 and stats["peak_open"] >= 1
     optimal = schedule_from_dict(load_json(best))
     assert optimal.objective <= schedule_from_dict(load_json(sched)).objective

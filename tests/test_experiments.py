@@ -6,7 +6,6 @@ import inspect
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import demosched
@@ -369,6 +368,15 @@ def test_package_exports():
         assert hasattr(demosched, name), name
 
 
+def _module_paths(*dirs: str) -> list[Path]:
+    """The library's modules (`__init__.py` aside) and those of the other
+    named directories of the repository."""
+    root = Path(__file__).resolve().parents[1]
+    return [p for p in sorted((root / "src" / "demosched").glob("*.py"))
+            if p.name != "__init__.py"] + [
+        p for d in dirs for p in sorted((root / d).glob("*.py"))]
+
+
 # public names no entry point calls, kept on purpose
 UNCALLED_ALLOWED = {
     "brute_force_optimal": "the exhaustive oracle C5 checks branch and bound against",
@@ -381,11 +389,8 @@ def test_every_public_function_has_a_caller():
     (`__init__.py` aside) and the benchmark is named somewhere in them,
     other than by its own definition: code only tests reach belongs in the
     tests."""
-    root = Path(__file__).resolve().parents[1]
-    paths = [p for p in sorted((root / "src" / "demosched").glob("*.py"))
-             if p.name != "__init__.py"] + sorted((root / "perfbench").glob("*.py"))
     defined, used = {}, set()
-    for path in paths:
+    for path in _module_paths("perfbench"):
         tree = ast.parse(path.read_text())
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -401,3 +406,21 @@ def test_every_public_function_has_a_caller():
     uncalled = {name: where for name, where in defined.items()
                 if name not in used and name not in UNCALLED_ALLOWED}
     assert uncalled == {}
+
+
+def test_every_module_import_is_used():
+    """No module of the library, the tests or the benchmark imports a name
+    at module level that no expression in it reads."""
+    unused = []
+    for path in _module_paths("tests", "perfbench"):
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                    or getattr(node, "module", None) == "__future__"):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    unused.append(f"{path.name}: {name}")
+    assert unused == []

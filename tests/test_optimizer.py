@@ -114,6 +114,25 @@ class TestBranchAndBound:
         assert result.schedule is None
         assert result.objective is None
 
+    def test_deadline_past_horizon_is_clamped(self):
+        """A deadline after the horizon does not extend it: the only
+        schedule, t0 running 10-12, finishes past horizon 2, so the search
+        finds none."""
+        problem = ProblemInstance(
+            grid_size=(20.0, 20.0),
+            agents=(AgentSpec("a0", (0.0, 0.0), 1.0),),
+            tasks=(TaskSpec("t0", (10.0, 0.0), {"a0": 2}, "r0",
+                            abs_deadline=20),),
+            resources=("r0",),
+            horizon=2,
+        )
+        only = Schedule.from_entries([ScheduleEntry("t0", "a0", 10, 12)], problem)
+        assert validate_schedule(problem, only).violations == (
+            Violation("horizon", "task 't0' finishes 12 > horizon 2"),)
+        result = branch_and_bound(problem)
+        assert result.status == "infeasible"
+        assert result.objective is None
+
     def test_node_limit(self, temporal_problem):
         result = branch_and_bound(temporal_problem, node_limit=1,
                                   gap_threshold=0.0)
@@ -547,6 +566,61 @@ def test_compiled_bound_matches_reference(kind, homogeneous, shape, seed):
     assert len(checked) == evaluated
 
 
+def _replace_at(values: tuple, i: int, value) -> tuple:
+    return values[:i] + (value,) + values[i + 1:]
+
+
+@given(kind=st.sampled_from(PROBLEM_KINDS), homogeneous=st.booleans(),
+       shape=st.sampled_from([(6, 2, False), (9, 3, True), (10, 2, True),
+                              (12, 3, False)]),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=24, deadline=None)
+def test_screen_never_exceeds_full_bound(kind, homogeneous, shape, seed):
+    """At every child of a capped cold and seeded search, the O(1) screen,
+    recomputed here from `unit_load` and `min_duration`, is at most the
+    child's full bound, so a child it prunes is one the full bound would."""
+    num_tasks, num_agents, relabel = shape
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks,
+        homogeneous=homogeneous, rng_seed=seed))
+    if relabel:
+        problem = _relabel(problem, seed)
+    place = optimizer.earliest_start
+    checked = []
+
+    def checking_place(cp, t, a, agent_free, agent_loc, res_free, finish):
+        start, fin = place(cp, t, a, agent_free, agent_loc, res_free, finish)
+        unplaced = [u for u in cp.topological if finish[u] is None]
+        r = cp.resource[t]
+        makespan = max([fin, *(f for f in finish if f is not None)])
+        screen = max(
+            makespan,
+            math.ceil((sum(agent_free) - agent_free[a] + fin
+                       + sum(cp.unit_load[u] for u in unplaced if u != t))
+                      / len(agent_free)),
+            fin + sum(cp.min_duration[u] for u in unplaced
+                      if u != t and cp.resource[u] == r))
+        child = (_replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t),
+                 _replace_at(res_free, r, fin), _replace_at(finish, t, fin),
+                 tuple(u for u in unplaced if u != t), makespan)
+        assert screen <= cp.lower_bound(*child)
+        checked.append(screen)
+        return start, fin
+
+    seed_schedule = construct_schedule(
+        problem, HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS))
+    if not (seed_schedule.complete
+            and validate_schedule(problem, seed_schedule).feasible):
+        seed_schedule = None
+    generated = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "earliest_start", checking_place)
+        for warm in (None, seed_schedule):
+            generated += branch_and_bound(problem, seed=warm,
+                                          node_limit=25).stats["children_generated"]
+    assert len(checked) == generated
+
+
 def _golden_corpus():
     """(label, problem, node limit) of the pinned searches; the last two
     are relabeled, so a wrong id order changes their node sequence."""
@@ -618,18 +692,47 @@ def test_golden_searches():
                 assert validate_schedule(problem, result.schedule).feasible
 
 
+# full-bound prunes per golden (instance, arm), recorded with the search
+# before it screened children
+UNSCREENED_PRUNES = {
+    ("travel-7-501", "cold"): 1469, ("travel-7-501", "seeded"): 921,
+    ("contention-7-502", "cold"): 3265, ("contention-7-502", "seeded"): 2587,
+    ("temporal-7-503", "cold"): 1634, ("temporal-7-503", "seeded"): 1628,
+    ("temporal-20-601", "cold"): 0, ("temporal-20-601", "seeded"): 20309,
+    ("temporal-20-602", "cold"): 0, ("temporal-20-602", "seeded"): 18540,
+    ("travel-12-701", "cold"): 0, ("travel-12-701", "seeded"): 2375,
+    ("temporal-12-702", "cold"): 0, ("temporal-12-702", "seeded"): 2760,
+}
+
+
 class TestStats:
     def test_counters_account_for_children(self, temporal_problem):
         for warm in (None, branch_and_bound(temporal_problem).schedule):
             a = branch_and_bound(temporal_problem, seed=warm).stats
             assert a == branch_and_bound(temporal_problem, seed=warm).stats
-            # every child bounded was neither a canonical nor a deadline
-            # prune nor a complete schedule; the root is bounded too
+            # every child bounded was neither a canonical, deadline or
+            # screen prune nor a complete schedule; the root is bounded too
             bounded = a["bound_evals"] - 1
             assert a["children_generated"] >= (
-                a["pruned_canonical"] + a["pruned_deadline"] + bounded)
+                a["pruned_canonical"] + a["pruned_deadline"] + a["pruned_screen"]
+                + bounded)
             assert 0 <= a["pruned_bound"] <= bounded
             assert a["peak_open"] >= 1
+
+    def test_screen_only_moves_bound_prunes(self):
+        """On the golden searches the screen and the full bound together
+        prune exactly the children the full bound alone pruned, and the
+        screen is live on the seeded 20-task searches."""
+        policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
+        for label, problem, node_limit in _golden_corpus():
+            seed = construct_schedule(problem, policy)
+            for arm, warm in (("cold", None), ("seeded", seed)):
+                stats = branch_and_bound(problem, seed=warm,
+                                         node_limit=node_limit).stats
+                assert (stats["pruned_screen"] + stats["pruned_bound"]
+                        == UNSCREENED_PRUNES[label, arm]), (label, arm)
+                if label.startswith("temporal-20") and arm == "seeded":
+                    assert stats["pruned_screen"] > 0, label
 
     def test_seeding_only_removes_work(self):
         """A node's children do not depend on the incumbent, so a seeded

@@ -23,7 +23,6 @@ from demosched.optimizer import (
 )
 from demosched.policy import PolicyModel, evaluate, train_policy
 from demosched.scheduler import construct_schedule
-from demosched.simulate import run_simulation
 from demosched.tree import DecisionTree
 
 finite = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)

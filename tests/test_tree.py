@@ -1,4 +1,3 @@
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
