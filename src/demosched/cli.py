@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -47,11 +48,22 @@ def main():
     optimization with them."""
 
 
+class NumberRange(click.FloatRange):
+    """A float range that also refuses NaN, which compares false with every
+    bound and so passes `click.FloatRange`."""
+
+    def convert(self, value, param, ctx):
+        number = super().convert(value, param, ctx)
+        if math.isnan(number):
+            self.fail(f"{value!r} is not a number.", param, ctx)
+        return number
+
+
 COUNT = click.IntRange(min=1)
 # the 85/15 train/test split needs at least one held-out demonstration
 DEMOS = click.IntRange(min=2)
-PROBABILITY = click.FloatRange(0.0, 1.0)
-SECONDS = click.FloatRange(min=0.0)
+PROBABILITY = NumberRange(0.0, 1.0)
+SECONDS = NumberRange(min=0.0)
 
 
 def _load(path, parse):
@@ -160,7 +172,7 @@ def schedule(problem_path, model_path, fallback_depth, out):
 @main.command()
 @click.option("--problem", "problem_path", type=click.Path(exists=True), required=True)
 @click.option("--seed-schedule", "seed_path", type=click.Path(exists=True))
-@click.option("--gap", type=click.FloatRange(min=0.0), default=GAP_THRESHOLD,
+@click.option("--gap", type=NumberRange(min=0.0), default=GAP_THRESHOLD,
               show_default=True)
 @click.option("--node-limit", type=click.IntRange(min=0))
 @click.option("--time-limit", type=SECONDS, help="Seconds.")

@@ -21,6 +21,7 @@ latest release time. `SimState.candidates` is exactly the set of tasks
 
 from __future__ import annotations
 
+import graphlib
 import json
 import math
 from collections import Counter
@@ -144,32 +145,13 @@ class ProblemInstance:
             )
 
     def wait_order(self) -> list[str]:
-        """Task ids with every wait predecessor before its successors: a
-        post-order DFS in problem order, predecessors in listed order.
-        Raises on a cycle."""
-        order = {}
+        """Task ids in some order that puts every wait predecessor before
+        its successors; which such order is unspecified. Raises on a cycle."""
         graph = {t.id: [p for p, _ in t.waits] for t in self.tasks}
-        for root in graph:
-            if root in order:
-                continue
-            # an explicit stack of (node, its unvisited predecessors), so a
-            # long wait chain cannot exhaust the interpreter's recursion limit
-            path, on_path = [(root, iter(graph[root]))], {root}
-            while path:
-                node, preds = path[-1]
-                for pred in preds:
-                    if pred in order:
-                        continue
-                    if pred in on_path:
-                        raise StructuralError("wait-constraint graph has a cycle")
-                    on_path.add(pred)
-                    path.append((pred, iter(graph[pred])))
-                    break
-                else:
-                    path.pop()
-                    on_path.discard(node)
-                    order[node] = len(order)
-        return list(order)
+        try:
+            return list(graphlib.TopologicalSorter(graph).static_order())
+        except graphlib.CycleError as exc:
+            raise StructuralError("wait-constraint graph has a cycle") from exc
 
     def contention_degree(self) -> int:
         """Sum over all ordered task pairs (i, j), including i == j, of
@@ -340,8 +322,6 @@ class SimState:
         to it fits in the time since a was freed, so a busy agent has none."""
         cp, finish, now = self.compiled, self.finish, self.time
         slack = now - self.agent_free[a]
-        if slack < 0:
-            return []
         travel, res_free = cp.travel[a][self.agent_loc[a]], self.res_free
         duration, resource, waits = cp.duration, cp.resource, cp.waits
         return [t for t, f in enumerate(finish)

@@ -65,7 +65,6 @@ class BnBResult:
     nodes_explored: int
     wall_time: float
     seeded: bool
-    seed_objective: int | None
     incumbent_trace: tuple[tuple[int, int], ...]  # (nodes explored, objective)
     status: str  # optimal | gap_reached | node_limit | time_limit | infeasible
     # work counters, deterministic: bound_evals (full bounds only),
@@ -174,7 +173,6 @@ def branch_and_bound(
     incumbent: Schedule | None = None
     ub = float("inf")
     seeded = False
-    seed_objective = None
     trace: list[tuple[int, int]] = []
     if seed is not None:
         for e in seed.entries:
@@ -188,7 +186,6 @@ def branch_and_bound(
             incumbent = seed
             ub = float(seed.objective)
             seeded = True
-            seed_objective = seed.objective
             trace.append((0, seed.objective))
         else:
             warnings.warn(
@@ -223,10 +220,8 @@ def branch_and_bound(
             return float("inf")
         return max(0.0, (ub - lb) / ub)
 
-    global_lb = root_bound
     while stack:
         open_lb = stack[-1][1]
-        global_lb = min(open_lb, ub)
         if incumbent is not None and gap_of(open_lb) <= gap_threshold:
             status = "gap_reached"
             break
@@ -242,9 +237,8 @@ def branch_and_bound(
         nodes_explored += 1
 
         placed, agent_free, agent_loc, res_free, finish, unplaced, makespan = node
-        if placed:
-            last_task, _, last_start, _ = placed[-1]
-            last = (last_start, task_rank[last_task])
+        # every start and rank is at least 0, so the root admits any child
+        last = (placed[-1][2], task_rank[placed[-1][0]]) if placed else (-1, -1)
         # With an incumbent, a child (t on agent a, finishing at fin on
         # resource r) is screened in O(1) before its tuples and full bound
         # are built. The screen is the larger of
@@ -274,7 +268,7 @@ def branch_and_bound(
             for a in capable[t]:
                 start, fin = earliest_start(cp, t, a, agent_free, agent_loc,
                                              res_free, finish)
-                if placed and (start, task_rank[t]) <= last:
+                if (start, task_rank[t]) <= last:
                     pruned_canonical += 1
                     continue  # canonical append order only
                 if fin > deadline[t]:
@@ -314,8 +308,6 @@ def branch_and_bound(
             below = stack[-1][1] if stack else child_bound
             stack.append((child_bound, min(child_bound, below), child))
         peak_open = max(peak_open, len(stack))
-    else:
-        global_lb = ub if incumbent is not None else global_lb
 
     wall = _time.perf_counter() - t0
     # every child generated was pruned by canonical order, by deadline or by
@@ -335,7 +327,9 @@ def branch_and_bound(
     if incumbent is None and status == "optimal":
         # a limit hit before any incumbent is not proof of infeasibility
         status = "infeasible"
-    lb = min(global_lb, ub)
+    # a limit leaves open nodes whose least bound caps the gap; an exhausted
+    # search has proven its incumbent, or infeasibility (ub stays inf)
+    lb = min(stack[-1][1], ub) if stack else ub
     return BnBResult(
         schedule=incumbent,
         objective=None if incumbent is None else incumbent.objective,
@@ -344,7 +338,6 @@ def branch_and_bound(
         nodes_explored=nodes_explored,
         wall_time=wall,
         seeded=seeded,
-        seed_objective=seed_objective,
         incumbent_trace=tuple(trace),
         status=status,
         stats=stats,

@@ -28,14 +28,14 @@ def schedulability_test(state: SimState) -> bool:
 
     Uses lower bounds (ignores resource contention, unstarted predecessors
     and future congestion), so a False answer is a certain miss while True
-    is only a maybe. A task still running is checked against its absolute
-    deadline, an unstarted one against its effective deadline.
+    is only a maybe. Every task is checked against its effective deadline
+    (`Compiled.deadline`): a running task by its finish, an unstarted one by
+    its earliest finish on any capable agent.
     """
     cp, now, finish = state.compiled, state.time, state.finish
     for t, f in enumerate(finish):
         if f is not None:
-            deadline = cp.problem.tasks[t].abs_deadline
-            if f > now and deadline is not None and f > deadline:
+            if now < f > cp.deadline[t]:
                 return False
             continue
         enable = now

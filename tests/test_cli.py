@@ -216,6 +216,12 @@ def _with_required(workspace, args):
     ["optimize", "--node-limit", "-5"],
     ["optimize", "--time-limit", "-1"],
     ["experiment", "covas", "--time-limit", "-1"],
+    ["demonstrate", "--epsilon", "nan"],
+    ["experiment", "accuracy", "--epsilon", "nan"],
+    ["experiment", "baselines", "--epsilon", "nan"],
+    ["optimize", "--gap", "nan"],
+    ["optimize", "--time-limit", "nan"],
+    ["experiment", "covas", "--instances", "1", "--time-limit", "nan"],
 ], ids=" ".join)
 def test_out_of_range_option_is_usage_error(workspace, runner, args):
     """An out-of-range count, probability, depth, gap or limit exits 2 with the

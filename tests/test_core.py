@@ -118,8 +118,11 @@ class TestProblemValidation:
             ),
             horizon=10,
         )
-        # post-order in problem order, predecessors in listed order
-        assert problem.wait_order() == ["t3", "t1", "t2", "t0"]
+        order = problem.wait_order()
+        assert order == ["t1", "t3", "t2", "t0"]
+        position = {tid: i for i, tid in enumerate(order)}
+        for task in problem.tasks:
+            assert all(position[p] < position[task.id] for p, _ in task.waits)
 
     def test_long_wait_chain_loads_and_orders(self):
         # each task waits on the next one listed, so the search from the

@@ -114,6 +114,23 @@ class TestBranchAndBound:
         assert result.schedule is None
         assert result.objective is None
 
+    def test_exhausted_search_without_incumbent_has_no_finite_bound(self):
+        """A search that empties its open list with no incumbent has proven
+        infeasibility, so it reports an infinite bound, not the last open
+        node's."""
+        problem = ProblemInstance(
+            grid_size=(20.0, 20.0),
+            agents=(AgentSpec("a0", (0.0, 0.0), 1.0),),
+            tasks=(TaskSpec("t0", (15.0, 0.0), {"a0": 2}, "r0",
+                            abs_deadline=5),),
+            resources=("r0",),
+            horizon=30,
+        )
+        result = branch_and_bound(problem)
+        assert result.status == "infeasible"
+        assert result.lower_bound == math.inf
+        assert result.gap == math.inf
+
     def test_deadline_past_horizon_is_clamped(self):
         """A deadline after the horizon does not extend it: the only
         schedule, t0 running 10-12, finishes past horizon 2, so the search
@@ -156,7 +173,6 @@ class TestWarmStart:
         cold = branch_and_bound(serial_problem, gap_threshold=0.0)
         warm = branch_and_bound(serial_problem, seed=seed, gap_threshold=0.0)
         assert warm.seeded
-        assert warm.seed_objective == seed.objective
         assert warm.objective == cold.objective
         assert warm.nodes_explored <= cold.nodes_explored
         assert warm.incumbent_trace[0] == (0, seed.objective)
@@ -235,7 +251,7 @@ class TestWarmStart:
         data["objective"] = 1
         result = branch_and_bound(temporal_problem, seed=schedule_from_dict(data))
         assert result.seeded
-        assert result.seed_objective == seed.objective
+        assert result.incumbent_trace[0] == (0, seed.objective)
         assert result.objective == branch_and_bound(temporal_problem).objective
         assert result.schedule.objective == max(e.finish for e in result.schedule.entries)
 
@@ -640,6 +656,43 @@ def _golden_corpus():
         yield f"{kind}-{num_tasks}-{rng_seed}", problem, node_limit
 
 
+def _reversed_kahn_order(problem: ProblemInstance) -> list[str]:
+    """A wait order by Kahn's algorithm that starts the last-listed ready
+    task first, where `graphlib` tends to start the first."""
+    waiting = {t.id: {p for p, _ in t.waits} for t in problem.tasks}
+    order = []
+    while waiting:
+        tid = [u for u, preds in waiting.items() if not preds][-1]
+        order.append(tid)
+        del waiting[tid]
+        for preds in waiting.values():
+            preds.discard(tid)
+    return order
+
+
+def _assert_predecessors_first(problem: ProblemInstance, order: list[str]) -> None:
+    assert sorted(order) == sorted(t.id for t in problem.tasks)
+    position = {tid: i for i, tid in enumerate(order)}
+    for task in problem.tasks:
+        for p, _ in task.waits:
+            assert position[p] < position[task.id], (p, task.id)
+
+
+@given(kind=st.sampled_from(PROBLEM_KINDS), homogeneous=st.booleans(),
+       num_tasks=st.integers(min_value=2, max_value=20), relabel=st.booleans(),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_wait_order_puts_every_predecessor_first(kind, homogeneous, num_tasks,
+                                                 relabel, seed):
+    problem = generate_instance(make_config(
+        kind, num_agents=2, num_tasks=num_tasks, homogeneous=homogeneous,
+        rng_seed=seed))
+    if relabel:
+        problem = _relabel(problem, seed)
+    _assert_predecessors_first(problem, problem.wait_order())
+    _assert_predecessors_first(problem, _reversed_kahn_order(problem))
+
+
 # (nodes_explored, objective, lower_bound, gap, status, incumbent_trace) per
 # (instance, arm), recorded with the string-keyed search this module
 # replaced; "seeded" starts from the temporal rule's replay
@@ -690,6 +743,30 @@ def test_golden_searches():
             assert got == GOLDEN[label, arm], (label, arm)
             if result.schedule is not None:
                 assert validate_schedule(problem, result.schedule).feasible
+
+
+def test_search_does_not_depend_on_wait_order(monkeypatch):
+    """The bound needs only each predecessor before its successor, and
+    children are sorted before they are pushed, so another valid wait order
+    gives every golden search the same result and counters."""
+    policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
+    searches = []
+    reordered = 0
+    for _, problem, node_limit in _golden_corpus():
+        if any(t.waits for t in problem.tasks):
+            reordered += _reversed_kahn_order(problem) != problem.wait_order()
+        seed = construct_schedule(problem, policy)
+        searches += [(problem, warm, node_limit) for warm in (None, seed)]
+
+    def results():
+        return [replace(branch_and_bound(problem, seed=warm, node_limit=node_limit),
+                        wall_time=0.0)
+                for problem, warm, node_limit in searches]
+
+    expected = results()
+    monkeypatch.setattr(ProblemInstance, "wait_order", _reversed_kahn_order)
+    assert results() == expected
+    assert reordered > 0
 
 
 # full-bound prunes per golden (instance, arm), recorded with the search

@@ -46,6 +46,23 @@ class TestSchedulabilityTest:
         assert not schedulability_test(late)
         assert schedulability_test(state)
 
+    @pytest.mark.parametrize("deadline", [None, 10])
+    def test_running_task_past_horizon(self, deadline):
+        """A running task is held to its effective deadline: t0 running 2-5
+        finishes past horizon 4, whether it has no deadline of its own or
+        a later one, so the state is doomed; running 1-4 is not."""
+        problem = ProblemInstance(
+            grid_size=(5.0, 5.0),
+            agents=(AgentSpec("a0", (0.0, 0.0), 1.0),),
+            tasks=(TaskSpec("t0", (0.0, 0.0), {"a0": 3}, "r0",
+                            abs_deadline=deadline),),
+            resources=("r0",),
+            horizon=4,
+        )
+        initial = SimState.initial(problem)
+        assert not schedulability_test(apply_action(initial.advanced_to(2), 0, 0))
+        assert schedulability_test(apply_action(initial.advanced_to(1), 0, 0))
+
     def test_wait_chain_pushes_start(self):
         problem = ProblemInstance(
             grid_size=(5.0, 5.0),

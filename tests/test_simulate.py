@@ -140,11 +140,18 @@ def reference_schedulability_test(state: RefState, problem: ProblemInstance) -> 
     """Optimistic check that no task is already doomed to miss its deadline.
 
     Uses lower bounds (ignores resource contention and future congestion),
-    so a False answer is a certain miss while True is only a maybe.
+    so a False answer is a certain miss while True is only a maybe. Every
+    task is held to its effective deadline: the horizon, or its absolute
+    deadline where that is earlier.
     """
+    def effective_deadline(task):
+        if task.abs_deadline is None:
+            return problem.horizon
+        return min(task.abs_deadline, problem.horizon)
+
     for tid, finish in state.pending_finish.items():
         task = next(t for t in problem.tasks if t.id == tid)
-        if task.abs_deadline is not None and finish > task.abs_deadline:
+        if finish > effective_deadline(task):
             return False
     for task in state.unfinished(problem):
         enable = state.time
@@ -154,7 +161,7 @@ def reference_schedulability_test(state: RefState, problem: ProblemInstance) -> 
                 f = state.pending_finish.get(pred)
             if f is not None:
                 enable = max(enable, f + gap)
-        deadline = problem.horizon if task.abs_deadline is None else task.abs_deadline
+        deadline = effective_deadline(task)
         ok = False
         for agent_id in sorted(task.durations):
             agent = next(a for a in problem.agents if a.id == agent_id)
