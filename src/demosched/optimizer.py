@@ -22,13 +22,30 @@ Each call compiles the problem once (`core.Compiled`, the tables the
 simulator reads too), and places tasks by the shared `core.earliest_start`
 rule. This module adds only what the search alone reads (`_Compiled`): the
 lower bound, its per-task travel floor, each task's least added load (read
-by the constant-time screen a child passes before its full bound) and a
-topological task order. A node is a handful of flat tuples over those
-indices, the fields of a `core.SimState` without its clock. Where the order
-above compares ids (the canonical (start, task id) test and the child
+by the constant-time screen a child passes before its full bound), a
+topological task order and, for two agents and at most `ROUTE_CAP` tasks,
+the route tables. A node is a handful of flat tuples over the task and
+agent indices, the fields of a `core.SimState` without its clock. Where the
+order above compares ids (the canonical (start, task id) test and the child
 order) it compares their precomputed ranks in string order, so "t10" still
 precedes "t2" and the search, and the argument above, are those of the
 string-keyed form.
+
+The route tables `W[a][loc][S]` hold the least ticks for agent a to go from
+location `loc` through every task of the set S, travel plus durations, and
+are ∞ where a cannot do a task of S; they are built by subset dynamic
+programming (Held & Karp 1962). A node's route component is the least, over
+subsets S of its unplaced set U, of the later of agent 0 doing S and agent 1
+doing U ∖ S from their release times and locations: the exact two-agent
+split with waits, deadlines and resources relaxed. Each agent's finish in a
+completion is at least its release time plus the hops and durations along
+its own order, and those hops are exactly the `travel` ticks that
+`earliest_start` charges, so the component is admissible with no triangle
+inequality on the rounded ticks. It runs only at the root and on children
+that pass the screen and whose full bound stays below the incumbent, so
+every pushed bound is the larger of the two, as if it always ran. The
+tables grow as 2^n, so above `ROUTE_CAP` tasks, and for one or three or
+more agents, nothing is built and the bound is the four components alone.
 
 The exhaustive oracle and perturbations place (task, agent) index pairs
 with `_place`; ids are looked up only where a schedule comes in.
@@ -54,6 +71,7 @@ from .core import (
 )
 
 GAP_THRESHOLD = 1e-3
+ROUTE_CAP = 12  # most tasks a two-agent search builds route tables for
 
 
 @dataclass(frozen=True)
@@ -69,16 +87,21 @@ class BnBResult:
     status: str  # optimal | gap_reached | node_limit | time_limit | infeasible
     # work counters, deterministic: bound_evals (full bounds only),
     # children_generated (the placements tried at expanded nodes),
-    # pruned_canonical, pruned_deadline, pruned_screen and pruned_bound
-    # (children cut by the incumbent, by the O(1) screen or by the full
-    # bound) and peak_open
+    # pruned_canonical, pruned_deadline, pruned_screen, pruned_bound and
+    # pruned_route (children cut by canonical order, by deadline, or by the
+    # incumbent against the O(1) screen, the full bound or the route
+    # component) and peak_open
     stats: dict[str, int] = field(default_factory=dict)
 
 
 class _Compiled(Compiled):
     """The compiled problem plus what only the search reads: each task's
     cheapest hop in from another task's location, its least added load, a
-    topological task order and the lower bound."""
+    topological task order, the lower bound and, for exactly two agents and
+    at most `ROUTE_CAP` tasks, the route tables `routes[a][loc][S]` (W in
+    the module docstring; None otherwise) behind `route_bound`. The route
+    component needs no triangle inequality: it sums the same `travel` hops
+    `earliest_start` charges, along each agent's own order."""
 
     def __init__(self, problem: ProblemInstance):
         super().__init__(problem)
@@ -98,6 +121,69 @@ class _Compiled(Compiled):
             d + min(hop, *(self.travel[a][self.start_loc[a]][t] for a in self.capable[t]))
             for t, (d, hop) in enumerate(zip(self.min_duration, self.from_task))]
         self.topological = [self.task_index[tid] for tid in problem.wait_order()]
+        self.routes = (self._route_tables()
+                       if len(self.agent_ids) == 2 and num_tasks <= ROUTE_CAP
+                       else None)
+        self._subsets = {}  # task set -> its subsets, ascending
+
+    def _route_tables(self) -> list[np.ndarray]:
+        """`W[a][loc][S]` for both agents, by subset dynamic programming
+        (Held & Karp 1962) over one popcount layer at a time. A task set S is
+        the bit mask of its task indices. An agent stands at a task only
+        once it has done it, so a task's row is read only at sets without
+        it; at a set with it, the row holds the value of the set without."""
+        n = len(self.task_ids)
+        sets = np.arange(1 << n)
+        tasks = np.arange(n)
+        bits = 1 << tasks
+        member = (sets[:, None] & bits) != 0
+        size = member.sum(axis=1)
+        # (S, j) for every task j of every set S of two or more tasks, one
+        # popcount layer at a time
+        layers = []
+        for k in range(2, n + 1):
+            layer = sets[size == k]
+            row, first = np.nonzero(member[layer])
+            layers.append((layer[row], first, layer[row] ^ bits[first]))
+        tables = []
+        for a in range(2):
+            travel = np.array(self.travel[a], dtype=float)
+            duration = np.array([math.inf if row[a] is None else row[a]
+                                 for row in self.duration])
+            # head[S, j]: least ticks to do every task of S, starting with j
+            # at j's location; ∞ unless j is in S
+            head = np.full((1 << n, n), math.inf)
+            head[bits, tasks] = duration
+            for done, first, rest in layers:
+                head[done, first] = (duration[first] + (
+                    head[rest] + travel[first, :n]).min(axis=1))
+            table = np.empty((n + 2, 1 << n))
+            # from task t's location through S is head[S + t, t] less t's
+            # own duration (a row never read where a cannot do t)
+            table[:n] = (head[sets | bits[:, None], tasks[:, None]]
+                         - np.where(duration < math.inf, duration, 0)[:, None])
+            table[n:] = (travel[n:, None, :] + head).min(axis=2)
+            table[:, 0] = 0.0
+            tables.append(table)
+        return tables
+
+    def route_bound(self, agent_free, agent_loc, left: int) -> float:
+        """The least, over subsets S of the task set `left`, of the later of
+        agent 0 doing S and agent 1 doing the rest, from their release times
+        and locations: `max(free0 + W[0][loc0][S], free1 + W[1][loc1][left ∖ S])`.
+        Only a problem with route tables has it."""
+        subsets = self._subsets.get(left)
+        if subsets is None:
+            subsets = [0]
+            for t in range(len(self.task_ids)):
+                if left >> t & 1:
+                    subsets += [s | 1 << t for s in subsets]
+            subsets = self._subsets[left] = np.array(subsets)
+        # the subsets ascend, so their complements in `left` descend
+        mine = self.routes[0][agent_loc[0], subsets]
+        theirs = self.routes[1][agent_loc[1], subsets[::-1]]
+        theirs += agent_free[1] - agent_free[0]
+        return agent_free[0] + float(np.maximum(mine, theirs, out=mine).min())
 
     def lower_bound(self, agent_free, agent_loc, res_free, finish, unplaced,
                     makespan: int) -> float:
@@ -194,7 +280,8 @@ def branch_and_bound(
                 stacklevel=2,
             )
 
-    lower_bound = cp.lower_bound
+    lower_bound, route_bound = cp.lower_bound, cp.route_bound
+    routing = cp.routes is not None
     capable, waits, deadline = cp.capable, cp.waits, cp.deadline
     resource, task_rank, agent_rank = cp.resource, cp.task_rank, cp.agent_rank
     unit_load, mind = cp.unit_load, cp.min_duration
@@ -206,13 +293,16 @@ def branch_and_bound(
     root = ((), (0,) * num_agents, cp.start_loc, (0,) * cp.num_resources,
             (None,) * len(cp.task_ids), tuple(cp.topological), 0)
     root_bound = lower_bound(*root[1:])
+    if routing:
+        root_bound = max(root_bound, route_bound(root[1], root[2],
+                                                 (1 << len(cp.task_ids)) - 1))
     # depth-first open list; each entry is (bound, least bound at or below
     # it in the stack, node), so the open bound is read off the top
     stack = [(root_bound, root_bound, root)]
     nodes_explored = 0
     status = "optimal"
     pruned_canonical = pruned_deadline = completed = pushed = 0
-    pruned_screen = pruned_bound = 0
+    pruned_screen = pruned_bound = pruned_route = 0
     peak_open = 1
 
     def gap_of(lb: float) -> float:
@@ -260,6 +350,8 @@ def branch_and_bound(
             for t in unplaced:
                 load_room -= unit_load[t]
                 res_room[resource[t]] -= mind[t]
+        if routing:
+            left = sum(1 << t for t in unplaced)
         children = []
         for i, t in enumerate(unplaced):
             if any(finish[p] is None for p, _ in waits[t]):
@@ -298,6 +390,16 @@ def branch_and_bound(
                 if child_bound >= ub:
                     pruned_bound += 1
                     continue
+                # the route component runs only on children the full bound
+                # leaves open, so every pushed bound is what it would be if
+                # the component always ran
+                if routing:
+                    route = route_bound(child[0], child[1], left ^ 1 << t)
+                    if route >= ub:
+                        pruned_route += 1
+                        continue
+                    if route > child_bound:
+                        child_bound = route
                 children.append((task_rank[t] * num_agents + agent_rank[a],
                                  child_bound, (placed + ((t, a, start, fin),),) + child))
         # depth-first in fixed lexicographic (task, agent) order; the order
@@ -312,8 +414,9 @@ def branch_and_bound(
     wall = _time.perf_counter() - t0
     # every child generated was pruned by canonical order, by deadline or by
     # the screen, completed a schedule, or had its full bound evaluated (and
-    # was then pruned or pushed); the root's bound is evaluated too
-    bounded = pruned_bound + pushed
+    # was then pruned by it or by the route component, or pushed); the
+    # root's bound is evaluated too
+    bounded = pruned_bound + pruned_route + pushed
     stats = {
         "bound_evals": 1 + bounded,
         "children_generated": (pruned_canonical + pruned_deadline + pruned_screen
@@ -322,6 +425,7 @@ def branch_and_bound(
         "pruned_deadline": pruned_deadline,
         "pruned_screen": pruned_screen,
         "pruned_bound": pruned_bound,
+        "pruned_route": pruned_route,
         "peak_open": peak_open,
     }
     if incumbent is None and status == "optimal":

@@ -74,8 +74,8 @@ def construct_schedule(
         top = policy.select_task(context, feats, pool)
         if not policy.predict_act(context, feats[top]):
             return None
-        if config.fallback_depth == 1:
-            return index[top]
+        if config.fallback_depth == 1 or len(pool) == 1:
+            return index[top]  # no test, or nothing it could fall back to
         # rank lazily: the next pick is asked for only once this one fails
         pick, remaining, tries = top, pool, config.fallback_depth
         while True:

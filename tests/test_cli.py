@@ -151,7 +151,7 @@ def test_schedule_and_optimize(workspace, runner):
     stats = report["stats"]
     assert set(stats) == {"bound_evals", "children_generated", "pruned_canonical",
                           "pruned_deadline", "pruned_screen", "pruned_bound",
-                          "peak_open"}
+                          "pruned_route", "peak_open"}
     assert stats["bound_evals"] >= 1 and stats["peak_open"] >= 1
     optimal = schedule_from_dict(load_json(best))
     assert optimal.objective <= schedule_from_dict(load_json(sched)).objective

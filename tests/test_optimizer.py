@@ -637,6 +637,107 @@ def test_screen_never_exceeds_full_bound(kind, homogeneous, shape, seed):
     assert len(checked) == generated
 
 
+def _least_completion(cp, agent_free, agent_loc, res_free, finish) -> int:
+    """The least makespan over every order and assignment of a node's
+    unplaced tasks, each placed at its earliest start once its wait
+    predecessors are placed. Deadlines are not enforced."""
+    if None not in finish:
+        return max(finish)
+    best = math.inf
+    for t, f in enumerate(finish):
+        if f is not None or any(finish[p] is None for p, _ in cp.waits[t]):
+            continue
+        r = cp.resource[t]
+        for a in cp.capable[t]:
+            _, fin = optimizer.earliest_start(cp, t, a, agent_free, agent_loc,
+                                              res_free, finish)
+            best = min(best, _least_completion(
+                cp, _replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t),
+                _replace_at(res_free, r, fin), _replace_at(finish, t, fin)))
+    return best
+
+
+ROUTE_CHECK_LEFT = 5  # most unplaced tasks a node is enumerated at
+
+
+def _route_and_completion(cp, rng_seed: int):
+    """(route component, least completion) at the root and at every node of
+    one random placement order that has at most ROUTE_CHECK_LEFT tasks
+    left, agents drawn among each task's capable ones."""
+    rng = np.random.default_rng(rng_seed)
+    n = len(cp.task_ids)
+    agent_free, agent_loc = (0, 0), cp.start_loc
+    res_free, finish = (0,) * cp.num_resources, (None,) * n
+    for _ in range(n):
+        left = [t for t in range(n) if finish[t] is None]
+        if len(left) <= ROUTE_CHECK_LEFT:
+            route = cp.route_bound(agent_free, agent_loc,
+                                   sum(1 << t for t in left))
+            yield route, _least_completion(cp, agent_free, agent_loc,
+                                           res_free, finish)
+        ready = [t for t in left if all(finish[p] is not None for p, _ in cp.waits[t])]
+        t = ready[int(rng.integers(len(ready)))]
+        a = cp.capable[t][int(rng.integers(len(cp.capable[t])))]
+        _, fin = optimizer.earliest_start(cp, t, a, agent_free, agent_loc,
+                                          res_free, finish)
+        agent_free, agent_loc = _replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t)
+        res_free = _replace_at(res_free, cp.resource[t], fin)
+        finish = _replace_at(finish, t, fin)
+
+
+@given(kind=st.sampled_from(PROBLEM_KINDS), homogeneous=st.booleans(),
+       num_tasks=st.integers(min_value=1, max_value=7),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=40, deadline=None)
+def test_route_component_never_exceeds_a_completion(kind, homogeneous,
+                                                    num_tasks, seed):
+    """At the root of a small two-agent problem and at the nodes of a random
+    placement order, the route component is at most the least makespan of
+    any completion, found by enumerating every order and assignment."""
+    problem = generate_instance(make_config(
+        kind, num_agents=2, num_tasks=num_tasks, homogeneous=homogeneous,
+        rng_seed=seed))
+    pairs = list(_route_and_completion(optimizer._Compiled(problem), seed))
+    assert pairs
+    for route, least in pairs:
+        assert route <= least
+
+
+def test_route_check_catches_one_tick_too_many():
+    """Mutation check of the property above: with one tick added to every
+    entry of the tables, the route component exceeds a completion on
+    these fixed problems."""
+    exceeded = 0
+    for seed in range(6):
+        problem = generate_instance(make_config(
+            PROBLEM_KINDS[seed % len(PROBLEM_KINDS)], num_agents=2,
+            num_tasks=5, rng_seed=seed))
+        cp = optimizer._Compiled(problem)
+        pairs = list(_route_and_completion(cp, seed))
+        assert all(route <= least for route, least in pairs)
+        cp.routes = [table + 1 for table in cp.routes]
+        exceeded += sum(route > least for route, least in
+                        _route_and_completion(cp, seed))
+    assert exceeded > 0
+
+
+@pytest.mark.parametrize("num_tasks, num_agents, built", [
+    (optimizer.ROUTE_CAP, 2, True), (optimizer.ROUTE_CAP + 1, 2, False),
+    (20, 2, False), (6, 1, False), (6, 3, False)])
+def test_route_tables_only_for_two_agents_up_to_the_cap(monkeypatch, num_tasks,
+                                                        num_agents, built):
+    problem = generate_instance(make_config(
+        "temporal", num_agents=num_agents, num_tasks=num_tasks, rng_seed=3))
+    assert (optimizer._Compiled(problem).routes is not None) == built
+    if not built:
+        def unbuilt(*args):
+            raise AssertionError("route component taken without tables")
+
+        monkeypatch.setattr(optimizer._Compiled, "route_bound", unbuilt)
+        result = branch_and_bound(problem, node_limit=200)
+        assert result.stats["pruned_route"] == 0
+
+
 def _golden_corpus():
     """(label, problem, node limit) of the pinned searches; the last two
     are relabeled, so a wrong id order changes their node sequence."""
@@ -694,26 +795,27 @@ def test_wait_order_puts_every_predecessor_first(kind, homogeneous, num_tasks,
 
 
 # (nodes_explored, objective, lower_bound, gap, status, incumbent_trace) per
-# (instance, arm), recorded with the string-keyed search this module
-# replaced; "seeded" starts from the temporal rule's replay
+# (instance, arm); "seeded" starts from the temporal rule's replay. The
+# 20-task and 3-agent entries were recorded with the string-keyed search this
+# module replaced; the 7-task two-agent entries with the route component
 GOLDEN = {
     ("travel-7-501", "cold"): (
-        456, 37, 37.0, 0.0, "optimal",
-        ((36, 51), (36, 49), (38, 47), (112, 44), (160, 43), (188, 42),
-         (197, 41), (201, 40), (258, 38), (347, 37))),
-    ("travel-7-501", "seeded"): (208, 37, 37.0, 0.0, "optimal", ((0, 37),)),
+        109, 37, 37.0, 0.0, "gap_reached",
+        ((36, 51), (36, 49), (38, 47), (64, 44), (75, 43), (81, 42), (86, 41),
+         (89, 40), (99, 38), (109, 37))),
+    ("travel-7-501", "seeded"): (0, 37, 37.0, 0.0, "gap_reached", ((0, 37),)),
     ("contention-7-502", "cold"): (
-        945, 39, 39.0, 0.0, "optimal",
-        ((7, 72), (8, 71), (9, 60), (11, 57), (11, 48), (20, 47), (90, 46),
-         (120, 45), (153, 42), (154, 41), (658, 40), (687, 39))),
+        179, 39, 39.0, 0.0, "optimal",
+        ((7, 72), (8, 71), (9, 60), (11, 57), (11, 48), (15, 47), (41, 46),
+         (49, 45), (59, 42), (60, 41), (137, 40), (143, 39))),
     ("contention-7-502", "seeded"): (
-        689, 39, 39.0, 0.0, "optimal", ((0, 40), (431, 39))),
+        89, 39, 39.0, 0.0, "optimal", ((0, 40), (53, 39))),
     ("temporal-7-503", "cold"): (
-        650, 31, 31.0, 0.0, "optimal",
-        ((42, 63), (42, 61), (75, 40), (75, 38), (76, 37), (86, 33),
-         (182, 32), (452, 31))),
+        165, 31, 31.0, 0.0, "optimal",
+        ((42, 63), (42, 61), (75, 40), (75, 38), (76, 37), (85, 33),
+         (99, 32), (136, 31))),
     ("temporal-7-503", "seeded"): (
-        573, 31, 31.0, 0.0, "optimal", ((0, 33), (105, 32), (375, 31))),
+        85, 31, 31.0, 0.0, "optimal", ((0, 33), (19, 32), (56, 31))),
     ("temporal-20-601", "cold"): (2000, None, 56.0, math.inf, "node_limit", ()),
     ("temporal-20-601", "seeded"): (
         2000, 75, 56.0, 0.25333333333333335, "node_limit", ((0, 75),)),
@@ -770,11 +872,12 @@ def test_search_does_not_depend_on_wait_order(monkeypatch):
 
 
 # full-bound prunes per golden (instance, arm), recorded with the search
-# before it screened children
+# before it screened children (the 7-task entries with the route component
+# and the screen switched off)
 UNSCREENED_PRUNES = {
-    ("travel-7-501", "cold"): 1469, ("travel-7-501", "seeded"): 921,
-    ("contention-7-502", "cold"): 3265, ("contention-7-502", "seeded"): 2587,
-    ("temporal-7-503", "cold"): 1634, ("temporal-7-503", "seeded"): 1628,
+    ("travel-7-501", "cold"): 144, ("travel-7-501", "seeded"): 0,
+    ("contention-7-502", "cold"): 483, ("contention-7-502", "seeded"): 305,
+    ("temporal-7-503", "cold"): 202, ("temporal-7-503", "seeded"): 187,
     ("temporal-20-601", "cold"): 0, ("temporal-20-601", "seeded"): 20309,
     ("temporal-20-602", "cold"): 0, ("temporal-20-602", "seeded"): 18540,
     ("travel-12-701", "cold"): 0, ("travel-12-701", "seeded"): 2375,
@@ -793,13 +896,17 @@ class TestStats:
             assert a["children_generated"] >= (
                 a["pruned_canonical"] + a["pruned_deadline"] + a["pruned_screen"]
                 + bounded)
-            assert 0 <= a["pruned_bound"] <= bounded
+            # the route component runs only on children the full bound
+            # leaves open
+            assert 0 <= a["pruned_bound"] + a["pruned_route"] <= bounded
             assert a["peak_open"] >= 1
 
     def test_screen_only_moves_bound_prunes(self):
         """On the golden searches the screen and the full bound together
         prune exactly the children the full bound alone pruned, and the
-        screen is live on the seeded 20-task searches."""
+        screen is live on the seeded 20-task searches. The route component
+        prunes on every cold two-agent 7-task search and never on the
+        20-task or 3-agent ones, which have no tables."""
         policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
         for label, problem, node_limit in _golden_corpus():
             seed = construct_schedule(problem, policy)
@@ -810,6 +917,10 @@ class TestStats:
                         == UNSCREENED_PRUNES[label, arm]), (label, arm)
                 if label.startswith("temporal-20") and arm == "seeded":
                     assert stats["pruned_screen"] > 0, label
+                if "-7-" not in label:
+                    assert stats["pruned_route"] == 0, (label, arm)
+                elif arm == "cold":
+                    assert stats["pruned_route"] > 0, label
 
     def test_seeding_only_removes_work(self):
         """A node's children do not depend on the incumbent, so a seeded

@@ -180,3 +180,21 @@ class TestLazyFallback:
             assert len(fallbacks) == min(depth, len(top_pool)) - 1
             assert [len(p) for p in fallbacks] == list(
                 range(len(top_pool) - 1, len(top_pool) - 1 - len(fallbacks), -1))
+
+    def test_one_candidate_decision_runs_no_test(self, monkeypatch):
+        """A pool of one has no fallback, so its pick is committed to
+        without the hypothetical action and the test."""
+        problem = generate_instance(make_config("temporal", num_tasks=6, rng_seed=8))
+        policy = _CountingPolicy(HeuristicPolicy(select_rule(problem)))
+        test = scheduler.schedulability_test
+        tested = []
+
+        def counting_test(state):
+            tested.append(len(policy.pools[policy.acts[-1] - 1]))
+            return test(state)
+
+        monkeypatch.setattr(scheduler, "schedulability_test", counting_test)
+        assert construct_schedule(problem, policy).complete
+        top_pools = [len(policy.pools[mark - 1]) for mark in policy.acts]
+        assert 1 in top_pools and tested
+        assert min(tested) > 1

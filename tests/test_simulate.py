@@ -125,7 +125,8 @@ def reference_features(
         dist = euclidean(agent_loc, t.location)
         arrival = busy + travel_ticks(dist, agent.speed)
         out[t.id] = TaskFeatures(
-            deadline=float(problem.horizon if t.abs_deadline is None else t.abs_deadline),
+            deadline=float(problem.horizon if t.abs_deadline is None
+                           else min(t.abs_deadline, problem.horizon)),
             precedence_satisfied=1.0 if is_alive_enabled(state, t) else 0.0,
             resource_share_count=float(share_counts[t.resource] - 1),
             resource_available=1.0 if state.resource_free(t.resource) else 0.0,
@@ -316,6 +317,21 @@ def test_compiled_tables_match_formulas(task_points, agent_points, speeds):
             assert cp.angle[loc][t] == origin_angle(p, q)
             for a, agent in enumerate(agents):
                 assert cp.travel[a][loc][t] == travel_ticks(euclidean(p, q), agent.speed)
+
+
+def test_deadline_feature_is_capped_by_the_horizon():
+    """A task whose absolute deadline is past the horizon reads the horizon
+    as its deadline feature, in the featurizer and in the reference."""
+    problem = generate_instance(make_config("temporal", num_tasks=4,
+                                            num_agents=1, rng_seed=7))
+    task = next(t for t in problem.tasks if t.id == "t01")
+    assert (task.abs_deadline, problem.horizon) == (73, 72)
+    state = SimState.initial(problem)
+    ref = RefState.of(state, problem)
+    got = extract_features(state, 0, state.unfinished())
+    want = reference_features(ref, problem.agents[0], problem,
+                              ref.unfinished(problem))
+    assert got["t01"].deadline == want["t01"].deadline == 72.0
 
 
 # ---------------------------------------------------------------------------
