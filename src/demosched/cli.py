@@ -24,7 +24,8 @@ from .core import (
     validate_schedule,
 )
 from .demonstrator import demonstrate as run_demonstrate
-from .demonstrator import demonstration_from_dict, demonstration_to_dict
+from .demonstrator import (IncompleteDemonstrationError, demonstration_from_dict,
+                           demonstration_to_dict)
 from .experiments import (
     MIN_LEAF,
     PROBLEM_KINDS,
@@ -100,7 +101,10 @@ def generate(kind, agents, tasks, heterogeneous, seed, out):
 def demonstrate_cmd(problem_path, epsilon, seed, out):
     """Record one expert playthrough of a problem."""
     problem = _load(problem_path, problem_from_dict)
-    demo = run_demonstrate(problem, epsilon=epsilon, rng_seed=seed)
+    try:
+        demo = run_demonstrate(problem, epsilon=epsilon, rng_seed=seed)
+    except IncompleteDemonstrationError as exc:  # a problem the expert cannot finish
+        raise click.ClickException(f"{problem_path}: {exc}") from exc
     save_json(demonstration_to_dict(demo), out)
     click.echo(f"wrote {out} (rule={demo.rule_used.value}, "
                f"{len(demo.observations)} observations)")

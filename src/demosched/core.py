@@ -12,11 +12,13 @@ only task and agent indices; `Compiled.schedule` writes the ids back out.
 Only `validate_schedule` re-derives travel from the points, on purpose: it
 is the independent oracle the other paths are checked against.
 
-A `SimState` only grows by `apply_action`, which starts a task on an idle
-agent at the current tick. So an agent's release time is the finish of its
-last placement, and `all_finished` needs only the placement count and the
-latest release time. `SimState.candidates` is exactly the set of tasks
-`apply_action` accepts, checked in one pass over the tables.
+A partial schedule is four sequences over those indices (agent release
+times and locations, resource release times, task finishes), empty in
+`Compiled.empty` and appended to only by `place`, which `SimState`, branch
+and bound and the exhaustive oracle share. Every placement finishes after
+its agent's release time, so the latest release time is the makespan.
+`SimState.candidates` is exactly the set of tasks `apply_action` accepts,
+checked in one pass over the tables.
 """
 
 from __future__ import annotations
@@ -162,12 +164,9 @@ class ProblemInstance:
         return sum(n * n for n in counts.values())
 
 
-def _ranks(ids: list[str]) -> list[int]:
-    """Each id's position in string order."""
-    rank = [0] * len(ids)
-    for r, i in enumerate(sorted(range(len(ids)), key=ids.__getitem__)):
-        rank[i] = r
-    return rank
+def _argsort(values: list) -> list[int]:
+    """The indices of `values` in ascending order of value."""
+    return sorted(range(len(values)), key=values.__getitem__)
 
 
 class Compiled:
@@ -175,14 +174,15 @@ class Compiled:
 
     Tasks, agents and resources are indexed by their position in the
     problem. Locations are indexed too: task t's location is t and agent
-    j's start location is num_tasks + j. `location[loc]` is the point,
-    `distance[loc][t]` the distance from it to task t, `angle[loc][t]` the
-    angle at the origin between the two points and `travel[a][loc][t]`
-    agent a's travel ticks over that distance: the one place arrival times
-    are derived. `capable[t]` lists the agents able to do t in id order;
-    `duration[t][a]` is None where a cannot. `deadline[t]` is the horizon,
-    or t's absolute deadline where that is earlier. `task_rank` and
-    `agent_rank` are the ids' positions in string order.
+    j's start location is num_tasks + j. `distance[loc][t]` is the distance
+    from a location to task t, `angle[loc][t]` the angle at the origin
+    between the two points and `travel[a][loc][t]` agent a's travel ticks
+    over that distance: the one place arrival times are derived.
+    `capable[t]` lists the agents able to do t in id order; `duration[t][a]`
+    is None where a cannot. `deadline[t]` is the horizon, or t's absolute
+    deadline where that is earlier. `task_order` and `agent_order` list the
+    indices in id (string) order and `task_rank[t]` is t's position in
+    `task_order`. `empty` is the partial schedule with nothing placed.
     """
 
     def __init__(self, problem: ProblemInstance):
@@ -192,8 +192,9 @@ class Compiled:
         self.agent_ids = [a.id for a in agents]
         self.task_index = {tid: i for i, tid in enumerate(self.task_ids)}
         self.agent_index = {aid: j for j, aid in enumerate(self.agent_ids)}
-        self.task_rank = _ranks(self.task_ids)
-        self.agent_rank = _ranks(self.agent_ids)
+        self.task_order = _argsort(self.task_ids)
+        self.agent_order = _argsort(self.agent_ids)
+        self.task_rank = _argsort(self.task_order)  # the inverse permutation
         res_index = {r: k for k, r in enumerate(problem.resources)}
         self.num_resources = len(res_index)
         self.resource = [res_index[t.resource] for t in tasks]
@@ -206,17 +207,19 @@ class Compiled:
                       for t in tasks]
         n = len(tasks)
         self.start_loc = tuple(range(n, n + len(agents)))
-        self.location = [t.location for t in tasks] + [a.start_location for a in agents]
-        norm = [math.hypot(*p) for p in self.location]
-        self.distance = [[0.0] * n for _ in self.location]
-        self.angle = [[0.0] * n for _ in self.location]
-        for i, p in enumerate(self.location):
+        self.empty = ((0,) * len(agents), self.start_loc,
+                      (0,) * self.num_resources, (None,) * n)
+        location = [t.location for t in tasks] + [a.start_location for a in agents]
+        norm = [math.hypot(*p) for p in location]
+        self.distance = [[0.0] * n for _ in location]
+        self.angle = [[0.0] * n for _ in location]
+        for i, p in enumerate(location):
             dist_i, angle_i = self.distance[i], self.angle[i]
             # task-to-task distances and angles are symmetric to the bit, so
             # a task row starts at the diagonal and mirrors into the columns;
             # an agent's start row is filled in full
             for t in range(i if i < n else 0, n):
-                q = self.location[t]
+                q = location[t]
                 d, theta = euclidean(p, q), _angle(p, q, norm[i], norm[t])
                 dist_i[t], angle_i[t] = d, theta
                 if i < n:
@@ -267,6 +270,17 @@ def earliest_start(cp: Compiled, t: int, a: int, agent_free, agent_loc,
     return start, start + cp.duration[t][a]
 
 
+def place(cp: Compiled, agent_free, agent_loc, res_free, finish, t: int,
+          a: int, fin: int) -> tuple[tuple, tuple, tuple, tuple]:
+    """The partial schedule's four sequences after task t is placed on agent
+    a to finish at `fin`, which releases a (at t) and t's resource."""
+    r = cp.resource[t]
+    return (agent_free[:a] + (fin,) + agent_free[a + 1:],
+            agent_loc[:a] + (t,) + agent_loc[a + 1:],
+            res_free[:r] + (fin,) + res_free[r + 1:],
+            finish[:t] + (fin,) + finish[t + 1:])
+
+
 @dataclass(frozen=True)
 class SimState:
     """A partial schedule at a tick, over the compiled problem's indices:
@@ -294,8 +308,7 @@ class SimState:
     @classmethod
     def initial(cls, problem: ProblemInstance) -> "SimState":
         cp = Compiled(problem)
-        return cls(cp, 0, (0,) * len(cp.agent_ids), cp.start_loc,
-                   (0,) * cp.num_resources, (None,) * len(cp.task_ids), ())
+        return cls(cp, 0, *cp.empty, ())
 
     def unfinished(self) -> list[int]:
         """Tasks not yet started, in problem order."""
@@ -362,14 +375,9 @@ def apply_action(state: SimState, t: int, a: int) -> SimState:
     if cp.duration[t][a] is None:
         raise StructuralError(f"agent {agent_id!r} cannot perform task {task_id!r}")
     fin = now + cp.duration[t][a]
-    return SimState(
-        cp, now,
-        state.agent_free[:a] + (fin,) + state.agent_free[a + 1:],
-        state.agent_loc[:a] + (t,) + state.agent_loc[a + 1:],
-        state.res_free[:r] + (fin,) + state.res_free[r + 1:],
-        state.finish[:t] + (fin,) + state.finish[t + 1:],
-        state.placements + ((t, a, now, fin),),
-    )
+    return SimState(cp, now, *place(cp, state.agent_free, state.agent_loc,
+                                    state.res_free, state.finish, t, a, fin),
+                    state.placements + ((t, a, now, fin),))
 
 
 @dataclass(frozen=True)

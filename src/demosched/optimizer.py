@@ -24,10 +24,15 @@ rule. This module adds only what the search alone reads (`_Compiled`): the
 lower bound, its per-task travel floor, each task's least added load (read
 by the constant-time screen a child passes before its full bound), a
 topological task order and, for two agents and at most `ROUTE_CAP` tasks,
-the route tables. A node is a handful of flat tuples over the task and
-agent indices, the fields of a `core.SimState` without its clock. Where the
-order above compares ids (the canonical (start, task id) test and the child
-order) it compares their precomputed ranks in string order, so "t10" still
+the route tables. A node is exactly a `core.SimState`'s fields without its
+clock, grown from `Compiled.empty` by `core.place`: its unplaced tasks are
+its `None` finishes and its makespan its latest agent release time. Its
+children come out in ascending (task id, agent id) order, unplaced tasks
+taken in `Compiled.task_order` and capable agents in id order, and are
+pushed in reverse, so the first is popped first. The incumbent changes
+only at a node with one unplaced task, where no child is pushed, so
+generation order decides push order and nothing else. The canonical
+(start, task id) test compares `Compiled.task_rank`, so "t10" still
 precedes "t2" and the search, and the argument above, are those of the
 string-keyed form.
 
@@ -58,7 +63,7 @@ import math
 import time as _time
 import warnings
 from dataclasses import dataclass, field
-from operator import add, itemgetter
+from operator import add
 
 import numpy as np
 
@@ -67,6 +72,7 @@ from .core import (
     ProblemInstance,
     Schedule,
     earliest_start,
+    place,
     validate_schedule,
 )
 
@@ -185,15 +191,14 @@ class _Compiled(Compiled):
         theirs += agent_free[1] - agent_free[0]
         return agent_free[0] + float(np.maximum(mine, theirs, out=mine).min())
 
-    def lower_bound(self, agent_free, agent_loc, res_free, finish, unplaced,
-                    makespan: int) -> float:
+    def lower_bound(self, agent_free, agent_loc, res_free, finish) -> float:
         """Makespan lower bound of a node: its per-agent release times and
-        location indices, per-resource release times, per-task finish times
-        (None where unplaced), its unplaced tasks in topological order and
-        its latest finish.
+        location indices, per-resource release times and per-task finish
+        times (None where unplaced). It walks the unplaced tasks in
+        topological order.
 
         Components, each individually admissible:
-        - current makespan of the partial schedule;
+        - current makespan, the latest agent release time (see `core`);
         - mean agent load: remaining durations plus an incremental travel
           charge per task (the performing agent arrives either from where it
           stands now or from some other task's location, so the cheaper of
@@ -212,7 +217,9 @@ class _Compiled(Compiled):
         # topological order fills in each unplaced predecessor before use
         eft = list(finish)
         chain = 0
-        for t in unplaced:
+        for t in self.topological:
+            if finish[t] is not None:
+                continue
             ready = hop = math.inf
             for a in capable[t]:
                 x = rows[a][t]
@@ -237,7 +244,7 @@ class _Compiled(Compiled):
         # a resource with no unplaced task adds only its release time, which
         # is a placed finish and so at most the makespan
         res_bound = max(map(add, res_free, work))
-        return float(max(makespan, load_bound, res_bound, chain))
+        return float(max(max(agent_free), load_bound, res_bound, chain))
 
 
 def branch_and_bound(
@@ -283,18 +290,16 @@ def branch_and_bound(
     lower_bound, route_bound = cp.lower_bound, cp.route_bound
     routing = cp.routes is not None
     capable, waits, deadline = cp.capable, cp.waits, cp.deadline
-    resource, task_rank, agent_rank = cp.resource, cp.task_rank, cp.agent_rank
+    resource, task_rank, task_order = cp.resource, cp.task_rank, cp.task_order
     unit_load, mind = cp.unit_load, cp.min_duration
     num_agents = len(cp.agent_ids)
 
     # a node: (placements, agent release times, agent location indices,
-    # resource release times, task finish times, unplaced tasks in
-    # topological order, makespan)
-    root = ((), (0,) * num_agents, cp.start_loc, (0,) * cp.num_resources,
-            (None,) * len(cp.task_ids), tuple(cp.topological), 0)
-    root_bound = lower_bound(*root[1:])
+    # resource release times, task finish times)
+    root = ((),) + cp.empty
+    root_bound = lower_bound(*cp.empty)
     if routing:
-        root_bound = max(root_bound, route_bound(root[1], root[2],
+        root_bound = max(root_bound, route_bound(cp.empty[0], cp.empty[1],
                                                  (1 << len(cp.task_ids)) - 1))
     # depth-first open list; each entry is (bound, least bound at or below
     # it in the stack, node), so the open bound is read off the top
@@ -326,7 +331,9 @@ def branch_and_bound(
             continue
         nodes_explored += 1
 
-        placed, agent_free, agent_loc, res_free, finish, unplaced, makespan = node
+        placed, agent_free, agent_loc, res_free, finish = node
+        unplaced = [t for t in task_order if finish[t] is None]
+        completing = len(unplaced) == 1
         # every start and rank is at least 0, so the root admits any child
         last = (placed[-1][2], task_rank[placed[-1][0]]) if placed else (-1, -1)
         # With an incumbent, a child (t on agent a, finishing at fin on
@@ -353,10 +360,9 @@ def branch_and_bound(
         if routing:
             left = sum(1 << t for t in unplaced)
         children = []
-        for i, t in enumerate(unplaced):
+        for t in unplaced:
             if any(finish[p] is None for p, _ in waits[t]):
                 continue
-            remaining = unplaced[:i] + unplaced[i + 1:]
             for a in capable[t]:
                 start, fin = earliest_start(cp, t, a, agent_free, agent_loc,
                                              res_free, finish)
@@ -366,26 +372,21 @@ def branch_and_bound(
                 if fin > deadline[t]:
                     pruned_deadline += 1
                     continue
-                child_makespan = max(makespan, fin)
-                if not remaining:
+                if completing:
                     completed += 1
                     # the appended task need not finish last: an earlier
                     # start on another agent can still hold the makespan
-                    if child_makespan < ub:
-                        ub = float(child_makespan)
+                    objective = max(fin, *agent_free)
+                    if objective < ub:
+                        ub = float(objective)
                         incumbent = cp.schedule(placed + ((t, a, start, fin),))
-                        trace.append((nodes_explored, child_makespan))
+                        trace.append((nodes_explored, objective))
                     continue
-                r = resource[t]
                 if screening and (fin - agent_free[a] - unit_load[t] > load_room
-                                  or fin - mind[t] >= res_room[r]):
+                                  or fin - mind[t] >= res_room[resource[t]]):
                     pruned_screen += 1
                     continue
-                child = (agent_free[:a] + (fin,) + agent_free[a + 1:],
-                         agent_loc[:a] + (t,) + agent_loc[a + 1:],
-                         res_free[:r] + (fin,) + res_free[r + 1:],
-                         finish[:t] + (fin,) + finish[t + 1:],
-                         remaining, child_makespan)
+                child = place(cp, agent_free, agent_loc, res_free, finish, t, a, fin)
                 child_bound = lower_bound(*child)
                 if child_bound >= ub:
                     pruned_bound += 1
@@ -400,13 +401,11 @@ def branch_and_bound(
                         continue
                     if route > child_bound:
                         child_bound = route
-                children.append((task_rank[t] * num_agents + agent_rank[a],
-                                 child_bound, (placed + ((t, a, start, fin),),) + child))
-        # depth-first in fixed lexicographic (task, agent) order; the order
-        # is incumbent-independent so seeding never reorders the search
-        children.sort(key=itemgetter(0), reverse=True)
+                children.append((child_bound, (placed + ((t, a, start, fin),),) + child))
+        # children come out in ascending (task id, agent id) order; pushed
+        # in reverse, the first is popped first
         pushed += len(children)
-        for _, child_bound, child in children:
+        for child_bound, child in reversed(children):
             below = stack[-1][1] if stack else child_bound
             stack.append((child_bound, min(child_bound, below), child))
         peak_open = max(peak_open, len(stack))
@@ -456,25 +455,18 @@ def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
     """Earliest-start timing of (task, agent) index pairs in the given order,
     as (task, agent, start, finish) placements. None if an agent cannot do
     its task, or if the order violates wait precedence or a deadline."""
-    agent_free = [0] * len(cp.agent_ids)
-    agent_loc = list(cp.start_loc)
-    res_free = [0] * cp.num_resources
-    finish: list[int | None] = [None] * len(cp.task_ids)
+    state = cp.empty  # agent release times, locations, resource releases, finishes
     placements = []
     for t, a in order:
         if cp.duration[t][a] is None:
             return None
-        if any(finish[p] is None for p, _ in cp.waits[t]):
+        if any(state[3][p] is None for p, _ in cp.waits[t]):
             return None
-        start, fin = earliest_start(cp, t, a, agent_free, agent_loc,
-                                     res_free, finish)
+        start, fin = earliest_start(cp, t, a, *state)
         if fin > cp.deadline[t]:
             return None
         placements.append((t, a, start, fin))
-        agent_free[a] = fin
-        agent_loc[a] = t
-        res_free[cp.resource[t]] = fin
-        finish[t] = fin
+        state = place(cp, *state, t, a, fin)
     return placements
 
 

@@ -25,12 +25,11 @@ def run_simulation(problem: ProblemInstance, decide: DecideFn) -> tuple[SimState
     horizon is reached."""
     state = SimState.initial(problem)
     cp = state.compiled
-    agents = sorted(range(len(cp.agent_ids)), key=cp.agent_rank.__getitem__)
     for tick in range(problem.horizon + 1):
         state = state.advanced_to(tick)
         if state.all_finished():
             break
-        for a in agents:
+        for a in cp.agent_order:
             if state.agent_free[a] > tick:
                 continue
             chosen = decide(state, a, state.candidates(a))

@@ -26,7 +26,11 @@ in that order, and a leaf's record leaves out the four split fields.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .core import _number
 
 _ARRAYS = ("feature", "threshold", "left", "right", "prob", "count")
 _FEW_ROWS = 16  # predict_proba walks batches up to this size row by row
@@ -120,13 +124,15 @@ class DecisionTree:
 
     @classmethod
     def from_dict(cls, data: dict) -> "DecisionTree":
-        """Raises ValueError unless the nodes form one tree stored parent
-        first: every internal node has `feature` >= 0 and children after
-        it, and every node but the root is the child of exactly one node."""
-        tree = cls(min_leaf=int(data["min_leaf"]))
+        """Raises ValueError naming the field unless `min_leaf` is an integer
+        and every node's fields are well formed (see `_node`), and unless
+        the nodes form one tree stored parent first: every internal node
+        has `feature` >= 0 and children after it, and every node but the
+        root is the child of exactly one node."""
+        tree = cls(min_leaf=_number(data["min_leaf"], "malformed tree: min_leaf", (int,)))
         records = data["nodes"]
-        tree._set_nodes(*([r.get(a, -1) for r in records] for a in _ARRAYS[:4]),
-                        [r["prob"] for r in records], [r["count"] for r in records])
+        nodes = [_node(r, k) for k, r in enumerate(records)]
+        tree._set_nodes(*(list(zip(*nodes)) or [()] * len(_ARRAYS)))
         inner = np.array(["feature" in r for r in records], dtype=bool)
         parents = np.tile(np.flatnonzero(inner), 2)
         children = np.concatenate([tree.left[inner], tree.right[inner]])
@@ -135,6 +141,28 @@ class DecisionTree:
             raise ValueError("malformed tree: nodes must form one tree, "
                              "each internal node before its children")
         return tree
+
+
+def _node(record: dict, k: int) -> tuple:
+    """Node k's six fields from its JSON record, an object where a leaf leaves
+    out the four split fields. `feature`, `left`, `right` and `count` must be
+    integers, `count` at least 1, `threshold` a number other than NaN (an
+    infinite cut is one `fit` can make) and `prob` a number in [0, 1]."""
+    what = f"malformed tree: node {k}"
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be an object, got {record!r}")
+    feature, left, right = (_number(record.get(key, -1), f"{what} {key}", (int,))
+                            for key in ("feature", "left", "right"))
+    threshold = record.get("threshold", -1)
+    if type(threshold) not in (int, float) or math.isnan(threshold):
+        raise ValueError(f"{what} threshold must be a number, got {threshold!r}")
+    prob = _number(record["prob"], f"{what} prob")
+    if not 0 <= prob <= 1:
+        raise ValueError(f"{what} prob must be in [0, 1], got {prob!r}")
+    count = _number(record["count"], f"{what} count", (int,))
+    if count < 1:
+        raise ValueError(f"{what} count must be at least 1, got {count!r}")
+    return feature, threshold, left, right, prob, count
 
 
 class RankBins:

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -94,14 +95,31 @@ _BAD_MODELS = {
     "future-version": (lambda m: m.update(schema_version="v9"),
                        "unsupported schema version 'v9'"),
     "pointwise": (lambda m: m.update(kind="pointwise"), "unsupported model kind 'pointwise'"),
+    "fractional-feature": (lambda m: m["priority_tree"]["nodes"][0].update(feature=0.7),
+                           "node 0 feature must be an integer, got 0.7"),
+    "fractional-child": (lambda m: m["priority_tree"]["nodes"][0].update(left=1.9),
+                         "node 0 left must be an integer, got 1.9"),
+    "nan-threshold": (lambda m: m["priority_tree"]["nodes"][0].update(threshold=math.nan),
+                      "node 0 threshold must be a number, got nan"),
+    "nan-prob": (lambda m: m["act_tree"]["nodes"][0].update(prob=math.nan),
+                 "node 0 prob must be a finite number, got nan"),
+    "prob-above-one": (lambda m: m["priority_tree"]["nodes"][0].update(prob=7.0),
+                       "node 0 prob must be in [0, 1], got 7.0"),
+    "negative-count": (lambda m: m["priority_tree"]["nodes"][0].update(count=-3),
+                       "node 0 count must be at least 1, got -3"),
+    "fractional-min-leaf": (lambda m: m["priority_tree"].update(min_leaf=1.9),
+                            "min_leaf must be an integer, got 1.9"),
+    "list-node": (lambda m: m["act_tree"]["nodes"].__setitem__(0, [1]),
+                  "node 0 must be an object, got [1]"),
 }
 
 
 @pytest.mark.parametrize("flaw", _BAD_MODELS)
 def test_evaluate_rejects_malformed_model(workspace, runner, flaw):
     """A priority-tree root whose left child is itself (a walk that never
-    ends) or out of range, a schema version other than v1 or a kind other
-    than pairwise is refused at load, with exit code 1."""
+    ends) or out of range, a schema version other than v1, a kind other
+    than pairwise, or a node field or leaf size of the wrong type or out of
+    range is refused at load, with exit code 1 and a message naming it."""
     data = load_json(workspace["model"])
     assert "feature" in data["priority_tree"]["nodes"][0]
     edit, message = _BAD_MODELS[flaw]
@@ -290,6 +308,22 @@ def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
     _assert_error_message(result, path)
     if flaw in _BAD_VALUES:  # the message names the task or agent at fault
         assert repr(data[_BAD_VALUES[flaw][0]][0]["id"]) in result.output
+
+
+def test_demonstrate_unfinishable_problem_is_error_message(workspace, runner):
+    """A well-formed problem the expert cannot finish (its one task is 50
+    away from an agent of speed 1, and the horizon is 10) is an error
+    message naming the file and the horizon, not a traceback."""
+    path = _write_json(workspace, "unfinishable.json", {
+        "schema_version": "v1", "grid_size": [60, 10],
+        "agents": [{"id": "a0", "start_location": [0, 0], "speed": 1}],
+        "tasks": [{"id": "t0", "location": [50, 0], "durations": {"a0": 1},
+                   "resource": "r0"}],
+        "resources": ["r0"], "horizon": 10})
+    result = runner.invoke(main, ["demonstrate", "--problem", path, "--out",
+                                  str(workspace["root"] / "never_written.json")])
+    _assert_error_message(result, path)
+    assert "horizon 10 reached with 1 unfinished tasks" in result.output
 
 
 def test_train_rejects_non_demo_file(workspace, runner):

@@ -250,7 +250,7 @@ class TestApplyAction:
         assert pending(state)["tA"] == 2
         assert state.agent_free[a0] == 2
         assert state.res_free[tiny_problem.resources.index("r0")] == 2
-        assert cp.location[state.agent_loc[a0]] == (0.0, 0.0)
+        assert tiny_problem.tasks[state.agent_loc[a0]].location == (0.0, 0.0)
 
     def test_busy_agent(self, tiny_problem):
         state = start(SimState.initial(tiny_problem), "tA", "a0")

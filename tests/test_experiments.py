@@ -425,3 +425,40 @@ def test_every_module_import_is_used():
                 if name not in read:
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+COMPILED_CLASSES = ("Compiled", "_Compiled")
+
+
+def test_every_compiled_table_is_read():
+    """Every attribute `Compiled.__init__` or `_Compiled.__init__` assigns is
+    read in the library or the benchmark outside the constructor that
+    assigns it: as `cp.name`, `<state>.compiled.name`, or `self.name` in a
+    method of either class. A table only tests read belongs in the tests."""
+    trees = [ast.parse(path.read_text()) for path in _module_paths("perfbench")]
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name in COMPILED_CLASSES]
+    in_class = {id(node) for cls in classes for node in ast.walk(cls)}
+    reads = []  # (attribute name, id of the read's node)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
+                continue
+            owner = node.value
+            if ((isinstance(owner, ast.Name)
+                 and (owner.id == "cp" or owner.id == "self" and id(node) in in_class))
+                    or (isinstance(owner, ast.Attribute) and owner.attr == "compiled")):
+                reads.append((node.attr, id(node)))
+    unread = []
+    for cls in classes:
+        init = next(f for f in cls.body
+                    if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+        inside = {id(node) for node in ast.walk(init)}
+        assigned = {node.attr for node in ast.walk(init)
+                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"}
+        unread += [f"{cls.name}.{name}" for name in sorted(assigned)
+                   if not any(attr == name and where not in inside
+                              for attr, where in reads)]
+    assert len(classes) == len(COMPILED_CLASSES)
+    assert unread == []

@@ -129,8 +129,9 @@ def live_score(rule, state, agent_id, task, problem):
     higher-is-better scores negated so that lower always wins."""
     deadline = problem.horizon if task.abs_deadline is None else task.abs_deadline
     if rule is RuleKind.TRAVEL_DISTANCE:
-        cp = state.compiled
-        loc = cp.location[state.agent_loc[cp.agent_index[agent_id]]]
+        points = ([t.location for t in problem.tasks]
+                  + [a.start_location for a in problem.agents])
+        loc = points[state.agent_loc[state.compiled.agent_index[agent_id]]]
         dist = euclidean(loc, task.location)
         theta = origin_angle(loc, task.location)
         return dist + ALPHA1 * theta + ALPHA2 * dist * theta

@@ -557,14 +557,12 @@ def test_compiled_bound_matches_reference(kind, homogeneous, shape, seed):
     compiled_bound = optimizer._Compiled.lower_bound
     checked = []
 
-    def checking_bound(cp, agent_free, agent_loc, res_free, finish, unplaced,
-                       makespan):
-        got = compiled_bound(cp, agent_free, agent_loc, res_free, finish,
-                             unplaced, makespan)
+    def checking_bound(cp, agent_free, agent_loc, res_free, finish):
+        got = compiled_bound(cp, agent_free, agent_loc, res_free, finish)
         node = _reference_node(problem, agent_free, agent_loc, res_free, finish)
-        want = reference(node, [problem.tasks[t] for t in unplaced])
+        want = reference(node, [t for t, f in zip(problem.tasks, finish) if f is None])
         assert got == want
-        assert makespan == max(node.finish.values(), default=0)
+        assert max(agent_free) == max(node.finish.values(), default=0)
         checked.append(got)
         return got
 
@@ -617,8 +615,7 @@ def test_screen_never_exceeds_full_bound(kind, homogeneous, shape, seed):
             fin + sum(cp.min_duration[u] for u in unplaced
                       if u != t and cp.resource[u] == r))
         child = (_replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t),
-                 _replace_at(res_free, r, fin), _replace_at(finish, t, fin),
-                 tuple(u for u in unplaced if u != t), makespan)
+                 _replace_at(res_free, r, fin), _replace_at(finish, t, fin))
         assert screen <= cp.lower_bound(*child)
         checked.append(screen)
         return start, fin

@@ -54,13 +54,15 @@ class RefState:
     def of(cls, state, problem: ProblemInstance) -> "RefState":
         cp = state.compiled
         finish = [(tid, f) for tid, f in zip(cp.task_ids, state.finish) if f is not None]
+        points = ([t.location for t in problem.tasks]
+                  + [a.start_location for a in problem.agents])
         return cls(
             time=state.time,
             started={cp.task_ids[t]: (cp.agent_ids[a], start)
                      for t, a, start, _ in state.placements},
             finished={tid: f for tid, f in finish if f <= state.time},
             pending_finish={tid: f for tid, f in finish if f > state.time},
-            agent_location={aid: cp.location[loc]
+            agent_location={aid: points[loc]
                             for aid, loc in zip(cp.agent_ids, state.agent_loc)},
             agent_busy_until=dict(zip(cp.agent_ids, state.agent_free)),
             resource_busy_until=dict(zip(problem.resources, state.res_free)),
@@ -310,7 +312,6 @@ def test_compiled_tables_match_formulas(task_points, agent_points, speeds):
     problem = ProblemInstance((30.0, 30.0), agents, tasks, ("r",), len(tasks))
     cp = Compiled(problem)
     points = list(task_points) + list(agent_points)
-    assert cp.location == points
     for loc, p in enumerate(points):
         for t, q in enumerate(task_points):
             assert cp.distance[loc][t] == euclidean(p, q)

@@ -188,13 +188,21 @@ class TestSerialization:
         {"right": 9},     # child index out of range
         {"left": 1},      # both children are node 1; node 2 has no parent
         {"feature": -1},  # an internal node without a feature
+        # fields that would otherwise be truncated or silently misread
+        {"feature": 0.7},
+        {"left": 1.9},
+        {"threshold": float("nan")},
+        {"prob": float("nan")},
+        {"prob": 7.0},
+        {"count": -3},
+        {"min_leaf": 1.9},
     ])
     def test_malformed_nodes_rejected(self, edit):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         data = DecisionTree(min_leaf=1).fit(X, np.array([0, 0, 1, 1])).to_dict()
         assert data["nodes"][0] == {"prob": 0.5, "count": 4, "feature": 0,
                                     "threshold": 1.5, "left": 2, "right": 1}
-        data["nodes"][0].update(edit)
+        (data if "min_leaf" in edit else data["nodes"][0]).update(edit)
         with pytest.raises(ValueError, match="malformed tree"):
             DecisionTree.from_dict(data)
 
