@@ -5,10 +5,12 @@ Time is discretized to integer ticks. Travel times round up, so feasibility
 checks are conservative. All state objects have value semantics: operations
 return new states and never mutate their inputs.
 
-`Compiled` turns a problem into index tables once, and `earliest_start` is
-the one placement rule over them: the simulator, the featurizer, the
+`Compiled` turns a problem into index tables, built once per problem on
+first use of `ProblemInstance.compiled`, and `earliest_start` is the one
+placement rule over them: the simulator, the featurizer, the
 schedulability test and branch and bound all read those tables, and speak
 only task and agent indices; `Compiled.schedule` writes the ids back out.
+So generating, demonstrating and replaying one problem compile it once.
 Only `validate_schedule` re-derives travel from the points, on purpose: it
 is the independent oracle the other paths are checked against.
 
@@ -26,8 +28,10 @@ from __future__ import annotations
 import graphlib
 import json
 import math
+import weakref
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 SCHEMA_VERSION = "v1"
 
@@ -101,6 +105,13 @@ class ProblemInstance:
     def __post_init__(self):
         self.check()
 
+    @cached_property
+    def compiled(self) -> "Compiled":
+        """This problem's tables, built on first use and kept with it. A
+        problem is immutable, so they never go stale; `dataclasses.replace`
+        makes a new problem, which builds its own."""
+        return Compiled(self)
+
     def check(self) -> None:
         agent_ids = [a.id for a in self.agents]
         task_ids = [t.id for t in self.tasks]
@@ -170,7 +181,8 @@ def _argsort(values: list) -> list[int]:
 
 
 class Compiled:
-    """One problem as tables, built once per playthrough or search.
+    """One problem as tables, built once per problem: read them as
+    `ProblemInstance.compiled`, which builds them on first use.
 
     Tasks, agents and resources are indexed by their position in the
     problem. Locations are indexed too: task t's location is t and agent
@@ -183,11 +195,13 @@ class Compiled:
     deadline where that is earlier. `task_order` and `agent_order` list the
     indices in id (string) order and `task_rank[t]` is t's position in
     `task_order`. `empty` is the partial schedule with nothing placed.
+    The problem holds its tables, so they hold it only weakly: no reference
+    cycle keeps a dropped problem alive until the garbage collector runs.
     """
 
     def __init__(self, problem: ProblemInstance):
         tasks, agents = problem.tasks, problem.agents
-        self.problem = problem
+        self.problem = weakref.ref(problem)
         self.task_ids = [t.id for t in tasks]
         self.agent_ids = [a.id for a in agents]
         self.task_index = {tid: i for i, tid in enumerate(self.task_ids)}
@@ -249,7 +263,7 @@ class Compiled:
         return Schedule.from_entries(
             [ScheduleEntry(self.task_ids[t], self.agent_ids[a], start, fin)
              for t, a, start, fin in placements],
-            self.problem,
+            self.problem(),
         )
 
 
@@ -307,7 +321,7 @@ class SimState:
 
     @classmethod
     def initial(cls, problem: ProblemInstance) -> "SimState":
-        cp = Compiled(problem)
+        cp = problem.compiled
         return cls(cp, 0, *cp.empty, ())
 
     def unfinished(self) -> list[int]:
@@ -369,7 +383,7 @@ def apply_action(state: SimState, t: int, a: int) -> SimState:
         raise InfeasibleActionError(f"task {task_id!r} not alive-and-enabled")
     r = cp.resource[t]
     if state.res_free[r] > now:
-        raise InfeasibleActionError(f"resource {cp.problem.resources[r]!r} busy")
+        raise InfeasibleActionError(f"resource {cp.problem().resources[r]!r} busy")
     if state.agent_free[a] + cp.travel[a][state.agent_loc[a]][t] > now:
         raise InfeasibleActionError(f"agent {agent_id!r} cannot reach {task_id!r}")
     if cp.duration[t][a] is None:

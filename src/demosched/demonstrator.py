@@ -1,6 +1,7 @@
 """Mock expert: plays a problem tick by tick with the selected rule and
 records one observation per (tick, idle agent), optionally corrupted by
-epsilon-greedy noise."""
+epsilon-greedy noise. `verify_expert` plays the same noise-free run and
+records nothing, to learn only whether the expert finishes."""
 
 from __future__ import annotations
 
@@ -49,37 +50,8 @@ def demonstrate(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     rule = select_rule(problem, contention_threshold)
-    rng = np.random.default_rng(rng_seed)
     observations: list[Observation] = []
-    contexts = [context_features(problem, agent) for agent in problem.agents]
-
-    def decide(state, a, candidates):
-        cp = state.compiled
-        features = extract_features(state, a, state.unfinished())
-        ids = tuple(sorted(cp.task_ids[t] for t in candidates))
-        chosen = None
-        if ids:
-            if epsilon > 0.0 and rng.random() < epsilon:
-                chosen = ids[int(rng.integers(len(ids)))]
-            else:
-                chosen = expert_choice(rule, features, ids)
-        observations.append(
-            Observation(
-                tick=state.time,
-                context=contexts[a],
-                task_features=features,
-                candidates=ids,
-                scheduled=(chosen, cp.agent_ids[a]) if chosen is not None else None,
-            )
-        )
-        return None if chosen is None else cp.task_index[chosen]
-
-    state, schedule = run_simulation(problem, decide)
-    unfinished = sum(f is None or f > state.time for f in state.finish)
-    if unfinished:
-        raise IncompleteDemonstrationError(
-            f"horizon {problem.horizon} reached with {unfinished} unfinished tasks"
-        )
+    schedule = _play(problem, rule, epsilon, rng_seed, observations)
     return Demonstration(
         problem=problem,
         observations=tuple(observations),
@@ -88,6 +60,64 @@ def demonstrate(
         rng_seed=rng_seed,
         schedule=schedule,
     )
+
+
+def verify_expert(problem: ProblemInstance,
+                  contention_threshold: int = CONTENTION_THRESHOLD) -> None:
+    """Play the noise-free expert through `problem` once, recording nothing.
+
+    Raises IncompleteDemonstrationError exactly when `demonstrate(problem,
+    0.0, contention_threshold=contention_threshold)` would: the decisions
+    are the same, since each task's features do not depend on which other
+    tasks are featurized and the rule reads only the candidates'.
+    """
+    _play(problem, select_rule(problem, contention_threshold), 0.0, 0, None)
+
+
+def _play(problem: ProblemInstance, rule: RuleKind, epsilon: float,
+          rng_seed: int, observations: list[Observation] | None) -> Schedule:
+    """The expert's playthrough, behind `demonstrate` and `verify_expert`.
+
+    With a list, one observation per (tick, idle agent) is appended to it,
+    featurizing every unfinished task; with None, only the candidates of a
+    decision that has any are featurized.
+    """
+    rng = np.random.default_rng(rng_seed)
+    if observations is not None:
+        contexts = [context_features(problem, agent) for agent in problem.agents]
+
+    def decide(state, a, candidates):
+        if observations is None and not candidates:
+            return None
+        cp = state.compiled
+        features = extract_features(
+            state, a, candidates if observations is None else state.unfinished())
+        ids = tuple(sorted(cp.task_ids[t] for t in candidates))
+        chosen = None
+        if ids:
+            if epsilon > 0.0 and rng.random() < epsilon:
+                chosen = ids[int(rng.integers(len(ids)))]
+            else:
+                chosen = expert_choice(rule, features, ids)
+        if observations is not None:
+            observations.append(
+                Observation(
+                    tick=state.time,
+                    context=contexts[a],
+                    task_features=features,
+                    candidates=ids,
+                    scheduled=(chosen, cp.agent_ids[a]) if chosen is not None else None,
+                )
+            )
+        return None if chosen is None else cp.task_index[chosen]
+
+    state, schedule = run_simulation(problem, decide)
+    unfinished = sum(f is None or f > state.time for f in state.finish)
+    if unfinished:
+        raise IncompleteDemonstrationError(
+            f"horizon {problem.horizon} reached with {unfinished} unfinished tasks"
+        )
+    return schedule
 
 
 def demonstration_to_dict(demo: Demonstration) -> dict:

@@ -100,7 +100,10 @@ def collect_demos(
     """One demonstration per freshly generated problem, cycling through the
     requested problem kinds.
 
-    A noisy expert can run past the horizon that the noise-free one met.
+    At epsilon 0 the generator's verifying run is recorded and is the
+    demonstration. Above it the generator verifies without recording, and
+    the demonstration is a noisy run on the problem it returns. A noisy
+    expert can run past the horizon that the noise-free one met.
     Such a run is retried on the same problem with the seed
     `derive_seed(stream_seed, "demo", kind, i, attempt)` for attempt 1, 2,
     ..., within `MAX_RETRIES` runs in all, and the demonstration records
@@ -112,18 +115,19 @@ def collect_demos(
         kind = kinds[i % len(kinds)]
         cfg = make_config(kind, num_agents=num_agents, num_tasks=num_tasks,
                           rng_seed=derive_seed(stream_seed, "gen", kind, i))
-        demo = generate_demonstrated(cfg)
         rng_seed = derive_seed(stream_seed, "demo", kind, i)
         if epsilon == 0.0:
             # a noise-free expert never draws, so the generator's verifying
             # run is this demonstration but for its recorded seed
+            demo = generate_demonstrated(cfg)
             demos.append(replace(demo, epsilon=epsilon, rng_seed=rng_seed))
             continue
+        problem = generate_instance(cfg)
         for attempt in range(MAX_RETRIES):
             seed = rng_seed if attempt == 0 else derive_seed(
                 stream_seed, "demo", kind, i, attempt)
             try:
-                demos.append(demonstrate(demo.problem, epsilon, seed,
+                demos.append(demonstrate(problem, epsilon, seed,
                                          cfg.contention_threshold))
                 break
             except IncompleteDemonstrationError:

@@ -13,11 +13,14 @@ cascade:
 compact workspace, make nearly every alive task a candidate, so epsilon
 mistakes pick from many tasks and actually corrupt the training signal.
 
-Every generated instance is replayed once by the noise-free mock expert; if
+Every generated instance is played once by the noise-free mock expert; if
 the expert cannot finish all tasks inside the horizon the instance is
 discarded and redrawn, at most `MAX_RETRIES` draws in all.
-`generate_demonstrated` hands that verifying demonstration back, so a caller
-that wants the noise-free demonstration does not run the expert twice.
+`generate_instance` verifies with a run that records nothing
+(`verify_expert`). `generate_demonstrated` records that run and hands the
+demonstration back, so a caller that wants the noise-free demonstration
+does not run the expert twice. Both draw the same stream and accept the
+same instance.
 """
 
 from __future__ import annotations
@@ -28,7 +31,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import AgentSpec, ProblemInstance, TaskSpec, travel_ticks
-from .demonstrator import Demonstration, IncompleteDemonstrationError, demonstrate
+from .demonstrator import (
+    Demonstration,
+    IncompleteDemonstrationError,
+    demonstrate,
+    verify_expert,
+)
 from .heuristics import CONTENTION_THRESHOLD
 
 
@@ -166,22 +174,31 @@ def _sample_instance(config: GenConfig, rng: np.random.Generator) -> ProblemInst
 
 
 def generate_instance(config: GenConfig) -> ProblemInstance:
-    """Draw instances until the noise-free expert completes one."""
-    return generate_demonstrated(config).problem
+    """Draw instances until the noise-free expert completes one, verified by
+    an expert run that records nothing."""
+    return _first_completed(config, lambda problem: verify_expert(
+        problem, contention_threshold=config.contention_threshold))[0]
 
 
 def generate_demonstrated(config: GenConfig) -> Demonstration:
-    """The Demonstration, noise-free with rng_seed 0, that verified the
-    instance `generate_instance` returns for `config`."""
+    """The Demonstration, noise-free with rng_seed 0, of the instance
+    `generate_instance` returns for `config`: the verifying run, recorded."""
+    return _first_completed(config, lambda problem: demonstrate(
+        problem, epsilon=0.0, rng_seed=0,
+        contention_threshold=config.contention_threshold))[1]
+
+
+def _first_completed(config: GenConfig, play) -> tuple[ProblemInstance, object]:
+    """The first draw of `config`'s stream on which `play` does not raise
+    IncompleteDemonstrationError, and what `play` returned for it."""
     rng = np.random.default_rng(config.rng_seed)
-    last_error: Exception | None = None
+    # the message, not the error: its traceback would tie this frame, and
+    # so the draw it returns, into a cycle only the garbage collector frees
+    reason = ""
     for _ in range(MAX_RETRIES):
         problem = _sample_instance(config, rng)
         try:
-            return demonstrate(problem, epsilon=0.0, rng_seed=0,
-                               contention_threshold=config.contention_threshold)
+            return problem, play(problem)
         except IncompleteDemonstrationError as exc:
-            last_error = exc
-    raise GenerationError(
-        f"no feasible instance after {MAX_RETRIES} draws: {last_error}"
-    )
+            reason = str(exc)
+    raise GenerationError(f"no feasible instance after {MAX_RETRIES} draws: {reason}")

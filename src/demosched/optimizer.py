@@ -18,23 +18,23 @@ earliest start embed a greedy dispatch heuristic that finds near-optimal
 incumbents within a handful of nodes on its own, leaving a seed nothing to
 prune.)
 
-Each call compiles the problem once (`core.Compiled`, the tables the
-simulator reads too), and places tasks by the shared `core.earliest_start`
-rule. This module adds only what the search alone reads (`_Compiled`): the
-lower bound, its per-task travel floor, each task's least added load (read
-by the constant-time screen a child passes before its full bound), a
-topological task order and, for two agents and at most `ROUTE_CAP` tasks,
-the route tables. A node is exactly a `core.SimState`'s fields without its
-clock, grown from `Compiled.empty` by `core.place`: its unplaced tasks are
-its `None` finishes and its makespan its latest agent release time. Its
-children come out in ascending (task id, agent id) order, unplaced tasks
-taken in `Compiled.task_order` and capable agents in id order, and are
-pushed in reverse, so the first is popped first. The incumbent changes
-only at a node with one unplaced task, where no child is pushed, so
-generation order decides push order and nothing else. The canonical
-(start, task id) test compares `Compiled.task_rank`, so "t10" still
-precedes "t2" and the search, and the argument above, are those of the
-string-keyed form.
+Each search compiles the problem once more, into `_Compiled`: the tables
+of `core.Compiled`, which the simulator reads too, plus what only the
+search reads. It places tasks by the shared `core.earliest_start` rule.
+What `_Compiled` adds is the lower bound, its per-task travel floor, each
+task's least added load (read by the constant-time screen a child passes
+before its full bound), a topological task order and, for two agents and
+at most `ROUTE_CAP` tasks, the route tables. A node is exactly a
+`core.SimState`'s fields without its clock, grown from `Compiled.empty` by
+`core.place`: its unplaced tasks are its `None` finishes and its makespan
+its latest agent release time. Its children come out in ascending (task
+id, agent id) order, unplaced tasks taken in `Compiled.task_order` and
+capable agents in id order, and are pushed in reverse, so the first is
+popped first. The incumbent changes only at a node with one unplaced task,
+where no child is pushed, so generation order decides push order and
+nothing else. The canonical (start, task id) test compares
+`Compiled.task_rank`, so "t10" still precedes "t2" and the search, and the
+argument above, are those of the string-keyed form.
 
 The route tables `W[a][loc][S]` hold the least ticks for agent a to go from
 location `loc` through every task of the set S, travel plus durations, and
@@ -52,8 +52,9 @@ every pushed bound is the larger of the two, as if it always ran. The
 tables grow as 2^n, so above `ROUTE_CAP` tasks, and for one or three or
 more agents, nothing is built and the bound is the four components alone.
 
-The exhaustive oracle and perturbations place (task, agent) index pairs
-with `_place`; ids are looked up only where a schedule comes in.
+The exhaustive oracle and perturbations read the problem's own tables
+(`ProblemInstance.compiled`) and place (task, agent) index pairs with
+`_place`; ids are looked up only where a schedule comes in.
 """
 
 from __future__ import annotations
@@ -473,7 +474,7 @@ def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
 def brute_force_optimal(problem: ProblemInstance) -> Schedule | None:
     """Exhaustive search over task orders and assignments. Oracle for small
     instances only; cost grows as n! * A^n."""
-    cp = Compiled(problem)
+    cp = problem.compiled
     best, best_objective = None, None
     for perm in itertools.permutations(range(len(cp.task_ids))):
         for combo in itertools.product(*(cp.capable[t] for t in perm)):
@@ -516,7 +517,7 @@ def perturb(
         raise ValueError(f"unknown perturbation kind {kind!r}")
     if count < 0:
         raise ValueError("count must be >= 0")
-    cp = Compiled(problem)
+    cp = problem.compiled
     base = [(cp.task_at(e.task_id), cp.agent_at(e.agent_id)) for e in schedule.entries]
     if count == 0:
         return schedule

@@ -13,6 +13,7 @@ from demosched.demonstrator import (
     IncompleteDemonstrationError,
     demonstrate,
     demonstration_to_dict,
+    verify_expert,
 )
 from demosched.experiments import (
     CSV_FIELDS,
@@ -104,6 +105,30 @@ def test_noisy_demos_rerun_the_expert():
                                derive_seed(stream, "demo", kind, i),
                                cfg.contention_threshold)
         assert demonstration_to_dict(demo) == demonstration_to_dict(expected)
+
+
+def test_noisy_demos_record_no_verifying_run(monkeypatch):
+    """Above epsilon 0 the generator verifies each problem without recording,
+    and every recorded expert run is a noisy demo or a retry of one."""
+    kinds, stream = ["travel", "contention", "temporal", "dense"], 77
+    expected = [demonstration_to_dict(d)
+                for d in collect_demos(kinds, 8, 0.2, stream, num_tasks=6)]
+    recorded, verified = [], []
+
+    def counted(calls, run):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return run(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr("demosched.generator.demonstrate", counted(recorded, demonstrate))
+    monkeypatch.setattr("demosched.experiments.demonstrate", counted(recorded, demonstrate))
+    monkeypatch.setattr("demosched.generator.verify_expert",
+                        counted(verified, verify_expert))
+    demos = collect_demos(kinds, 8, 0.2, stream, num_tasks=6)
+    assert [demonstration_to_dict(d) for d in demos] == expected
+    assert len(recorded) == 9  # demo 7's first noisy run falls short
+    assert len(verified) >= 8
 
 
 def test_noisy_demo_past_the_horizon_is_retried(monkeypatch):
@@ -462,3 +487,31 @@ def test_every_compiled_table_is_read():
                               for attr, where in reads)]
     assert len(classes) == len(COMPILED_CLASSES)
     assert unread == []
+
+
+def test_compiled_is_built_only_by_the_problem():
+    """No library module builds `Compiled` but `ProblemInstance.compiled`,
+    so a problem is compiled once however many layers read it. The search's
+    `_Compiled` extends the tables with its own and builds them through
+    `super().__init__`: the one other construction."""
+    builds = []
+    for path in _module_paths():
+        tree = ast.parse(path.read_text())
+        owners = {}  # id of each call -> (class, function) it sits in
+        for cls in (n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)):
+            for fn in (n for n in cls.body if isinstance(n, ast.FunctionDef)):
+                owners.update({id(n): (cls, fn) for n in ast.walk(fn)})
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            cls, fn = owners.get(id(node), (None, None))
+            direct = getattr(func, "id", getattr(func, "attr", None)) == "Compiled"
+            inherited = (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                         and isinstance(func.value, ast.Call)
+                         and getattr(func.value.func, "id", None) == "super"
+                         and any(getattr(b, "id", None) == "Compiled" for b in cls.bases))
+            if direct or inherited:
+                builds.append(f"{path.name}: {cls and cls.name}.{fn and fn.name}")
+    assert sorted(builds) == ["core.py: ProblemInstance.compiled",
+                              "optimizer.py: _Compiled.__init__"]

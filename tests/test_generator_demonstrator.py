@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from demosched import demonstrator
 from demosched.core import (
     AgentSpec,
     ProblemInstance,
@@ -12,16 +14,20 @@ from demosched.demonstrator import (
     demonstrate,
     demonstration_from_dict,
     demonstration_to_dict,
+    verify_expert,
 )
 from demosched.features import extract_features
 from demosched.generator import (
     DURATION_RANGE,
+    KIND_FIELDS,
     GenConfig,
     GenerationError,
+    generate_demonstrated,
     generate_instance,
+    _sample_instance,
     make_config,
 )
-from demosched.heuristics import RuleKind, expert_choice
+from demosched.heuristics import RuleKind, expert_choice, select_rule
 from demosched.simulate import run_simulation
 
 
@@ -103,13 +109,69 @@ class TestGenerateInstance:
         assert all(t.durations for t in problem.tasks)
 
     def test_retry_budget_exhausted(self, monkeypatch):
-        def always_fails(problem, **kw):
-            raise IncompleteDemonstrationError("stub")
+        """`generate_instance` verifies with `verify_expert`; every draw it
+        rejects uses up one of `MAX_RETRIES`, and the error names the last
+        draw's failure."""
+        self._exhaust(monkeypatch, generate_instance, "verify_expert")
 
-        monkeypatch.setattr("demosched.generator.demonstrate", always_fails)
+    def test_demonstrated_retry_budget_exhausted(self, monkeypatch):
+        self._exhaust(monkeypatch, generate_demonstrated, "demonstrate")
+
+    @staticmethod
+    def _exhaust(monkeypatch, generate, expert_run):
+        runs = []
+
+        def always_fails(problem, **kw):
+            runs.append(problem)
+            raise IncompleteDemonstrationError(f"stub {len(runs)}")
+
+        monkeypatch.setattr(f"demosched.generator.{expert_run}", always_fails)
         monkeypatch.setattr("demosched.generator.MAX_RETRIES", 2)
-        with pytest.raises(GenerationError):
-            generate_instance(make_config("temporal", num_tasks=3))
+        with pytest.raises(GenerationError, match="after 2 draws: stub 2$"):
+            generate(make_config("temporal", num_tasks=3))
+        assert len(runs) == 2 and runs[0] != runs[1]
+
+
+def _raw_draws():
+    """Three raw draws per kind, agent count (1-3), task count (4 and 8) and
+    duration model, before any verification."""
+    for kind in KIND_FIELDS:
+        for num_agents in (1, 2, 3):
+            for num_tasks in (4, 8):
+                for homogeneous in (True, False):
+                    cfg = make_config(kind, num_agents=num_agents, num_tasks=num_tasks,
+                                      homogeneous=homogeneous)
+                    rng = np.random.default_rng(11)
+                    for _ in range(3):
+                        yield cfg, _sample_instance(cfg, rng)
+
+
+def test_verifier_agrees_with_demonstrate():
+    """`verify_expert` raises exactly when the noise-free `demonstrate`
+    does, and its unrecorded playthrough makes the same schedule."""
+    incomplete = 0
+    for cfg, problem in _raw_draws():
+        threshold = cfg.contention_threshold
+        try:
+            demo = demonstrate(problem, contention_threshold=threshold)
+        except IncompleteDemonstrationError:
+            incomplete += 1
+            with pytest.raises(IncompleteDemonstrationError):
+                verify_expert(problem, contention_threshold=threshold)
+            continue
+        verify_expert(problem, contention_threshold=threshold)
+        rule = select_rule(problem, threshold)
+        assert demonstrator._play(problem, rule, 0.0, 0, None) == demo.schedule
+    assert incomplete == 3  # all "dense" with one agent
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_FIELDS))
+@pytest.mark.parametrize("homogeneous", [True, False])
+@pytest.mark.parametrize("num_agents", [2, 3])
+def test_generators_accept_the_same_draw(kind, homogeneous, num_agents):
+    cfg = make_config(kind, num_agents=num_agents, num_tasks=8,
+                      homogeneous=homogeneous, rng_seed=23)
+    assert generate_instance(cfg) == generate_demonstrated(cfg).problem
 
 
 class TestDemonstrate:

@@ -6,9 +6,11 @@ kept verbatim apart from the state class's name; `RefState.of` builds it
 from a table-driven state, so both read the same partial schedule.
 """
 
+import gc
 import hashlib
 import json
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 
 import numpy as np
 from hypothesis import example, given, settings
@@ -333,6 +335,61 @@ def test_deadline_feature_is_capped_by_the_horizon():
     want = reference_features(ref, problem.agents[0], problem,
                               ref.unfinished(problem))
     assert got["t01"].deadline == want["t01"].deadline == 72.0
+
+
+# ---------------------------------------------------------------------------
+# One compiled problem per problem
+# ---------------------------------------------------------------------------
+
+def test_simulation_reads_the_problems_tables(tiny_problem):
+    assert SimState.initial(tiny_problem).compiled is tiny_problem.compiled
+
+
+def test_generate_demonstrate_replay_compile_once(monkeypatch):
+    """Generating, demonstrating and replaying a problem build its tables
+    once; each rejected draw builds its own, once."""
+    built = []
+    build = Compiled.__init__
+
+    def counted(self, problem):
+        built.append(problem)
+        build(self, problem)
+
+    monkeypatch.setattr(Compiled, "__init__", counted)
+    cfg = make_config("dense", num_agents=1, num_tasks=5, rng_seed=11)
+    problem = generate_instance(cfg)
+    demo = demonstrate(problem, contention_threshold=cfg.contention_threshold)
+    construct_schedule(problem, HeuristicPolicy(demo.rule_used))
+    assert len(built) > 1  # the first draw of this stream is rejected
+    assert built[-1] is problem
+    assert len({id(p) for p in built}) == len(built)
+
+
+def test_replaced_problem_gets_fresh_tables(tiny_problem):
+    tables = tiny_problem.compiled
+    same = replace(tiny_problem)
+    later = replace(tiny_problem, horizon=45)
+    assert same == tiny_problem and same.compiled is not tables
+    assert tiny_problem.compiled is tables
+    assert (tables.deadline, later.compiled.deadline) == ([40, 40, 15], [45, 45, 15])
+
+
+def test_a_played_problem_is_freed_by_reference_counting():
+    """A problem whose tables were built and played through is freed as soon
+    as its last reference goes, with the garbage collector off: neither its
+    tables nor a rejected draw's error tie it into a cycle."""
+    cfg = make_config("dense", num_agents=1, num_tasks=5, rng_seed=11)
+    problem = generate_instance(cfg)
+    demo = demonstrate(problem, contention_threshold=cfg.contention_threshold)
+    construct_schedule(problem, HeuristicPolicy(demo.rule_used))
+    assert "compiled" in vars(problem)
+    freed = weakref.ref(problem)
+    gc.disable()
+    try:
+        del problem, demo
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------
