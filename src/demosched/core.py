@@ -197,7 +197,15 @@ class Compiled:
     `task_order`. `empty` is the partial schedule with nothing placed.
     The problem holds its tables, so they hold it only weakly: no reference
     cycle keeps a dropped problem alive until the garbage collector runs.
+    The tables are slots, so `optimizer._Compiled` copies them by name:
+    reading an instance's `__dict__` instead would make every later
+    attribute read on it a dictionary lookup.
     """
+
+    __slots__ = ("problem", "task_ids", "agent_ids", "task_index", "agent_index",
+                 "task_order", "agent_order", "task_rank", "num_resources",
+                 "resource", "duration", "capable", "deadline", "waits",
+                 "start_loc", "empty", "distance", "angle", "travel")
 
     def __init__(self, problem: ProblemInstance):
         tasks, agents = problem.tasks, problem.agents

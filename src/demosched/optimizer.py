@@ -18,9 +18,10 @@ earliest start embed a greedy dispatch heuristic that finds near-optimal
 incumbents within a handful of nodes on its own, leaving a seed nothing to
 prune.)
 
-Each search compiles the problem once more, into `_Compiled`: the tables
-of `core.Compiled`, which the simulator reads too, plus what only the
-search reads. It places tasks by the shared `core.earliest_start` rule.
+Each search starts a `_Compiled` from the problem's own tables
+(`ProblemInstance.compiled`, which the simulator reads too), shared, not
+copied, and builds only what the search alone reads. It places tasks by the
+shared `core.earliest_start` rule.
 What `_Compiled` adds is the lower bound, its per-task travel floor, each
 task's least added load (read by the constant-time screen a child passes
 before its full bound), a topological task order and, for two agents and
@@ -102,16 +103,19 @@ class BnBResult:
 
 
 class _Compiled(Compiled):
-    """The compiled problem plus what only the search reads: each task's
-    cheapest hop in from another task's location, its least added load, a
-    topological task order, the lower bound and, for exactly two agents and
-    at most `ROUTE_CAP` tasks, the route tables `routes[a][loc][S]` (W in
-    the module docstring; None otherwise) behind `route_bound`. The route
-    component needs no triangle inequality: it sums the same `travel` hops
-    `earliest_start` charges, along each agent's own order."""
+    """The problem's compiled tables, shared with `problem.compiled`, plus
+    what only the search reads: each task's cheapest hop in from another
+    task's location, its least added load, a topological task order, the
+    lower bound and, for exactly two agents and at most `ROUTE_CAP` tasks,
+    the route tables `routes[a][loc][S]` (W in the module docstring; None
+    otherwise) behind `route_bound`. The route component needs no triangle
+    inequality: it sums the same `travel` hops `earliest_start` charges,
+    along each agent's own order."""
 
     def __init__(self, problem: ProblemInstance):
-        super().__init__(problem)
+        tables = problem.compiled
+        for name in Compiled.__slots__:
+            setattr(self, name, getattr(tables, name))
         num_tasks = len(self.task_ids)
         # cheapest hop into each task from any other task's location, by
         # its fastest capable agent: a static floor on incremental travel

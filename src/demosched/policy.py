@@ -2,12 +2,19 @@
 
 A policy answers two questions from recorded or live features: which task in
 a pool ranks first, and whether the top task should be scheduled now or the
-agent should stay idle.
+agent should stay idle. The interface is batch-first: `select_tasks` ranks
+many pools and `predict_acts` decides many tops, each in as few tree passes
+as the rows allow, and `select_task` and `predict_act` are their one-query
+cases. The pairwise model scores the pools of one size as one (m, k, k)
+block; every pass holds at most `_CHUNK_ROWS` rows, or one pool's pair rows
+where a pool has more, so a large batch does not raise peak memory.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -25,22 +32,45 @@ from .datasets import (
     wide_vector,
 )
 from .demonstrator import Demonstration
-from .features import ContextFeatures, TaskFeatures
+from .features import TASK_FEATURE_NAMES, ContextFeatures, TaskFeatures
 from .tree import DecisionTree, RankBins
 
 FEATURE_SCHEMA = "v1"
 
 MIN_LEAF_GRID = (1, 5, 10, 25, 50, 100, 250, 500, 1000)
 
+_CHUNK_ROWS = 1 << 15  # most rows a tree pass scores, unless one pool has more pairs
+
+# one ranking question: the context, the task features and the pool to rank
+Query = tuple[ContextFeatures, dict[str, TaskFeatures], list[str]]
+
+
+def _predict(tree: DecisionTree, rows: list) -> list[float]:
+    """The tree's probability for each row, in passes of at most
+    `_CHUNK_ROWS` rows."""
+    return [p for start in range(0, len(rows), _CHUNK_ROWS)
+            for p in tree.predict_proba(rows[start:start + _CHUNK_ROWS]).tolist()]
+
 
 class _LearnedPolicy:
     """A trained priority model plus a schedule-vs-idle act tree. Each
-    model supplies `scores(context, task_features, pool)`, one number per
-    pool task, higher preferred."""
+    model supplies `pool_scores(queries)`: for each query, one score per
+    pool task in pool order, higher preferred."""
 
     def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
         self.priority_tree = priority_tree
         self.act_tree = act_tree
+
+    def select_tasks(self, queries: list[Query]) -> list[str]:
+        """Each query's highest-scoring pool task; ties go to the lowest id.
+        A pool of one is its own top and is not scored."""
+        if any(not pool for _, _, pool in queries):
+            raise ValueError("empty candidate pool")
+        tops = [pool[0] for _, _, pool in queries]
+        ranked = [n for n, (_, _, pool) in enumerate(queries) if len(pool) > 1]
+        for n, scores in zip(ranked, self.pool_scores([queries[n] for n in ranked])):
+            tops[n] = min(zip(queries[n][2], scores), key=lambda p: (-p[1], p[0]))[0]
+        return tops
 
     def select_task(
         self,
@@ -48,33 +78,64 @@ class _LearnedPolicy:
         task_features: dict[str, TaskFeatures],
         pool: list[str],
     ) -> str:
-        """The highest-scoring pool task; ties go to the lowest id."""
-        if not pool:
-            raise ValueError("empty candidate pool")
-        scores = self.scores(context, task_features, list(pool))
-        return min(pool, key=lambda tid: (-scores[tid], tid))
+        """`select_tasks` for one query."""
+        return self.select_tasks([(context, task_features, list(pool))])[0]
+
+    def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
+        """One query's `pool_scores`, by task id."""
+        return dict(zip(pool, self.pool_scores([(context, task_features, list(pool))])[0]))
+
+    def predict_acts(self, asks: list[tuple[ContextFeatures, TaskFeatures]]) -> list[bool]:
+        """For each (context, task features) pair, True = schedule. A
+        probability of exactly 0.5 schedules."""
+        return [p >= 0.5 for p in _predict(self.act_tree,
+                                           [point_vector(c, tf) for c, tf in asks])]
 
     def predict_act(self, context: ContextFeatures, tf: TaskFeatures) -> bool:
-        """True = schedule. A probability of exactly 0.5 schedules."""
-        return float(self.act_tree.predict_proba([point_vector(context, tf)])[0]) >= 0.5
+        """`predict_acts` for one pair."""
+        return self.predict_acts([(context, tf)])[0]
 
 
 class PolicyModel(_LearnedPolicy):
     """Pairwise-ranking priority tree plus a schedule-vs-idle act tree."""
 
+    def pool_scores(self, queries: list[Query]) -> list[list[float]]:
+        """Each pool task's sum of pairwise win probabilities against every
+        pool task (the self term is a constant offset shared by all). The
+        pools of one size k are scored together, as many to a tree pass as
+        keep it within `_CHUNK_ROWS` pair rows, and at least one."""
+        out: list = [None] * len(queries)
+        by_size = defaultdict(list)
+        for n, (_, _, pool) in enumerate(queries):
+            by_size[len(pool)].append(n)
+        for k, members in by_size.items():
+            step = max(1, _CHUNK_ROWS // (k * k))
+            for start in range(0, len(members), step):
+                chunk = members[start:start + step]
+                # each pool's row sums run over its own contiguous block, in
+                # the order a lone pool's matrix adds them
+                sums = self._pair_probs([queries[n][0] for n in chunk],
+                                        [[queries[n][1][tid] for tid in queries[n][2]]
+                                         for n in chunk]).sum(axis=-1)
+                for n, row in zip(chunk, sums.tolist()):
+                    out[n] = row
+        return out
+
     def pair_matrix(self, context, task_features, pool: list[str]) -> np.ndarray:
         """Entry [i, j] is the tree's probability that pool[i] ranks above
         pool[j]."""
-        F = np.array([task_features[tid] for tid in pool], dtype=float)
-        rows = pair_rows(context, F[:, None], F[None, :])
-        probs = self.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
-        return probs.reshape(len(pool), len(pool))
+        return self._pair_probs([context], [[task_features[tid] for tid in pool]])[0]
 
-    def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
-        """Sum of pairwise win probabilities of each pool task against every
-        pool task (the self term is a constant offset shared by all)."""
-        sums = self.pair_matrix(context, task_features, pool).sum(axis=1)
-        return dict(zip(pool, sums.tolist()))
+    def _pair_probs(self, contexts, pools) -> np.ndarray:
+        """The (m, k, k) block whose entry [n, i, j] is the tree's probability
+        that task i of pool n ranks above its task j, from m contexts and m
+        pools of k task feature rows each, in one tree pass."""
+        F = np.fromiter(chain.from_iterable(chain.from_iterable(pools)), float)
+        F = F.reshape(len(pools), -1, len(TASK_FEATURE_NAMES))
+        C = np.array(contexts, dtype=float)[:, None, None, :]
+        rows = pair_rows(C, F[:, :, None], F[:, None, :])
+        probs = self.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
+        return probs.reshape(F.shape[:2] + F.shape[1:2])
 
     def to_dict(self) -> dict:
         return {
@@ -112,9 +173,15 @@ def _load_tree(data: dict, width: int) -> DecisionTree:
 class PointwisePolicy(_LearnedPolicy):
     """Baseline: score each task independently; highest probability wins."""
 
-    def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
-        rows = np.array([point_vector(context, task_features[tid]) for tid in pool])
-        return dict(zip(pool, self.priority_tree.predict_proba(rows).tolist()))
+    def pool_scores(self, queries: list[Query]) -> list[list[float]]:
+        probs = _predict(self.priority_tree, [point_vector(context, task_features[tid])
+                                              for context, task_features, pool in queries
+                                              for tid in pool])
+        out, start = [], 0
+        for _, _, pool in queries:
+            out.append(probs[start:start + len(pool)])
+            start += len(pool)
+        return out
 
 
 class NaivePolicy(_LearnedPolicy):
@@ -127,12 +194,15 @@ class NaivePolicy(_LearnedPolicy):
         self.index = {tid: k for k, tid in enumerate(task_ids)}
         self.act_tree = act_tree
 
-    def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
-        row = np.array([wide_vector(context, task_features, self.index)])
-        return {
-            tid: float(self.class_trees[self.index[tid]].predict_proba(row)[0])
-            for tid in pool
-        }
+    def pool_scores(self, queries: list[Query]) -> list[list[float]]:
+        """Each pool task's probability from its index's tree on the query's
+        wide row; each tree any pool asks for scores every query's row."""
+        rows = [wide_vector(context, task_features, self.index)
+                for context, task_features, _ in queries]
+        asked = {self.index[tid] for _, _, pool in queries for tid in pool}
+        probs = {k: _predict(self.class_trees[k], rows) for k in asked}
+        return [[probs[self.index[tid]][n] for tid in pool]
+                for n, (_, _, pool) in enumerate(queries)]
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +280,36 @@ class Metrics:
 def evaluate(policy, demos: list[Demonstration]) -> Metrics:
     """Sensitivity: the policy picks the expert's task among the feasible
     candidates and elects to schedule it. Specificity: at expert-idle ticks
-    the act model keeps the policy's top task idle."""
-    sched_hits = sched_total = idle_hits = idle_total = 0
+    the act model keeps the policy's top task idle.
+
+    Every scored observation's pool is ranked in one `select_tasks` call and
+    every top decided in one `predict_acts` call, so a learned policy scores
+    the held-out set in a few chunked tree passes, not one per observation.
+    """
+    queries, picks = [], []  # per scored observation; the pick is None at idle
+    idle_hits = idle_total = 0
     for demo in demos:
         for obs in demo.observations:
             if obs.scheduled is not None:
                 pool = list(obs.candidates)
-                sched_total += 1
-                top = policy.select_task(obs.context, obs.task_features, pool)
-                if top == obs.scheduled[0] and policy.predict_act(
-                    obs.context, obs.task_features[top]
-                ):
-                    sched_hits += 1
             else:
                 idle_total += 1
                 pool = list(obs.candidates) or sorted(obs.task_features)
                 if not pool:
                     idle_hits += 1  # nothing left to schedule
                     continue
-                top = policy.select_task(obs.context, obs.task_features, pool)
-                if not policy.predict_act(obs.context, obs.task_features[top]):
-                    idle_hits += 1
+            queries.append((obs.context, obs.task_features, pool))
+            picks.append(None if obs.scheduled is None else obs.scheduled[0])
+    tops = policy.select_tasks(queries)
+    acts = policy.predict_acts([(context, task_features[top])
+                                for (context, task_features, _), top in zip(queries, tops)])
+    sched_hits = sched_total = 0
+    for pick, top, act in zip(picks, tops, acts):
+        if pick is None:
+            idle_hits += not act
+        else:
+            sched_total += 1
+            sched_hits += top == pick and act
     return Metrics(
         sensitivity=sched_hits / sched_total if sched_total else None,
         specificity=idle_hits / idle_total if idle_total else None,

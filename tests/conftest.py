@@ -55,8 +55,14 @@ class HeuristicPolicy:
     def __init__(self, rule: RuleKind):
         self.rule = rule
 
+    def select_tasks(self, queries):
+        return [self.select_task(*query) for query in queries]
+
     def select_task(self, context, task_features, pool):
         return expert_choice(self.rule, task_features, pool)
+
+    def predict_acts(self, asks):
+        return [self.predict_act(context, tf) for context, tf in asks]
 
     def predict_act(self, context, tf) -> bool:
         return (

@@ -491,9 +491,9 @@ def test_every_compiled_table_is_read():
 
 def test_compiled_is_built_only_by_the_problem():
     """No library module builds `Compiled` but `ProblemInstance.compiled`,
-    so a problem is compiled once however many layers read it. The search's
-    `_Compiled` extends the tables with its own and builds them through
-    `super().__init__`: the one other construction."""
+    so a problem is compiled once however many layers read it. A subclass
+    calling `super().__init__` builds them too: the search's `_Compiled`
+    starts from the problem's tables instead."""
     builds = []
     for path in _module_paths():
         tree = ast.parse(path.read_text())
@@ -513,5 +513,4 @@ def test_compiled_is_built_only_by_the_problem():
                          and any(getattr(b, "id", None) == "Compiled" for b in cls.bases))
             if direct or inherited:
                 builds.append(f"{path.name}: {cls and cls.name}.{fn and fn.name}")
-    assert sorted(builds) == ["core.py: ProblemInstance.compiled",
-                              "optimizer.py: _Compiled.__init__"]
+    assert builds == ["core.py: ProblemInstance.compiled"]

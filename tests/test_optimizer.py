@@ -735,6 +735,17 @@ def test_route_tables_only_for_two_agents_up_to_the_cap(monkeypatch, num_tasks,
         assert result.stats["pruned_route"] == 0
 
 
+def test_search_shares_the_problems_tables(tiny_problem):
+    """A search's tables are the problem's own objects, not copies, and
+    they stay slots: reading a table's `__dict__` would make every later
+    attribute read a dictionary lookup."""
+    tables = tiny_problem.compiled
+    cp = optimizer._Compiled(tiny_problem)
+    assert all(getattr(cp, name) is getattr(tables, name)
+               for name in optimizer.Compiled.__slots__)
+    assert not hasattr(tables, "__dict__")
+
+
 def _golden_corpus():
     """(label, problem, node limit) of the pinned searches; the last two
     are relabeled, so a wrong id order changes their node sequence."""

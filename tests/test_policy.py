@@ -1,17 +1,27 @@
 import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import HeuristicPolicy
-from demosched.datasets import build_pairwise_dataset
+from demosched import policy as policy_module
+from demosched.datasets import (
+    build_pairwise_dataset,
+    pair_rows,
+    point_vector,
+    wide_vector,
+)
 from demosched.demonstrator import demonstrate
+from demosched.experiments import collect_demos
 from demosched.features import ContextFeatures, TaskFeatures
 from demosched.generator import KIND_FIELDS, generate_instance, make_config
 from demosched.policy import (
     MIN_LEAF_GRID,
     Metrics,
+    NaivePolicy,
+    PointwisePolicy,
     PolicyModel,
     cross_validate_min_leaf,
     evaluate,
@@ -44,8 +54,6 @@ def edf_model() -> PolicyModel:
     always schedules."""
     rows, labels = [], []
     for da, db in [(1, 2), (1, 3), (2, 5), (4, 9)]:
-        from demosched.datasets import pair_rows
-
         rows.append(pair_rows(CTX, tf(da), tf(db)))
         labels.append(1)
         rows.append(pair_rows(CTX, tf(db), tf(da)))
@@ -314,3 +322,186 @@ GOLDEN_LEARNER = {
 
 def test_golden_learner():
     assert _golden_learner_outputs() == GOLDEN_LEARNER
+
+
+# ---------------------------------------------------------------------------
+# Batched scoring
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def golden_demos():
+    return _golden_learner_demos()
+
+
+def _three_kinds(demos, min_leaf=5):
+    """The pairwise model and both baselines, on the pairwise act tree."""
+    pairwise = train_policy(demos, min_leaf=min_leaf)
+    return [pairwise, train_pointwise(demos, min_leaf, pairwise.act_tree),
+            train_naive(demos, min_leaf, pairwise.act_tree)]
+
+
+@pytest.fixture(scope="module")
+def twenty_task(golden_demos):
+    """The golden 20-task demos, the three learned kinds trained on them,
+    and queries over shuffled pools of every size 1-20, three per size, in
+    shuffled order."""
+    demos = [d for d in golden_demos if len(d.problem.tasks) == 20]
+    rng = np.random.default_rng(5)
+    observations = [o for d in demos for o in d.observations]
+    queries = []
+    for k in list(range(1, 21)) * 3:
+        obs = rng.choice([o for o in observations if len(o.task_features) >= k])
+        pool = [str(t) for t in rng.permutation(sorted(obs.task_features))[:k]]
+        queries.append((obs.context, obs.task_features, pool))
+    order = rng.permutation(len(queries))
+    return demos, _three_kinds(demos), [queries[n] for n in order]
+
+
+@pytest.mark.parametrize("chunk_rows", [policy_module._CHUNK_ROWS, 50])
+@pytest.mark.parametrize("kind", [PolicyModel, PointwisePolicy, NaivePolicy])
+def test_batch_matches_one_pool_calls(monkeypatch, twenty_task, kind, chunk_rows):
+    """Scores and picks of a batch equal those of one call per pool, bit for
+    bit. A 50-row chunk splits the pairwise pools of size 5 two to a pass,
+    gives each pool of size 8 or more (64 pair rows) a pass of its own,
+    and cuts the baselines' rows mid-pool."""
+    monkeypatch.setattr(policy_module, "_CHUNK_ROWS", chunk_rows)
+    _, policies, queries = twenty_task
+    policy = next(p for p in policies if type(p) is kind)
+    scores = policy.pool_scores(queries)
+    assert scores == [policy.pool_scores([q])[0] for q in queries]
+    if kind is PolicyModel:
+        assert scores == [policy.pair_matrix(*q).sum(axis=1).tolist() for q in queries]
+    tops = policy.select_tasks(queries)
+    assert tops == [policy.select_task(*q) for q in queries]
+    assert tops == [min(pool, key=lambda tid: (-dict(zip(pool, s))[tid], tid))
+                    for (_, _, pool), s in zip(queries, scores)]
+
+
+def test_a_tree_that_ties_everything_picks_the_lowest_id(twenty_task):
+    _, policies, queries = twenty_task
+    flat = DecisionTree(min_leaf=1).fit(np.zeros((2, 1)), np.array([1, 1]))
+    for policy in policies:
+        policy = type(policy).__new__(type(policy))
+        policy.priority_tree = flat
+        policy.class_trees = [flat] * 20
+        policy.index = {f"t{k:02d}": k for k in range(20)}
+        assert policy.select_tasks(queries) == [min(pool) for _, _, pool in queries]
+
+
+@pytest.mark.parametrize("kind", [PolicyModel, PointwisePolicy, NaivePolicy])
+def test_an_empty_pool_raises(twenty_task, kind):
+    _, policies, queries = twenty_task
+    policy = next(p for p in policies if type(p) is kind)
+    with pytest.raises(ValueError, match="empty candidate pool"):
+        policy.select_tasks(queries + [(CTX, {}, [])])
+    assert policy.select_tasks([]) == [] and policy.predict_acts([]) == []
+
+
+def _reference_top(policy, context, task_features, pool) -> str:
+    """The top of one pool as each policy ranked it before batching, one tree
+    call per pool (one per pool task for the naive baseline)."""
+    if isinstance(policy, HeuristicPolicy):
+        return policy.select_task(context, task_features, pool)
+    if isinstance(policy, PolicyModel):
+        F = np.array([task_features[tid] for tid in pool], dtype=float)
+        rows = pair_rows(context, F[:, None], F[None, :])
+        probs = policy.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
+        sums = probs.reshape(len(pool), len(pool)).sum(axis=1).tolist()
+    elif isinstance(policy, PointwisePolicy):
+        rows = np.array([point_vector(context, task_features[tid]) for tid in pool])
+        sums = policy.priority_tree.predict_proba(rows).tolist()
+    else:
+        row = np.array([wide_vector(context, task_features, policy.index)])
+        sums = [float(policy.class_trees[policy.index[tid]].predict_proba(row)[0])
+                for tid in pool]
+    scores = dict(zip(pool, sums))
+    return min(pool, key=lambda tid: (-scores[tid], tid))
+
+
+def _reference_act(policy, context, tf) -> bool:
+    if isinstance(policy, HeuristicPolicy):
+        return policy.predict_act(context, tf)
+    return float(policy.act_tree.predict_proba([point_vector(context, tf)])[0]) >= 0.5
+
+
+def _reference_evaluate(policy, demos) -> Metrics:
+    """`evaluate` as it was before batching: one ranking and one act call
+    per observation."""
+    sched_hits = sched_total = idle_hits = idle_total = 0
+    for demo in demos:
+        for obs in demo.observations:
+            if obs.scheduled is not None:
+                pool = list(obs.candidates)
+                sched_total += 1
+                top = _reference_top(policy, obs.context, obs.task_features, pool)
+                if top == obs.scheduled[0] and _reference_act(
+                    policy, obs.context, obs.task_features[top]
+                ):
+                    sched_hits += 1
+            else:
+                idle_total += 1
+                pool = list(obs.candidates) or sorted(obs.task_features)
+                if not pool:
+                    idle_hits += 1
+                    continue
+                top = _reference_top(policy, obs.context, obs.task_features, pool)
+                if not _reference_act(policy, obs.context, obs.task_features[top]):
+                    idle_hits += 1
+    return Metrics(
+        sensitivity=sched_hits / sched_total if sched_total else None,
+        specificity=idle_hits / idle_total if idle_total else None,
+        num_scheduling_obs=sched_total,
+        num_idle_obs=idle_total,
+    )
+
+
+def _golden_corpus(golden_demos):
+    """Policies trained on the golden split's training demos (the naive
+    baseline on its 20-task ones, the task count it needs), each with the
+    demos it is scored on."""
+    train, _ = split_demos(golden_demos, 0.75, rng_seed=0)
+    twenty = [d for d in golden_demos if len(d.problem.tasks) == 20]
+    pairwise = train_policy(train, min_leaf=5)
+    pointwise = train_pointwise(train, 5, pairwise.act_tree)
+    naive = train_naive([d for d in train if d in twenty], 5, pairwise.act_tree)
+    return [(pairwise, golden_demos), (pointwise, golden_demos), (naive, twenty)] + [
+        (HeuristicPolicy(d.rule_used), [d]) for d in golden_demos]
+
+
+def _dense_corpus():
+    """The pairwise model and both baselines trained on the first half of an
+    ε = 0.2 "dense" 8-task stream, and the stream's own expert rules, each
+    scored on the whole stream."""
+    demos = collect_demos(("dense",), 12, 0.2, stream_seed=23, num_tasks=8)
+    return [(p, demos) for p in _three_kinds(demos[:6], min_leaf=1)] + [
+        (HeuristicPolicy(rule), demos) for rule in sorted({d.rule_used for d in demos})]
+
+
+@pytest.mark.parametrize("corpus", ["golden", "dense"])
+def test_evaluate_matches_the_per_observation_loop(golden_demos, corpus):
+    pairs = _golden_corpus(golden_demos) if corpus == "golden" else _dense_corpus()
+    assert {type(p) for p, _ in pairs} == {PolicyModel, PointwisePolicy, NaivePolicy,
+                                           HeuristicPolicy}
+    for policy, demos in pairs:
+        assert evaluate(policy, demos) == _reference_evaluate(policy, demos)
+
+
+def test_evaluate_scores_in_batched_tree_passes(monkeypatch, golden_demos):
+    """One `evaluate` of the pairwise model makes a tree pass per chunk of
+    each pool size and one act pass, however many observations it scores."""
+    model = train_policy(golden_demos, min_leaf=5)
+    pools = [o.candidates if o.scheduled else o.candidates or tuple(o.task_features)
+             for d in golden_demos for o in d.observations]
+    ranked = [len(pool) for pool in pools if len(pool) > 1]
+    bound = (len(set(ranked)) + math.ceil(sum(k * k for k in ranked)
+                                          / policy_module._CHUNK_ROWS) + 1)
+    calls = []
+    predict = DecisionTree.predict_proba
+
+    def counted(self, X):
+        calls.append(len(X))
+        return predict(self, X)
+
+    monkeypatch.setattr(DecisionTree, "predict_proba", counted)
+    evaluate(model, golden_demos)
+    assert len(calls) <= bound < len(pools) / 10

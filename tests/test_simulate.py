@@ -34,6 +34,7 @@ from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.features import TaskFeatures, extract_features
 from demosched.generator import KIND_FIELDS, generate_instance, make_config
 from demosched.heuristics import RuleKind, expert_choice, select_rule
+from demosched.optimizer import branch_and_bound
 from demosched.policy import train_policy
 from demosched.scheduler import SchedulerConfig, construct_schedule, schedulability_test
 from demosched.simulate import run_simulation
@@ -346,8 +347,8 @@ def test_simulation_reads_the_problems_tables(tiny_problem):
 
 
 def test_generate_demonstrate_replay_compile_once(monkeypatch):
-    """Generating, demonstrating and replaying a problem build its tables
-    once; each rejected draw builds its own, once."""
+    """Generating, demonstrating, replaying and searching a problem build
+    its tables once; each rejected draw builds its own, once."""
     built = []
     build = Compiled.__init__
 
@@ -360,6 +361,7 @@ def test_generate_demonstrate_replay_compile_once(monkeypatch):
     problem = generate_instance(cfg)
     demo = demonstrate(problem, contention_threshold=cfg.contention_threshold)
     construct_schedule(problem, HeuristicPolicy(demo.rule_used))
+    branch_and_bound(problem)
     assert len(built) > 1  # the first draw of this stream is rejected
     assert built[-1] is problem
     assert len({id(p) for p in built}) == len(built)
