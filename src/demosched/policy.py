@@ -2,12 +2,13 @@
 
 A policy answers two questions from recorded or live features: which task in
 a pool ranks first, and whether the top task should be scheduled now or the
-agent should stay idle. The interface is batch-first: `select_tasks` ranks
-many pools and `predict_acts` decides many tops, each in as few tree passes
-as the rows allow, and `select_task` and `predict_act` are their one-query
-cases. The pairwise model scores the pools of one size as one (m, k, k)
-block; every pass holds at most `_CHUNK_ROWS` rows, or one pool's pair rows
-where a pool has more, so a large batch does not raise peak memory.
+agent should stay idle. Its whole interface is two batch methods:
+`select_tasks` ranks many pools and `predict_acts` decides many tops, each in
+as few tree passes as the rows allow. `evaluate` asks them once for a whole
+held-out set and the scheduler's replay asks them with one query at a time.
+The pairwise model scores the pools of one size as one (m, k, k) block;
+every pass holds at most `_CHUNK_ROWS` rows, or one pool's pair rows where a
+pool has more, so a large batch does not raise peak memory.
 """
 
 from __future__ import annotations
@@ -53,9 +54,10 @@ def _predict(tree: DecisionTree, rows: list) -> list[float]:
 
 
 class _LearnedPolicy:
-    """A trained priority model plus a schedule-vs-idle act tree. Each
-    model supplies `pool_scores(queries)`: for each query, one score per
-    pool task in pool order, higher preferred."""
+    """A trained priority model plus a schedule-vs-idle act tree, asked
+    only in batches: `select_tasks` and `predict_acts`. Each model supplies
+    `pool_scores(queries)`: for each query, one score per pool task in pool
+    order, higher preferred."""
 
     def __init__(self, priority_tree: DecisionTree, act_tree: DecisionTree):
         self.priority_tree = priority_tree
@@ -72,28 +74,11 @@ class _LearnedPolicy:
             tops[n] = min(zip(queries[n][2], scores), key=lambda p: (-p[1], p[0]))[0]
         return tops
 
-    def select_task(
-        self,
-        context: ContextFeatures,
-        task_features: dict[str, TaskFeatures],
-        pool: list[str],
-    ) -> str:
-        """`select_tasks` for one query."""
-        return self.select_tasks([(context, task_features, list(pool))])[0]
-
-    def scores(self, context, task_features, pool: list[str]) -> dict[str, float]:
-        """One query's `pool_scores`, by task id."""
-        return dict(zip(pool, self.pool_scores([(context, task_features, list(pool))])[0]))
-
     def predict_acts(self, asks: list[tuple[ContextFeatures, TaskFeatures]]) -> list[bool]:
         """For each (context, task features) pair, True = schedule. A
         probability of exactly 0.5 schedules."""
         return [p >= 0.5 for p in _predict(self.act_tree,
                                            [point_vector(c, tf) for c, tf in asks])]
-
-    def predict_act(self, context: ContextFeatures, tf: TaskFeatures) -> bool:
-        """`predict_acts` for one pair."""
-        return self.predict_acts([(context, tf)])[0]
 
 
 class PolicyModel(_LearnedPolicy):
@@ -112,30 +97,19 @@ class PolicyModel(_LearnedPolicy):
             step = max(1, _CHUNK_ROWS // (k * k))
             for start in range(0, len(members), step):
                 chunk = members[start:start + step]
+                # as a (len(chunk), k, k) block, entry [n, i, j] is the
+                # probability that task i of pool n ranks above its task j
+                F = np.fromiter(chain.from_iterable(queries[n][1][tid] for n in chunk
+                                                    for tid in queries[n][2]), float)
+                F = F.reshape(len(chunk), k, len(TASK_FEATURE_NAMES))
+                C = np.array([queries[n][0] for n in chunk], dtype=float)[:, None, None, :]
+                rows = pair_rows(C, F[:, :, None], F[:, None, :])
+                probs = self.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
                 # each pool's row sums run over its own contiguous block, in
                 # the order a lone pool's matrix adds them
-                sums = self._pair_probs([queries[n][0] for n in chunk],
-                                        [[queries[n][1][tid] for tid in queries[n][2]]
-                                         for n in chunk]).sum(axis=-1)
-                for n, row in zip(chunk, sums.tolist()):
+                for n, row in zip(chunk, probs.reshape(-1, k, k).sum(axis=-1).tolist()):
                     out[n] = row
         return out
-
-    def pair_matrix(self, context, task_features, pool: list[str]) -> np.ndarray:
-        """Entry [i, j] is the tree's probability that pool[i] ranks above
-        pool[j]."""
-        return self._pair_probs([context], [[task_features[tid] for tid in pool]])[0]
-
-    def _pair_probs(self, contexts, pools) -> np.ndarray:
-        """The (m, k, k) block whose entry [n, i, j] is the tree's probability
-        that task i of pool n ranks above its task j, from m contexts and m
-        pools of k task feature rows each, in one tree pass."""
-        F = np.fromiter(chain.from_iterable(chain.from_iterable(pools)), float)
-        F = F.reshape(len(pools), -1, len(TASK_FEATURE_NAMES))
-        C = np.array(contexts, dtype=float)[:, None, None, :]
-        rows = pair_rows(C, F[:, :, None], F[:, None, :])
-        probs = self.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
-        return probs.reshape(F.shape[:2] + F.shape[1:2])
 
     def to_dict(self) -> dict:
         return {

@@ -2,7 +2,9 @@
 
 The policy ranks the feasible candidates, the act model decides whether to
 schedule at all, and, unless `fallback_depth` is 1, a schedulability test
-can veto the top pick in favour of the next-ranked candidate.
+can veto the top pick in favour of the next-ranked candidate. Each decision
+asks the policy's batch methods, `select_tasks` and `predict_acts`, with one
+query, the same interface `policy.evaluate` uses.
 """
 
 from __future__ import annotations
@@ -71,8 +73,8 @@ def construct_schedule(
         context = contexts[a]
         feats = extract_features(state, a, candidates)
         pool = sorted(feats)
-        top = policy.select_task(context, feats, pool)
-        if not policy.predict_act(context, feats[top]):
+        top = policy.select_tasks([(context, feats, pool)])[0]
+        if not policy.predict_acts([(context, feats[top])])[0]:
             return None
         if config.fallback_depth == 1 or len(pool) == 1:
             return index[top]  # no test, or nothing it could fall back to
@@ -85,7 +87,7 @@ def construct_schedule(
             tries -= 1
             if not tries or not remaining:
                 return index[top]  # every fallback looked doomed; commit to the favourite
-            pick = policy.select_task(context, feats, remaining)
+            pick = policy.select_tasks([(context, feats, remaining)])[0]
 
     _, schedule = run_simulation(problem, decide)
     return schedule

@@ -56,20 +56,14 @@ class HeuristicPolicy:
         self.rule = rule
 
     def select_tasks(self, queries):
-        return [self.select_task(*query) for query in queries]
-
-    def select_task(self, context, task_features, pool):
-        return expert_choice(self.rule, task_features, pool)
+        return [expert_choice(self.rule, task_features, pool)
+                for _, task_features, pool in queries]
 
     def predict_acts(self, asks):
-        return [self.predict_act(context, tf) for context, tf in asks]
-
-    def predict_act(self, context, tf) -> bool:
-        return (
-            tf.precedence_satisfied >= 1.0
-            and tf.resource_available >= 1.0
-            and tf.travel_time_remaining <= 0.0
-        )
+        return [tf.precedence_satisfied >= 1.0
+                and tf.resource_available >= 1.0
+                and tf.travel_time_remaining <= 0.0
+                for _, tf in asks]
 
 
 @pytest.fixture

@@ -434,6 +434,26 @@ def test_every_public_function_has_a_caller():
     assert uncalled == {}
 
 
+def test_every_public_method_has_a_caller():
+    """Every undecorated public method of a top-level class in the library
+    (`__init__.py` aside) and the benchmark is named by an attribute in
+    them, as `obj.name`; a local variable of the same name is no call. A
+    method only tests reach belongs in the tests."""
+    defined, used = {}, set()
+    for path in _module_paths("perfbench"):
+        tree = ast.parse(path.read_text())
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, ast.FunctionDef)
+                            and not node.name.startswith("_") and not node.decorator_list):
+                        defined[f"{cls.name}.{node.name}"] = path.name
+        used.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute))
+    uncalled = {name: where for name, where in defined.items()
+                if name.split(".")[1] not in used}
+    assert uncalled == {}
+
+
 def test_every_module_import_is_used():
     """No module of the library, the tests or the benchmark imports a name
     at module level that no expression in it reads."""

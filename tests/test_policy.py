@@ -67,40 +67,41 @@ class TestPolicyModel:
     def test_select_earliest_deadline(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        assert model.select_task(CTX, feats, ["tA", "tB", "tC"]) == "tB"
+        assert model.select_tasks([(CTX, feats, ["tA", "tB", "tC"])])[0] == "tB"
 
     def test_pool_restricts_choice(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        assert model.select_task(CTX, feats, ["tA", "tC"]) == "tC"
+        assert model.select_tasks([(CTX, feats, ["tA", "tC"])])[0] == "tC"
 
     def test_tie_breaks_by_id(self):
         model = edf_model()
         feats = {"tB": tf(3), "tA": tf(3)}
-        assert model.select_task(CTX, feats, ["tB", "tA"]) == "tA"
+        assert model.select_tasks([(CTX, feats, ["tB", "tA"])])[0] == "tA"
 
     def test_empty_pool_raises(self):
         with pytest.raises(ValueError):
-            edf_model().select_task(CTX, {}, [])
+            edf_model().select_tasks([(CTX, {}, [])])
 
     def test_order_invariance(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5), "tD": tf(7)}
         pools = (["tA", "tB", "tC", "tD"], ["tD", "tC", "tB", "tA"],
                  ["tB", "tD", "tA", "tC"])
-        picks = {model.select_task(CTX, feats, p) for p in pools}
+        picks = {model.select_tasks([(CTX, feats, p)])[0] for p in pools}
         assert picks == {"tB"}
 
     def test_scores_include_pool_only(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        scores = model.scores(CTX, feats, ["tA", "tB"])
-        assert set(scores) == {"tA", "tB"}
-        assert scores["tB"] > scores["tA"]
+        scores = model.pool_scores([(CTX, feats, ["tA", "tB"])])[0]
+        assert len(scores) == 2
+        assert scores[1] > scores[0]
 
     def test_scores_sum_the_pair_matrix(self):
         """On an intransitive tree (a task wins when its deadline is one
-        lower, or three higher) each score is its pair-matrix row sum."""
+        lower, or three higher) each score is its pair-matrix row sum, the
+        matrix recorded from the tree's own answers."""
         rows = np.zeros((6, 9))
         rows[:, 2] = [-2.0, -1.0, -1.0, -1.0, 1.0, 2.0]  # delta_deadline
         priority = DecisionTree(min_leaf=1).fit(rows, np.array([0, 1, 1, 0, 0, 1]))
@@ -108,16 +109,28 @@ class TestPolicyModel:
         model = PolicyModel(priority_tree=priority, act_tree=act)
         feats = {"tA": tf(1), "tB": tf(2), "tC": tf(3), "tD": tf(5)}
         ids = sorted(feats)
-        probs = model.pair_matrix(CTX, feats, ids)
-        assert probs.shape == (4, 4)
-        scores = model.scores(CTX, feats, ids)
-        assert [scores[tid] for tid in ids] == probs.sum(axis=1).tolist()
+        answers = []
+        predict = priority.predict_proba
+
+        def recorded(X):
+            answers.append(predict(X))
+            return answers[-1]
+
+        priority.predict_proba = recorded
+        scores = model.pool_scores([(CTX, feats, ids)])[0]
+        assert len(answers) == 1 and answers[0].shape == (16,)
+        probs = answers[0].reshape(4, 4)
+        for i, first in enumerate(ids):
+            for j, second in enumerate(ids):
+                assert probs[i, j] == predict([pair_rows(CTX, feats[first], feats[second])])[0]
+        assert scores == probs.sum(axis=1).tolist()
+        assert len(set(probs.sum(axis=1).tolist())) > 1  # the ranking is not flat
 
     def test_roundtrip(self):
         model = edf_model()
         clone = PolicyModel.from_dict(model.to_dict())
         feats = {"tA": tf(9), "tB": tf(2)}
-        assert clone.select_task(CTX, feats, ["tA", "tB"]) == "tB"
+        assert clone.select_tasks([(CTX, feats, ["tA", "tB"])])[0] == "tB"
         assert model.to_dict() == clone.to_dict()
 
     @pytest.mark.parametrize("tree_key", ["priority_tree", "act_tree"])
@@ -149,8 +162,8 @@ class TestHeuristicPolicy:
 
     def test_act_rule(self):
         policy = HeuristicPolicy(None)
-        assert policy.predict_act(CTX, tf(5, travel=0.0))
-        assert not policy.predict_act(CTX, tf(5, travel=2.0))
+        assert policy.predict_acts([(CTX, tf(5, travel=0.0)),
+                                    (CTX, tf(5, travel=2.0))]) == [True, False]
 
 
 class TestBaselinePolicies:
@@ -158,21 +171,20 @@ class TestBaselinePolicies:
         act = train_policy(small_demos, min_leaf=5).act_tree
         policy = train_pointwise(small_demos, min_leaf=5, act_tree=act)
         obs = next(o for o in small_demos[0].observations if o.scheduled)
-        pick = policy.select_task(obs.context, obs.task_features,
-                                  list(obs.candidates))
+        pick = policy.select_tasks([(obs.context, obs.task_features,
+                                     list(obs.candidates))])[0]
         assert pick in obs.candidates
-        assert isinstance(policy.predict_act(obs.context,
-                                             obs.task_features[pick]), bool)
+        assert isinstance(policy.predict_acts([(obs.context,
+                                                obs.task_features[pick])])[0], bool)
 
     def test_naive_smoke(self, small_demos):
         # the fixed-width model needs a uniform task count; restrict to one
         act = train_policy(small_demos[:1], min_leaf=1).act_tree
         policy = train_naive(small_demos[:1], min_leaf=1, act_tree=act)
         obs = next(o for o in small_demos[0].observations if o.scheduled)
-        pick = policy.select_task(obs.context, obs.task_features,
-                                  list(obs.candidates))
+        pick = policy.select_tasks([(obs.context, obs.task_features,
+                                     list(obs.candidates))])[0]
         assert pick in obs.candidates
-
 
     @pytest.mark.parametrize("train", [train_policy, train_pointwise, train_naive])
     def test_select_task_takes_the_best_score(self, small_demos, train):
@@ -184,13 +196,14 @@ class TestBaselinePolicies:
             pool = sorted(obs.task_features)
             if not pool:
                 continue
-            scores = policy.scores(obs.context, obs.task_features, pool)
+            scores = dict(zip(pool, policy.pool_scores(
+                [(obs.context, obs.task_features, pool)])[0]))
             best = max(scores.values())
             expected = min(tid for tid in pool if scores[tid] == best)
-            assert policy.select_task(obs.context, obs.task_features,
-                                      pool[::-1]) == expected
+            assert policy.select_tasks([(obs.context, obs.task_features,
+                                         pool[::-1])])[0] == expected
         with pytest.raises(ValueError):
-            policy.select_task(CTX, {}, [])
+            policy.select_tasks([(CTX, {}, [])])
 
 
 class TestCrossValidation:
@@ -370,9 +383,9 @@ def test_batch_matches_one_pool_calls(monkeypatch, twenty_task, kind, chunk_rows
     scores = policy.pool_scores(queries)
     assert scores == [policy.pool_scores([q])[0] for q in queries]
     if kind is PolicyModel:
-        assert scores == [policy.pair_matrix(*q).sum(axis=1).tolist() for q in queries]
+        assert scores == [_pair_sums(policy, *q) for q in queries]
     tops = policy.select_tasks(queries)
-    assert tops == [policy.select_task(*q) for q in queries]
+    assert tops == [policy.select_tasks([q])[0] for q in queries]
     assert tops == [min(pool, key=lambda tid: (-dict(zip(pool, s))[tid], tid))
                     for (_, _, pool), s in zip(queries, scores)]
 
@@ -397,16 +410,22 @@ def test_an_empty_pool_raises(twenty_task, kind):
     assert policy.select_tasks([]) == [] and policy.predict_acts([]) == []
 
 
+def _pair_sums(policy, context, task_features, pool) -> list[float]:
+    """The pairwise model's scores of one pool, built by hand: the row sums
+    of its pair matrix, in one tree call."""
+    F = np.array([task_features[tid] for tid in pool], dtype=float)
+    rows = pair_rows(context, F[:, None], F[None, :])
+    probs = policy.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
+    return probs.reshape(len(pool), len(pool)).sum(axis=1).tolist()
+
+
 def _reference_top(policy, context, task_features, pool) -> str:
     """The top of one pool as each policy ranked it before batching, one tree
     call per pool (one per pool task for the naive baseline)."""
     if isinstance(policy, HeuristicPolicy):
-        return policy.select_task(context, task_features, pool)
+        return policy.select_tasks([(context, task_features, pool)])[0]
     if isinstance(policy, PolicyModel):
-        F = np.array([task_features[tid] for tid in pool], dtype=float)
-        rows = pair_rows(context, F[:, None], F[None, :])
-        probs = policy.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
-        sums = probs.reshape(len(pool), len(pool)).sum(axis=1).tolist()
+        sums = _pair_sums(policy, context, task_features, pool)
     elif isinstance(policy, PointwisePolicy):
         rows = np.array([point_vector(context, task_features[tid]) for tid in pool])
         sums = policy.priority_tree.predict_proba(rows).tolist()
@@ -420,7 +439,7 @@ def _reference_top(policy, context, task_features, pool) -> str:
 
 def _reference_act(policy, context, tf) -> bool:
     if isinstance(policy, HeuristicPolicy):
-        return policy.predict_act(context, tf)
+        return policy.predict_acts([(context, tf)])[0]
     return float(policy.act_tree.predict_proba([point_vector(context, tf)])[0]) >= 0.5
 
 

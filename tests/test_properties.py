@@ -51,11 +51,12 @@ def test_pair_rows_antisymmetry(ctx, a, b):
     # self-comparison always yields a zero delta
     aa = pair_rows(context, as_tf(a), as_tf(a)).tolist()
     assert aa[2:] == [0.0] * 7
-    # the pool's pair matrix encodes entry [i, j] as the single pair (i, j)
+    # scoring a pool encodes its pair matrix's entry [i, j] as the single
+    # pair (i, j)
     feats = {"tA": as_tf(a), "tB": as_tf(b)}
     recorder = _RowRecorder()
-    PolicyModel(priority_tree=recorder, act_tree=recorder).pair_matrix(
-        context, feats, ["tA", "tB"])
+    PolicyModel(priority_tree=recorder, act_tree=recorder).pool_scores(
+        [(context, feats, ["tA", "tB"])])
     rows = recorder.rows.reshape(2, 2, -1)
     for i, first in enumerate(feats):
         for j, second in enumerate(feats):
@@ -101,8 +102,8 @@ def test_select_task_pool_order_invariance(pool_perm, offsets):
         tid: TaskFeatures(off, 1.0, 0.0, 1.0, 0.0, off, 0.0)
         for tid, off in zip(sorted(pool_perm), offsets)
     }
-    baseline = model.select_task(ctx, feats, sorted(pool_perm))
-    assert model.select_task(ctx, feats, list(pool_perm)) == baseline
+    baseline = model.select_tasks([(ctx, feats, sorted(pool_perm))])[0]
+    assert model.select_tasks([(ctx, feats, list(pool_perm))])[0] == baseline
 
 
 @given(seed=st.integers(min_value=0, max_value=30))
@@ -261,8 +262,8 @@ def test_noise_rate_matches_uniform_model():
         for obs in demo.observations:
             if not obs.scheduled or len(obs.candidates) < 2:
                 continue
-            expert_pick = oracle.select_task(obs.context, obs.task_features,
-                                             list(obs.candidates))
+            expert_pick = oracle.select_tasks([(obs.context, obs.task_features,
+                                                list(obs.candidates))])[0]
             expected_terms.append(1.0 / len(obs.candidates))
             hits.append(1.0 if obs.scheduled[0] == expert_pick else 0.0)
         if len(hits) >= 500:

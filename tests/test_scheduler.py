@@ -119,11 +119,11 @@ class TestConstructSchedule:
 
     def test_stalling_policy_returns_incomplete(self, temporal_problem):
         class NeverAct:
-            def select_task(self, context, task_features, pool):
-                return sorted(pool)[0]
+            def select_tasks(self, queries):
+                return [sorted(pool)[0] for _, _, pool in queries]
 
-            def predict_act(self, context, tf):
-                return False
+            def predict_acts(self, asks):
+                return [False] * len(asks)
 
         schedule = construct_schedule(temporal_problem, NeverAct())
         assert not schedule.complete
@@ -131,27 +131,30 @@ class TestConstructSchedule:
 
 
 class _CountingPolicy:
-    """Wraps a policy, records the pool of every `select_task` call and,
-    at each `predict_act`, how many calls came before it. Always acts."""
+    """Wraps a policy, records the pool of every query `select_tasks` is
+    asked and, at each query to `predict_acts`, how many pools came before
+    it. Always acts."""
 
     def __init__(self, inner):
         self.inner = inner
         self.pools = []
         self.acts = []
 
-    def select_task(self, context, task_features, pool):
-        self.pools.append(list(pool))
-        return self.inner.select_task(context, task_features, pool)
+    def select_tasks(self, queries):
+        self.pools.extend(list(pool) for _, _, pool in queries)
+        return self.inner.select_tasks(queries)
 
-    def predict_act(self, context, tf):
-        self.acts.append(len(self.pools))
-        return True
+    def predict_acts(self, asks):
+        self.acts.extend(len(self.pools) for _ in asks)
+        return [True] * len(asks)
 
 
 class TestLazyFallback:
     @pytest.fixture
     def counting(self):
-        problem = generate_instance(make_config("temporal", num_tasks=6, rng_seed=7))
+        """A problem whose decisions rank pools of six tasks down to one, so
+        a veto has fallbacks to rank."""
+        problem = generate_instance(make_config("dense", num_tasks=6, rng_seed=8))
         return problem, _CountingPolicy(HeuristicPolicy(select_rule(problem)))
 
     def test_passing_top_pick_is_ranked_once(self, monkeypatch, counting):
@@ -161,7 +164,7 @@ class TestLazyFallback:
         schedule = construct_schedule(problem, policy)
         assert schedule.complete
         assert len(policy.acts) == len(schedule.entries)
-        assert len(policy.pools) == len(policy.acts)  # one call per decision
+        assert len(policy.pools) == len(policy.acts)  # one ranked pool per decision
 
     @pytest.mark.parametrize("depth", [1, 3])
     def test_vetoes_rank_only_the_fallbacks_tried(self, monkeypatch, counting,
@@ -170,7 +173,7 @@ class TestLazyFallback:
                             lambda state: False)
         problem, policy = counting
         construct_schedule(problem, policy, SchedulerConfig(fallback_depth=depth))
-        assert policy.acts
+        assert max(len(policy.pools[mark - 1]) for mark in policy.acts) > depth
         # after a decision's act check, each fallback ranks the pool less
         # the picks already vetoed; the next decision's top pick follows
         ends = [m - 1 for m in policy.acts[1:]] + [len(policy.pools)]
