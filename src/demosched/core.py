@@ -197,15 +197,18 @@ class Compiled:
     `task_order`. `empty` is the partial schedule with nothing placed.
     The problem holds its tables, so they hold it only weakly: no reference
     cycle keeps a dropped problem alive until the garbage collector runs.
-    The tables are slots, so `optimizer._Compiled` copies them by name:
-    reading an instance's `__dict__` instead would make every later
-    attribute read on it a dictionary lookup.
+    The search's tables, `min_duration`, `from_task`, `unit_load`,
+    `topological` and `routes` (see `optimizer`), are None until the
+    problem's first search builds them, for every later search to share. Its
+    route tables hold 2·(n+2)·2ⁿ floats, about 0.9 MB at 12 tasks. No table
+    changes once built.
     """
 
     __slots__ = ("problem", "task_ids", "agent_ids", "task_index", "agent_index",
-                 "task_order", "agent_order", "task_rank", "num_resources",
-                 "resource", "duration", "capable", "deadline", "waits",
-                 "start_loc", "empty", "distance", "angle", "travel")
+                 "task_order", "agent_order", "task_rank", "num_resources", "resource",
+                 "duration", "capable", "deadline", "waits", "start_loc", "empty",
+                 "distance", "angle", "travel", "min_duration", "from_task",
+                 "unit_load", "topological", "routes")
 
     def __init__(self, problem: ProblemInstance):
         tasks, agents = problem.tasks, problem.agents
@@ -253,6 +256,8 @@ class Compiled:
         for a in agents:
             ticks = {d: travel_ticks(d, a.speed) for d in distinct}
             self.travel.append([[ticks[d] for d in row] for row in self.distance])
+        self.min_duration = self.from_task = self.unit_load = None
+        self.topological = self.routes = None
 
     def task_at(self, task_id: str) -> int:
         try:

@@ -18,24 +18,23 @@ earliest start embed a greedy dispatch heuristic that finds near-optimal
 incumbents within a handful of nodes on its own, leaving a seed nothing to
 prune.)
 
-Each search starts a `_Compiled` from the problem's own tables
-(`ProblemInstance.compiled`, which the simulator reads too), shared, not
-copied, and builds only what the search alone reads. It places tasks by the
-shared `core.earliest_start` rule.
-What `_Compiled` adds is the lower bound, its per-task travel floor, each
-task's least added load (read by the constant-time screen a child passes
-before its full bound), a topological task order and, for two agents and
-at most `ROUTE_CAP` tasks, the route tables. A node is exactly a
-`core.SimState`'s fields without its clock, grown from `Compiled.empty` by
-`core.place`: its unplaced tasks are its `None` finishes and its makespan
-its latest agent release time. Its children come out in ascending (task
-id, agent id) order, unplaced tasks taken in `Compiled.task_order` and
-capable agents in id order, and are pushed in reverse, so the first is
-popped first. The incumbent changes only at a node with one unplaced task,
-where no child is pushed, so generation order decides push order and
-nothing else. The canonical (start, task id) test compares
-`Compiled.task_rank`, so "t10" still precedes "t2" and the search, and the
-argument above, are those of the string-keyed form.
+The search reads the problem's own tables (`ProblemInstance.compiled`) and
+places tasks by the shared `core.earliest_start` rule. `_search_tables` adds
+what only the search reads on the problem's first search, for a cold and a
+seeded search to share: each task's shortest duration and travel floor (read
+by `lower_bound`), its least added load (read by the constant-time screen a
+child passes before its full bound), a topological task order and, for two
+agents and at most `ROUTE_CAP` tasks, the route tables behind `route_bound`.
+A node is exactly a `core.SimState`'s fields without its clock, grown from
+`Compiled.empty` by `core.place`: its unplaced tasks are its `None` finishes
+and its makespan its latest agent release time. Its children come out in
+ascending (task id, agent id) order, unplaced tasks taken in
+`Compiled.task_order` and capable agents in id order, and are pushed in
+reverse, so the first is popped first. The incumbent changes only at a node
+with one unplaced task, where no child is pushed, so generation order
+decides push order and nothing else. The canonical (start, task id) test
+compares `Compiled.task_rank`, so "t10" still precedes "t2" and the search,
+and the argument above, are those of the string-keyed form.
 
 The route tables `W[a][loc][S]` hold the least ticks for agent a to go from
 location `loc` through every task of the set S, travel plus durations, and
@@ -102,154 +101,145 @@ class BnBResult:
     stats: dict[str, int] = field(default_factory=dict)
 
 
-class _Compiled(Compiled):
-    """The problem's compiled tables, shared with `problem.compiled`, plus
-    what only the search reads: each task's cheapest hop in from another
-    task's location, its least added load, a topological task order, the
-    lower bound and, for exactly two agents and at most `ROUTE_CAP` tasks,
-    the route tables `routes[a][loc][S]` (W in the module docstring; None
-    otherwise) behind `route_bound`. The route component needs no triangle
-    inequality: it sums the same `travel` hops `earliest_start` charges,
-    along each agent's own order."""
+def _search_tables(cp: Compiled, problem: ProblemInstance) -> None:
+    """Fill the search's tables of `cp`, the problem's compiled tables; a
+    problem's first search calls this, and no table changes afterwards."""
+    n = len(cp.task_ids)
+    cp.min_duration = [min(d for d in row if d is not None) for row in cp.duration]
+    # cheapest hop into each task from any other task's location, a static
+    # floor on incremental travel: task-to-task travel is symmetric, so it is
+    # read off the task's own rows, and ticks never rise with speed, so the
+    # least over capable agents is the fastest one's
+    cp.from_task = [min((cp.travel[a][t][u] for a in cp.capable[t]
+                         for u in range(n) if u != t), default=0)
+                    for t in range(n)]
+    # least each task adds to the agents' summed load wherever it goes
+    # next: its shortest duration plus the cheaper of a hop in from
+    # another task and a capable agent's trip from its start
+    cp.unit_load = [
+        d + min(hop, *(cp.travel[a][cp.start_loc[a]][t] for a in cp.capable[t]))
+        for t, (d, hop) in enumerate(zip(cp.min_duration, cp.from_task))]
+    cp.topological = [cp.task_index[tid] for tid in problem.wait_order()]
+    cp.routes = (_route_tables(cp) if len(cp.agent_ids) == 2 and n <= ROUTE_CAP
+                 else None)
 
-    def __init__(self, problem: ProblemInstance):
-        tables = problem.compiled
-        for name in Compiled.__slots__:
-            setattr(self, name, getattr(tables, name))
-        num_tasks = len(self.task_ids)
-        # cheapest hop into each task from any other task's location, by
-        # its fastest capable agent: a static floor on incremental travel
-        self.from_task = []
-        for t in range(num_tasks):
-            fastest = max(self.capable[t], key=lambda a: problem.agents[a].speed)
-            hops = [self.travel[fastest][u][t] for u in range(num_tasks) if u != t]
-            self.from_task.append(min(hops) if hops else 0)
-        self.min_duration = [min(t.durations.values()) for t in problem.tasks]
-        # least each task adds to the agents' summed load wherever it goes
-        # next: its shortest duration plus the cheaper of a hop in from
-        # another task and a capable agent's trip from its start
-        self.unit_load = [
-            d + min(hop, *(self.travel[a][self.start_loc[a]][t] for a in self.capable[t]))
-            for t, (d, hop) in enumerate(zip(self.min_duration, self.from_task))]
-        self.topological = [self.task_index[tid] for tid in problem.wait_order()]
-        self.routes = (self._route_tables()
-                       if len(self.agent_ids) == 2 and num_tasks <= ROUTE_CAP
-                       else None)
-        self._subsets = {}  # task set -> its subsets, ascending
 
-    def _route_tables(self) -> list[np.ndarray]:
-        """`W[a][loc][S]` for both agents, by subset dynamic programming
-        (Held & Karp 1962) over one popcount layer at a time. A task set S is
-        the bit mask of its task indices. An agent stands at a task only
-        once it has done it, so a task's row is read only at sets without
-        it; at a set with it, the row holds the value of the set without."""
-        n = len(self.task_ids)
-        sets = np.arange(1 << n)
-        tasks = np.arange(n)
-        bits = 1 << tasks
-        member = (sets[:, None] & bits) != 0
-        size = member.sum(axis=1)
-        # (S, j) for every task j of every set S of two or more tasks, one
-        # popcount layer at a time
-        layers = []
-        for k in range(2, n + 1):
-            layer = sets[size == k]
-            row, first = np.nonzero(member[layer])
-            layers.append((layer[row], first, layer[row] ^ bits[first]))
-        tables = []
-        for a in range(2):
-            travel = np.array(self.travel[a], dtype=float)
-            duration = np.array([math.inf if row[a] is None else row[a]
-                                 for row in self.duration])
-            # head[S, j]: least ticks to do every task of S, starting with j
-            # at j's location; ∞ unless j is in S
-            head = np.full((1 << n, n), math.inf)
-            head[bits, tasks] = duration
-            for done, first, rest in layers:
-                head[done, first] = (duration[first] + (
-                    head[rest] + travel[first, :n]).min(axis=1))
-            table = np.empty((n + 2, 1 << n))
-            # from task t's location through S is head[S + t, t] less t's
-            # own duration (a row never read where a cannot do t)
-            table[:n] = (head[sets | bits[:, None], tasks[:, None]]
-                         - np.where(duration < math.inf, duration, 0)[:, None])
-            table[n:] = (travel[n:, None, :] + head).min(axis=2)
-            table[:, 0] = 0.0
-            tables.append(table)
-        return tables
+def _route_tables(cp: Compiled) -> list[np.ndarray]:
+    """`W[a][loc][S]` for both agents, by subset dynamic programming
+    (Held & Karp 1962) over one popcount layer at a time. A task set S is
+    the bit mask of its task indices. An agent stands at a task only once
+    it has done it, so a task's row is read only at sets without it; at a
+    set with it, the row holds the value of the set without."""
+    n = len(cp.task_ids)
+    sets = np.arange(1 << n)
+    tasks = np.arange(n)
+    bits = 1 << tasks
+    member = (sets[:, None] & bits) != 0
+    size = member.sum(axis=1)
+    # (S, j) for every task j of every set S of two or more tasks, one
+    # popcount layer at a time
+    layers = []
+    for k in range(2, n + 1):
+        layer = sets[size == k]
+        row, first = np.nonzero(member[layer])
+        layers.append((layer[row], first, layer[row] ^ bits[first]))
+    tables = []
+    for a in range(2):
+        travel = np.array(cp.travel[a], dtype=float)
+        duration = np.array([math.inf if row[a] is None else row[a]
+                             for row in cp.duration])
+        # head[S, j]: least ticks to do every task of S, starting with j at
+        # j's location; ∞ unless j is in S
+        head = np.full((1 << n, n), math.inf)
+        head[bits, tasks] = duration
+        for done, first, rest in layers:
+            head[done, first] = (duration[first] + (
+                head[rest] + travel[first, :n]).min(axis=1))
+        table = np.empty((n + 2, 1 << n))
+        # from task t's location through S is head[S + t, t] less t's own
+        # duration (a row never read where a cannot do t)
+        table[:n] = (head[sets | bits[:, None], tasks[:, None]]
+                     - np.where(duration < math.inf, duration, 0)[:, None])
+        table[n:] = (travel[n:, None, :] + head).min(axis=2)
+        table[:, 0] = 0.0
+        tables.append(table)
+    return tables
 
-    def route_bound(self, agent_free, agent_loc, left: int) -> float:
-        """The least, over subsets S of the task set `left`, of the later of
-        agent 0 doing S and agent 1 doing the rest, from their release times
-        and locations: `max(free0 + W[0][loc0][S], free1 + W[1][loc1][left ∖ S])`.
-        Only a problem with route tables has it."""
-        subsets = self._subsets.get(left)
-        if subsets is None:
-            subsets = [0]
-            for t in range(len(self.task_ids)):
-                if left >> t & 1:
-                    subsets += [s | 1 << t for s in subsets]
-            subsets = self._subsets[left] = np.array(subsets)
-        # the subsets ascend, so their complements in `left` descend
-        mine = self.routes[0][agent_loc[0], subsets]
-        theirs = self.routes[1][agent_loc[1], subsets[::-1]]
-        theirs += agent_free[1] - agent_free[0]
-        return agent_free[0] + float(np.maximum(mine, theirs, out=mine).min())
 
-    def lower_bound(self, agent_free, agent_loc, res_free, finish) -> float:
-        """Makespan lower bound of a node: its per-agent release times and
-        location indices, per-resource release times and per-task finish
-        times (None where unplaced). It walks the unplaced tasks in
-        topological order.
+def route_bound(cp: Compiled, agent_free, agent_loc, left: int,
+                subsets: dict) -> float:
+    """The least, over subsets S of the task set `left`, of the later of
+    agent 0 doing S and agent 1 doing the rest, from their release times and
+    locations: `max(free0 + W[0][loc0][S], free1 + W[1][loc1][left ∖ S])`.
+    Only a problem with route tables has it; `subsets` is the search's memo
+    of each task set's subsets, ascending."""
+    ascending = subsets.get(left)
+    if ascending is None:
+        ascending = [0]
+        for t in range(len(cp.task_ids)):
+            if left >> t & 1:
+                ascending += [s | 1 << t for s in ascending]
+        ascending = subsets[left] = np.array(ascending)
+    # the subsets ascend, so their complements in `left` descend
+    mine = cp.routes[0][agent_loc[0], ascending]
+    theirs = cp.routes[1][agent_loc[1], ascending[::-1]]
+    theirs += agent_free[1] - agent_free[0]
+    return agent_free[0] + float(np.maximum(mine, theirs, out=mine).min())
 
-        Components, each individually admissible:
-        - current makespan, the latest agent release time (see `core`);
-        - mean agent load: remaining durations plus an incremental travel
-          charge per task (the performing agent arrives either from where it
-          stands now or from some other task's location, so the cheaper of
-          the two is a valid floor on the travel it still owes);
-        - per-resource serialization from each resource's release time;
-        - wait-chain critical path, floored by how soon any capable agent
-          could physically reach each task (direct travel never
-          overestimates a detour, by the triangle inequality).
-        """
-        capable, mind, waits = self.capable, self.min_duration, self.waits
-        from_task, resource = self.from_task, self.resource
-        rows = [table[loc] for table, loc in zip(self.travel, agent_loc)]
-        load = sum(agent_free)
-        work = [0] * len(res_free)
-        # earliest finish of every task: placed ones have theirs, and the
-        # topological order fills in each unplaced predecessor before use
-        eft = list(finish)
-        chain = 0
-        for t in self.topological:
-            if finish[t] is not None:
-                continue
-            ready = hop = math.inf
-            for a in capable[t]:
-                x = rows[a][t]
-                if x < hop:
-                    hop = x
-                x += agent_free[a]
-                if x < ready:
-                    ready = x
-            d = mind[t]
-            x = from_task[t]
-            load += d + (hop if hop < x else x)
-            work[resource[t]] += d
-            for p, gap in waits[t]:
-                x = eft[p] + gap
-                if x > ready:
-                    ready = x
-            ready += d
-            eft[t] = ready
-            if ready > chain:
-                chain = ready
-        load_bound = math.ceil(load / len(agent_free))
-        # a resource with no unplaced task adds only its release time, which
-        # is a placed finish and so at most the makespan
-        res_bound = max(map(add, res_free, work))
-        return float(max(max(agent_free), load_bound, res_bound, chain))
+
+def lower_bound(cp: Compiled, agent_free, agent_loc, res_free, finish) -> float:
+    """Makespan lower bound of a node: its per-agent release times and
+    location indices, per-resource release times and per-task finish times
+    (None where unplaced). It walks the unplaced tasks in topological order.
+
+    Components, each individually admissible:
+    - current makespan, the latest agent release time (see `core`);
+    - mean agent load: remaining durations plus an incremental travel
+      charge per task (the performing agent arrives either from where it
+      stands now or from some other task's location, so the cheaper of the
+      two is a valid floor on the travel it still owes);
+    - per-resource serialization from each resource's release time;
+    - wait-chain critical path, floored by how soon any capable agent could
+      physically reach each task (direct travel never overestimates a
+      detour, by the triangle inequality).
+    """
+    capable, mind, waits = cp.capable, cp.min_duration, cp.waits
+    from_task, resource = cp.from_task, cp.resource
+    rows = [table[loc] for table, loc in zip(cp.travel, agent_loc)]
+    load = sum(agent_free)
+    work = [0] * len(res_free)
+    # earliest finish of every task: placed ones have theirs, and the
+    # topological order fills in each unplaced predecessor before use
+    eft = list(finish)
+    chain = 0
+    for t in cp.topological:
+        if finish[t] is not None:
+            continue
+        ready = hop = math.inf
+        for a in capable[t]:
+            x = rows[a][t]
+            if x < hop:
+                hop = x
+            x += agent_free[a]
+            if x < ready:
+                ready = x
+        d = mind[t]
+        x = from_task[t]
+        load += d + (hop if hop < x else x)
+        work[resource[t]] += d
+        for p, gap in waits[t]:
+            x = eft[p] + gap
+            if x > ready:
+                ready = x
+        ready += d
+        eft[t] = ready
+        if ready > chain:
+            chain = ready
+    load_bound = math.ceil(load / len(agent_free))
+    # a resource with no unplaced task adds only its release time, which is
+    # a placed finish and so at most the makespan
+    res_bound = max(map(add, res_free, work))
+    return float(max(max(agent_free), load_bound, res_bound, chain))
 
 
 def branch_and_bound(
@@ -267,7 +257,9 @@ def branch_and_bound(
     """
     t0 = _time.perf_counter()
 
-    cp = _Compiled(problem)
+    cp = problem.compiled
+    if cp.topological is None:
+        _search_tables(cp, problem)
     incumbent: Schedule | None = None
     ub = float("inf")
     seeded = False
@@ -292,8 +284,8 @@ def branch_and_bound(
                 stacklevel=2,
             )
 
-    lower_bound, route_bound = cp.lower_bound, cp.route_bound
     routing = cp.routes is not None
+    subsets = {}  # task set -> its subsets, ascending, for route_bound
     capable, waits, deadline = cp.capable, cp.waits, cp.deadline
     resource, task_rank, task_order = cp.resource, cp.task_rank, cp.task_order
     unit_load, mind = cp.unit_load, cp.min_duration
@@ -302,10 +294,11 @@ def branch_and_bound(
     # a node: (placements, agent release times, agent location indices,
     # resource release times, task finish times)
     root = ((),) + cp.empty
-    root_bound = lower_bound(*cp.empty)
+    root_bound = lower_bound(cp, *cp.empty)
     if routing:
-        root_bound = max(root_bound, route_bound(cp.empty[0], cp.empty[1],
-                                                 (1 << len(cp.task_ids)) - 1))
+        root_bound = max(root_bound, route_bound(cp, cp.empty[0], cp.empty[1],
+                                                 (1 << len(cp.task_ids)) - 1,
+                                                 subsets))
     # depth-first open list; each entry is (bound, least bound at or below
     # it in the stack, node), so the open bound is read off the top
     stack = [(root_bound, root_bound, root)]
@@ -392,7 +385,7 @@ def branch_and_bound(
                     pruned_screen += 1
                     continue
                 child = place(cp, agent_free, agent_loc, res_free, finish, t, a, fin)
-                child_bound = lower_bound(*child)
+                child_bound = lower_bound(cp, *child)
                 if child_bound >= ub:
                     pruned_bound += 1
                     continue
@@ -400,7 +393,7 @@ def branch_and_bound(
                 # leaves open, so every pushed bound is what it would be if
                 # the component always ran
                 if routing:
-                    route = route_bound(child[0], child[1], left ^ 1 << t)
+                    route = route_bound(cp, child[0], child[1], left ^ 1 << t, subsets)
                     if route >= ub:
                         pruned_route += 1
                         continue

@@ -472,48 +472,73 @@ def test_every_module_import_is_used():
     assert unused == []
 
 
-COMPILED_CLASSES = ("Compiled", "_Compiled")
+def _compiled_class(trees) -> ast.ClassDef:
+    classes = [node for tree in trees for node in ast.walk(tree)
+               if isinstance(node, ast.ClassDef) and node.name == "Compiled"]
+    assert len(classes) == 1
+    return classes[0]
+
+
+def _names_compiled(node: ast.Attribute, in_class: set) -> bool:
+    """Whether an attribute is one of a compiled problem's: `cp.name`,
+    `<state>.compiled.name`, or `self.name` inside `Compiled`."""
+    owner = node.value
+    return ((isinstance(owner, ast.Name)
+             and (owner.id == "cp" or owner.id == "self" and id(node) in in_class))
+            or (isinstance(owner, ast.Attribute) and owner.attr == "compiled"))
 
 
 def test_every_compiled_table_is_read():
-    """Every attribute `Compiled.__init__` or `_Compiled.__init__` assigns is
-    read in the library or the benchmark outside the constructor that
-    assigns it: as `cp.name`, `<state>.compiled.name`, or `self.name` in a
-    method of either class. A table only tests read belongs in the tests."""
+    """Every attribute `Compiled.__init__` assigns is read in the library or
+    the benchmark outside it: as `cp.name`, `<state>.compiled.name`, or
+    `self.name` in a method of `Compiled`. A table only tests read belongs
+    in the tests."""
     trees = [ast.parse(path.read_text()) for path in _module_paths("perfbench")]
-    classes = [node for tree in trees for node in ast.walk(tree)
-               if isinstance(node, ast.ClassDef) and node.name in COMPILED_CLASSES]
-    in_class = {id(node) for cls in classes for node in ast.walk(cls)}
-    reads = []  # (attribute name, id of the read's node)
-    for tree in trees:
-        for node in ast.walk(tree):
-            if not (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)):
-                continue
-            owner = node.value
-            if ((isinstance(owner, ast.Name)
-                 and (owner.id == "cp" or owner.id == "self" and id(node) in in_class))
-                    or (isinstance(owner, ast.Attribute) and owner.attr == "compiled")):
-                reads.append((node.attr, id(node)))
-    unread = []
-    for cls in classes:
-        init = next(f for f in cls.body
-                    if isinstance(f, ast.FunctionDef) and f.name == "__init__")
-        inside = {id(node) for node in ast.walk(init)}
-        assigned = {node.attr for node in ast.walk(init)
-                    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
-                    and isinstance(node.value, ast.Name) and node.value.id == "self"}
-        unread += [f"{cls.name}.{name}" for name in sorted(assigned)
-                   if not any(attr == name and where not in inside
-                              for attr, where in reads)]
-    assert len(classes) == len(COMPILED_CLASSES)
-    assert unread == []
+    cls = _compiled_class(trees)
+    in_class = {id(node) for node in ast.walk(cls)}
+    init = next(f for f in cls.body
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    inside = {id(node) for node in ast.walk(init)}
+    read = {node.attr for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside and _names_compiled(node, in_class)}
+    assigned = {node.attr for node in ast.walk(init)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    assert sorted(assigned - read) == []
+
+
+# the only functions that may assign a compiled problem's tables
+COMPILED_WRITERS = ["core.py: Compiled.__init__", "optimizer.py: _search_tables"]
+
+
+def test_compiled_tables_are_assigned_only_where_built():
+    """No code in the library or the benchmark assigns or deletes an
+    attribute of a compiled problem (`cp.name`, `<state>.compiled.name`, or
+    `self.name` inside `Compiled`) outside `Compiled.__init__` and
+    `optimizer._search_tables`, so a table never changes once built."""
+    paths = _module_paths("perfbench")
+    trees = [ast.parse(path.read_text()) for path in paths]
+    in_class = {id(node) for node in ast.walk(_compiled_class(trees))}
+    writers = set()
+    for path, tree in zip(paths, trees):
+        owners = {}  # id of each node -> the function (in its class) it sits in
+        for scope in ast.walk(tree):
+            for fn in (n for n in ast.iter_child_nodes(scope)
+                       if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))):
+                prefix = f"{scope.name}." if isinstance(scope, ast.ClassDef) else ""
+                owners.update({id(n): prefix + fn.name for n in ast.walk(fn)
+                               if id(n) not in owners})
+        writers.update(f"{path.name}: {owners.get(id(node))}" for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and isinstance(node.ctx, (ast.Store, ast.Del))
+                       and _names_compiled(node, in_class))
+    assert sorted(writers) == COMPILED_WRITERS
 
 
 def test_compiled_is_built_only_by_the_problem():
     """No library module builds `Compiled` but `ProblemInstance.compiled`,
-    so a problem is compiled once however many layers read it. A subclass
-    calling `super().__init__` builds them too: the search's `_Compiled`
-    starts from the problem's tables instead."""
+    so a problem is compiled once however many layers read it."""
     builds = []
     for path in _module_paths():
         tree = ast.parse(path.read_text())
@@ -526,11 +551,6 @@ def test_compiled_is_built_only_by_the_problem():
                 continue
             func = node.func
             cls, fn = owners.get(id(node), (None, None))
-            direct = getattr(func, "id", getattr(func, "attr", None)) == "Compiled"
-            inherited = (isinstance(func, ast.Attribute) and func.attr == "__init__"
-                         and isinstance(func.value, ast.Call)
-                         and getattr(func.value.func, "id", None) == "super"
-                         and any(getattr(b, "id", None) == "Compiled" for b in cls.bases))
-            if direct or inherited:
+            if getattr(func, "id", getattr(func, "attr", None)) == "Compiled":
                 builds.append(f"{path.name}: {cls and cls.name}.{fn and fn.name}")
     assert builds == ["core.py: ProblemInstance.compiled"]

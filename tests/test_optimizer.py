@@ -554,7 +554,7 @@ def test_compiled_bound_matches_reference(kind, homogeneous, shape, seed):
     if relabel:
         problem = _relabel(problem, seed)
     reference = _make_lower_bound(problem)
-    compiled_bound = optimizer._Compiled.lower_bound
+    compiled_bound = optimizer.lower_bound
     checked = []
 
     def checking_bound(cp, agent_free, agent_loc, res_free, finish):
@@ -573,7 +573,7 @@ def test_compiled_bound_matches_reference(kind, homogeneous, shape, seed):
         seed_schedule = None
     evaluated = 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer._Compiled, "lower_bound", checking_bound)
+        mp.setattr(optimizer, "lower_bound", checking_bound)
         for warm in (None, seed_schedule):
             evaluated += branch_and_bound(problem, seed=warm,
                                           node_limit=25).stats["bound_evals"]
@@ -616,7 +616,7 @@ def test_screen_never_exceeds_full_bound(kind, homogeneous, shape, seed):
                       if u != t and cp.resource[u] == r))
         child = (_replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t),
                  _replace_at(res_free, r, fin), _replace_at(finish, t, fin))
-        assert screen <= cp.lower_bound(*child)
+        assert screen <= optimizer.lower_bound(cp, *child)
         checked.append(screen)
         return start, fin
 
@@ -657,19 +657,27 @@ def _least_completion(cp, agent_free, agent_loc, res_free, finish) -> int:
 ROUTE_CHECK_LEFT = 5  # most unplaced tasks a node is enumerated at
 
 
+def _searched(problem: ProblemInstance):
+    """The problem's compiled tables after a search, which builds the
+    search's own tables into them."""
+    branch_and_bound(problem, node_limit=0)
+    return problem.compiled
+
+
 def _route_and_completion(cp, rng_seed: int):
     """(route component, least completion) at the root and at every node of
     one random placement order that has at most ROUTE_CHECK_LEFT tasks
     left, agents drawn among each task's capable ones."""
     rng = np.random.default_rng(rng_seed)
+    subsets = {}
     n = len(cp.task_ids)
     agent_free, agent_loc = (0, 0), cp.start_loc
     res_free, finish = (0,) * cp.num_resources, (None,) * n
     for _ in range(n):
         left = [t for t in range(n) if finish[t] is None]
         if len(left) <= ROUTE_CHECK_LEFT:
-            route = cp.route_bound(agent_free, agent_loc,
-                                   sum(1 << t for t in left))
+            route = optimizer.route_bound(cp, agent_free, agent_loc,
+                                          sum(1 << t for t in left), subsets)
             yield route, _least_completion(cp, agent_free, agent_loc,
                                            res_free, finish)
         ready = [t for t in left if all(finish[p] is not None for p, _ in cp.waits[t])]
@@ -694,7 +702,7 @@ def test_route_component_never_exceeds_a_completion(kind, homogeneous,
     problem = generate_instance(make_config(
         kind, num_agents=2, num_tasks=num_tasks, homogeneous=homogeneous,
         rng_seed=seed))
-    pairs = list(_route_and_completion(optimizer._Compiled(problem), seed))
+    pairs = list(_route_and_completion(_searched(problem), seed))
     assert pairs
     for route, least in pairs:
         assert route <= least
@@ -703,13 +711,14 @@ def test_route_component_never_exceeds_a_completion(kind, homogeneous,
 def test_route_check_catches_one_tick_too_many():
     """Mutation check of the property above: with one tick added to every
     entry of the tables, the route component exceeds a completion on
-    these fixed problems."""
+    these fixed problems. The tables are the problem's own, so each
+    mutated problem is one nothing searches afterwards."""
     exceeded = 0
     for seed in range(6):
         problem = generate_instance(make_config(
             PROBLEM_KINDS[seed % len(PROBLEM_KINDS)], num_agents=2,
             num_tasks=5, rng_seed=seed))
-        cp = optimizer._Compiled(problem)
+        cp = _searched(problem)
         pairs = list(_route_and_completion(cp, seed))
         assert all(route <= least for route, least in pairs)
         cp.routes = [table + 1 for table in cp.routes]
@@ -725,25 +734,86 @@ def test_route_tables_only_for_two_agents_up_to_the_cap(monkeypatch, num_tasks,
                                                         num_agents, built):
     problem = generate_instance(make_config(
         "temporal", num_agents=num_agents, num_tasks=num_tasks, rng_seed=3))
-    assert (optimizer._Compiled(problem).routes is not None) == built
+    assert (_searched(problem).routes is not None) == built
     if not built:
         def unbuilt(*args):
             raise AssertionError("route component taken without tables")
 
-        monkeypatch.setattr(optimizer._Compiled, "route_bound", unbuilt)
+        monkeypatch.setattr(optimizer, "route_bound", unbuilt)
         result = branch_and_bound(problem, node_limit=200)
         assert result.stats["pruned_route"] == 0
 
 
-def test_search_shares_the_problems_tables(tiny_problem):
-    """A search's tables are the problem's own objects, not copies, and
-    they stay slots: reading a table's `__dict__` would make every later
-    attribute read a dictionary lookup."""
-    tables = tiny_problem.compiled
-    cp = optimizer._Compiled(tiny_problem)
-    assert all(getattr(cp, name) is getattr(tables, name)
-               for name in optimizer.Compiled.__slots__)
-    assert not hasattr(tables, "__dict__")
+def test_search_shares_the_problems_tables(monkeypatch, tiny_problem):
+    """A search reads the problem's own tables, not a copy, and they stay
+    slots: reading a table's `__dict__` would make every later attribute
+    read a dictionary lookup."""
+    place = optimizer.earliest_start
+    read = []
+
+    def recording_place(cp, *args):
+        read.append(cp)
+        return place(cp, *args)
+
+    monkeypatch.setattr(optimizer, "earliest_start", recording_place)
+    branch_and_bound(tiny_problem)
+    assert read and all(cp is tiny_problem.compiled for cp in read)
+    assert not hasattr(tiny_problem.compiled, "__dict__")
+
+
+def test_each_problem_builds_its_search_tables_once(monkeypatch):
+    """A seeded and a cold search of one two-agent 7-task problem build the
+    search's tables, route tables included, once between them."""
+    problem = generate_instance(make_config("temporal", num_agents=2,
+                                            num_tasks=7, rng_seed=503))
+    seed = construct_schedule(problem, HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS))
+    builds = {"_search_tables": 0, "_route_tables": 0}
+    for name in builds:
+        def counting(*args, build=getattr(optimizer, name), name=name):
+            builds[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(optimizer, name, counting)
+    seeded = branch_and_bound(problem, seed=seed)
+    cold = branch_and_bound(problem)
+    assert seeded.seeded and not cold.seeded
+    assert seeded.stats["pruned_route"] + cold.stats["pruned_route"] > 0
+    assert builds == {"_search_tables": 1, "_route_tables": 1}
+
+
+@given(kind=st.sampled_from(PROBLEM_KINDS),
+       shape=st.sampled_from([(1, 1, False), (1, 3, True), (6, 2, False),
+                              (9, 3, False), (12, 3, True), (14, 2, True)]),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=30, deadline=None)
+def test_search_tables_match_their_definitions(kind, shape, seed):
+    """The search's tables, built from the compiled tables, equal their
+    definitions over the raw problem: `min_duration` the least of a task's
+    durations, `from_task` the least hop in from another task by the
+    fastest capable agent, and `unit_load` the shortest duration plus the
+    cheaper of that hop and a capable agent's trip from its start. The
+    problems are heterogeneous (speeds vary and capabilities drop), and
+    some are relabeled so ids order differently as strings and positions."""
+    num_tasks, num_agents, relabel = shape
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks, homogeneous=False,
+        rng_seed=seed))
+    if relabel:
+        problem = _relabel(problem, seed)
+    cp = _searched(problem)
+    speed = {a.id: a.speed for a in problem.agents}
+    start = {a.id: a.start_location for a in problem.agents}
+    for t, task in enumerate(problem.tasks):
+        fastest = max(sorted(task.durations), key=speed.get)
+        hops = [travel_ticks(euclidean(u.location, task.location), speed[fastest])
+                for u in problem.tasks if u.id != task.id]
+        from_task = min(hops) if hops else 0
+        least = min(task.durations.values())
+        trip = min(travel_ticks(euclidean(start[a], task.location), speed[a])
+                   for a in task.durations)
+        assert cp.min_duration[t] == least
+        assert cp.from_task[t] == from_task
+        assert cp.unit_load[t] == least + min(from_task, trip)
 
 
 def _golden_corpus():
@@ -860,18 +930,23 @@ def test_search_does_not_depend_on_wait_order(monkeypatch):
     children are sorted before they are pushed, so another valid wait order
     gives every golden search the same result and counters."""
     policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
-    searches = []
     reordered = 0
-    for _, problem, node_limit in _golden_corpus():
+    for _, problem, _ in _golden_corpus():
         if any(t.waits for t in problem.tasks):
             reordered += _reversed_kahn_order(problem) != problem.wait_order()
-        seed = construct_schedule(problem, policy)
-        searches += [(problem, warm, node_limit) for warm in (None, seed)]
 
     def results():
-        return [replace(branch_and_bound(problem, seed=warm, node_limit=node_limit),
-                        wall_time=0.0)
-                for problem, warm, node_limit in searches]
+        """Both arms of every golden search, on problems built afresh, so
+        each builds its search tables from the wait order in force."""
+        got = []
+        for _, problem, node_limit in _golden_corpus():
+            seed = construct_schedule(problem, policy)
+            got += [replace(branch_and_bound(problem, seed=warm,
+                                             node_limit=node_limit),
+                            wall_time=0.0) for warm in (None, seed)]
+            order = [problem.compiled.task_index[tid] for tid in problem.wait_order()]
+            assert problem.compiled.topological == order
+        return got
 
     expected = results()
     monkeypatch.setattr(ProblemInstance, "wait_order", _reversed_kahn_order)
