@@ -61,8 +61,8 @@ class NumberRange(click.FloatRange):
 
 
 COUNT = click.IntRange(min=1)
-# the 85/15 train/test split needs at least one held-out demonstration
-DEMOS = click.IntRange(min=2)
+# a train/test split holds out a demonstration; a pairwise row compares two tasks
+TWO_OR_MORE = click.IntRange(min=2)
 PROBABILITY = NumberRange(0.0, 1.0)
 SECONDS = NumberRange(min=0.0)
 
@@ -218,7 +218,7 @@ def _finish(rows, out):
 
 
 @experiment.command()
-@click.option("--demos", type=DEMOS, default=150, show_default=True)
+@click.option("--demos", type=TWO_OR_MORE, default=150, show_default=True)
 @click.option("--epsilon", type=PROBABILITY, default=0.0, show_default=True)
 @click.option("--num-seeds", type=COUNT, default=5, show_default=True)
 @click.option("--min-leaf", default=str(MIN_LEAF), show_default=True, callback=_min_leaf,
@@ -234,7 +234,7 @@ def accuracy(demos, epsilon, num_seeds, min_leaf, seed, out):
 
 
 @experiment.command()
-@click.option("--demos", type=DEMOS, default=50, show_default=True)
+@click.option("--demos", type=TWO_OR_MORE, default=50, show_default=True)
 @click.option("--epsilon", type=PROBABILITY, default=0.0, show_default=True)
 @click.option("--num-seeds", type=COUNT, default=5, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
@@ -248,8 +248,8 @@ def baselines(demos, epsilon, num_seeds, seed, out):
 
 @experiment.command()
 @click.option("--instances", type=COUNT, default=20, show_default=True)
-@click.option("--tasks", type=COUNT, default=9, show_default=True)
-@click.option("--train-tasks", type=COUNT, help="Train the policy at a different size.")
+@click.option("--tasks", type=TWO_OR_MORE, default=9, show_default=True)
+@click.option("--train-tasks", type=TWO_OR_MORE, help="Train the policy at a different size.")
 @click.option("--time-limit", type=SECONDS, help="Per search, seconds.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--out", type=click.Path())

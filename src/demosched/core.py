@@ -9,10 +9,10 @@ return new states and never mutate their inputs.
 first use of `ProblemInstance.compiled`, and `earliest_start` is the one
 placement rule over them: the simulator, the featurizer, the
 schedulability test and branch and bound all read those tables, and speak
-only task and agent indices; `Compiled.schedule` writes the ids back out.
-So generating, demonstrating and replaying one problem compile it once.
-Only `validate_schedule` re-derives travel from the points, on purpose: it
-is the independent oracle the other paths are checked against.
+only indices; the tables keep the ids and refer to no problem, so they
+outlive it. Generating, demonstrating and replaying one problem compile it
+once. Only `validate_schedule` re-derives travel from the points, on
+purpose: it is the independent oracle the other paths are checked against.
 
 A partial schedule is four sequences over those indices (agent release
 times and locations, resource release times, task finishes), empty in
@@ -28,7 +28,6 @@ from __future__ import annotations
 import graphlib
 import json
 import math
-import weakref
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -115,18 +114,20 @@ class ProblemInstance:
     def check(self) -> None:
         agent_ids = [a.id for a in self.agents]
         task_ids = [t.id for t in self.tasks]
-        if len(set(agent_ids)) != len(agent_ids):
-            raise StructuralError("duplicate agent ids")
-        if len(set(task_ids)) != len(task_ids):
-            raise StructuralError("duplicate task ids")
-        if len(set(self.resources)) != len(self.resources):
-            raise StructuralError("duplicate resource ids")
+        for kind, ids in (("agent", agent_ids), ("task", task_ids), ("resource", self.resources)):
+            if len(set(ids)) != len(ids):
+                raise StructuralError(f"duplicate {kind} ids")
         if not self.tasks:
             raise StructuralError("problem has no tasks")
         known = set(task_ids)
+        # no trip is longer than the diagonal of the points' bounding box
+        xs, ys = zip(*[t.location for t in self.tasks], *[a.start_location for a in self.agents])
+        span = math.hypot(max(xs) - min(xs), max(ys) - min(ys))
         for agent in self.agents:
             if agent.speed <= 0:
                 raise StructuralError(f"agent {agent.id!r} has non-positive speed")
+            if not math.isfinite(span / agent.speed):
+                raise StructuralError(f"agent {agent.id!r} travel is not a finite number of ticks")
         for task in self.tasks:
             if not task.durations:
                 raise StructuralError(f"task {task.id!r} has no capable agent")
@@ -150,21 +151,16 @@ class ProblemInstance:
                     raise StructuralError(
                         f"task {task.id!r} has negative wait gap {gap} after {other!r}"
                     )
-        self.wait_order()
+        graph = {t.id: [p for p, _ in t.waits] for t in self.tasks}
+        try:
+            graphlib.TopologicalSorter(graph).prepare()
+        except graphlib.CycleError as exc:
+            raise StructuralError("wait-constraint graph has a cycle") from exc
         max_dur_sum = sum(max(t.durations.values()) for t in self.tasks)
         if self.horizon < max_dur_sum:
             raise StructuralError(
                 f"horizon {self.horizon} below sum of max durations {max_dur_sum}"
             )
-
-    def wait_order(self) -> list[str]:
-        """Task ids in some order that puts every wait predecessor before
-        its successors; which such order is unspecified. Raises on a cycle."""
-        graph = {t.id: [p for p, _ in t.waits] for t in self.tasks}
-        try:
-            return list(graphlib.TopologicalSorter(graph).static_order())
-        except graphlib.CycleError as exc:
-            raise StructuralError("wait-constraint graph has a cycle") from exc
 
     def contention_degree(self) -> int:
         """Sum over all ordered task pairs (i, j), including i == j, of
@@ -194,34 +190,32 @@ class Compiled:
     is None where a cannot. `deadline[t]` is the horizon, or t's absolute
     deadline where that is earlier. `task_order` and `agent_order` list the
     indices in id (string) order and `task_rank[t]` is t's position in
-    `task_order`. `empty` is the partial schedule with nothing placed.
-    The problem holds its tables, so they hold it only weakly: no reference
-    cycle keeps a dropped problem alive until the garbage collector runs.
-    The search's tables, `min_duration`, `from_task`, `unit_load`,
-    `topological` and `routes` (see `optimizer`), are None until the
-    problem's first search builds them, for every later search to share. Its
-    route tables hold 2·(n+2)·2ⁿ floats, about 0.9 MB at 12 tasks. No table
-    changes once built.
+    `task_order`. `task_ids`, `agent_ids` and `resource_ids` give each
+    index's id, so the tables refer to no problem. `empty` is the partial
+    schedule with nothing placed. The search's tables (see `optimizer`),
+    `min_duration`, `from_task`, `unit_load`, `topological` and `routes`,
+    are None until the problem's first search builds them, for every later
+    search to share. Its route tables hold 2·(n+2)·2ⁿ floats, about 0.9 MB
+    at 12 tasks. No table changes once built.
     """
 
-    __slots__ = ("problem", "task_ids", "agent_ids", "task_index", "agent_index",
-                 "task_order", "agent_order", "task_rank", "num_resources", "resource",
+    __slots__ = ("task_ids", "agent_ids", "resource_ids", "task_index", "agent_index",
+                 "task_order", "agent_order", "task_rank", "resource",
                  "duration", "capable", "deadline", "waits", "start_loc", "empty",
                  "distance", "angle", "travel", "min_duration", "from_task",
                  "unit_load", "topological", "routes")
 
     def __init__(self, problem: ProblemInstance):
         tasks, agents = problem.tasks, problem.agents
-        self.problem = weakref.ref(problem)
         self.task_ids = [t.id for t in tasks]
         self.agent_ids = [a.id for a in agents]
+        self.resource_ids = list(problem.resources)
         self.task_index = {tid: i for i, tid in enumerate(self.task_ids)}
         self.agent_index = {aid: j for j, aid in enumerate(self.agent_ids)}
         self.task_order = _argsort(self.task_ids)
         self.agent_order = _argsort(self.agent_ids)
         self.task_rank = _argsort(self.task_order)  # the inverse permutation
-        res_index = {r: k for k, r in enumerate(problem.resources)}
-        self.num_resources = len(res_index)
+        res_index = {r: k for k, r in enumerate(self.resource_ids)}
         self.resource = [res_index[t.resource] for t in tasks]
         self.duration = [[t.durations.get(a.id) for a in agents] for t in tasks]
         self.capable = [tuple(self.agent_index[a] for a in sorted(t.durations))
@@ -233,7 +227,7 @@ class Compiled:
         n = len(tasks)
         self.start_loc = tuple(range(n, n + len(agents)))
         self.empty = ((0,) * len(agents), self.start_loc,
-                      (0,) * self.num_resources, (None,) * n)
+                      (0,) * len(self.resource_ids), (None,) * n)
         location = [t.location for t in tasks] + [a.start_location for a in agents]
         norm = [math.hypot(*p) for p in location]
         self.distance = [[0.0] * n for _ in location]
@@ -276,7 +270,7 @@ class Compiled:
         return Schedule.from_entries(
             [ScheduleEntry(self.task_ids[t], self.agent_ids[a], start, fin)
              for t, a, start, fin in placements],
-            self.problem(),
+            self.task_ids,
         )
 
 
@@ -396,7 +390,7 @@ def apply_action(state: SimState, t: int, a: int) -> SimState:
         raise InfeasibleActionError(f"task {task_id!r} not alive-and-enabled")
     r = cp.resource[t]
     if state.res_free[r] > now:
-        raise InfeasibleActionError(f"resource {cp.problem().resources[r]!r} busy")
+        raise InfeasibleActionError(f"resource {cp.resource_ids[r]!r} busy")
     if state.agent_free[a] + cp.travel[a][state.agent_loc[a]][t] > now:
         raise InfeasibleActionError(f"agent {agent_id!r} cannot reach {task_id!r}")
     if cp.duration[t][a] is None:
@@ -422,10 +416,11 @@ class Schedule:
     complete: bool
 
     @classmethod
-    def from_entries(cls, entries: list[ScheduleEntry], problem: ProblemInstance) -> "Schedule":
+    def from_entries(cls, entries: list[ScheduleEntry], task_ids: list[str]) -> "Schedule":
+        """Complete iff `entries` place each of `task_ids` exactly once."""
         ordered = tuple(sorted(entries, key=lambda e: (e.start, e.task_id)))
         objective = max((e.finish for e in ordered), default=0)
-        complete = sorted(e.task_id for e in ordered) == sorted(t.id for t in problem.tasks)
+        complete = sorted(e.task_id for e in ordered) == sorted(task_ids)
         return cls(entries=ordered, objective=objective, complete=complete)
 
 

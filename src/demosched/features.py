@@ -58,7 +58,7 @@ def extract_features(state: SimState, a: int, tasks) -> dict[str, TaskFeatures]:
     cp = state.compiled
     finish, now, res_free = state.finish, state.time, state.res_free
     resource, waits, deadline, task_ids = cp.resource, cp.waits, cp.deadline, cp.task_ids
-    share_counts = [0] * cp.num_resources
+    share_counts = [0] * len(cp.resource_ids)
     for t, f in enumerate(finish):
         if f is None:
             share_counts[resource[t]] += 1

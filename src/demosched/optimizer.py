@@ -20,11 +20,11 @@ prune.)
 
 The search reads the problem's own tables (`ProblemInstance.compiled`) and
 places tasks by the shared `core.earliest_start` rule. `_search_tables` adds
-what only the search reads on the problem's first search, for a cold and a
-seeded search to share: each task's shortest duration and travel floor (read
-by `lower_bound`), its least added load (read by the constant-time screen a
-child passes before its full bound), a topological task order and, for two
-agents and at most `ROUTE_CAP` tasks, the route tables behind `route_bound`.
+what only the search reads, from those tables alone, on the problem's first
+search, for later searches to share: each task's shortest duration and
+travel floor (read by `lower_bound`), its least added load (read by the
+screen a child passes before its full bound), a `graphlib` order of the
+waits and, for two agents and at most `ROUTE_CAP` tasks, the route tables.
 A node is exactly a `core.SimState`'s fields without its clock, grown from
 `Compiled.empty` by `core.place`: its unplaced tasks are its `None` finishes
 and its makespan its latest agent release time. Its children come out in
@@ -59,6 +59,7 @@ The exhaustive oracle and perturbations read the problem's own tables
 
 from __future__ import annotations
 
+import graphlib
 import itertools
 import math
 import time as _time
@@ -101,7 +102,7 @@ class BnBResult:
     stats: dict[str, int] = field(default_factory=dict)
 
 
-def _search_tables(cp: Compiled, problem: ProblemInstance) -> None:
+def _search_tables(cp: Compiled) -> None:
     """Fill the search's tables of `cp`, the problem's compiled tables; a
     problem's first search calls this, and no table changes afterwards."""
     n = len(cp.task_ids)
@@ -119,7 +120,8 @@ def _search_tables(cp: Compiled, problem: ProblemInstance) -> None:
     cp.unit_load = [
         d + min(hop, *(cp.travel[a][cp.start_loc[a]][t] for a in cp.capable[t]))
         for t, (d, hop) in enumerate(zip(cp.min_duration, cp.from_task))]
-    cp.topological = [cp.task_index[tid] for tid in problem.wait_order()]
+    cp.topological = list(graphlib.TopologicalSorter(
+        {t: [p for p, _ in waits] for t, waits in enumerate(cp.waits)}).static_order())
     cp.routes = (_route_tables(cp) if len(cp.agent_ids) == 2 and n <= ROUTE_CAP
                  else None)
 
@@ -259,7 +261,7 @@ def branch_and_bound(
 
     cp = problem.compiled
     if cp.topological is None:
-        _search_tables(cp, problem)
+        _search_tables(cp)
     incumbent: Schedule | None = None
     ub = float("inf")
     seeded = False
@@ -270,7 +272,7 @@ def branch_and_bound(
             cp.agent_at(e.agent_id)
         # a seed's objective and coverage are recomputed, never trusted: a
         # loaded file states both and validation checks neither
-        seed = Schedule.from_entries(seed.entries, problem)
+        seed = Schedule.from_entries(seed.entries, cp.task_ids)
         report = validate_schedule(problem, seed)
         if seed.complete and report.feasible:
             incumbent = seed
@@ -351,7 +353,7 @@ def branch_and_bound(
         if screening:
             cap = int(ub)
             load_room = (cap - 1) * num_agents - sum(agent_free)
-            res_room = [cap] * cp.num_resources
+            res_room = [cap] * len(cp.resource_ids)
             for t in unplaced:
                 load_room -= unit_load[t]
                 res_room[resource[t]] -= mind[t]
@@ -507,8 +509,8 @@ def perturb(
 
     swap: exchange the agents of two tasks; steal: reassign one task to a
     different capable agent; sequence: exchange two positions in the task
-    order. count = 0 returns the schedule unchanged. An unknown task or
-    agent id raises StructuralError, at any count.
+    order. count = 0 returns the schedule unchanged. At any count, an unknown
+    id raises StructuralError and an incomplete schedule ValueError.
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
@@ -516,6 +518,8 @@ def perturb(
         raise ValueError("count must be >= 0")
     cp = problem.compiled
     base = [(cp.task_at(e.task_id), cp.agent_at(e.agent_id)) for e in schedule.entries]
+    if not Schedule.from_entries(schedule.entries, cp.task_ids).complete:
+        raise ValueError("schedule must place every task exactly once")
     if count == 0:
         return schedule
     rng = np.random.default_rng(rng_seed)
@@ -545,9 +549,8 @@ def perturb(
                 order[i] = (ti, others[int(rng.integers(len(others)))])
         else:  # every edit applied
             placements = _place(cp, order)
-            result = None if placements is None else cp.schedule(placements)
-            if result is not None and result.complete:
-                return result
+            if placements is not None:  # every task once, as in the schedule
+                return cp.schedule(placements)
     raise PerturbationError(
         f"no feasible {kind} perturbation with count={count} "
         f"after {_PERTURB_RETRIES} attempts"

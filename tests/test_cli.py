@@ -218,6 +218,8 @@ def _with_required(workspace, args):
     ["generate", "--agents", "0"],
     ["experiment", "covas", "--tasks", "0"],
     ["experiment", "covas", "--train-tasks", "0"],
+    ["experiment", "covas", "--tasks", "1"],
+    ["experiment", "covas", "--train-tasks", "1"],
     ["demonstrate", "--epsilon", "2"],
     ["experiment", "accuracy", "--epsilon", "1.5"],
     ["experiment", "baselines", "--epsilon", "1.5"],
@@ -273,6 +275,9 @@ _BAD_VALUES = {
     "string-start": ("agents", "start_location", ["0", "0"]),
     "string-speed": ("agents", "speed", "2"),
     "infinite-speed": ("agents", "speed", float("inf")),
+    # finite, but travel would take infinitely many ticks
+    "subnormal-speed": ("agents", "speed", 1e-320),
+    "far-start": ("agents", "start_location", [1.7e308, 1.7e308]),
     "list-durations": ("tasks", "durations", [3, 3]),
     "short-wait": ("tasks", "waits", [["t01"]]),
     "string-wait": ("tasks", "waits", ["t01"]),

@@ -26,6 +26,7 @@ from demosched.core import (
     travel_ticks,
     validate_schedule,
 )
+from demosched.optimizer import branch_and_bound
 
 
 def test_euclidean():
@@ -107,6 +108,22 @@ class TestProblemValidation:
                 horizon=10,
             )
 
+    @pytest.mark.parametrize("agent, task_at", [
+        (AgentSpec("a0", (0.0, 0.0), 1e-320), (1.0, 0.0)),
+        (AgentSpec("a0", (-1e308, 0.0), 1.0), (1e308, 0.0)),
+        (AgentSpec("a0", (0.0, 0.0), 1.0), (1.7e308, 1.7e308)),
+    ], ids=["subnormal-speed", "opposite-coordinates", "far-corner"])
+    def test_travel_not_countable_in_ticks(self, agent, task_at):
+        # travel ticks would be infinite, which no integer holds
+        with pytest.raises(StructuralError, match="finite number of ticks"):
+            self._base(agents=(agent,),
+                       tasks=(TaskSpec("t0", task_at, {"a0": 5}, "r0"),))
+
+    def test_slow_agent_with_nowhere_to_go(self):
+        # every point coincides, so every trip takes 0 ticks at any speed
+        self._base(agents=(AgentSpec("a0", (2.0, 3.0), 1e-320),),
+                   tasks=(TaskSpec("t0", (2.0, 3.0), {"a0": 5}, "r0"),))
+
     def test_wait_order_puts_predecessors_first(self):
         problem = self._base(
             tasks=(
@@ -118,7 +135,9 @@ class TestProblemValidation:
             ),
             horizon=10,
         )
-        order = problem.wait_order()
+        # the order a search walks, as a search with no node leaves it
+        branch_and_bound(problem, node_limit=0)
+        order = [problem.compiled.task_ids[t] for t in problem.compiled.topological]
         assert order == ["t1", "t3", "t2", "t0"]
         position = {tid: i for i, tid in enumerate(order)}
         for task in problem.tasks:
@@ -133,7 +152,8 @@ class TestProblemValidation:
                 (nxt, 0) for nxt in ids[i + 1 : i + 2])) for i, tid in enumerate(ids)),
             horizon=1200,
         )
-        assert problem.wait_order() == ids[::-1]
+        branch_and_bound(problem, node_limit=0)
+        assert problem.compiled.topological == list(range(1200))[::-1]
         assert problem_from_dict(problem_to_dict(problem)) == problem
 
     def test_unknown_wait_target(self):
@@ -182,7 +202,7 @@ def test_spec_types_are_plain_data():
         return sorted(k for k in vars(cls)
                       if not k.startswith("_") and callable(getattr(cls, k)))
     assert methods(TaskSpec) == []
-    assert methods(ProblemInstance) == ["check", "contention_degree", "wait_order"]
+    assert methods(ProblemInstance) == ["check", "contention_degree"]
     assert methods(Schedule) == ["from_entries"]
 
 
@@ -309,20 +329,25 @@ class TestSchedule:
             ScheduleEntry("tA", "a0", 0, 2),
             ScheduleEntry("tB", "a0", 5, 8),
         ]
-        schedule = Schedule.from_entries(entries, tiny_problem)
+        schedule = Schedule.from_entries(entries, tiny_problem.compiled.task_ids)
         assert [e.task_id for e in schedule.entries] == ["tA", "tC", "tB"]
         assert schedule.objective == 8
         assert schedule.complete
 
     def test_incomplete_flag(self, tiny_problem):
         schedule = Schedule.from_entries([ScheduleEntry("tA", "a0", 0, 2)],
-                                         tiny_problem)
+                                         tiny_problem.compiled.task_ids)
         assert not schedule.complete
+        # as many entries as tasks, but one task twice and one not at all
+        twice = Schedule.from_entries(
+            [ScheduleEntry(tid, "a0", 0, 2) for tid in ("tA", "tA", "tB")],
+            tiny_problem.compiled.task_ids)
+        assert not twice.complete
 
 
 class TestValidateSchedule:
     def _sched(self, problem, *entries):
-        return Schedule.from_entries(list(entries), problem)
+        return Schedule.from_entries(list(entries), problem.compiled.task_ids)
 
     def test_feasible(self, tiny_problem):
         schedule = self._sched(
@@ -399,7 +424,7 @@ class TestSerialization:
 
     def test_schedule_roundtrip(self, tiny_problem):
         schedule = Schedule.from_entries(
-            [ScheduleEntry("tA", "a0", 0, 2)], tiny_problem)
+            [ScheduleEntry("tA", "a0", 0, 2)], tiny_problem.compiled.task_ids)
         assert schedule_from_dict(schedule_to_dict(schedule)) == schedule
 
     def test_version_check(self, tiny_problem):
@@ -407,7 +432,7 @@ class TestSerialization:
         data["schema_version"] = "v0"
         with pytest.raises(StructuralError, match="schema version"):
             problem_from_dict(data)
-        sdata = schedule_to_dict(Schedule.from_entries([], tiny_problem))
+        sdata = schedule_to_dict(Schedule.from_entries([], tiny_problem.compiled.task_ids))
         sdata["schema_version"] = "v2"
         with pytest.raises(StructuralError, match="schema version"):
             schedule_from_dict(sdata)
@@ -483,7 +508,7 @@ class TestSerialization:
         # a schedule is read as written, never coerced: "3" is not 3, 2.7
         # is not 2 and "no" is not true
         data = schedule_to_dict(Schedule.from_entries(
-            [ScheduleEntry("tA", "a0", 0, 2)], tiny_problem))
+            [ScheduleEntry("tA", "a0", 0, 2)], tiny_problem.compiled.task_ids))
         if flaw.startswith("entry"):
             data["entries"][0] = value
         else:

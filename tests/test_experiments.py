@@ -536,6 +536,21 @@ def test_compiled_tables_are_assigned_only_where_built():
     assert sorted(writers) == COMPILED_WRITERS
 
 
+def test_compiled_holds_no_reference_to_its_problem():
+    """`Compiled.__init__` reads its problem argument only through its
+    fields (`problem.tasks`) and names no `weakref`, so no slot holds the
+    problem or a weak reference to it: the compiled problem outlives the
+    problem it was built from."""
+    cls = _compiled_class([ast.parse(path.read_text()) for path in _module_paths()])
+    init = next(f for f in cls.body
+                if isinstance(f, ast.FunctionDef) and f.name == "__init__")
+    problem = init.args.args[1].arg
+    fields = {id(node.value) for node in ast.walk(init) if isinstance(node, ast.Attribute)}
+    held = [ast.unparse(node) for node in ast.walk(init) if isinstance(node, ast.Name)
+            and (node.id == problem and id(node) not in fields or node.id == "weakref")]
+    assert held == []
+
+
 def test_compiled_is_built_only_by_the_problem():
     """No library module builds `Compiled` but `ProblemInstance.compiled`,
     so a problem is compiled once however many layers read it."""

@@ -143,7 +143,8 @@ class TestBranchAndBound:
             resources=("r0",),
             horizon=2,
         )
-        only = Schedule.from_entries([ScheduleEntry("t0", "a0", 10, 12)], problem)
+        only = Schedule.from_entries([ScheduleEntry("t0", "a0", 10, 12)],
+                                     problem.compiled.task_ids)
         assert validate_schedule(problem, only).violations == (
             Violation("horizon", "task 't0' finishes 12 > horizon 2"),)
         result = branch_and_bound(problem)
@@ -191,7 +192,7 @@ class TestWarmStart:
     def test_infeasible_seed_rejected_with_warning(self, serial_problem):
         bad = Schedule.from_entries(
             [ScheduleEntry("t0", "a0", 0, 3), ScheduleEntry("t1", "a0", 0, 2)],
-            serial_problem)
+            serial_problem.compiled.task_ids)
         with pytest.warns(UserWarning, match="rejected"):
             result = branch_and_bound(serial_problem, seed=bad)
         assert not result.seeded
@@ -217,7 +218,8 @@ class TestWarmStart:
             horizon=30,
         )
         seed = Schedule.from_entries(
-            [ScheduleEntry("t0", "a1", 0, 3), ScheduleEntry("t1", "a0", 2, 4)], problem)
+            [ScheduleEntry("t0", "a1", 0, 3), ScheduleEntry("t1", "a0", 2, 4)],
+            problem.compiled.task_ids)
         with pytest.warns(UserWarning, match="'t0' on agent 'a1': agent cannot perform it"):
             result = branch_and_bound(problem, seed=seed)
         assert not result.seeded
@@ -228,7 +230,7 @@ class TestWarmStart:
         the seed is reported and refused, not taken as a 103 incumbent."""
         late = Schedule.from_entries(
             [ScheduleEntry("tA", "a0", 0, 2), ScheduleEntry("tC", "a1", 2, 4),
-             ScheduleEntry("tB", "a0", 100, 103)], tiny_problem)
+             ScheduleEntry("tB", "a0", 100, 103)], tiny_problem.compiled.task_ids)
         assert validate_schedule(tiny_problem, late).violations == (
             Violation("horizon", "task 'tB' finishes 103 > horizon 40"),)
         with pytest.warns(UserWarning, match="rejected: task 'tB' finishes 103 > horizon 40"):
@@ -238,7 +240,7 @@ class TestWarmStart:
 
     def test_incomplete_seed_rejected(self, serial_problem):
         partial = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 3)],
-                                        serial_problem)
+                                        serial_problem.compiled.task_ids)
         with pytest.warns(UserWarning, match="incomplete"):
             result = branch_and_bound(serial_problem, seed=partial)
         assert not result.seeded
@@ -331,9 +333,23 @@ class TestPerturb:
             perturb(problem, replace(schedule, entries=entries), kind, 1)
 
     def test_too_small(self, serial_problem):
-        schedule = timed_schedule(serial_problem, [("t0", "a0")])
+        problem = replace(serial_problem, tasks=serial_problem.tasks[:1])
+        schedule = timed_schedule(problem, [("t0", "a0")])
         with pytest.raises(PerturbationError, match="too small"):
-            perturb(serial_problem, schedule, "sequence", 1)
+            perturb(problem, schedule, "sequence", 1)
+
+    @pytest.mark.parametrize("flaw", ["missing", "repeated"])
+    def test_schedule_must_place_every_task_once(self, optimal, flaw):
+        """A schedule that leaves out a task, or places one twice in place
+        of another, is refused before any draw, at every count."""
+        problem, schedule = optimal
+        entries = schedule.entries[:-1]
+        if flaw == "repeated":
+            entries += schedule.entries[:1]
+        for kind in PERTURBATION_KINDS:
+            for count in (0, 1, 3):
+                with pytest.raises(ValueError, match="every task exactly once"):
+                    perturb(problem, replace(schedule, entries=entries), kind, count)
 
 
 def _perturbation_outcome(problem, schedule, kind, count, rng_seed):
@@ -406,10 +422,11 @@ def test_golden_perturbations():
 
 
 def test_objective_ratio(serial_problem):
-    worse = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 12)], serial_problem)
-    base = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 10)], serial_problem)
+    task_ids = serial_problem.compiled.task_ids
+    worse = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 12)], task_ids)
+    base = Schedule.from_entries([ScheduleEntry("t0", "a0", 0, 10)], task_ids)
     assert objective_ratio(worse, base) == pytest.approx(1.2)
-    empty = Schedule.from_entries([], serial_problem)
+    empty = Schedule.from_entries([], task_ids)
     with pytest.raises(ValueError):
         objective_ratio(worse, empty)
 
@@ -672,7 +689,7 @@ def _route_and_completion(cp, rng_seed: int):
     subsets = {}
     n = len(cp.task_ids)
     agent_free, agent_loc = (0, 0), cp.start_loc
-    res_free, finish = (0,) * cp.num_resources, (None,) * n
+    res_free, finish = (0,) * len(cp.resource_ids), (None,) * n
     for _ in range(n):
         left = [t for t in range(n) if finish[t] is None]
         if len(left) <= ROUTE_CHECK_LEFT:
@@ -835,23 +852,27 @@ def _golden_corpus():
         yield f"{kind}-{num_tasks}-{rng_seed}", problem, node_limit
 
 
-def _reversed_kahn_order(problem: ProblemInstance) -> list[str]:
-    """A wait order by Kahn's algorithm that starts the last-listed ready
-    task first, where `graphlib` tends to start the first."""
-    waiting = {t.id: {p for p, _ in t.waits} for t in problem.tasks}
+def _reversed_kahn_order(cp) -> list[int]:
+    """A predecessor-first order of the compiled waits by Kahn's algorithm
+    that starts the last-listed ready task first, where `graphlib` tends to
+    start the first."""
+    waiting = {t: {p for p, _ in waits} for t, waits in enumerate(cp.waits)}
     order = []
     while waiting:
-        tid = [u for u, preds in waiting.items() if not preds][-1]
-        order.append(tid)
-        del waiting[tid]
+        t = [u for u, preds in waiting.items() if not preds][-1]
+        order.append(t)
+        del waiting[t]
         for preds in waiting.values():
-            preds.discard(tid)
+            preds.discard(t)
     return order
 
 
-def _assert_predecessors_first(problem: ProblemInstance, order: list[str]) -> None:
-    assert sorted(order) == sorted(t.id for t in problem.tasks)
-    position = {tid: i for i, tid in enumerate(order)}
+def _assert_predecessors_first(problem: ProblemInstance, order: list[int]) -> None:
+    """`order`, task indices, lists every task once and each wait
+    predecessor, as the problem names it by id, before its successor."""
+    ids = [problem.compiled.task_ids[t] for t in order]
+    assert sorted(ids) == sorted(t.id for t in problem.tasks)
+    position = {tid: i for i, tid in enumerate(ids)}
     for task in problem.tasks:
         for p, _ in task.waits:
             assert position[p] < position[task.id], (p, task.id)
@@ -863,13 +884,16 @@ def _assert_predecessors_first(problem: ProblemInstance, order: list[str]) -> No
 @settings(max_examples=40, deadline=None)
 def test_wait_order_puts_every_predecessor_first(kind, homogeneous, num_tasks,
                                                  relabel, seed):
+    """The order the search walks, as a search with no node leaves it, and
+    the reversed Kahn order both put every predecessor first."""
     problem = generate_instance(make_config(
         kind, num_agents=2, num_tasks=num_tasks, homogeneous=homogeneous,
         rng_seed=seed))
     if relabel:
         problem = _relabel(problem, seed)
-    _assert_predecessors_first(problem, problem.wait_order())
-    _assert_predecessors_first(problem, _reversed_kahn_order(problem))
+    cp = _searched(problem)
+    _assert_predecessors_first(problem, cp.topological)
+    _assert_predecessors_first(problem, _reversed_kahn_order(cp))
 
 
 # (nodes_explored, objective, lower_bound, gap, status, incumbent_trace) per
@@ -927,31 +951,37 @@ def test_golden_searches():
 
 def test_search_does_not_depend_on_wait_order(monkeypatch):
     """The bound needs only each predecessor before its successor, and
-    children are sorted before they are pushed, so another valid wait order
-    gives every golden search the same result and counters."""
+    children are sorted before they are pushed, so another predecessor-first
+    order stored by `_search_tables` gives every golden search the same
+    result and counters."""
     policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
-    reordered = 0
-    for _, problem, _ in _golden_corpus():
-        if any(t.waits for t in problem.tasks):
-            reordered += _reversed_kahn_order(problem) != problem.wait_order()
 
     def results():
         """Both arms of every golden search, on problems built afresh, so
-        each builds its search tables from the wait order in force."""
-        got = []
+        each builds its search tables with the order in force; and, per
+        problem, whether it has waits and stores the reversed Kahn order."""
+        got, orders = [], []
         for _, problem, node_limit in _golden_corpus():
             seed = construct_schedule(problem, policy)
             got += [replace(branch_and_bound(problem, seed=warm,
                                              node_limit=node_limit),
                             wall_time=0.0) for warm in (None, seed)]
-            order = [problem.compiled.task_index[tid] for tid in problem.wait_order()]
-            assert problem.compiled.topological == order
-        return got
+            cp = problem.compiled
+            orders.append((any(cp.waits), cp.topological == _reversed_kahn_order(cp)))
+        return got, orders
 
-    expected = results()
-    monkeypatch.setattr(ProblemInstance, "wait_order", _reversed_kahn_order)
-    assert results() == expected
-    assert reordered > 0
+    expected, graphlib_orders = results()
+    build = optimizer._search_tables
+
+    def reordering(cp):
+        build(cp)
+        cp.topological = _reversed_kahn_order(cp)
+
+    monkeypatch.setattr(optimizer, "_search_tables", reordering)
+    got, reordered = results()
+    assert got == expected
+    assert all(same for _, same in reordered)
+    assert any(waits and not same for waits, same in graphlib_orders)
 
 
 # full-bound prunes per golden (instance, arm), recorded with the search

@@ -13,6 +13,7 @@ import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -390,6 +391,35 @@ def test_a_played_problem_is_freed_by_reference_counting():
     try:
         del problem, demo
         assert freed() is None
+    finally:
+        gc.enable()
+
+
+def test_a_state_outlives_its_problem():
+    """A state built from a problem nothing else holds still writes its
+    schedule and names a busy resource once the problem is freed, with the
+    garbage collector off: the compiled tables refer to no problem."""
+    gc.disable()
+    try:
+        problem = generate_instance(make_config("contention", num_tasks=6, rng_seed=3))
+        freed, resources = weakref.ref(problem), problem.resources
+        state = SimState.initial(problem)
+        del problem
+        assert freed() is None
+        cp = state.compiled
+        state = state.advanced_to(10_000)  # every agent can reach every task
+        t = state.candidates(0)[0]
+        state = apply_action(state, t, 0)
+        busy = [u for u in state.unfinished() if cp.resource[u] == cp.resource[t]
+                and cp.duration[u][1] is not None and state.waits_released(u)]
+        assert busy
+        resource_id = resources[cp.resource[t]]
+        with pytest.raises(InfeasibleActionError, match=f"resource '{resource_id}' busy"):
+            apply_action(state, busy[0], 1)
+        schedule = cp.schedule(state.placements)
+        assert [(e.task_id, e.agent_id) for e in schedule.entries] == [
+            (cp.task_ids[t], cp.agent_ids[0])]
+        assert not schedule.complete
     finally:
         gc.enable()
 
