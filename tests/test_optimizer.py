@@ -949,6 +949,101 @@ def test_golden_searches():
                 assert validate_schedule(problem, result.schedule).feasible
 
 
+def _full_golden_corpus():
+    """The golden searches, then a one-agent "dense" problem and a
+    relabeled three-agent problem with wait chains, both closed."""
+    yield from _golden_corpus()
+    for kind, num_tasks, num_agents, rng_seed in (("dense", 7, 1, 905),
+                                                  ("temporal", 8, 3, 924)):
+        problem = generate_instance(make_config(
+            kind, num_agents=num_agents, num_tasks=num_tasks, rng_seed=rng_seed))
+        if num_agents == 3:
+            problem = _relabel(problem, rng_seed)
+        yield f"{kind}-{num_tasks}-{rng_seed}", problem, None
+
+
+STAT_KEYS = ("bound_evals", "children_generated", "pruned_canonical",
+             "pruned_deadline", "pruned_screen", "pruned_bound", "pruned_route",
+             "peak_open")
+
+# (stats in STAT_KEYS order, SHA-256 of the schedule's JSON or None) per
+# (instance, arm), recorded with the search that called `earliest_start`
+# once per (task, agent)
+GOLDEN_RESULTS = {
+    ("travel-7-501", "cold"): (
+        (233, 572, 143, 49, 131, 13, 54, 42),
+        "12962615f3f86d12abe243a827a739c1e29701e54baa747a63ae7b3dab3212c5"),
+    ("travel-7-501", "seeded"): (
+        (1, 0, 0, 0, 0, 0, 0, 1),
+        "1a40ec4e42c1f5d8c32c00bb1e11a2e2b2d4b5e67ad6aad069d9ba6479680f37"),
+    ("contention-7-502", "cold"): (
+        (488, 1108, 190, 0, 405, 78, 188, 40),
+        "7ec0d0d5bde0ce4d871ebd505e688806aaeb8a2a0729f0b4c5f1675233eb78cd"),
+    ("contention-7-502", "seeded"): (
+        (266, 635, 110, 0, 257, 48, 127, 17),
+        "7ec0d0d5bde0ce4d871ebd505e688806aaeb8a2a0729f0b4c5f1675233eb78cd"),
+    ("temporal-7-503", "cold"): (
+        (370, 782, 170, 95, 135, 67, 108, 32),
+        "e7af8eb78e9f95bfe01e708e015cf750c35c7c3ce9af43ac8435f5b3ef43f52d"),
+    ("temporal-7-503", "seeded"): (
+        (276, 498, 96, 1, 121, 66, 115, 19),
+        "e7af8eb78e9f95bfe01e708e015cf750c35c7c3ce9af43ac8435f5b3ef43f52d"),
+    ("temporal-20-601", "cold"): (
+        (2173, 15614, 5797, 7645, 0, 0, 0, 179),
+        None),
+    ("temporal-20-601", "seeded"): (
+        (2239, 43818, 21402, 0, 20178, 131, 0, 125),
+        "754579a00a5140f3da84276ccd50b9854a92162179785b76f726449b86dd35e2"),
+    ("temporal-20-602", "cold"): (
+        (2195, 19826, 7077, 10555, 0, 0, 0, 208),
+        None),
+    ("temporal-20-602", "seeded"): (
+        (2267, 43398, 21310, 1411, 18411, 129, 0, 161),
+        "23e4c56a8a24a21020c56f4fab88c4afd77c5e544834101343d170202d2afaf9"),
+    ("travel-12-701", "cold"): (
+        (384, 1981, 1066, 532, 0, 0, 0, 88),
+        None),
+    ("travel-12-701", "seeded"): (
+        (555, 4514, 1724, 40, 2196, 179, 0, 95),
+        "91f2efea682a3e51abad54d72d710f3bd8d72273de18aed40b5b9157fc7d72b4"),
+    ("temporal-12-702", "cold"): (
+        (386, 3150, 1330, 1435, 0, 0, 0, 89),
+        None),
+    ("temporal-12-702", "seeded"): (
+        (413, 5703, 2113, 468, 2710, 50, 0, 81),
+        "f9c3d8b63bcb85dce2a863f4bec46d5a520d9372a33f0fc4d1aa33a87115e909"),
+    ("dense-7-905", "cold"): (
+        (110, 222, 0, 88, 24, 0, 0, 16),
+        "3a5e651fa96cfe0147157471e97229e74bd62d603d10d856763e6bd8724d89a2"),
+    ("dense-7-905", "seeded"): (
+        (23, 75, 0, 6, 47, 0, 0, 5),
+        "26e7b8c1af05c60fb17f828d96df9c8ccfd1b059d8b4dd2a89dfb24318f8bf2e"),
+    ("temporal-8-924", "cold"): (
+        (465, 1188, 231, 383, 75, 137, 0, 39),
+        "b6022db84ec1a2426a22748ace25451c067e526c23944cbb142a9c1598d6053b"),
+    ("temporal-8-924", "seeded"): (
+        (243, 477, 127, 0, 96, 103, 0, 38),
+        "b6022db84ec1a2426a22748ace25451c067e526c23944cbb142a9c1598d6053b"),
+}
+
+
+def test_golden_search_results():
+    """Every counter and the whole schedule of each search of the full
+    golden corpus, cold and seeded, are those recorded."""
+    policy = HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS)
+    got = {}
+    for label, problem, node_limit in _full_golden_corpus():
+        seed = construct_schedule(problem, policy)
+        assert validate_schedule(problem, seed).feasible, label
+        for arm, warm in (("cold", None), ("seeded", seed)):
+            result = branch_and_bound(problem, seed=warm, node_limit=node_limit)
+            assert list(result.stats) == list(STAT_KEYS)
+            got[label, arm] = (tuple(result.stats.values()), None if result.schedule is None
+                               else hashlib.sha256(json.dumps(schedule_to_dict(
+                                   result.schedule)).encode()).hexdigest())
+    assert got == GOLDEN_RESULTS
+
+
 def test_search_does_not_depend_on_wait_order(monkeypatch):
     """The bound needs only each predecessor before its successor, and
     children are sorted before they are pushed, so another predecessor-first
