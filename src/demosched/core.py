@@ -6,8 +6,7 @@ checks are conservative. All state objects have value semantics: operations
 return new states and never mutate their inputs.
 
 `Compiled` turns a problem into index tables, built once per problem on
-first use of `ProblemInstance.compiled`, and `earliest_start` is the one
-placement rule over them: the simulator, the featurizer, the
+first use of `ProblemInstance.compiled`: the simulator, the featurizer, the
 schedulability test and branch and bound all read those tables, and speak
 only indices; the tables keep the ids and refer to no problem, so they
 outlive it. Generating, demonstrating and replaying one problem compile it
@@ -17,8 +16,9 @@ purpose: it is the independent oracle the other paths are checked against.
 A partial schedule is four sequences over those indices (agent release
 times and locations, resource release times, task finishes), empty in
 `Compiled.empty` and appended to only by `place`, which `SimState`, branch
-and bound and the exhaustive oracle share. Every placement finishes after
-its agent's release time, so the latest release time is the makespan.
+and bound and the exhaustive oracle share; the latter two time each append
+by `release`, the one placement rule. Every placement finishes after its
+agent's release time, so the latest release time is the makespan.
 `SimState.candidates` is exactly the set of tasks `apply_action` accepts,
 checked in one pass over the tables.
 """
@@ -274,21 +274,17 @@ class Compiled:
         )
 
 
-def earliest_start(cp: Compiled, t: int, a: int, agent_free, agent_loc,
-                   res_free, finish) -> tuple[int, int]:
-    """(start, finish) of task t on agent a appended after the placements
-    summarized by the sequences (indexed as in `cp`): the latest of its wait
-    releases, its resource's release and the agent's arrival. Every wait
-    predecessor must be placed and a must be able to do t.
-    """
-    enable = 0
+def release(cp: Compiled, t: int, res_free, finish) -> int | None:
+    """The earliest tick task t can start appended after the placements
+    summarized by `res_free` and `finish`: the later of its wait releases and
+    its resource's release, or None while a wait predecessor is unplaced. On
+    agent a it starts at the later of this and a's arrival."""
+    ready = res_free[cp.resource[t]]
     for p, gap in cp.waits[t]:
-        release = finish[p] + gap
-        if release > enable:
-            enable = release
-    arrival = agent_free[a] + cp.travel[a][agent_loc[a]][t]
-    start = max(enable, res_free[cp.resource[t]], arrival)
-    return start, start + cp.duration[t][a]
+        if finish[p] is None:
+            return None
+        ready = max(ready, finish[p] + gap)
+    return ready
 
 
 def place(cp: Compiled, agent_free, agent_loc, res_free, finish, t: int,

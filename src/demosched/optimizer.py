@@ -19,7 +19,7 @@ incumbents within a handful of nodes on its own, leaving a seed nothing to
 prune.)
 
 The search reads the problem's own tables (`ProblemInstance.compiled`) and
-places tasks by the shared `core.earliest_start` rule. `_search_tables` adds
+places tasks by the shared `core.release` rule. `_search_tables` adds
 what only the search reads, from those tables alone, on the problem's first
 search, for later searches to share: each task's shortest duration and
 travel floor (read by `lower_bound`), its least added load (read by the
@@ -44,9 +44,9 @@ subsets S of its unplaced set U, of the later of agent 0 doing S and agent 1
 doing U ∖ S from their release times and locations: the exact two-agent
 split with waits, deadlines and resources relaxed. Each agent's finish in a
 completion is at least its release time plus the hops and durations along
-its own order, and those hops are exactly the `travel` ticks that
-`earliest_start` charges, so the component is admissible with no triangle
-inequality on the rounded ticks. It runs only at the root and on children
+its own order, and those hops are exactly the `travel` ticks a placement
+charges, so the component is admissible with no triangle inequality on the
+rounded ticks. It runs only at the root and on children
 that pass the screen and whose full bound stays below the incumbent, so
 every pushed bound is the larger of the two, as if it always ran. The
 tables grow as 2^n, so above `ROUTE_CAP` tasks, and for one or three or
@@ -54,7 +54,7 @@ more agents, nothing is built and the bound is the four components alone.
 
 The exhaustive oracle and perturbations read the problem's own tables
 (`ProblemInstance.compiled`) and place (task, agent) index pairs with
-`_place`; ids are looked up only where a schedule comes in.
+`_place`, by the same rule; ids are looked up only where a schedule comes in.
 """
 
 from __future__ import annotations
@@ -73,8 +73,8 @@ from .core import (
     Compiled,
     ProblemInstance,
     Schedule,
-    earliest_start,
     place,
+    release,
     validate_schedule,
 )
 
@@ -288,7 +288,7 @@ def branch_and_bound(
 
     routing = cp.routes is not None
     subsets = {}  # task set -> its subsets, ascending, for route_bound
-    capable, waits, deadline = cp.capable, cp.waits, cp.deadline
+    capable, duration, deadline = cp.capable, cp.duration, cp.deadline
     resource, task_rank, task_order = cp.resource, cp.task_rank, cp.task_order
     unit_load, mind = cp.unit_load, cp.min_duration
     num_agents = len(cp.agent_ids)
@@ -336,6 +336,7 @@ def branch_and_bound(
         completing = len(unplaced) == 1
         # every start and rank is at least 0, so the root admits any child
         last = (placed[-1][2], task_rank[placed[-1][0]]) if placed else (-1, -1)
+        rows = [table[loc] for table, loc in zip(cp.travel, agent_loc)]
         # With an incumbent, a child (t on agent a, finishing at fin on
         # resource r) is screened in O(1) before its tuples and full bound
         # are built. The screen is the larger of
@@ -361,11 +362,14 @@ def branch_and_bound(
             left = sum(1 << t for t in unplaced)
         children = []
         for t in unplaced:
-            if any(finish[p] is None for p, _ in waits[t]):
+            ready = release(cp, t, res_free, finish)
+            if ready is None:
                 continue
             for a in capable[t]:
-                start, fin = earliest_start(cp, t, a, agent_free, agent_loc,
-                                             res_free, finish)
+                start = agent_free[a] + rows[a][t]
+                if start < ready:
+                    start = ready
+                fin = start + duration[t][a]
                 if (start, task_rank[t]) <= last:
                     pruned_canonical += 1
                     continue  # canonical append order only
@@ -458,11 +462,11 @@ def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
     state = cp.empty  # agent release times, locations, resource releases, finishes
     placements = []
     for t, a in order:
-        if cp.duration[t][a] is None:
+        ready = None if cp.duration[t][a] is None else release(cp, t, *state[2:])
+        if ready is None:
             return None
-        if any(state[3][p] is None for p, _ in cp.waits[t]):
-            return None
-        start, fin = earliest_start(cp, t, a, *state)
+        start = max(ready, state[0][a] + cp.travel[a][state[1][a]][t])
+        fin = start + cp.duration[t][a]
         if fin > cp.deadline[t]:
             return None
         placements.append((t, a, start, fin))
@@ -524,7 +528,7 @@ def perturb(
         return schedule
     rng = np.random.default_rng(rng_seed)
     n = len(base)
-    if n < 2:
+    if n < 2 and kind != "steal":  # a steal needs one task, the others two
         raise PerturbationError("schedule too small to perturb")
     for _ in range(_PERTURB_RETRIES):
         order = list(base)

@@ -20,6 +20,8 @@ from demosched.core import (
     TaskSpec,
     Violation,
     euclidean,
+    place,
+    release,
     schedule_from_dict,
     schedule_to_dict,
     travel_ticks,
@@ -27,7 +29,7 @@ from demosched.core import (
 )
 from demosched.demonstrator import demonstrate
 from demosched.experiments import PROBLEM_KINDS, make_config
-from demosched.generator import generate_instance
+from demosched.generator import KIND_FIELDS, generate_instance
 from demosched.optimizer import (
     PERTURBATION_KINDS,
     PerturbationError,
@@ -338,6 +340,21 @@ class TestPerturb:
         with pytest.raises(PerturbationError, match="too small"):
             perturb(problem, schedule, "sequence", 1)
 
+    def test_one_task_steal(self, serial_problem):
+        """A one-task schedule has no second position to swap or reorder,
+        but its task can still move to another capable agent."""
+        problem = replace(
+            serial_problem,
+            agents=serial_problem.agents + (AgentSpec("a1", (4.0, 0.0), 2.0),),
+            tasks=(TaskSpec("t0", (0.0, 0.0), {"a0": 3, "a1": 3}, "r0"),))
+        schedule = timed_schedule(problem, [("t0", "a0")])
+        stolen = perturb(problem, schedule, "steal", 1)
+        assert [(e.task_id, e.agent_id) for e in stolen.entries] == [("t0", "a1")]
+        assert validate_schedule(problem, stolen).feasible
+        for kind in ("sequence", "swap"):
+            with pytest.raises(PerturbationError, match="too small"):
+                perturb(problem, schedule, kind, 1)
+
     @pytest.mark.parametrize("flaw", ["missing", "repeated"])
     def test_schedule_must_place_every_task_once(self, optimal, flaw):
         """A schedule that leaves out a task, or places one twice in place
@@ -607,7 +624,8 @@ def _replace_at(values: tuple, i: int, value) -> tuple:
        seed=st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=24, deadline=None)
 def test_screen_never_exceeds_full_bound(kind, homogeneous, shape, seed):
-    """At every child of a capped cold and seeded search, the O(1) screen,
+    """At every child of every node a capped cold and seeded search bounds,
+    which covers every child the searches generate, the O(1) screen,
     recomputed here from `unit_load` and `min_duration`, is at most the
     child's full bound, so a child it prunes is one the full bound would."""
     num_tasks, num_agents, relabel = shape
@@ -616,26 +634,34 @@ def test_screen_never_exceeds_full_bound(kind, homogeneous, shape, seed):
         homogeneous=homogeneous, rng_seed=seed))
     if relabel:
         problem = _relabel(problem, seed)
-    place = optimizer.earliest_start
+    full_bound = optimizer.lower_bound
     checked = []
 
-    def checking_place(cp, t, a, agent_free, agent_loc, res_free, finish):
-        start, fin = place(cp, t, a, agent_free, agent_loc, res_free, finish)
+    def checking_bound(cp, agent_free, agent_loc, res_free, finish):
+        """The node's full bound, after checking the screen against the full
+        bound of each child it could generate: every wait-released unplaced
+        task on every capable agent, timed by the reference rule."""
         unplaced = [u for u in cp.topological if finish[u] is None]
-        r = cp.resource[t]
-        makespan = max([fin, *(f for f in finish if f is not None)])
-        screen = max(
-            makespan,
-            math.ceil((sum(agent_free) - agent_free[a] + fin
-                       + sum(cp.unit_load[u] for u in unplaced if u != t))
-                      / len(agent_free)),
-            fin + sum(cp.min_duration[u] for u in unplaced
-                      if u != t and cp.resource[u] == r))
-        child = (_replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t),
-                 _replace_at(res_free, r, fin), _replace_at(finish, t, fin))
-        assert screen <= optimizer.lower_bound(cp, *child)
-        checked.append(screen)
-        return start, fin
+        for t in unplaced:
+            if any(finish[p] is None for p, _ in cp.waits[t]):
+                continue
+            r = cp.resource[t]
+            for a in cp.capable[t]:
+                _, fin = _earliest_start(cp, t, a, agent_free, agent_loc,
+                                         res_free, finish)
+                makespan = max([fin, *(f for f in finish if f is not None)])
+                screen = max(
+                    makespan,
+                    math.ceil((sum(agent_free) - agent_free[a] + fin
+                               + sum(cp.unit_load[u] for u in unplaced if u != t))
+                              / len(agent_free)),
+                    fin + sum(cp.min_duration[u] for u in unplaced
+                              if u != t and cp.resource[u] == r))
+                child = (_replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t),
+                         _replace_at(res_free, r, fin), _replace_at(finish, t, fin))
+                assert screen <= full_bound(cp, *child)
+                checked.append(screen)
+        return full_bound(cp, agent_free, agent_loc, res_free, finish)
 
     seed_schedule = construct_schedule(
         problem, HeuristicPolicy(RuleKind.TEMPORAL_REQUIREMENTS))
@@ -644,11 +670,97 @@ def test_screen_never_exceeds_full_bound(kind, homogeneous, shape, seed):
         seed_schedule = None
     generated = 0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "earliest_start", checking_place)
+        mp.setattr(optimizer, "lower_bound", checking_bound)
         for warm in (None, seed_schedule):
             generated += branch_and_bound(problem, seed=warm,
                                           node_limit=25).stats["children_generated"]
-    assert len(checked) == generated
+    # every expanded node was bounded first, so its children are among those
+    # checked
+    assert len(checked) >= generated
+
+
+def _earliest_start(cp, t, a, agent_free, agent_loc, res_free, finish):
+    """(start, finish) of task t on agent a appended after the placements
+    summarized by the sequences: the latest of its wait releases, its
+    resource's release and the agent's arrival. Every wait predecessor must
+    be placed and a must be able to do t. The reference for `core.release`:
+    the one-call-per-(task, agent) rule the search used before it."""
+    enable = 0
+    for p, gap in cp.waits[t]:
+        enable = max(enable, finish[p] + gap)
+    arrival = agent_free[a] + cp.travel[a][agent_loc[a]][t]
+    start = max(enable, res_free[cp.resource[t]], arrival)
+    return start, start + cp.duration[t][a]
+
+
+def _release_mismatches(cp, rng_seed: int, release) -> int:
+    """Checks `release` failed along one random placement order: at every
+    step, for every unplaced task and capable agent, `release` must be None
+    exactly when a wait predecessor is unplaced, and otherwise its later of
+    itself and the agent's arrival, with the duration added, must be the
+    reference's start and finish."""
+    rng = np.random.default_rng(rng_seed)
+    state = cp.empty
+    failed = 0
+    for _ in range(len(cp.task_ids)):
+        agent_free, agent_loc, res_free, finish = state
+        ready = []
+        for t in [u for u, f in enumerate(finish) if f is None]:
+            got = release(cp, t, res_free, finish)
+            blocked = any(finish[p] is None for p, _ in cp.waits[t])
+            failed += (got is None) != blocked
+            if blocked:
+                continue
+            ready.append(t)
+            for a in cp.capable[t]:
+                if got is not None:
+                    start = max(got, agent_free[a] + cp.travel[a][agent_loc[a]][t])
+                    failed += ((start, start + cp.duration[t][a])
+                               != _earliest_start(cp, t, a, *state))
+        t = ready[int(rng.integers(len(ready)))]
+        a = cp.capable[t][int(rng.integers(len(cp.capable[t])))]
+        _, fin = _earliest_start(cp, t, a, *state)
+        state = place(cp, *state, t, a, fin)
+    return failed
+
+
+@given(kind=st.sampled_from(sorted(KIND_FIELDS)), homogeneous=st.booleans(),
+       num_agents=st.integers(min_value=1, max_value=3),
+       num_tasks=st.integers(min_value=1, max_value=12), relabel=st.booleans(),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_release_matches_the_reference_rule(kind, homogeneous, num_agents,
+                                            num_tasks, relabel, seed):
+    """Along a random placement order, `core.release` met with each capable
+    agent's arrival gives the reference rule's start and finish, and is None
+    exactly while a wait predecessor is unplaced."""
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks,
+        homogeneous=homogeneous, rng_seed=seed))
+    if relabel:
+        problem = _relabel(problem, seed)
+    assert _release_mismatches(problem.compiled, seed, release) == 0
+
+
+def test_release_check_catches_a_dropped_wait_gap():
+    """Mutation check of the property above: a release that waits for each
+    predecessor's finish but not its gap disagrees with the reference on
+    these fixed problems with waits."""
+    def without_gap(cp, t, res_free, finish):
+        ready = res_free[cp.resource[t]]
+        for p, _ in cp.waits[t]:
+            if finish[p] is None:
+                return None
+            ready = max(ready, finish[p])
+        return ready
+
+    failed = 0
+    for seed in range(6):
+        cp = generate_instance(make_config("temporal", num_agents=1 + seed % 3,
+                                           num_tasks=10, rng_seed=seed)).compiled
+        assert _release_mismatches(cp, seed, release) == 0
+        failed += _release_mismatches(cp, seed, without_gap)
+    assert failed > 0
 
 
 def _least_completion(cp, agent_free, agent_loc, res_free, finish) -> int:
@@ -663,8 +775,8 @@ def _least_completion(cp, agent_free, agent_loc, res_free, finish) -> int:
             continue
         r = cp.resource[t]
         for a in cp.capable[t]:
-            _, fin = optimizer.earliest_start(cp, t, a, agent_free, agent_loc,
-                                              res_free, finish)
+            _, fin = _earliest_start(cp, t, a, agent_free, agent_loc,
+                                     res_free, finish)
             best = min(best, _least_completion(
                 cp, _replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t),
                 _replace_at(res_free, r, fin), _replace_at(finish, t, fin)))
@@ -700,8 +812,7 @@ def _route_and_completion(cp, rng_seed: int):
         ready = [t for t in left if all(finish[p] is not None for p, _ in cp.waits[t])]
         t = ready[int(rng.integers(len(ready)))]
         a = cp.capable[t][int(rng.integers(len(cp.capable[t])))]
-        _, fin = optimizer.earliest_start(cp, t, a, agent_free, agent_loc,
-                                          res_free, finish)
+        _, fin = _earliest_start(cp, t, a, agent_free, agent_loc, res_free, finish)
         agent_free, agent_loc = _replace_at(agent_free, a, fin), _replace_at(agent_loc, a, t)
         res_free = _replace_at(res_free, cp.resource[t], fin)
         finish = _replace_at(finish, t, fin)
@@ -761,21 +872,25 @@ def test_route_tables_only_for_two_agents_up_to_the_cap(monkeypatch, num_tasks,
         assert result.stats["pruned_route"] == 0
 
 
-def test_search_shares_the_problems_tables(monkeypatch, tiny_problem):
+def test_search_shares_the_problems_tables(monkeypatch):
     """A search reads the problem's own tables, not a copy, and they stay
     slots: reading a table's `__dict__` would make every later attribute
-    read a dictionary lookup."""
-    place = optimizer.earliest_start
+    read a dictionary lookup. It takes each task's release at most once per
+    node it expands, where one call per (task, agent) would take more."""
+    problem = generate_instance(make_config("temporal", num_agents=3,
+                                            num_tasks=6, rng_seed=11))
     read = []
 
-    def recording_place(cp, *args):
+    def recording_release(cp, *args):
         read.append(cp)
-        return place(cp, *args)
+        return release(cp, *args)
 
-    monkeypatch.setattr(optimizer, "earliest_start", recording_place)
-    branch_and_bound(tiny_problem)
-    assert read and all(cp is tiny_problem.compiled for cp in read)
-    assert not hasattr(tiny_problem.compiled, "__dict__")
+    monkeypatch.setattr(optimizer, "release", recording_release)
+    result = branch_and_bound(problem, node_limit=200)
+    assert read and all(cp is problem.compiled for cp in read)
+    assert not hasattr(problem.compiled, "__dict__")
+    most = result.nodes_explored * len(problem.tasks)
+    assert len(read) <= most < result.stats["children_generated"]
 
 
 def test_each_problem_builds_its_search_tables_once(monkeypatch):
