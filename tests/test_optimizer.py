@@ -683,8 +683,8 @@ def _earliest_start(cp, t, a, agent_free, agent_loc, res_free, finish):
     """(start, finish) of task t on agent a appended after the placements
     summarized by the sequences: the latest of its wait releases, its
     resource's release and the agent's arrival. Every wait predecessor must
-    be placed and a must be able to do t. The reference for `core.release`:
-    the one-call-per-(task, agent) rule the search used before it."""
+    be placed and a must be able to do t. The reference that `core.release`,
+    met with the agent's arrival, is checked against."""
     enable = 0
     for p, gap in cp.waits[t]:
         enable = max(enable, finish[p] + gap)
@@ -693,12 +693,12 @@ def _earliest_start(cp, t, a, agent_free, agent_loc, res_free, finish):
     return start, start + cp.duration[t][a]
 
 
-def _release_mismatches(cp, rng_seed: int, release) -> int:
-    """Checks `release` failed along one random placement order: at every
-    step, for every unplaced task and capable agent, `release` must be None
-    exactly when a wait predecessor is unplaced, and otherwise its later of
-    itself and the agent's arrival, with the duration added, must be the
-    reference's start and finish."""
+def _release_mismatches(cp, rng_seed: int, rule) -> int:
+    """Checks a release rule fails along one random placement order: at
+    every step, for every unplaced task and capable agent, `rule` must be
+    None exactly when a wait predecessor is unplaced, and otherwise its
+    later of itself and the agent's arrival, with the duration added, must
+    be the reference's start and finish."""
     rng = np.random.default_rng(rng_seed)
     state = cp.empty
     failed = 0
@@ -706,7 +706,7 @@ def _release_mismatches(cp, rng_seed: int, release) -> int:
         agent_free, agent_loc, res_free, finish = state
         ready = []
         for t in [u for u, f in enumerate(finish) if f is None]:
-            got = release(cp, t, res_free, finish)
+            got = rule(cp, t, res_free, finish)
             blocked = any(finish[p] is None for p, _ in cp.waits[t])
             failed += (got is None) != blocked
             if blocked:
