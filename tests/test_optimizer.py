@@ -712,11 +712,12 @@ def _release_mismatches(cp, rng_seed: int, rule) -> int:
             if blocked:
                 continue
             ready.append(t)
+            if got is None:
+                continue  # counted above
             for a in cp.capable[t]:
-                if got is not None:
-                    start = max(got, agent_free[a] + cp.travel[a][agent_loc[a]][t])
-                    failed += ((start, start + cp.duration[t][a])
-                               != _earliest_start(cp, t, a, *state))
+                start = max(got, agent_free[a] + cp.travel[a][agent_loc[a]][t])
+                failed += ((start, start + cp.duration[t][a])
+                           != _earliest_start(cp, t, a, *state))
         t = ready[int(rng.integers(len(ready)))]
         a = cp.capable[t][int(rng.integers(len(cp.capable[t])))]
         _, fin = _earliest_start(cp, t, a, *state)
