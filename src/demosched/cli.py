@@ -71,7 +71,7 @@ def _load(path, parse):
     """`parse` of the JSON at `path`; a malformed file is an error, not a traceback."""
     try:
         return parse(load_json(path))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
 
 

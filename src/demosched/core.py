@@ -16,11 +16,13 @@ purpose: it is the independent oracle the other paths are checked against.
 A partial schedule is four sequences over those indices (agent release
 times and locations, resource release times, task finishes), empty in
 `Compiled.empty` and appended to only by `place`, which `SimState`, branch
-and bound and the exhaustive oracle share; the latter two time each append
-by `release`, the one placement rule. Every placement finishes after its
-agent's release time, so the latest release time is the makespan.
-`SimState.candidates` is exactly the set of tasks `apply_action` accepts,
-checked in one pass over the tables.
+and bound and the exhaustive oracle share. Every placement finishes after
+its agent's release time, so the latest release time is the makespan.
+`release` is the one wait rule of every exact form: branch and bound and
+the oracle time each append by it, and `SimState.candidates` (exactly the
+tasks `apply_action` accepts), `apply_action` and the featurizer test the
+clock against it. The search's `lower_bound` and the replay's
+schedulability test are relaxations that walk the waits their own way.
 """
 
 from __future__ import annotations
@@ -274,12 +276,12 @@ class Compiled:
         )
 
 
-def release(cp: Compiled, t: int, res_free, finish) -> int | None:
-    """The earliest tick task t can start appended after the placements
-    summarized by `res_free` and `finish`: the later of its wait releases and
-    its resource's release, or None while a wait predecessor is unplaced. On
-    agent a it starts at the later of this and a's arrival."""
-    ready = res_free[cp.resource[t]]
+def release(cp: Compiled, t: int, finish, floor: int) -> int | None:
+    """The latest of `floor` and each wait predecessor's finish plus its
+    gap, or None while one is unplaced: the earliest tick task t can start.
+    Placing passes t's resource's release as `floor`, and t starts on agent
+    a at the later of this and a's arrival; a wait test passes 0."""
+    ready = floor
     for p, gap in cp.waits[t]:
         if finish[p] is None:
             return None
@@ -335,29 +337,19 @@ class SimState:
         return (len(self.placements) == len(self.finish)
                 and max(self.agent_free, default=0) <= self.time)
 
-    def waits_released(self, t: int) -> bool:
-        """True iff every wait predecessor of task t finished at least its
-        gap ago."""
-        finish, now = self.finish, self.time
-        for p, gap in self.compiled.waits[t]:
-            f = finish[p]
-            if f is None or f + gap > now:
-                return False
-        return True
-
     def candidates(self, a: int) -> list[int]:
-        """Tasks agent a could start at the current tick, in problem order:
-        exactly those `apply_action` accepts. Each is unstarted, within a's
-        capability, its waits released and its resource free, and a's travel
-        to it fits in the time since a was freed, so a busy agent has none."""
+        """Tasks agent a could start now, in problem order: exactly those
+        `apply_action` accepts. Each is unstarted and within a's capability,
+        `release` over its resource's release is not after now, and a's
+        travel to it fits since a was freed, so a busy agent has none."""
         cp, finish, now = self.compiled, self.finish, self.time
         slack = now - self.agent_free[a]
         travel, res_free = cp.travel[a][self.agent_loc[a]], self.res_free
-        duration, resource, waits = cp.duration, cp.resource, cp.waits
+        duration, resource = cp.duration, cp.resource
         return [t for t, f in enumerate(finish)
                 if f is None and duration[t][a] is not None and travel[t] <= slack
-                and res_free[resource[t]] <= now
-                and (not waits[t] or self.waits_released(t))]
+                and (ready := release(cp, t, finish, res_free[resource[t]])) is not None
+                and ready <= now]
 
     def advanced_to(self, time: int) -> "SimState":
         """Move the clock forward."""
@@ -382,7 +374,8 @@ def apply_action(state: SimState, t: int, a: int) -> SimState:
         raise InfeasibleActionError(f"task {task_id!r} already started")
     if state.agent_free[a] > now:
         raise InfeasibleActionError(f"agent {agent_id!r} busy at t={now}")
-    if not state.waits_released(t):
+    ready = release(cp, t, state.finish, 0)
+    if ready is None or ready > now:
         raise InfeasibleActionError(f"task {task_id!r} not alive-and-enabled")
     r = cp.resource[t]
     if state.res_free[r] > now:

@@ -2,8 +2,8 @@
 
 Three constructions for the priority model (pairwise differences, pointwise
 per-task rows, and a fixed-width concatenation) plus the schedule-vs-idle
-set for the act classifier. The pairwise, pointwise and act sets are read
-from one walk over the observations. Each row shape has one encoder
+set for the act classifier. The pairwise, pointwise and act sets are each
+read by one walk over the observations. Each row shape has one encoder
 (`pair_rows`, `point_vector`, `wide_vector`), which the matching policy
 also scores with.
 """

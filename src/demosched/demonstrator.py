@@ -143,7 +143,7 @@ def demonstration_from_dict(data: dict) -> Demonstration:
     for i, obs in enumerate(data["observations"]):
         try:
             observations.append(observation_from_dict(obs))
-        except StructuralError as exc:
+        except (StructuralError, AttributeError) as exc:
             raise StructuralError(f"observation {i}: {exc}") from None
     return Demonstration(
         problem=problem,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .core import AgentSpec, ProblemInstance, SimState, StructuralError, _number
+from .core import AgentSpec, ProblemInstance, SimState, StructuralError, _number, release
 
 
 # Feature rows are tuples in field order: the datasets' row encoders and the
@@ -57,7 +57,7 @@ def extract_features(state: SimState, a: int, tasks) -> dict[str, TaskFeatures]:
     """
     cp = state.compiled
     finish, now, res_free = state.finish, state.time, state.res_free
-    resource, waits, deadline, task_ids = cp.resource, cp.waits, cp.deadline, cp.task_ids
+    resource, deadline, task_ids = cp.resource, cp.deadline, cp.task_ids
     share_counts = [0] * len(cp.resource_ids)
     for t, f in enumerate(finish):
         if f is None:
@@ -68,10 +68,10 @@ def extract_features(state: SimState, a: int, tasks) -> dict[str, TaskFeatures]:
     row = tuple.__new__  # positional, in TaskFeatures' field order
     out: dict[str, TaskFeatures] = {}
     for t in tasks:
-        r = resource[t]
+        r, ready = resource[t], release(cp, t, finish, 0)
         out[task_ids[t]] = row(TaskFeatures, (
             float(deadline[t]),
-            1.0 if not waits[t] or state.waits_released(t) else 0.0,
+            1.0 if ready is not None and ready <= now else 0.0,
             float(share_counts[r] - 1),
             1.0 if res_free[r] <= now else 0.0,
             float(max(0, busy + travel[t] - now)),

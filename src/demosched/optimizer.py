@@ -362,7 +362,7 @@ def branch_and_bound(
             left = sum(1 << t for t in unplaced)
         children = []
         for t in unplaced:
-            ready = release(cp, t, res_free, finish)
+            ready = release(cp, t, finish, res_free[resource[t]])
             if ready is None:
                 continue
             for a in capable[t]:
@@ -462,7 +462,8 @@ def _place(cp: Compiled, order) -> list[tuple[int, int, int, int]] | None:
     state = cp.empty  # agent release times, locations, resource releases, finishes
     placements = []
     for t, a in order:
-        ready = None if cp.duration[t][a] is None else release(cp, t, *state[2:])
+        ready = (None if cp.duration[t][a] is None
+                 else release(cp, t, state[3], state[2][cp.resource[t]]))
         if ready is None:
             return None
         start = max(ready, state[0][a] + cp.travel[a][state[1][a]][t])

@@ -4,8 +4,8 @@ Both the mock expert and the learned-policy scheduler run through this loop,
 so a policy that wraps the expert's rule reproduces the expert's schedule
 entry for entry. The state is the compiled problem's (`core.SimState`), over
 task and agent indices, built once per playthrough. An agent's candidates
-are the tasks `apply_action` would accept now: those that the placement
-rule of branch and bound (`core.release`) would start this tick.
+are the tasks `apply_action` would accept now: those that `core.release`,
+the wait rule branch and bound places by, would start this tick.
 """
 
 from __future__ import annotations

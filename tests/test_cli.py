@@ -111,6 +111,7 @@ _BAD_MODELS = {
                             "min_leaf must be an integer, got 1.9"),
     "list-node": (lambda m: m["act_tree"]["nodes"].__setitem__(0, [1]),
                   "node 0 must be an object, got [1]"),
+    "list-file": (lambda m: [1], "'list' object has no attribute 'get'"),
 }
 
 
@@ -119,11 +120,13 @@ def test_evaluate_rejects_malformed_model(workspace, runner, flaw):
     """A priority-tree root whose left child is itself (a walk that never
     ends) or out of range, a schema version other than v1, a kind other
     than pairwise, or a node field or leaf size of the wrong type or out of
-    range is refused at load, with exit code 1 and a message naming it."""
+    range is refused at load, with exit code 1 and a message naming it. So
+    is a file that is a list, not an object."""
     data = load_json(workspace["model"])
     assert "feature" in data["priority_tree"]["nodes"][0]
     edit, message = _BAD_MODELS[flaw]
-    edit(data)
+    whole = edit(data)  # an edit in place, or a whole new file
+    data = whole if isinstance(whole, list) else data
     path = workspace["root"] / f"malformed-{flaw}.json"
     path.write_text(json.dumps(data))
     result = runner.invoke(main, ["evaluate", "--model", str(path),
@@ -288,7 +291,8 @@ _BAD_VALUES = {
 
 @pytest.mark.parametrize("command", ["demonstrate", "schedule", "optimize"])
 @pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0", "string-deadline",
-                                  "duplicate-resource", "no-tasks", *_BAD_VALUES])
+                                  "duplicate-resource", "no-tasks", "list-file",
+                                  "number-task", *_BAD_VALUES])
 def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
     data = load_json(workspace["problem"])
     if flaw == "schema-v0":
@@ -297,6 +301,10 @@ def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
         data["resources"].append(data["tasks"][0]["resource"])
     elif flaw == "no-tasks":
         data["tasks"] = []
+    elif flaw == "list-file":
+        data = [data]
+    elif flaw == "number-task":
+        data["tasks"][0] = 5
     elif flaw == "string-deadline":
         data["tasks"][0]["abs_deadline"] = str(data["tasks"][0]["abs_deadline"])
     elif flaw in _BAD_VALUES:
@@ -354,6 +362,7 @@ _BAD_OBSERVATIONS = {
         c for c in o["candidates"] if c != o["scheduled"][0]]),
     "fractional-tick": lambda o: o.update(tick=3.7),
     "string-tick": lambda o: o.update(tick="3"),
+    "list-features": lambda o: o.update(task_features=list(o["task_features"].values())),
 }
 
 # flaw -> edit of the demonstration's own fields
@@ -363,6 +372,7 @@ _BAD_DEMOS = {
     "fractional-seed": lambda d: d.update(rng_seed=2.9),
     "string-epsilon": lambda d: d.update(epsilon="0.5"),
     "epsilon-above-one": lambda d: d.update(epsilon=7.0),
+    "list-file": lambda d: [1],
 }
 
 
@@ -370,17 +380,18 @@ _BAD_DEMOS = {
 @pytest.mark.parametrize("flaw", [*_BAD_OBSERVATIONS, *_BAD_DEMOS])
 def test_malformed_demo_is_error_message(workspace, runner, command, flaw):
     """A demonstration whose observation has a non-numeric, non-finite or
-    short feature row, an unfeaturized candidate, a scheduled task that was
-    not a candidate or a tick that is not an integer exits 1 with a message
-    naming the observation. So does one whose schema version is not v1,
-    whose rng_seed is not an integer or whose epsilon is not a number in
-    [0, 1], naming the file."""
+    short feature row, task features in a list, an unfeaturized candidate, a
+    scheduled task that was not a candidate or a tick that is not an integer
+    exits 1 with a message naming the observation. So does one whose schema
+    version is not v1, whose rng_seed is not an integer or whose epsilon is
+    not a number in [0, 1], or a file that is a list, naming the file."""
     data = load_json(workspace["demos"][0])
     observation = _first_scheduled(data["observations"])
     if flaw in _BAD_OBSERVATIONS:
         _BAD_OBSERVATIONS[flaw](observation)
     else:
-        _BAD_DEMOS[flaw](data)
+        whole = _BAD_DEMOS[flaw](data)  # an edit in place, or a whole new file
+        data = whole if isinstance(whole, list) else data
     path = _write_json(workspace, f"demo_{flaw}.json", data)
     args = {"train": ["train", "--out", str(workspace["root"] / "never_written.json")],
             "evaluate": ["evaluate", "--model", workspace["model"]]}[command]
@@ -423,8 +434,8 @@ def test_optimize_rejects_seed_naming_unknown_task(workspace, runner):
     assert "'zz'" in result.output
 
 
-# flaw -> (position in the first entry, None for the whole entry, or a
-# top-level key; the value set there)
+# flaw -> (position in the first entry, None for the whole entry, ... for
+# the whole file, or a top-level key; the value set there)
 _BAD_SEEDS = {
     "string-start": (2, "3"),
     "fractional-finish": (3, 2.7),
@@ -433,15 +444,16 @@ _BAD_SEEDS = {
     "string-complete": ("complete", "no"),
     "number-task-id": (0, 3),
     "number-agent-id": (1, 0),
+    "list-file": (..., [1]),
 }
 
 
 @pytest.mark.parametrize("flaw", _BAD_SEEDS)
 def test_optimize_rejects_malformed_seed_schedule(workspace, runner, flaw):
     """A seed schedule's ids are strings, its start, finish and objective
-    integers, each entry four values and `complete` a bool; anything else
-    exits 1 with a message, not a read of "3" as 3, 2.7 as 2 or "no" as
-    true."""
+    integers, each entry four values and `complete` a bool, and the file an
+    object; anything else exits 1 with a message, not a read of "3" as 3,
+    2.7 as 2 or "no" as true, nor a traceback."""
     sched = str(workspace["root"] / "seed_source.json")
     result = runner.invoke(main, ["schedule", "--problem", workspace["problem"],
                                   "--model", workspace["model"], "--out", sched])
@@ -452,13 +464,16 @@ def test_optimize_rejects_malformed_seed_schedule(workspace, runner, flaw):
         data["entries"][0][entry] = value
     elif entry is None:
         data["entries"][0] = value
+    elif entry is ...:
+        data = value
     else:
         data[entry] = value
     path = _write_json(workspace, f"seed_{flaw}.json", data)
     result = runner.invoke(main, _with_required(
         workspace, ["optimize", "--seed-schedule", path]))
     _assert_error_message(result, path)
-    assert "schedule" in result.output
+    if entry is not ...:  # a whole file of the wrong type names no field
+        assert "schedule" in result.output
 
 
 def test_help_lists_subcommands(runner):

@@ -20,6 +20,7 @@ from demosched.core import (
     load_json,
     problem_from_dict,
     problem_to_dict,
+    release,
     save_json,
     schedule_from_dict,
     schedule_to_dict,
@@ -308,8 +309,9 @@ def test_alive_enabled_gap(tiny_problem):
     state = start(SimState.initial(tiny_problem), "tA", "a0")
     tB = state.compiled.task_index["tB"]
     # tA finishes at 2; tB needs a one-tick gap, so enabled from t=3
-    assert not state.advanced_to(2).waits_released(tB)
-    assert state.advanced_to(3).waits_released(tB)
+    ready = release(state.compiled, tB, state.finish, 0)
+    assert not ready <= 2
+    assert ready <= 3
 
 
 def test_agent_can_reach(tiny_problem):

@@ -706,7 +706,7 @@ def _release_mismatches(cp, rng_seed: int, rule) -> int:
         agent_free, agent_loc, res_free, finish = state
         ready = []
         for t in [u for u, f in enumerate(finish) if f is None]:
-            got = rule(cp, t, res_free, finish)
+            got = rule(cp, t, finish, res_free[cp.resource[t]])
             blocked = any(finish[p] is None for p, _ in cp.waits[t])
             failed += (got is None) != blocked
             if blocked:
@@ -743,24 +743,26 @@ def test_release_matches_the_reference_rule(kind, homogeneous, num_agents,
     assert _release_mismatches(problem.compiled, seed, release) == 0
 
 
-def test_release_check_catches_a_dropped_wait_gap():
-    """Mutation check of the property above: a release that waits for each
-    predecessor's finish but not its gap disagrees with the reference on
-    these fixed problems with waits."""
-    def without_gap(cp, t, res_free, finish):
-        ready = res_free[cp.resource[t]]
-        for p, _ in cp.waits[t]:
-            if finish[p] is None:
-                return None
-            ready = max(ready, finish[p])
-        return ready
+def _release_without_gap(cp, t, finish, floor):
+    """`core.release` with every wait gap dropped: a mutant that waits for
+    each predecessor's finish but not its gap."""
+    ready = floor
+    for p, _ in cp.waits[t]:
+        if finish[p] is None:
+            return None
+        ready = max(ready, finish[p])
+    return ready
 
+
+def test_release_check_catches_a_dropped_wait_gap():
+    """Mutation check of the property above: `_release_without_gap`
+    disagrees with the reference on these fixed problems with waits."""
     failed = 0
     for seed in range(6):
         cp = generate_instance(make_config("temporal", num_agents=1 + seed % 3,
                                            num_tasks=10, rng_seed=seed)).compiled
         assert _release_mismatches(cp, seed, release) == 0
-        failed += _release_mismatches(cp, seed, without_gap)
+        failed += _release_mismatches(cp, seed, _release_without_gap)
     assert failed > 0
 
 

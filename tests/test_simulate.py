@@ -1,5 +1,5 @@
-"""The table-driven simulator against the string-keyed one it replaced, and
-golden demonstrations and replays.
+"""The table-driven simulator against the string-keyed one it replaced and
+against the search's placement rule, and golden demonstrations and replays.
 
 The reference below is the string-keyed simulation state and its checks,
 kept verbatim apart from the state class's name; `RefState.of` builds it
@@ -18,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import HeuristicPolicy
+from demosched import core
 from demosched.core import (
     AgentSpec,
     Compiled,
@@ -39,7 +40,7 @@ from demosched.optimizer import branch_and_bound
 from demosched.policy import train_policy
 from demosched.scheduler import SchedulerConfig, construct_schedule, schedulability_test
 from demosched.simulate import run_simulation
-from test_optimizer import _relabel
+from test_optimizer import _earliest_start, _relabel, _release_without_gap
 
 Point = tuple[float, float]
 
@@ -291,6 +292,80 @@ def test_every_tick_matches_reference(kind, homogeneous, shape, epsilon, seed):
     assert busy_checked > 0
 
 
+def _tick_rule_mismatches(problem: ProblemInstance, epsilon: float, seed: int):
+    """(mismatches, decisions) of an epsilon-noisy expert playthrough. At
+    every decision, agent a's candidates must be the unplaced tasks a can do
+    whose wait predecessors are all placed and whose start by the search's
+    reference rule (`_earliest_start`) is at or before now; `apply_action`
+    must accept each candidate and refuse every other such unplaced task."""
+    rule = select_rule(problem)
+    rng = np.random.default_rng(seed)
+    mismatches = decisions = 0
+
+    def decide(state, a, candidates):
+        nonlocal mismatches, decisions
+        cp, finish = state.compiled, state.finish
+        sequences = (state.agent_free, state.agent_loc, state.res_free, finish)
+        doable = [t for t in state.unfinished() if cp.duration[t][a] is not None]
+        allowed = [t for t in doable
+                   if all(finish[p] is not None for p, _ in cp.waits[t])
+                   and _earliest_start(cp, t, a, *sequences)[0] <= state.time]
+        mismatches += candidates != allowed
+        for t in doable:
+            try:
+                apply_action(state, t, a)
+                mismatches += t not in candidates
+            except InfeasibleActionError:
+                mismatches += t in candidates
+        decisions += 1
+        ids = sorted(cp.task_ids[t] for t in candidates)
+        if not ids:
+            return None
+        if rng.random() < epsilon:
+            return cp.task_index[ids[int(rng.integers(len(ids)))]]
+        return cp.task_index[expert_choice(
+            rule, extract_features(state, a, candidates), ids)]
+
+    run_simulation(problem, decide)
+    return mismatches, decisions
+
+
+@given(kind=st.sampled_from(sorted(KIND_FIELDS)), homogeneous=st.booleans(),
+       num_agents=st.integers(min_value=1, max_value=3),
+       num_tasks=st.integers(min_value=1, max_value=12), relabel=st.booleans(),
+       epsilon=st.sampled_from([0.0, 0.2, 0.5, 1.0]),
+       seed=st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_tick_form_starts_what_the_search_rule_allows(kind, homogeneous, num_agents,
+                                                     num_tasks, relabel, epsilon, seed):
+    """The tick loop and the search agree on when a task may start: at every
+    decision of a playthrough, the candidates are exactly the tasks the
+    search's reference rule would start now, and `apply_action` accepts
+    exactly those."""
+    problem = generate_instance(make_config(
+        kind, num_agents=num_agents, num_tasks=num_tasks,
+        homogeneous=homogeneous, rng_seed=seed))
+    if relabel:
+        problem = _relabel(problem, seed)
+    mismatches, decisions = _tick_rule_mismatches(problem, epsilon, seed)
+    assert decisions > 0
+    assert mismatches == 0
+
+
+def test_tick_form_check_catches_a_dropped_wait_gap(monkeypatch):
+    """Mutation check of the property above: with `core.release` replaced by
+    a copy that drops the wait gap, the tick form disagrees with the
+    reference on these fixed problems with waits."""
+    problems = [generate_instance(make_config("temporal", num_agents=1 + seed % 3,
+                                              num_tasks=10, rng_seed=seed))
+                for seed in range(6)]
+    assert all(_tick_rule_mismatches(p, 0.2, seed)[0] == 0
+               for seed, p in enumerate(problems))
+    monkeypatch.setattr(core, "release", _release_without_gap)
+    assert sum(_tick_rule_mismatches(p, 0.2, seed)[0]
+               for seed, p in enumerate(problems)) > 0
+
+
 _COORD = st.one_of(st.integers(-2, 2).map(float),
                    st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False))
 _POINT = st.tuples(_COORD, _COORD)
@@ -411,7 +486,9 @@ def test_a_state_outlives_its_problem():
         t = state.candidates(0)[0]
         state = apply_action(state, t, 0)
         busy = [u for u in state.unfinished() if cp.resource[u] == cp.resource[t]
-                and cp.duration[u][1] is not None and state.waits_released(u)]
+                and cp.duration[u][1] is not None
+                and all(state.finish[p] is not None and state.finish[p] + gap <= state.time
+                        for p, gap in cp.waits[u])]
         assert busy
         resource_id = resources[cp.resource[t]]
         with pytest.raises(InfeasibleActionError, match=f"resource '{resource_id}' busy"):
