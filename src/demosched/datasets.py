@@ -2,10 +2,10 @@
 
 Three constructions for the priority model (pairwise differences, pointwise
 per-task rows, and a fixed-width concatenation) plus the schedule-vs-idle
-set for the act classifier. The pairwise, pointwise and act sets are each
-read by one walk over the observations. Each row shape has one encoder
-(`pair_rows`, `point_vector`, `wide_vector`), which the matching policy
-also scores with.
+set for the act classifier. Each set is built from one walk over the
+observations; the pairwise and act sets can share theirs, as `train_policy`
+does. Each row shape has one encoder (`pair_rows`, `point_vector`,
+`wide_vector`), which the matching policy also scores with.
 """
 
 from __future__ import annotations
@@ -80,7 +80,23 @@ def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
     Idle observations contribute nothing; the result is exactly
     label-balanced by construction.
     """
-    X, pick_of, picked = _rows(o for d in demos for o in d.observations)
+    return _pairwise(*_walk(demos))
+
+
+def build_act_dataset(demos: list[Demonstration]) -> Dataset:
+    """Positives from scheduling observations, one negative per unfinished
+    task at each idle observation."""
+    return _act(*_walk(demos))
+
+
+def _walk(demos: list[Demonstration]):
+    """`_rows` over every observation of `demos`: the walk that the pairwise
+    and act sets are both built from."""
+    return _rows(o for d in demos for o in d.observations)
+
+
+def _pairwise(X: np.ndarray, pick_of: np.ndarray, picked: np.ndarray) -> Dataset:
+    """`build_pairwise_dataset`'s set from the rows of its walk."""
     other = np.flatnonzero((pick_of >= 0) & ~picked)
     firsts = np.stack([X[pick_of[other], _CONTEXT:], X[other, _CONTEXT:]], axis=1)
     rows = pair_rows(X[other, None, :_CONTEXT], firsts, firsts[:, ::-1])
@@ -90,10 +106,8 @@ def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:
     )
 
 
-def build_act_dataset(demos: list[Demonstration]) -> Dataset:
-    """Positives from scheduling observations, one negative per unfinished
-    task at each idle observation."""
-    X, pick_of, picked = _rows(o for d in demos for o in d.observations)
+def _act(X: np.ndarray, pick_of: np.ndarray, picked: np.ndarray) -> Dataset:
+    """`build_act_dataset`'s set from the rows of its walk."""
     keep = picked | (pick_of < 0)
     return Dataset(X=X[keep], y=picked[keep].astype(int))
 

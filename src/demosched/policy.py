@@ -24,9 +24,10 @@ from .datasets import (
     PAIRWISE_FEATURE_NAMES,
     POINTWISE_FEATURE_NAMES,
     Dataset,
-    build_act_dataset,
+    _act,
+    _pairwise,
+    _walk,
     build_naive_dataset,
-    build_pairwise_dataset,
     build_pointwise_dataset,
     pair_rows,
     point_vector,
@@ -34,7 +35,7 @@ from .datasets import (
 )
 from .demonstrator import Demonstration
 from .features import TASK_FEATURE_NAMES, ContextFeatures, TaskFeatures
-from .tree import DecisionTree, RankBins
+from .tree import DecisionTree, RankBins, fit_leaf_sizes
 
 FEATURE_SCHEMA = "v1"
 
@@ -190,12 +191,13 @@ def _fit(data: Dataset, min_leaf: int) -> DecisionTree:
 def train_policy(demos: list[Demonstration], min_leaf: int | None = 1) -> PolicyModel:
     """min_leaf=None picks the leaf size of both trees by
     `cross_validate_min_leaf` on the pairwise set."""
-    pairwise = build_pairwise_dataset(demos)
+    walk = _walk(demos)  # one walk serves both sets
+    pairwise = _pairwise(*walk)
     if min_leaf is None:
         min_leaf = cross_validate_min_leaf(pairwise)
     return PolicyModel(
         priority_tree=_fit(pairwise, min_leaf),
-        act_tree=_fit(build_act_dataset(demos), min_leaf),
+        act_tree=_fit(_act(*walk), min_leaf),
     )
 
 
@@ -218,7 +220,14 @@ def cross_validate_min_leaf(
     dataset: Dataset, candidates: tuple[int, ...] = MIN_LEAF_GRID, folds: int = 5
 ) -> int:
     """Mean accuracy over contiguous folds; ties go to the larger (more
-    regularized) leaf size."""
+    regularized) leaf size, which is returned as given. Each fold grows
+    the trees of every candidate in one shared pass. Raises ValueError
+    unless there is at least one candidate, each an integer >= 1, and
+    `folds` is an integer >= 2 no larger than the dataset."""
+    if not candidates:
+        raise ValueError("candidates must hold at least one leaf size")
+    if type(folds) is not int or folds < 2:
+        raise ValueError(f"folds must be an integer >= 2, got {folds!r}")
     n = len(dataset)
     if n < folds:
         raise ValueError(f"need at least {folds} examples, got {n}")
@@ -226,10 +235,8 @@ def cross_validate_min_leaf(
     accs: list[list[float]] = [[] for _ in candidates]
     for fold in np.array_split(np.arange(n), folds):
         rows = np.delete(np.arange(n), fold)
-        # every leaf size's fit on this fold starts from one root count
-        hist = bins.root_histogram(dataset.y, rows)
-        for value, fold_accs in zip(candidates, accs):
-            tree = DecisionTree(min_leaf=value).fit_bins(bins, dataset.y, rows, hist)
+        trees = fit_leaf_sizes(bins, dataset.y, rows, candidates)
+        for tree, fold_accs in zip(trees, accs):
             fold_accs.append(float((tree.predict(dataset.X[fold]) == dataset.y[fold]).mean()))
     best_acc, best_value = -1.0, None
     for value, fold_accs in zip(candidates, accs):

@@ -14,8 +14,10 @@ the upper one. After a split, only the smaller child's histogram is counted
 from its rows; the larger child's is the parent's minus it, exact on integer
 counts (the subtraction of LightGBM, Ke et al. 2017). One ranking serves
 every fit on the same matrix: cross-validation folds and one-vs-rest trees
-fit row subsets or relabellings of it, and fits on the same rows can share
-one root histogram.
+fit row subsets or relabellings of it. Trees of several leaf sizes on the
+same rows grow in one shared pass (`fit_leaf_sizes`): each node they share
+is counted and scored once, and they part only where their cuts differ.
+A one-size fit is that pass with one size.
 
 A fitted tree is six parallel node arrays: `feature`, `threshold`, `left`,
 `right` (all -1 at a leaf), `prob` (the positive-class share) and `count`.
@@ -39,6 +41,8 @@ _COUNT_ROWS = 8192  # rows per bincount call when counting a histogram
 
 class DecisionTree:
     def __init__(self, min_leaf: int = 1):
+        # the rule `from_dict` applies, so every fitted tree reloads
+        _number(min_leaf, "min_leaf", (int,))
         if min_leaf < 1:
             raise ValueError("min_leaf must be >= 1")
         self.min_leaf = min_leaf
@@ -58,22 +62,13 @@ class DecisionTree:
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
         return self.fit_bins(RankBins(X), y)
 
-    def fit_bins(self, bins: RankBins, y: np.ndarray, rows: np.ndarray | None = None,
-                 hist: np.ndarray | None = None) -> "DecisionTree":
+    def fit_bins(self, bins: RankBins, y: np.ndarray,
+                 rows: np.ndarray | None = None) -> "DecisionTree":
         """Fit on `rows` (default all) of a ranked matrix; `y` holds a 0/1
-        label for every row of the matrix. `hist`, when given, is
-        `bins.root_histogram(y, rows)`, counted once for several fits on
-        the same rows; the fit reads a copy."""
-        y = np.asarray(y, dtype=int)
-        if len(bins.codes) != len(y):
-            raise ValueError("X and y length mismatch")
-        if ((y != 0) & (y != 1)).any():
-            raise ValueError("labels must be 0 or 1")
-        rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=np.intp)
-        if len(rows) == 0:
-            raise ValueError("no rows to fit")
-        min_leaf = min(self.min_leaf, len(rows))  # clamp to dataset size
-        self._set_nodes(*zip(*_grow(bins, y, rows, min_leaf, hist)))
+        label for every row of the matrix. The one-size case of
+        `fit_leaf_sizes`."""
+        (fitted,) = fit_leaf_sizes(bins, y, rows, (self.min_leaf,))
+        self._set_nodes(*(getattr(fitted, a) for a in _ARRAYS))
         return self
 
     # -- prediction ----------------------------------------------------------
@@ -143,6 +138,26 @@ class DecisionTree:
         return tree
 
 
+def fit_leaf_sizes(bins: RankBins, y: np.ndarray, rows: np.ndarray | None,
+                   min_leafs: tuple[int, ...]) -> list[DecisionTree]:
+    """One tree per leaf size, fitted on `rows` (all when None) of a ranked
+    matrix, where `y` holds a 0/1 label for every row of the matrix. The
+    trees grow together in one pass (see `_grow`), each exactly as a pass
+    of its size alone would grow it."""
+    trees = [DecisionTree(min_leaf=m) for m in min_leafs]
+    y = np.asarray(y, dtype=int)
+    if len(bins.codes) != len(y):
+        raise ValueError("X and y length mismatch")
+    if ((y != 0) & (y != 1)).any():
+        raise ValueError("labels must be 0 or 1")
+    rows = np.arange(len(y)) if rows is None else np.asarray(rows, dtype=np.intp)
+    if len(rows) == 0:
+        raise ValueError("no rows to fit")
+    for tree, nodes in zip(trees, _grow(bins, y, rows, min_leafs)):
+        tree._set_nodes(*zip(*nodes))
+    return trees
+
+
 def _node(record: dict, k: int) -> tuple:
     """Node k's six fields from its JSON record, an object where a leaf leaves
     out the four split fields. `feature`, `left`, `right` and `count` must be
@@ -199,18 +214,17 @@ class RankBins:
                 counts += self._bincount(counted[start:start + _COUNT_ROWS])
         return hist
 
-    def root_histogram(self, y: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The histogram a fit on `rows` under 0/1 labels `y` counts at its
-        root."""
-        return self.histogram(*_positives_first(y, rows))
-
     def _bincount(self, rows: np.ndarray) -> np.ndarray:
         return np.bincount(self.codes[rows].ravel(), minlength=len(self.values))
 
-    def best_cut(self, hist: np.ndarray, n: int, pos: int, min_leaf: int):
-        """(feature, last left bin, threshold) of the lowest weighted child
-        Gini over the cuts after each present bin that leave `min_leaf`
-        rows on both sides, or None when there is no such cut."""
+    def best_cuts(self, hist: np.ndarray, n: int, pos: int, min_leafs: list[int]) -> list:
+        """For each leaf size, the (feature, last left bin, threshold) of the
+        lowest weighted child Gini over the cuts after each present bin that
+        leave that many rows on both sides, or None when there is no such
+        cut. The scores are computed once, over the cuts the least size
+        allows; a larger size takes the least score among its own cuts,
+        which are a subset, so its pick is the one scoring its cuts alone
+        would make."""
         # zero-gain splits are allowed (a pure-fit tree needs them, e.g. on
         # XOR-style data); growth still ends since children shrink
         present = np.flatnonzero(hist[0] > 0)
@@ -218,9 +232,10 @@ class RankBins:
         # running sums restart at each column, whose bins hold n rows
         left_n = np.cumsum(hist[0, present]) - n * column
         left_pos = np.cumsum(hist[1, present]) - pos * column
-        cuts = np.flatnonzero((left_n >= min_leaf) & (left_n <= n - min_leaf))
+        least = min(min_leafs)
+        cuts = np.flatnonzero((left_n >= least) & (left_n <= n - least))
         if len(cuts) == 0:
-            return None
+            return [None] * len(min_leafs)
         left_n = left_n[cuts].astype(float)
         left_pos = left_pos[cuts].astype(float)
         right_n = n - left_n
@@ -228,16 +243,31 @@ class RankBins:
         lp = left_pos / left_n
         rp = right_pos / right_n
         weighted = (left_n * 2 * lp * (1 - lp) + right_n * 2 * rp * (1 - rp)) / n
-        # cuts run in (feature, value) order: ties keep the first
-        k = int(cuts[np.argmin(weighted)])
-        # a valid cut leaves rows on the right, so the next present bin is
-        # in the same column
-        b = int(present[k])
-        lo, hi = self.values[[b, present[k + 1]]].tolist()
-        threshold = 0.5 * (lo + hi)
-        if not lo <= threshold < hi:  # the midpoint of adjacent floats can
-            threshold = lo            # round up; inf + -inf or overflow too
-        return int(column[k]), b, threshold
+        found = []
+        for min_leaf in min_leafs:
+            if min_leaf == least:
+                scores = weighted
+            else:
+                allowed = (left_n >= min_leaf) & (left_n <= n - min_leaf)
+                if not allowed.any():
+                    found.append(None)
+                    continue
+                scores = np.where(allowed, weighted, np.inf)
+            # cuts run in (feature, value) order: ties keep the first
+            k = int(cuts[np.argmin(scores)])
+            # a valid cut leaves rows on the right, so the next present bin
+            # is in the same column
+            b = int(present[k])
+            lo, hi = self.values[[b, present[k + 1]]].tolist()
+            threshold = 0.5 * (lo + hi)
+            if not lo <= threshold < hi:  # the midpoint of adjacent floats can
+                threshold = lo            # round up; inf + -inf or overflow too
+            found.append((int(column[k]), b, threshold))
+        return found
+
+
+def _splittable(n: int, pos: int, min_leaf: int) -> bool:
+    return 0 < pos < n and n >= 2 * min_leaf
 
 
 def _positives_first(y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
@@ -246,55 +276,69 @@ def _positives_first(y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
     return np.concatenate([rows[positive], rows[~positive]]), int(np.count_nonzero(positive))
 
 
-def _grow(bins: RankBins, y: np.ndarray, rows: np.ndarray, min_leaf: int,
-          hist: np.ndarray | None) -> list[list]:
-    """Node records [feature, threshold, left, right, prob, count], appended
-    as nodes are popped; each child's index is written into its parent's
-    `left` or `right` slot.
+def _grow(bins: RankBins, y: np.ndarray, rows: np.ndarray,
+          min_leafs: tuple[int, ...]) -> list[list[list]]:
+    """One list of node records [feature, threshold, left, right, prob,
+    count] per leaf size, each appended as its nodes are popped; each
+    child's index is written into its parent's `left` or `right` slot.
 
-    Only a node that can split gets a histogram. After a split, the smaller
-    child's histogram is counted from its rows and the larger's is the
-    parent's minus it; a child that cannot split keeps none. Every node
-    keeps its positive rows first, so that counting them needs no copy.
-    A root histogram passed in is copied, since splits subtract from it.
+    The trees grow together. A stack entry is one row set and the trees
+    (its members) that hold a node on it: its histogram is counted once
+    and `best_cuts` scores its cuts once for every member's leaf size.
+    Members whose cuts agree share the children; where cuts differ the
+    members fork, and each fork but the last subtracts from a copy of the
+    parent's histogram. Every tree still pops its own nodes in right-first
+    pre-order, so each list is the tree a grow of its size alone makes.
+
+    Only a node that a member can split gets a histogram. After a split,
+    the smaller child's histogram is counted from its rows and the
+    larger's is the parent's minus it; a child that no member can split
+    keeps none. Every node keeps its positive rows first, so that counting
+    them needs no copy.
     """
-
-    def splittable(n: int, pos: int) -> bool:
-        return 0 < pos < n and n >= 2 * min_leaf
-
+    trees: list[list[list]] = [[] for _ in min_leafs]
     rows, pos = _positives_first(y, rows)
-    if not splittable(len(rows), pos):
-        hist = None
-    else:
-        hist = bins.histogram(rows, pos) if hist is None else hist.copy()
-    # explicit stack: unregularized trees can exceed the recursion limit
-    nodes: list[list] = []
-    stack = [(rows, pos, hist, None, None)]
+    hist = bins.histogram(rows, pos) if _splittable(len(rows), pos, min(min_leafs)) else None
+    # explicit stack: unregularized trees can exceed the recursion limit;
+    # a member is (its tree's node list, its leaf size, its parent node)
+    stack = [(rows, pos, hist, None, [(nodes, m, None) for nodes, m in zip(trees, min_leafs)])]
     while stack:
-        rows, pos, hist, parent, side = stack.pop()
-        if parent is not None:
-            parent[side] = len(nodes)
+        rows, pos, hist, side, members = stack.pop()
         n = len(rows)
-        node = [-1, -1, -1, -1, pos / n, n]
-        nodes.append(node)
-        split = None if hist is None else bins.best_cut(hist, n, pos, min_leaf)
-        if split is None:
+        here = []  # the members as parents of this entry's children
+        for nodes, min_leaf, parent in members:
+            if parent is not None:
+                parent[side] = len(nodes)
+            node = [-1, -1, -1, -1, pos / n, n]
+            nodes.append(node)
+            here.append((nodes, min_leaf, node))
+        if hist is None:
             continue
-        node[0], cut, node[1] = split
-        go_left = bins.codes[rows, node[0]] <= cut
-        parts = [rows[go_left], rows[~go_left]]  # order kept: positives first
-        left_pos = int(np.count_nonzero(go_left[:pos]))
-        part_pos = [left_pos, pos - left_pos]
-        wants = [splittable(len(part), c) for part, c in zip(parts, part_pos)]
-        hists = [None, None]
-        if any(wants):
-            small = int(len(parts[1]) < len(parts[0]))
-            counted = bins.histogram(parts[small], part_pos[small])
-            if wants[small]:
-                hists[small] = counted
-            if wants[1 - small]:
-                hist -= counted  # the parent is done with its histogram
-                hists[1 - small] = hist
-        for side in (2, 3):
-            stack.append((parts[side - 2], part_pos[side - 2], hists[side - 2], node, side))
-    return nodes
+        forks: dict[tuple, list[tuple]] = {}
+        for member, cut in zip(here, bins.best_cuts(hist, n, pos, [m for _, m, _ in here])):
+            if cut is not None:
+                forks.setdefault(cut, []).append(member)
+        last = len(forks) - 1
+        for j, ((feature, cut, threshold), group) in enumerate(forks.items()):
+            for _, _, node in group:
+                node[0], node[1] = feature, threshold
+            go_left = bins.codes[rows, feature] <= cut
+            parts = [rows[go_left], rows[~go_left]]  # order kept: positives first
+            left_pos = int(np.count_nonzero(go_left[:pos]))
+            part_pos = [left_pos, pos - left_pos]
+            least = min(m for _, m, _ in group)
+            wants = [_splittable(len(part), c, least) for part, c in zip(parts, part_pos)]
+            hists = [None, None]
+            if any(wants):
+                small = int(len(parts[1]) < len(parts[0]))
+                counted = bins.histogram(parts[small], part_pos[small])
+                if wants[small]:
+                    hists[small] = counted
+                if wants[1 - small]:
+                    # the last fork is the parent's histogram's final reader
+                    rest = hist if j == last else hist.copy()
+                    rest -= counted
+                    hists[1 - small] = rest
+            for side in (2, 3):
+                stack.append((parts[side - 2], part_pos[side - 2], hists[side - 2], side, group))
+    return trees

@@ -454,6 +454,95 @@ def test_every_public_method_has_a_caller():
     assert uncalled == {}
 
 
+# defaulted parameters no call passes, kept on purpose
+UNPASSED_ALLOWED: dict[str, str] = {}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> dict[str, int | None]:
+    """Each defaulted parameter's name and its position among those a call
+    passes positionally (None for a keyword-only one); a method's `self`
+    or `cls` is no position."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if method and "staticmethod" not in [ast.unparse(d) for d in fn.decorator_list]:
+        positional = positional[1:]
+    first = len(positional) - len(args.defaults)
+    found = {arg.arg: k for k, arg in enumerate(positional) if k >= first}
+    found.update((arg.arg, None) for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                 if default is not None)
+    return found
+
+
+def _unpassed_defaults(library: list[str], callers: list[str]) -> list[str]:
+    """`function: parameter` for each defaulted parameter of a public
+    function, or public method or `__init__` of a public class, in the
+    `library` sources that no call in the `callers` sources passes, by
+    keyword or by position. A call is matched by the name it calls (an
+    `__init__` by its class's); one that unpacks `*args` passes every
+    position, and one that unpacks `**kwargs` every keyword."""
+    defined = []  # (shown as, called as, parameters)
+    for source in library:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                defined.append((node.name, node.name, _defaulted(node, False)))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for fn in node.body:
+                    if isinstance(fn, ast.FunctionDef) and (
+                            fn.name == "__init__" or not fn.name.startswith("_")):
+                        called = node.name if fn.name == "__init__" else fn.name
+                        defined.append((f"{node.name}.{fn.name}", called,
+                                        _defaulted(fn, True)))
+    passed: dict[str, set] = {}  # called name -> keywords and positions passed
+    for source in callers:
+        for call in ast.walk(ast.parse(source)):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            got = passed.setdefault(name, set())
+            got.update(k.arg or "**" for k in call.keywords)
+            got.update(range(len(call.args)))
+            if any(isinstance(a, ast.Starred) for a in call.args):
+                got.add("*")
+    unpassed = []
+    for shown, called, params in defined:
+        got = passed.get(called, set())
+        unpassed += [f"{shown}: {name}" for name, k in params.items()
+                     if name not in got and "**" not in got
+                     and (k is None or (k not in got and "*" not in got))]
+    return unpassed
+
+
+def test_every_defaulted_parameter_is_passed():
+    """Every defaulted parameter of a public library function, method or
+    class is passed by some call in the library, the tests or the
+    benchmark: a default nothing overrides is a knob nobody turns, or a
+    parameter left over from a caller that is gone."""
+    library = [p.read_text() for p in _module_paths()]
+    callers = [p.read_text() for p in _module_paths("tests", "perfbench")]
+    unpassed = [name for name in _unpassed_defaults(library, callers)
+                if name not in UNPASSED_ALLOWED]
+    assert unpassed == []
+
+
+def test_defaulted_parameter_check_catches_a_leftover():
+    """Mutation check for the rule above, on a fixed source: parameters
+    passed by keyword, by position, through `__init__` or by unpacking
+    pass it, and a leftover one does not."""
+    library = (
+        "def fit(bins, y, rows=None, hist=None): pass\n"
+        "def grid(values, folds=5, *, seed=0): pass\n"
+        "class Tree:\n"
+        "    def __init__(self, min_leaf=1): pass\n"
+        "    def predict(self, X, cut=0.5): pass\n"
+        "    def _hidden(self, unused=1): pass\n")
+    callers = ("fit(b, y, rows)\n"
+               "grid(v, **options)\n"
+               "Tree(min_leaf=3).predict(X)\n")
+    assert _unpassed_defaults([library], [callers]) == ["fit: hist", "Tree.predict: cut"]
+    assert _unpassed_defaults([library], [callers + "t.predict(*args)\n"]) == ["fit: hist"]
+
+
 def test_every_module_import_is_used():
     """No module of the library, the tests or the benchmark imports a name
     at module level that no expression in it reads."""

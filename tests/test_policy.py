@@ -223,6 +223,33 @@ class TestCrossValidation:
         ds = Dataset(X=X, y=y)
         assert cross_validate_min_leaf(ds) == MIN_LEAF_GRID[-1]
 
+    @pytest.mark.parametrize("candidates, folds, match", [
+        ((), 5, "candidates"),
+        (MIN_LEAF_GRID, 1, "folds"),
+        (MIN_LEAF_GRID, 0, "folds"),
+        (MIN_LEAF_GRID, -1, "folds"),
+        (MIN_LEAF_GRID, 2.0, "folds"),
+        (tuple(np.unique([5, 1])), 5, "min_leaf must be an integer"),
+        ((1, 2.5), 5, "min_leaf must be an integer"),
+    ])
+    def test_arguments_checked(self, candidates, folds, match):
+        rng = np.random.default_rng(1)
+        ds = Dataset(X=rng.uniform(size=(40, 2)), y=rng.integers(0, 2, size=40))
+        with pytest.raises(ValueError, match=match):
+            cross_validate_min_leaf(ds, candidates, folds)
+
+    def test_picks_a_candidate_as_given(self, small_demos):
+        """The pick is the Python int passed in, so the model it trains
+        dumps as JSON."""
+        ds = build_pairwise_dataset(small_demos)
+        candidates = (1, 5, 25)
+        leaf = cross_validate_min_leaf(ds, candidates)
+        assert type(leaf) is int and leaf in candidates
+        model = train_policy(small_demos, None)
+        assert type(model.priority_tree.min_leaf) is int
+        assert PolicyModel.from_dict(json.loads(json.dumps(model.to_dict()))).to_dict() \
+            == model.to_dict()
+
     def test_too_few_examples(self):
         ds = Dataset(X=np.zeros((3, 1)), y=np.zeros(3, dtype=int))
         with pytest.raises(ValueError):

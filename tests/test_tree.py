@@ -1,3 +1,4 @@
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -5,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demosched import policy as policy_module
 from demosched.datasets import Dataset
 from demosched.policy import cross_validate_min_leaf
-from demosched.tree import DecisionTree, RankBins
+from demosched.tree import DecisionTree, RankBins, fit_leaf_sizes
 
 
 def oracle_best_split(X, y, min_leaf):
@@ -99,6 +101,12 @@ class TestFitBasics:
         with pytest.raises(ValueError, match="0 or 1"):
             DecisionTree().fit(np.array([[0.0], [1.0]]), np.array([0, 2]))
 
+    @pytest.mark.parametrize("min_leaf", [2.5, True, np.int64(3), "3", float("inf")])
+    def test_min_leaf_must_be_an_integer(self, min_leaf):
+        """The rule `from_dict` applies: a tree that fits can be reloaded."""
+        with pytest.raises(ValueError, match="min_leaf must be an integer"):
+            DecisionTree(min_leaf=min_leaf)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             DecisionTree(min_leaf=0)
@@ -172,6 +180,15 @@ class TestSerialization:
         clone = DecisionTree.from_dict(tree.to_dict())
         assert np.array_equal(clone.predict_proba(X), tree.predict_proba(X))
         assert clone.min_leaf == tree.min_leaf
+
+    @pytest.mark.parametrize("min_leaf", [1, 3, 1000])
+    def test_json_roundtrip(self, min_leaf):
+        """Every tree that fits is written as JSON and reloaded as itself."""
+        rng = np.random.default_rng(4)
+        X = rng.integers(0, 4, size=(60, 2)).astype(float)
+        tree = DecisionTree(min_leaf=min_leaf).fit(X, rng.integers(0, 2, size=60))
+        data = json.loads(json.dumps(tree.to_dict()))
+        assert DecisionTree.from_dict(data).to_dict() == tree.to_dict()
 
     def test_deep_tree_roundtrip(self):
         # contradictory labels force an unbalanced, very deep tree
@@ -474,40 +491,114 @@ def test_cross_validation_matches_reference(seed, rows, width, levels, signed_ze
             == _reference_cross_validate(data, candidates, folds))
 
 
+def _row_sets(tree: DecisionTree, X: np.ndarray, rows: np.ndarray) -> dict:
+    """Each node's row set (sorted, as bytes) mapped to the cut paths, from
+    the root, by which the tree reaches it."""
+    found: dict = {}
+    stack = [(0, (), rows)]
+    while stack:
+        i, path, part = stack.pop()
+        found.setdefault(np.sort(part).tobytes(), set()).add(path)
+        if tree.feature[i] >= 0:
+            cut = (int(tree.feature[i]), float(tree.threshold[i]))
+            go_left = X[part, cut[0]] <= cut[1]
+            stack.append((tree.left[i], path + (cut, "left"), part[go_left]))
+            stack.append((tree.right[i], path + (cut, "right"), part[~go_left]))
+    return found
+
+
 def test_cross_validation_counts_each_fold_root_once(monkeypatch):
-    """One root-sized histogram count per fold, shared by every leaf size:
-    any other count is a child's, at most half its parent's rows."""
+    """One root-sized histogram count per fold, shared by every leaf size;
+    any other count is a child's, at most half its parent's rows. Within a
+    fold no row set is counted more often than the fold's trees reach it by
+    distinct cut paths: a node that several leaf sizes share is counted
+    once, and only trees that cut differently on the way (say x <= 4.5 and
+    then x <= 1.5, against x <= 1.5 at once) may count the same rows again.
+    So the fold's one pass counts fewer histograms than separate fits."""
     rng = np.random.default_rng(5)
     rows, folds = 400, 5
     data = Dataset(X=rng.integers(0, 6, size=(rows, 3)).astype(float),
                    y=rng.integers(0, 2, size=rows))
-    counted = []
-    histogram = RankBins.histogram
+    counted: list[list[bytes]] = []  # each counted row set, per fit call
+    passes = []  # each fold's fitted rows and trees
+    histogram, fit_leaf_sizes_ = RankBins.histogram, policy_module.fit_leaf_sizes
 
     def spy(self, rows, pos):
-        counted.append(len(rows))
+        counted[-1].append(np.sort(rows).tobytes())
         return histogram(self, rows, pos)
 
+    def one_pass(bins, y, rows, min_leafs):
+        counted.append([])
+        trees = fit_leaf_sizes_(bins, y, rows, min_leafs)
+        passes.append((rows, trees))
+        return trees
+
     monkeypatch.setattr(RankBins, "histogram", spy)
+    monkeypatch.setattr(policy_module, "fit_leaf_sizes", one_pass)
     cross_validate_min_leaf(data, folds=folds)
+    assert len(passes) == folds
     root = rows - rows // folds
-    assert counted.count(root) == folds
-    assert all(n == root or n <= root // 2 for n in counted)
+    sizes = [len(row_set) // np.dtype(np.intp).itemsize
+             for fold in counted for row_set in fold]
+    assert sizes.count(root) == folds
+    assert all(n == root or n <= root // 2 for n in sizes)
+    for fold, (fold_rows, trees) in zip(counted, passes):
+        paths: dict = {}
+        for tree in trees:
+            for row_set, reached in _row_sets(tree, data.X, fold_rows).items():
+                paths.setdefault(row_set, set()).update(reached)
+        assert all(fold.count(row_set) <= len(paths[row_set]) for row_set in set(fold))
+
+    bins, shared = RankBins(data.X), sum(map(len, counted))
+    for fold_rows, trees in passes:
+        for tree in trees:
+            counted.append([])
+            DecisionTree(min_leaf=tree.min_leaf).fit_bins(bins, data.y, fold_rows)
+    assert shared < sum(map(len, counted[folds:]))
 
 
-def test_fit_from_root_histogram_reads_a_copy():
-    """A fit given the root histogram grows the tree a fit counting its own
-    would, and leaves the histogram as it was for the next fit."""
-    rng = np.random.default_rng(6)
-    X = rng.integers(0, 5, size=(300, 3)).astype(float)
-    y = rng.integers(0, 2, size=300)
+def _shared_mismatches(X, y, rows, min_leafs) -> list:
+    """The leaf sizes whose tree from the shared grow differs from the
+    one-size fit on the same rows of the same ranking."""
     bins = RankBins(X)
-    rows = np.flatnonzero(rng.random(300) < 0.8)
-    hist = bins.root_histogram(y, rows)
-    before = hist.copy()
-    for min_leaf in (1, 4, 25):
-        tree = DecisionTree(min_leaf=min_leaf).fit_bins(bins, y, rows, hist)
-        assert tree.num_leaves() > 1
-        assert (tree.to_dict()
-                == DecisionTree(min_leaf=min_leaf).fit_bins(bins, y, rows).to_dict())
-        assert np.array_equal(hist, before)
+    shared = fit_leaf_sizes(bins, y, rows, tuple(min_leafs))
+    return [m for m, tree in zip(min_leafs, shared)
+            if tree.to_dict() != DecisionTree(min_leaf=m).fit_bins(bins, y, rows).to_dict()]
+
+
+@given(**_AWKWARD, min_leafs=st.lists(
+    st.sampled_from([1, 2, 3, 5, 7, 25, "over half", "all rows"]), min_size=1, max_size=7))
+@settings(max_examples=150, deadline=None)
+def test_shared_grow_matches_one_size_fits(seed, rows, width, levels, signed_zeros,
+                                           neighbours, constant, min_leafs):
+    """Each tree of one shared grow is its size's own fit, node for node,
+    for leaf-size tuples with repeats, in any order and past half the rows,
+    on the whole matrix and on a random row subset."""
+    rng = np.random.default_rng(seed)
+    X = _awkward_matrix(rng, rows, width, levels, signed_zeros, neighbours, constant)
+    y = rng.integers(0, 2, size=rows)
+    min_leafs = [rows // 2 + 1 if m == "over half" else rows if m == "all rows" else m
+                 for m in min_leafs]
+    assert _shared_mismatches(X, y, None, min_leafs) == []
+    subset = np.flatnonzero(rng.random(rows) < rng.uniform(0.3, 1.0))
+    if len(subset):
+        assert _shared_mismatches(X, y, subset, min_leafs) == []
+
+
+def test_shared_grow_check_catches_sizes_kept_together(monkeypatch):
+    """Mutation check for the property above: a grow whose sizes all follow
+    the first size's cut, after their own cuts differ, must fail it."""
+    rng = np.random.default_rng(8)
+    X = rng.integers(0, 6, size=(200, 3)).astype(float)
+    y = rng.integers(0, 2, size=200)
+    min_leafs = [1, 10, 25]
+    assert _shared_mismatches(X, y, None, min_leafs) == []
+    best_cuts = RankBins.best_cuts
+
+    def together(self, hist, n, pos, sizes):
+        found = best_cuts(self, hist, n, pos, sizes)
+        first = next((cut for cut in found if cut is not None), None)
+        return [None if cut is None else first for cut in found]
+
+    monkeypatch.setattr(RankBins, "best_cuts", together)
+    assert _shared_mismatches(X, y, None, min_leafs) == [10, 25]
