@@ -73,6 +73,7 @@ from .core import (
     Compiled,
     ProblemInstance,
     Schedule,
+    _number,
     place,
     release,
     validate_schedule,
@@ -256,7 +257,15 @@ def branch_and_bound(
     A seed naming a task or agent the problem lacks raises StructuralError.
     An infeasible or incomplete seed, or one giving a task to an agent that
     cannot do it, is rejected with a warning and the search proceeds cold.
+    Raises ValueError naming the argument on a negative or NaN limit or
+    threshold, or a `node_limit` that is not an integer (a bool is not).
     """
+    if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
+        raise ValueError(f"node_limit must be an integer >= 0, got {node_limit!r}")
+    if not gap_threshold >= 0:  # NaN compares false
+        raise ValueError(f"gap_threshold must be a number >= 0, got {gap_threshold!r}")
+    if time_limit is not None and not time_limit >= 0:
+        raise ValueError(f"time_limit must be a number >= 0, got {time_limit!r}")
     t0 = _time.perf_counter()
 
     cp = problem.compiled
@@ -519,7 +528,7 @@ def perturb(
     """
     if kind not in PERTURBATION_KINDS:
         raise ValueError(f"unknown perturbation kind {kind!r}")
-    if count < 0:
+    if _number(count, "count", (int,)) < 0:
         raise ValueError("count must be >= 0")
     cp = problem.compiled
     base = [(cp.task_at(e.task_id), cp.agent_at(e.agent_id)) for e in schedule.entries]

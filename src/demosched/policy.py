@@ -211,7 +211,7 @@ def train_naive(demos: list[Demonstration], min_leaf: int,
     data = build_naive_dataset(demos)
     bins = RankBins(data.X)  # one ranking serves every one-vs-rest tree
     task_ids = sorted(t.id for t in demos[0].problem.tasks)
-    trees = [DecisionTree(min_leaf=min_leaf).fit_bins(bins, (data.y == k).astype(int))
+    trees = [fit_leaf_sizes(bins, (data.y == k).astype(int), None, (min_leaf,))[0]
              for k in range(len(task_ids))]
     return NaivePolicy(class_trees=trees, task_ids=task_ids, act_tree=act_tree)
 

@@ -15,9 +15,9 @@ from its rows; the larger child's is the parent's minus it, exact on integer
 counts (the subtraction of LightGBM, Ke et al. 2017). One ranking serves
 every fit on the same matrix: cross-validation folds and one-vs-rest trees
 fit row subsets or relabellings of it. Trees of several leaf sizes on the
-same rows grow in one shared pass (`fit_leaf_sizes`): each node they share
-is counted and scored once, and they part only where their cuts differ.
-A one-size fit is that pass with one size.
+same rows grow in one shared pass (`fit_leaf_sizes`, whose one-size case
+is `DecisionTree.fit`): each node they share is counted and scored once,
+and they part only where their cuts differ.
 
 A fitted tree is six parallel node arrays: `feature`, `threshold`, `left`,
 `right` (all -1 at a leaf), `prob` (the positive-class share) and `count`.
@@ -60,14 +60,8 @@ class DecisionTree:
     # -- training -----------------------------------------------------------
 
     def fit(self, X: np.ndarray, y: np.ndarray) -> "DecisionTree":
-        return self.fit_bins(RankBins(X), y)
-
-    def fit_bins(self, bins: RankBins, y: np.ndarray,
-                 rows: np.ndarray | None = None) -> "DecisionTree":
-        """Fit on `rows` (default all) of a ranked matrix; `y` holds a 0/1
-        label for every row of the matrix. The one-size case of
-        `fit_leaf_sizes`."""
-        (fitted,) = fit_leaf_sizes(bins, y, rows, (self.min_leaf,))
+        """The one-size case of `fit_leaf_sizes`, on every row of `X`."""
+        (fitted,) = fit_leaf_sizes(RankBins(X), y, None, (self.min_leaf,))
         self._set_nodes(*(getattr(fitted, a) for a in _ARRAYS))
         return self
 
@@ -270,12 +264,6 @@ def _splittable(n: int, pos: int, min_leaf: int) -> bool:
     return 0 < pos < n and n >= 2 * min_leaf
 
 
-def _positives_first(y: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
-    """`rows` with its positive rows first, and how many there are."""
-    positive = y[rows] == 1
-    return np.concatenate([rows[positive], rows[~positive]]), int(np.count_nonzero(positive))
-
-
 def _grow(bins: RankBins, y: np.ndarray, rows: np.ndarray,
           min_leafs: tuple[int, ...]) -> list[list[list]]:
     """One list of node records [feature, threshold, left, right, prob,
@@ -297,7 +285,8 @@ def _grow(bins: RankBins, y: np.ndarray, rows: np.ndarray,
     them needs no copy.
     """
     trees: list[list[list]] = [[] for _ in min_leafs]
-    rows, pos = _positives_first(y, rows)
+    positive = y[rows] == 1
+    rows, pos = np.concatenate([rows[positive], rows[~positive]]), int(np.count_nonzero(positive))
     hist = bins.histogram(rows, pos) if _splittable(len(rows), pos, min(min_leafs)) else None
     # explicit stack: unregularized trees can exceed the recursion limit;
     # a member is (its tree's node list, its leaf size, its parent node)

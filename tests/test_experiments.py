@@ -543,6 +543,83 @@ def test_defaulted_parameter_check_catches_a_leftover():
     assert _unpassed_defaults([library], [callers + "t.predict(*args)\n"]) == ["fit: hist"]
 
 
+# parameters no body reads, kept on purpose
+UNREAD_ALLOWED = {
+    "cli.py: _min_leaf: ctx": "click calls an option callback as (ctx, param, value)",
+    "cli.py: _min_leaf: param": "click calls an option callback as (ctx, param, value)",
+    "generator.py: KIND_FIELDS['travel'].<lambda>: n":
+        "every kind's fields take the task count; travel's do not depend on it",
+}
+
+
+def _unread_parameters(module: str, source: str) -> list[str]:
+    """`module: function: parameter` for each parameter of a function,
+    method, closure or lambda in `source` that its body never reads, `self`
+    and `cls` aside. A function is named by the classes and functions it
+    sits in; a lambda by the name, and dict key, it is bound to, then
+    `<lambda>`."""
+    unread = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            where = f"{where}.{node.name}".lstrip(".")
+        elif isinstance(node, ast.Lambda):
+            where = f"{where}.<lambda>".lstrip(".")
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {n.id for part in body for n in ast.walk(part)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread.extend(f"{module}: {where}: {p}" for p in params
+                          if p not in read and p not in ("self", "cls"))
+        labels = {}  # id of a child -> the name it is bound to
+        if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name):
+            labels[id(node.value)] = f"{where}.{node.targets[0].id}".lstrip(".")
+        elif isinstance(node, ast.Dict):
+            labels.update((id(value), f"{where}[{key.value!r}]")
+                          for key, value in zip(node.keys, node.values)
+                          if isinstance(key, ast.Constant))
+        for child in ast.iter_child_nodes(node):
+            visit(child, labels.get(id(child), where))
+
+    visit(ast.parse(source), "")
+    return unread
+
+
+def test_every_parameter_is_read():
+    """Every parameter of a library function, method, closure or lambda is
+    read by its body: one that nothing reads is a knob that turns nothing,
+    or a value left over from a caller that is gone. Every exemption is
+    still needed."""
+    unread = {name for path in _module_paths()
+              for name in _unread_parameters(path.name, path.read_text())}
+    assert sorted(unread - UNREAD_ALLOWED.keys()) == []
+    assert sorted(UNREAD_ALLOWED.keys() - unread) == []
+
+
+def test_unread_parameter_check_catches_a_leftover():
+    """Mutation check for the rule above, on a fixed source: parameters read
+    in the body, in a closure or through `self` pass it, and a leftover one
+    of a function, method, closure or lambda does not."""
+    source = (
+        "def fit(bins, y, rows, hist):\n"
+        "    def walk(node, depth):\n"
+        "        return node + y\n"
+        "    return walk(bins, rows)\n"
+        "class Tree:\n"
+        "    def predict(self, X, *args, cut=0.5, **kw):\n"
+        "        return self.score(X, *args, **kw)\n"
+        "    @classmethod\n"
+        "    def load(cls, data):\n"
+        "        return cls()\n"
+        "KINDS = {'plain': lambda n: {}, 'sized': lambda n: {'n': n}}\n")
+    assert _unread_parameters("m.py", source) == [
+        "m.py: fit: hist", "m.py: fit.walk: depth", "m.py: Tree.predict: cut",
+        "m.py: Tree.load: data", "m.py: KINDS['plain'].<lambda>: n"]
+
+
 def test_every_module_import_is_used():
     """No module of the library, the tests or the benchmark imports a name
     at module level that no expression in it reads."""

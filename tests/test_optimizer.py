@@ -163,6 +163,17 @@ class TestBranchAndBound:
         result = branch_and_bound(temporal_problem, time_limit=0.0)
         assert result.status == "time_limit"
 
+    @pytest.mark.parametrize("argument, value", [
+        ("node_limit", -1), ("node_limit", True), ("node_limit", 2.0),
+        ("node_limit", float("nan")), ("time_limit", -1.0), ("time_limit", float("nan")),
+        ("gap_threshold", -0.5), ("gap_threshold", float("nan")),
+    ])
+    def test_bad_limit_refused(self, temporal_problem, argument, value):
+        """A negative or NaN limit or threshold, or a non-integer node limit,
+        is refused before any node is explored, not read as a stop."""
+        with pytest.raises(ValueError, match=f"^{argument} must be"):
+            branch_and_bound(temporal_problem, **{argument: value})
+
     def test_incumbent_trace_monotone(self, temporal_problem):
         result = branch_and_bound(temporal_problem, gap_threshold=0.0)
         objectives = [obj for _, obj in result.incumbent_trace]
@@ -326,6 +337,14 @@ class TestPerturb:
             perturb(problem, schedule, "teleport", 1)
         with pytest.raises(ValueError):
             perturb(problem, schedule, "swap", -1)
+
+    @pytest.mark.parametrize("count", [True, 1.5])
+    def test_count_must_be_an_integer(self, optimal, count):
+        """A bool is no count of edits, and a fraction is refused by name
+        rather than failing inside `range`."""
+        problem, schedule = optimal
+        with pytest.raises(StructuralError, match="count must be an integer"):
+            perturb(problem, schedule, "swap", count)
 
     @pytest.mark.parametrize("kind", PERTURBATION_KINDS)
     def test_unknown_task_raises(self, optimal, kind):

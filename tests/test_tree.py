@@ -474,7 +474,7 @@ def test_histogram_grower_matches_reference(seed, rows, width, levels, signed_ze
     bins = RankBins(X)
     subset = np.flatnonzero(rng.random(rows) < rng.uniform(0.3, 1.0))
     if len(subset):
-        assert (DecisionTree(min_leaf=min_leaf).fit_bins(bins, y, subset).to_dict()
+        assert (fit_leaf_sizes(bins, y, subset, (min_leaf,))[0].to_dict()
                 == _reference_fit(X[subset], y[subset], min_leaf).to_dict())
 
 
@@ -553,7 +553,7 @@ def test_cross_validation_counts_each_fold_root_once(monkeypatch):
     for fold_rows, trees in passes:
         for tree in trees:
             counted.append([])
-            DecisionTree(min_leaf=tree.min_leaf).fit_bins(bins, data.y, fold_rows)
+            fit_leaf_sizes(bins, data.y, fold_rows, (tree.min_leaf,))
     assert shared < sum(map(len, counted[folds:]))
 
 
@@ -563,7 +563,7 @@ def _shared_mismatches(X, y, rows, min_leafs) -> list:
     bins = RankBins(X)
     shared = fit_leaf_sizes(bins, y, rows, tuple(min_leafs))
     return [m for m, tree in zip(min_leafs, shared)
-            if tree.to_dict() != DecisionTree(min_leaf=m).fit_bins(bins, y, rows).to_dict()]
+            if tree.to_dict() != fit_leaf_sizes(bins, y, rows, (m,))[0].to_dict()]
 
 
 @given(**_AWKWARD, min_leafs=st.lists(
