@@ -30,6 +30,7 @@ from __future__ import annotations
 import graphlib
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -554,10 +555,15 @@ def problem_to_dict(problem: ProblemInstance) -> dict:
 
 
 def _number(value, what: str, kinds=(int, float)):
-    """`value` if it is a finite number of a type in `kinds`; a bool never is."""
+    """`value` if it is a finite number of a type in `kinds`; a bool never
+    is, nor an int too large for a float, as loaded numbers become feature
+    values and coordinates."""
     if type(value) not in kinds or not abs(value) < math.inf:
         noun = "an integer" if kinds == (int,) else "a finite number"
         raise StructuralError(f"{what} must be {noun}, got {value!r}")
+    if abs(value) > sys.float_info.max:  # only an int gets here
+        raise StructuralError(f"{what} must be at most {sys.float_info.max!r} in size, "
+                              f"got {value!r}")
     return value
 
 

@@ -11,6 +11,7 @@ does. Each row shape has one encoder (`pair_rows`, `point_vector`,
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -62,16 +63,22 @@ def _rows(observations):
     observation order and by task id within each observation. Also returns,
     per row, the index of the row its observation picked (-1 when the
     observation idled) and whether the row is that pick."""
-    flat, pick_of = [], []  # one flat list, not a list per row: half the peak memory
-    for obs in observations:
-        ids = sorted(obs.task_features)
-        pick = -1 if obs.scheduled is None else len(pick_of) + ids.index(obs.scheduled[0])
-        pick_of += [pick] * len(ids)
-        for tid in ids:
-            flat += point_vector(obs.context, obs.task_features[tid])
-    pick_of = np.array(pick_of, dtype=int)
-    X = np.array(flat, dtype=float).reshape(len(pick_of), len(POINTWISE_FEATURE_NAMES))
-    return X, pick_of, pick_of == np.arange(len(pick_of))
+    observations = list(observations)
+    m = len(observations)
+    sizes = np.fromiter((len(o.task_features) for o in observations), dtype=int, count=m)
+    # a pick's place in id order is the number of ids before it
+    ranks = np.fromiter((-1 if o.scheduled is None else sum(map(o.scheduled[0].__gt__,
+                                                                o.task_features))
+                         for o in observations), dtype=int, count=m)
+    rows = chain.from_iterable(  # context + features: point_vector's values
+        map(o.context.__add__, map(o.task_features.__getitem__, sorted(o.task_features)))
+        for o in observations)
+    # numpy converts each value as it is read, so no list holds them all and
+    # no second array holds a block of columns to copy in
+    n, width = int(sizes.sum()), len(POINTWISE_FEATURE_NAMES)
+    X = np.fromiter(chain.from_iterable(rows), dtype=float, count=n * width).reshape(n, width)
+    pick_of = np.repeat(np.where(ranks < 0, -1, np.cumsum(sizes) - sizes + ranks), sizes)
+    return X, pick_of, pick_of == np.arange(n)
 
 
 def build_pairwise_dataset(demos: list[Demonstration]) -> Dataset:

@@ -28,14 +28,13 @@ in that order, and a leaf's record leaves out the four split fields.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import _number
 
 _ARRAYS = ("feature", "threshold", "left", "right", "prob", "count")
 _FEW_ROWS = 16  # predict_proba walks batches up to this size row by row
+_INTP_MAX = int(np.iinfo(np.intp).max)
 _COUNT_ROWS = 8192  # rows per bincount call when counting a histogram
 
 
@@ -155,23 +154,34 @@ def fit_leaf_sizes(bins: RankBins, y: np.ndarray, rows: np.ndarray | None,
 def _node(record: dict, k: int) -> tuple:
     """Node k's six fields from its JSON record, an object where a leaf leaves
     out the four split fields. `feature`, `left`, `right` and `count` must be
-    integers, `count` at least 1, `threshold` a number other than NaN (an
-    infinite cut is one `fit` can make) and `prob` a number in [0, 1]."""
+    integers that a node array holds, `count` at least 1, `threshold` a
+    number other than NaN that a float holds (an infinite cut is one `fit`
+    can make) and `prob` a number in [0, 1]."""
     what = f"malformed tree: node {k}"
     if not isinstance(record, dict):
         raise ValueError(f"{what} must be an object, got {record!r}")
-    feature, left, right = (_number(record.get(key, -1), f"{what} {key}", (int,))
+    feature, left, right = (_node_int(record.get(key, -1), f"{what} {key}")
                             for key in ("feature", "left", "right"))
     threshold = record.get("threshold", -1)
-    if type(threshold) not in (int, float) or math.isnan(threshold):
+    if type(threshold) not in (int, float) or threshold != threshold:
         raise ValueError(f"{what} threshold must be a number, got {threshold!r}")
+    if type(threshold) is int:  # one too large for a float is refused
+        _number(threshold, f"{what} threshold", (int,))
     prob = _number(record["prob"], f"{what} prob")
     if not 0 <= prob <= 1:
         raise ValueError(f"{what} prob must be in [0, 1], got {prob!r}")
-    count = _number(record["count"], f"{what} count", (int,))
+    count = _node_int(record["count"], f"{what} count")
     if count < 1:
         raise ValueError(f"{what} count must be at least 1, got {count!r}")
     return feature, threshold, left, right, prob, count
+
+
+def _node_int(value, what: str) -> int:
+    """`value` if it is an integer that a node array can hold."""
+    value = _number(value, what, (int,))
+    if abs(value) > _INTP_MAX:
+        raise ValueError(f"{what} must be at most {_INTP_MAX} in size, got {value!r}")
+    return value
 
 
 class RankBins:

@@ -107,6 +107,10 @@ _BAD_MODELS = {
                        "node 0 prob must be in [0, 1], got 7.0"),
     "negative-count": (lambda m: m["priority_tree"]["nodes"][0].update(count=-3),
                        "node 0 count must be at least 1, got -3"),
+    "huge-threshold": (lambda m: m["priority_tree"]["nodes"][0].update(threshold=10**400),
+                       "node 0 threshold must be at most 1.7976931348623157e+308 in size"),
+    "huge-count": (lambda m: m["priority_tree"]["nodes"][0].update(count=10**30),
+                   "node 0 count must be at most 9223372036854775807 in size"),
     "fractional-min-leaf": (lambda m: m["priority_tree"].update(min_leaf=1.9),
                             "min_leaf must be an integer, got 1.9"),
     "list-node": (lambda m: m["act_tree"]["nodes"].__setitem__(0, [1]),
@@ -281,6 +285,9 @@ _BAD_VALUES = {
     # finite, but travel would take infinitely many ticks
     "subnormal-speed": ("agents", "speed", 1e-320),
     "far-start": ("agents", "start_location", [1.7e308, 1.7e308]),
+    # an int that no float holds, which JSON allows
+    "huge-location": ("tasks", "location", [10**400, 0]),
+    "huge-speed": ("agents", "speed", 10**400),
     "list-durations": ("tasks", "durations", [3, 3]),
     "short-wait": ("tasks", "waits", [["t01"]]),
     "string-wait": ("tasks", "waits", ["t01"]),
@@ -292,7 +299,7 @@ _BAD_VALUES = {
 @pytest.mark.parametrize("command", ["demonstrate", "schedule", "optimize"])
 @pytest.mark.parametrize("flaw", ["wait-cycle", "schema-v0", "string-deadline",
                                   "duplicate-resource", "no-tasks", "list-file",
-                                  "number-task", *_BAD_VALUES])
+                                  "number-task", "huge-horizon", *_BAD_VALUES])
 def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
     data = load_json(workspace["problem"])
     if flaw == "schema-v0":
@@ -307,6 +314,8 @@ def test_malformed_problem_is_error_message(workspace, runner, command, flaw):
         data["tasks"][0] = 5
     elif flaw == "string-deadline":
         data["tasks"][0]["abs_deadline"] = str(data["tasks"][0]["abs_deadline"])
+    elif flaw == "huge-horizon":
+        data["horizon"] = 10**400
     elif flaw in _BAD_VALUES:
         owners, key, value = _BAD_VALUES[flaw]
         data[owners][0][key] = value
@@ -356,6 +365,7 @@ _BAD_OBSERVATIONS = {
     "short-context": lambda o: o.update(context=[1.0]),
     "nan-feature": lambda o: o["task_features"][o["candidates"][0]].__setitem__(
         0, float("nan")),
+    "huge-feature": lambda o: o["task_features"][o["candidates"][0]].__setitem__(0, 10**400),
     "short-features": lambda o: o["task_features"][o["candidates"][0]].pop(),
     "unfeaturized-candidate": lambda o: o["task_features"].pop(o["candidates"][0]),
     "scheduled-non-candidate": lambda o: o.update(candidates=[

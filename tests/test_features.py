@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import pytest
 
-from demosched.core import SimState, apply_action, origin_angle
+from demosched.core import AgentSpec, SimState, apply_action, origin_angle
+from demosched.demonstrator import demonstrate
+from demosched.experiments import PROBLEM_KINDS
+from demosched.generator import generate_instance, make_config
 from demosched.simulate import run_simulation
 from demosched.features import (
     CONTEXT_FEATURE_NAMES,
@@ -116,6 +120,42 @@ def test_batch_matches_single_during_demo(temporal_demo):
 
     run_simulation(problem, replay)
     assert checked > 0
+
+
+_INTEGER_VALUED = ("deadline", "resource_share_count", "travel_time_remaining")
+
+
+@pytest.mark.parametrize("kind", PROBLEM_KINDS)
+def test_recorded_rows_share_integer_values(kind):
+    """Every value of a recorded row is a float, and within one
+    demonstration the integer-valued entries of equal value, whichever
+    feature holds them, are one object."""
+    demo = demonstrate(generate_instance(make_config(kind, num_tasks=10, rng_seed=3)),
+                       0.2, 3)
+    first = {}  # value -> the first object recorded with it
+    for obs in demo.observations:
+        for tf in obs.task_features.values():
+            assert all(type(v) is float for v in tf), tf
+            for name in _INTEGER_VALUED:
+                value = getattr(tf, name)
+                assert first.setdefault(value, value) is value, (name, value)
+    assert len(first) > 3
+
+
+def test_integer_values_past_the_shared_floats_are_exact(tiny_problem):
+    """A deadline or a travel time too large for the shared floats is
+    still float(i)."""
+    problem = dataclasses.replace(
+        tiny_problem, horizon=10**6,
+        agents=(AgentSpec("a0", (0.0, 0.0), 1e-4), tiny_problem.agents[1]))
+    state = SimState.initial(problem)
+    cp = state.compiled
+    tf = one(state, "a0", "tB")
+    assert cp.deadline[cp.task_index["tB"]] == 10**6
+    assert (tf.deadline, type(tf.deadline)) == (1e6, float)
+    travel = cp.travel[0][cp.start_loc[0]][cp.task_index["tB"]]
+    assert travel > 10**4
+    assert (tf.travel_time_remaining, type(tf.travel_time_remaining)) == (float(travel), float)
 
 
 def test_context_features(tiny_problem):
