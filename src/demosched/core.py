@@ -331,15 +331,16 @@ class SimState:
         return cls(cp, 0, *cp.empty, ())
 
     def unfinished(self) -> list[int]:
-        """Tasks not yet started, in problem order."""
-        return [t for t, f in enumerate(self.finish) if f is None]
+        """Tasks not yet started, in id order."""
+        finish = self.finish
+        return [t for t in self.compiled.task_order if finish[t] is None]
 
     def all_finished(self) -> bool:
         return (len(self.placements) == len(self.finish)
                 and max(self.agent_free, default=0) <= self.time)
 
     def candidates(self, a: int) -> list[int]:
-        """Tasks agent a could start now, in problem order: exactly those
+        """Tasks agent a could start now, in id order: exactly those
         `apply_action` accepts. Each is unstarted and within a's capability,
         `release` over its resource's release is not after now, and a's
         travel to it fits since a was freed, so a busy agent has none."""
@@ -347,8 +348,8 @@ class SimState:
         slack = now - self.agent_free[a]
         travel, res_free = cp.travel[a][self.agent_loc[a]], self.res_free
         duration, resource = cp.duration, cp.resource
-        return [t for t, f in enumerate(finish)
-                if f is None and duration[t][a] is not None and travel[t] <= slack
+        return [t for t in cp.task_order
+                if finish[t] is None and duration[t][a] is not None and travel[t] <= slack
                 and (ready := release(cp, t, finish, res_free[resource[t]])) is not None
                 and ready <= now]
 

@@ -11,7 +11,6 @@ does. Each row shape has one encoder (`pair_rows`, `point_vector`,
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -43,19 +42,16 @@ def pair_rows(context, a, b) -> np.ndarray:
     return np.concatenate([context, delta], axis=-1)
 
 
-def point_vector(context, features) -> list[float]:
-    return [*context, *features]
+def point_vector(context, row: np.ndarray) -> list[float]:
+    return [*context, *row.tolist()]
 
 
-def wide_vector(context, task_features, index: dict[str, int]) -> list[float]:
+def wide_vector(context, task_ids, rows: np.ndarray, index: dict[str, int]) -> np.ndarray:
     """The context, then one task block per `index` slot; tasks missing
-    from `task_features` (finished ones) leave their block zero."""
-    block = len(TASK_FEATURE_NAMES)
-    vec = [*context] + [0.0] * (len(index) * block)
-    for tid, tf in task_features.items():
-        start = len(context) + index[tid] * block
-        vec[start : start + block] = tf
-    return vec
+    from `task_ids` (finished ones) leave their block zero."""
+    blocks = np.zeros((len(index), len(TASK_FEATURE_NAMES)))
+    blocks[[index[tid] for tid in task_ids]] = rows
+    return np.concatenate((context, blocks.ravel()))
 
 
 def _rows(observations):
@@ -64,19 +60,15 @@ def _rows(observations):
     per row, the index of the row its observation picked (-1 when the
     observation idled) and whether the row is that pick."""
     observations = list(observations)
-    m = len(observations)
-    sizes = np.fromiter((len(o.task_features) for o in observations), dtype=int, count=m)
-    # a pick's place in id order is the number of ids before it
-    ranks = np.fromiter((-1 if o.scheduled is None else sum(map(o.scheduled[0].__gt__,
-                                                                o.task_features))
-                         for o in observations), dtype=int, count=m)
-    rows = chain.from_iterable(  # context + features: point_vector's values
-        map(o.context.__add__, map(o.task_features.__getitem__, sorted(o.task_features)))
-        for o in observations)
-    # numpy converts each value as it is read, so no list holds them all and
-    # no second array holds a block of columns to copy in
-    n, width = int(sizes.sum()), len(POINTWISE_FEATURE_NAMES)
-    X = np.fromiter(chain.from_iterable(rows), dtype=float, count=n * width).reshape(n, width)
+    sizes = np.array([len(o.task_ids) for o in observations], dtype=int)
+    ranks = np.array([-1 if o.scheduled is None else o.task_ids.index(o.scheduled[0])
+                      for o in observations], dtype=int)
+    n = int(sizes.sum())
+    X = np.empty((n, len(POINTWISE_FEATURE_NAMES)))
+    contexts = np.array([o.context for o in observations], dtype=float)
+    X[:, :_CONTEXT] = np.repeat(contexts.reshape(-1, _CONTEXT), sizes, axis=0)
+    if observations:  # the task blocks go straight into X's task columns
+        np.concatenate([o.rows for o in observations], out=X[:, _CONTEXT:])
     pick_of = np.repeat(np.where(ranks < 0, -1, np.cumsum(sizes) - sizes + ranks), sizes)
     return X, pick_of, pick_of == np.arange(n)
 
@@ -147,7 +139,7 @@ def build_naive_dataset(demos: list[Demonstration]) -> Dataset:
         for obs in demo.observations:
             if obs.scheduled is None:
                 continue
-            rows.append(wide_vector(obs.context, obs.task_features, index))
+            rows.append(wide_vector(obs.context, obs.task_ids, obs.rows, index))
             labels.append(index[obs.scheduled[0]])
     width = len(CONTEXT_FEATURE_NAMES) + n * len(TASK_FEATURE_NAMES)
     return Dataset(

@@ -26,7 +26,7 @@ class IncompleteDemonstrationError(RuntimeError):
     """The expert hit the horizon with unfinished tasks."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compare through demonstration_to_dict
 class Demonstration:
     problem: ProblemInstance
     observations: tuple[Observation, ...]
@@ -90,21 +90,23 @@ def _play(problem: ProblemInstance, rule: RuleKind, epsilon: float,
         if observations is None and not candidates:
             return None
         cp = state.compiled
-        features = extract_features(
-            state, a, candidates if observations is None else state.unfinished())
-        ids = tuple(sorted(cp.task_ids[t] for t in candidates))
+        ids = tuple(cp.task_ids[t] for t in candidates)
+        tasks = candidates if observations is None else state.unfinished()
+        task_ids = tuple(cp.task_ids[t] for t in tasks)
+        rows = extract_features(state, a, tasks)
         chosen = None
         if ids:
             if epsilon > 0.0 and rng.random() < epsilon:
                 chosen = ids[int(rng.integers(len(ids)))]
             else:
-                chosen = expert_choice(rule, features, ids)
+                chosen = expert_choice(rule, task_ids, rows, ids)
         if observations is not None:
             observations.append(
                 Observation(
                     tick=state.time,
                     context=contexts[a],
-                    task_features=features,
+                    task_ids=task_ids,
+                    rows=rows,
                     candidates=ids,
                     scheduled=(chosen, cp.agent_ids[a]) if chosen is not None else None,
                 )
@@ -139,12 +141,21 @@ def demonstration_from_dict(data: dict) -> Demonstration:
     if not 0.0 <= epsilon <= 1.0:
         raise StructuralError(f"demonstration epsilon must be in [0, 1], got {epsilon!r}")
     problem = problem_from_dict(data["problem"])
+    tasks = {t.id for t in problem.tasks}
+    agents = [a.id for a in problem.agents]
     observations = []
     for i, obs in enumerate(data["observations"]):
         try:
-            observations.append(observation_from_dict(obs))
+            observation = observation_from_dict(obs)
+            unknown = [tid for tid in observation.task_ids if tid not in tasks]
+            if unknown:
+                raise StructuralError(f"tasks {unknown!r} are not in the problem")
+            if observation.scheduled is not None and observation.scheduled[1] not in agents:
+                raise StructuralError(f"scheduled agent {observation.scheduled[1]!r} "
+                                      f"is not in the problem")
         except (StructuralError, AttributeError) as exc:
             raise StructuralError(f"observation {i}: {exc}") from None
+        observations.append(observation)
     return Demonstration(
         problem=problem,
         observations=tuple(observations),

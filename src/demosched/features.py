@@ -3,107 +3,87 @@ emitted once per (tick, idle agent) during a demonstration playthrough.
 
 One featurizer, over task and agent indices and reading only the compiled
 tables and the state, serves both the expert, which records every
-unfinished task, and the scheduler, which featurizes only its candidates."""
+unfinished task, and the scheduler, which featurizes only its candidates.
+A task-feature block has one form from featurizer to tree: a read-only,
+C-contiguous float64 array with one row per task, in ascending task id,
+and one column per `TASK_FEATURE_NAMES` entry. A context is a tuple in
+`CONTEXT_FEATURE_NAMES` order."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+
+import numpy as np
 
 from .core import AgentSpec, ProblemInstance, SimState, StructuralError, _number, release
 
-
-# Feature rows are tuples in field order: the datasets' row encoders and the
-# JSON observation lists read them as plain sequences.
-class TaskFeatures(NamedTuple):
-    deadline: float
-    precedence_satisfied: float
-    resource_share_count: float
-    resource_available: float
-    travel_time_remaining: float
-    travel_distance: float
-    angular_difference: float
+TASK_FEATURE_NAMES = ("deadline", "precedence_satisfied", "resource_share_count",
+                      "resource_available", "travel_time_remaining", "travel_distance",
+                      "angular_difference")
+CONTEXT_FEATURE_NAMES = ("agent_speed", "resource_contention_degree")
 
 
-class ContextFeatures(NamedTuple):
-    agent_speed: float
-    resource_contention_degree: float
-
-
-TASK_FEATURE_NAMES = TaskFeatures._fields
-CONTEXT_FEATURE_NAMES = ContextFeatures._fields
-
-# float(i) for the small integers, one object each: the integer-valued
-# features (deadline, share count, travel time remaining) are taken from
-# here, so the rows a demonstration records share them rather than holding
-# a float apiece (72 bytes a row, about 9 MB over 150 20-task demonstrations).
-_FLOATS = tuple(map(float, range(4096)))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # compare through observation_to_dict
 class Observation:
     tick: int
-    context: ContextFeatures
-    task_features: dict[str, TaskFeatures]  # unfinished tasks only
+    context: tuple[float, float]
+    task_ids: tuple[str, ...]  # unfinished tasks only, ascending
+    rows: np.ndarray  # one task-feature row per task id
     candidates: tuple[str, ...]  # tasks feasible for the agent at this tick
     scheduled: tuple[str, str] | None  # (task id, agent id); None = idle
 
     def __post_init__(self):
-        if self.scheduled is not None and self.scheduled[0] not in self.task_features:
-            raise ValueError("scheduled task missing from task_features")
+        if self.scheduled is not None and self.scheduled[0] not in self.task_ids:
+            raise ValueError("scheduled task missing from task_ids")
 
 
-def extract_features(state: SimState, a: int, tasks) -> dict[str, TaskFeatures]:
-    """The seven per-task features at the current tick for agent a and each
-    of `tasks`, task indices that must all be unfinished, keyed by task id
-    in the order given.
+def extract_features(state: SimState, a: int, tasks) -> np.ndarray:
+    """The task-feature block at the current tick for agent a and `tasks`,
+    task indices that must all be unfinished, given in id order.
 
     Resource share counts run over every unfinished task, so a task's
     features do not depend on which other tasks are featurized with it.
-    Integer-valued features are `_FLOATS`' objects where it holds them.
     """
     cp = state.compiled
     finish, now, res_free = state.finish, state.time, state.res_free
-    resource, deadline, task_ids = cp.resource, cp.deadline, cp.task_ids
-    floats, size = _FLOATS, len(_FLOATS)
-    share_counts = [0] * len(cp.resource_ids)
+    resource, deadline = cp.resource, cp.deadline
+    shares = [-1] * len(cp.resource_ids)  # a task's share count leaves out the task itself
     for t, f in enumerate(finish):
         if f is None:
-            share_counts[resource[t]] += 1
-    # a task's share count leaves out the task itself
-    shares = [floats[c - 1] if 0 < c <= size else float(c - 1) for c in share_counts]
+            shares[resource[t]] += 1
     loc = state.agent_loc[a]
     distance, angle, travel = cp.distance[loc], cp.angle[loc], cp.travel[a][loc]
     wait = state.agent_free[a] - now  # travel time remaining is wait + travel, at least 0
-    row = tuple.__new__  # positional, in TaskFeatures' field order
-    out: dict[str, TaskFeatures] = {}
+    values = []  # row after row, in TASK_FEATURE_NAMES order
     for t in tasks:
-        r, d, left = resource[t], deadline[t], wait + travel[t]
+        r, left = resource[t], wait + travel[t]
         ready = release(cp, t, finish, 0)
-        out[task_ids[t]] = row(TaskFeatures, (
-            floats[d] if 0 <= d < size else float(d),
-            1.0 if ready is not None and ready <= now else 0.0,
-            shares[r],
-            1.0 if res_free[r] <= now else 0.0,
-            floats[left if left > 0 else 0] if left < size else float(left),
-            distance[t],
-            angle[t],
-        ))
-    return out
+        values += (deadline[t],
+                   1.0 if ready is not None and ready <= now else 0.0,
+                   shares[r],
+                   1.0 if res_free[r] <= now else 0.0,
+                   left if left > 0 else 0,
+                   distance[t],
+                   angle[t])
+    return _block(values)
 
 
-def context_features(problem: ProblemInstance, agent: AgentSpec) -> ContextFeatures:
-    return ContextFeatures(
-        agent_speed=agent.speed,
-        resource_contention_degree=float(problem.contention_degree()),
-    )
+def _block(values: list) -> np.ndarray:
+    """The read-only task-feature block of `values`, row after row."""
+    rows = np.fromiter(values, float, len(values)).reshape(-1, len(TASK_FEATURE_NAMES))
+    rows.flags.writeable = False
+    return rows
+
+
+def context_features(problem: ProblemInstance, agent: AgentSpec) -> tuple[float, float]:
+    return (agent.speed, float(problem.contention_degree()))
 
 
 def observation_to_dict(obs: Observation) -> dict:
     return {
         "tick": obs.tick,
         "context": list(obs.context),
-        "task_features": {tid: list(tf) for tid, tf in obs.task_features.items()},
+        "task_features": dict(zip(obs.task_ids, obs.rows.tolist())),
         "candidates": list(obs.candidates),
         "scheduled": list(obs.scheduled) if obs.scheduled else None,
     }
@@ -117,24 +97,35 @@ def _finite(values, width: int, what: str) -> list:
 
 
 def observation_from_dict(data: dict) -> Observation:
-    """Raises StructuralError unless every feature row is finite and of its
-    width, every candidate is featurized and `scheduled` names a candidate."""
-    task_features = {tid: TaskFeatures(*_finite(vals, len(TASK_FEATURE_NAMES),
-                                                f"task {tid!r} features"))
-                     for tid, vals in data["task_features"].items()}
+    """Raises StructuralError unless the tick is an integer >= 0, every
+    feature row is finite and of its width, the candidates are distinct
+    featurized tasks and `scheduled` names a candidate."""
+    features = data["task_features"]
+    if not isinstance(features, dict):
+        raise StructuralError(f"task_features must map task ids to feature rows, "
+                              f"got {features!r}")
+    task_ids = tuple(sorted(features))
+    values = []
+    for tid in task_ids:
+        values += _finite(features[tid], len(TASK_FEATURE_NAMES), f"task {tid!r} features")
     candidates = tuple(data["candidates"])
-    missing = [tid for tid in candidates if tid not in task_features]
+    missing = [tid for tid in candidates if tid not in task_ids]
     if missing:
         raise StructuralError(f"candidates {missing!r} have no task features")
+    if len(set(candidates)) < len(candidates):
+        raise StructuralError(f"candidates must be distinct, got {data['candidates']!r}")
     scheduled = tuple(data["scheduled"]) if data["scheduled"] else None
     if scheduled is not None and (len(scheduled) != 2 or scheduled[0] not in candidates):
         raise StructuralError(f"scheduled must be a [candidate, agent id] pair, "
                               f"got {data['scheduled']!r}")
+    tick = _number(data["tick"], "tick", (int,))
+    if tick < 0:
+        raise StructuralError(f"tick must be at least 0, got {tick!r}")
     return Observation(
-        tick=_number(data["tick"], "tick", (int,)),
-        context=ContextFeatures(*_finite(data["context"], len(CONTEXT_FEATURE_NAMES),
-                                         "context")),
-        task_features=task_features,
+        tick=tick,
+        context=tuple(_finite(data["context"], len(CONTEXT_FEATURE_NAMES), "context")),
+        task_ids=task_ids,
+        rows=_block(values),
         candidates=candidates,
         scheduled=scheduled,
     )

@@ -1,6 +1,6 @@
 """The three expert scheduling rules and the cascade that picks between them.
 
-Each rule scores a task from its recorded TaskFeatures, the same features the
+Each rule scores a task from its recorded task-feature row, the same row the
 learned policy sees, so the expert's decision while demonstrating and its
 replay against recorded observations are one computation.
 """
@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from .core import ProblemInstance
-from .features import TaskFeatures
+from .features import TASK_FEATURE_NAMES
 
 # Fixed weighting constants and contention threshold of the expert rules.
 ALPHA1 = 1.0
@@ -18,6 +20,10 @@ ALPHA2 = 0.1
 ALPHA3 = 0.1
 CONTENTION_THRESHOLD = 100
 SLOW_SPEED_THRESHOLD = 1.0  # grid units per tick
+
+# the task-feature columns the rules read
+_DEADLINE, _SHARE_COUNT, _DISTANCE, _ANGLE = map(TASK_FEATURE_NAMES.index, (
+    "deadline", "resource_share_count", "travel_distance", "angular_difference"))
 
 
 class RuleKind(enum.Enum):
@@ -38,25 +44,29 @@ def select_rule(
     return RuleKind.TEMPORAL_REQUIREMENTS
 
 
-def rule_score_from_features(rule: RuleKind, tf: TaskFeatures) -> float:
-    """Score such that LOWER is always better (contention score negated).
+def rule_scores(rule: RuleKind, rows: np.ndarray) -> np.ndarray:
+    """One score per task-feature row, such that LOWER is always better
+    (contention score negated).
 
     travel: distance plus angle-weighted routing term; contention: resource
     share count minus deadline-weighted term; temporal: effective deadline.
+    Each element takes the same float operations, in the same order, as a
+    scalar score would.
     """
     if rule is RuleKind.TRAVEL_DISTANCE:
-        d, theta = tf.travel_distance, tf.angular_difference
+        d, theta = rows[:, _DISTANCE], rows[:, _ANGLE]
         return d + ALPHA1 * theta + ALPHA2 * d * theta
     if rule is RuleKind.RESOURCE_CONTENTION:
         # recorded share count excludes the task itself; the +1 offset is
         # uniform across candidates and cannot change the argmax
-        return -((tf.resource_share_count + 1.0) - ALPHA3 * tf.deadline)
-    return tf.deadline
+        return -((rows[:, _SHARE_COUNT] + 1.0) - ALPHA3 * rows[:, _DEADLINE])
+    return rows[:, _DEADLINE]
 
 
-def expert_choice(rule: RuleKind, task_features: dict[str, TaskFeatures], pool) -> str:
-    """The rule's pick from `pool`: lowest score, ties by lowest id."""
+def expert_choice(rule: RuleKind, task_ids, rows: np.ndarray, pool) -> str:
+    """The rule's pick from `pool`, task ids among `task_ids`, whose rows
+    `rows` holds: lowest score, ties by lowest id."""
     if not pool:
         raise ValueError("empty candidate pool")
-    return min(pool, key=lambda tid: (
-        rule_score_from_features(rule, task_features[tid]), tid))
+    score = dict(zip(task_ids, rule_scores(rule, rows).tolist()))
+    return min(pool, key=lambda tid: (score[tid], tid))

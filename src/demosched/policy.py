@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from .datasets import (
     wide_vector,
 )
 from .demonstrator import Demonstration
-from .features import TASK_FEATURE_NAMES, ContextFeatures, TaskFeatures
 from .tree import DecisionTree, RankBins, fit_leaf_sizes
 
 FEATURE_SCHEMA = "v1"
@@ -43,8 +41,15 @@ MIN_LEAF_GRID = (1, 5, 10, 25, 50, 100, 250, 500, 1000)
 
 _CHUNK_ROWS = 1 << 15  # most rows a tree pass scores, unless one pool has more pairs
 
-# one ranking question: the context, the task features and the pool to rank
-Query = tuple[ContextFeatures, dict[str, TaskFeatures], list[str]]
+# one ranking question: the context, the task ids in ascending order, their
+# task-feature rows and the pool to rank, a list of some of those ids
+Query = tuple[tuple, tuple[str, ...], np.ndarray, list[str]]
+
+
+def _pool_rows(query: Query) -> np.ndarray:
+    """The query's rows of its pool tasks, in pool order."""
+    _, task_ids, rows, pool = query
+    return rows[[task_ids.index(tid) for tid in pool]]
 
 
 def _predict(tree: DecisionTree, rows: list) -> list[float]:
@@ -67,16 +72,16 @@ class _LearnedPolicy:
     def select_tasks(self, queries: list[Query]) -> list[str]:
         """Each query's highest-scoring pool task; ties go to the lowest id.
         A pool of one is its own top and is not scored."""
-        if any(not pool for _, _, pool in queries):
+        if any(not pool for *_, pool in queries):
             raise ValueError("empty candidate pool")
-        tops = [pool[0] for _, _, pool in queries]
-        ranked = [n for n, (_, _, pool) in enumerate(queries) if len(pool) > 1]
+        tops = [pool[0] for *_, pool in queries]
+        ranked = [n for n, (*_, pool) in enumerate(queries) if len(pool) > 1]
         for n, scores in zip(ranked, self.pool_scores([queries[n] for n in ranked])):
-            tops[n] = min(zip(queries[n][2], scores), key=lambda p: (-p[1], p[0]))[0]
+            tops[n] = min(zip(queries[n][3], scores), key=lambda p: (-p[1], p[0]))[0]
         return tops
 
-    def predict_acts(self, asks: list[tuple[ContextFeatures, TaskFeatures]]) -> list[bool]:
-        """For each (context, task features) pair, True = schedule. A
+    def predict_acts(self, asks: list[tuple[tuple, np.ndarray]]) -> list[bool]:
+        """For each (context, task-feature row) pair, True = schedule. A
         probability of exactly 0.5 schedules."""
         return [p >= 0.5 for p in _predict(self.act_tree,
                                            [point_vector(c, tf) for c, tf in asks])]
@@ -92,7 +97,7 @@ class PolicyModel(_LearnedPolicy):
         keep it within `_CHUNK_ROWS` pair rows, and at least one."""
         out: list = [None] * len(queries)
         by_size = defaultdict(list)
-        for n, (_, _, pool) in enumerate(queries):
+        for n, (*_, pool) in enumerate(queries):
             by_size[len(pool)].append(n)
         for k, members in by_size.items():
             step = max(1, _CHUNK_ROWS // (k * k))
@@ -100,9 +105,7 @@ class PolicyModel(_LearnedPolicy):
                 chunk = members[start:start + step]
                 # as a (len(chunk), k, k) block, entry [n, i, j] is the
                 # probability that task i of pool n ranks above its task j
-                F = np.fromiter(chain.from_iterable(queries[n][1][tid] for n in chunk
-                                                    for tid in queries[n][2]), float)
-                F = F.reshape(len(chunk), k, len(TASK_FEATURE_NAMES))
+                F = np.stack([_pool_rows(queries[n]) for n in chunk])
                 C = np.array([queries[n][0] for n in chunk], dtype=float)[:, None, None, :]
                 rows = pair_rows(C, F[:, :, None], F[:, None, :])
                 probs = self.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
@@ -149,11 +152,11 @@ class PointwisePolicy(_LearnedPolicy):
     """Baseline: score each task independently; highest probability wins."""
 
     def pool_scores(self, queries: list[Query]) -> list[list[float]]:
-        probs = _predict(self.priority_tree, [point_vector(context, task_features[tid])
-                                              for context, task_features, pool in queries
-                                              for tid in pool])
+        probs = _predict(self.priority_tree, [point_vector(query[0], row)
+                                              for query in queries
+                                              for row in _pool_rows(query)])
         out, start = [], 0
-        for _, _, pool in queries:
+        for *_, pool in queries:
             out.append(probs[start:start + len(pool)])
             start += len(pool)
         return out
@@ -172,12 +175,12 @@ class NaivePolicy(_LearnedPolicy):
     def pool_scores(self, queries: list[Query]) -> list[list[float]]:
         """Each pool task's probability from its index's tree on the query's
         wide row; each tree any pool asks for scores every query's row."""
-        rows = [wide_vector(context, task_features, self.index)
-                for context, task_features, _ in queries]
-        asked = {self.index[tid] for _, _, pool in queries for tid in pool}
-        probs = {k: _predict(self.class_trees[k], rows) for k in asked}
+        wide = [wide_vector(context, task_ids, rows, self.index)
+                for context, task_ids, rows, _ in queries]
+        asked = {self.index[tid] for *_, pool in queries for tid in pool}
+        probs = {k: _predict(self.class_trees[k], wide) for k in asked}
         return [[probs[self.index[tid]][n] for tid in pool]
-                for n, (_, _, pool) in enumerate(queries)]
+                for n, (*_, pool) in enumerate(queries)]
 
 
 # ---------------------------------------------------------------------------
@@ -275,15 +278,15 @@ def evaluate(policy, demos: list[Demonstration]) -> Metrics:
                 pool = list(obs.candidates)
             else:
                 idle_total += 1
-                pool = list(obs.candidates) or sorted(obs.task_features)
+                pool = list(obs.candidates or obs.task_ids)
                 if not pool:
                     idle_hits += 1  # nothing left to schedule
                     continue
-            queries.append((obs.context, obs.task_features, pool))
+            queries.append((obs.context, obs.task_ids, obs.rows, pool))
             picks.append(None if obs.scheduled is None else obs.scheduled[0])
     tops = policy.select_tasks(queries)
-    acts = policy.predict_acts([(context, task_features[top])
-                                for (context, task_features, _), top in zip(queries, tops)])
+    acts = policy.predict_acts([(context, rows[task_ids.index(top)])
+                                for (context, task_ids, rows, _), top in zip(queries, tops)])
     sched_hits = sched_total = 0
     for pick, top, act in zip(picks, tops, acts):
         if pick is None:

@@ -69,12 +69,12 @@ def construct_schedule(
     def decide(state, a, candidates):
         if not candidates:
             return None
-        index = state.compiled.task_index
-        context = contexts[a]
-        feats = extract_features(state, a, candidates)
-        pool = sorted(feats)
-        top = policy.select_tasks([(context, feats, pool)])[0]
-        if not policy.predict_acts([(context, feats[top])])[0]:
+        cp, context = state.compiled, contexts[a]
+        index, ids = cp.task_index, tuple(cp.task_ids[t] for t in candidates)
+        rows = extract_features(state, a, candidates)
+        pool = list(ids)
+        top = policy.select_tasks([(context, ids, rows, pool)])[0]
+        if not policy.predict_acts([(context, rows[ids.index(top)])])[0]:
             return None
         if config.fallback_depth == 1 or len(pool) == 1:
             return index[top]  # no test, or nothing it could fall back to
@@ -87,7 +87,7 @@ def construct_schedule(
             tries -= 1
             if not tries or not remaining:
                 return index[top]  # every fallback looked doomed; commit to the favourite
-            pick = policy.select_tasks([(context, feats, remaining)])[0]
+            pick = policy.select_tasks([(context, ids, rows, remaining)])[0]
 
     _, schedule = run_simulation(problem, decide)
     return schedule

@@ -5,7 +5,8 @@ so a policy that wraps the expert's rule reproduces the expert's schedule
 entry for entry. The state is the compiled problem's (`core.SimState`), over
 task and agent indices, built once per playthrough. An agent's candidates
 are the tasks `apply_action` would accept now: those that `core.release`,
-the wait rule branch and bound places by, would start this tick.
+the wait rule branch and bound places by, would start this tick. They
+come in id order, the order of a task-feature block's rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Callable
 
 from .core import ProblemInstance, Schedule, SimState, apply_action
 
-# decide(state, agent index, candidate task indices in problem order)
+# decide(state, agent index, candidate task indices in id order)
 # -> task index to start now, or None
 DecideFn = Callable[[SimState, int, list[int]], int | None]
 

@@ -35,6 +35,7 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(CRITERION_LINES[number])
 from demosched.demonstrator import demonstrate
 from demosched.generator import generate_instance, make_config
+from demosched.features import TASK_FEATURE_NAMES
 from demosched.heuristics import RuleKind, expert_choice
 from demosched.optimizer import _place
 
@@ -48,6 +49,10 @@ def timed_schedule(problem, order):
     return None if placements is None else cp.schedule(placements)
 
 
+_PRECEDENCE, _AVAILABLE, _REMAINING = map(TASK_FEATURE_NAMES.index, (
+    "precedence_satisfied", "resource_available", "travel_time_remaining"))
+
+
 class HeuristicPolicy:
     """The mock expert's rule wrapped behind the policy interface, used as a
     self-consistency oracle and as a drop-in scheduler policy."""
@@ -56,14 +61,13 @@ class HeuristicPolicy:
         self.rule = rule
 
     def select_tasks(self, queries):
-        return [expert_choice(self.rule, task_features, pool)
-                for _, task_features, pool in queries]
+        return [expert_choice(self.rule, task_ids, rows, pool)
+                for _, task_ids, rows, pool in queries]
 
     def predict_acts(self, asks):
-        return [tf.precedence_satisfied >= 1.0
-                and tf.resource_available >= 1.0
-                and tf.travel_time_remaining <= 0.0
-                for _, tf in asks]
+        return [bool(row[_PRECEDENCE] >= 1.0 and row[_AVAILABLE] >= 1.0
+                     and row[_REMAINING] <= 0.0)
+                for _, row in asks]
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -373,7 +375,23 @@ _BAD_OBSERVATIONS = {
     "fractional-tick": lambda o: o.update(tick=3.7),
     "string-tick": lambda o: o.update(tick="3"),
     "list-features": lambda o: o.update(task_features=list(o["task_features"].values())),
+    "unknown-row-task": lambda o: o["task_features"].__setitem__(
+        "zz", o["task_features"][o["scheduled"][0]]),
+    "unknown-scheduled-task": lambda o: _rename_task(o, o["scheduled"][0], "zz"),
+    "unknown-agent": lambda o: o["scheduled"].__setitem__(1, "zz"),
+    "numeric-agent": lambda o: o["scheduled"].__setitem__(1, 5),
+    "duplicate-candidates": lambda o: o.update(candidates=[o["scheduled"][0]] * 2),
+    "negative-tick": lambda o: o.update(tick=-1),
 }
+
+
+def _rename_task(observation: dict, old: str, new: str) -> None:
+    """Call task `old` `new` in the observation's rows, candidates and pick."""
+    features = observation["task_features"]
+    features[new] = features.pop(old)
+    observation["candidates"] = [new if c == old else c for c in observation["candidates"]]
+    if observation["scheduled"][0] == old:
+        observation["scheduled"][0] = new
 
 # flaw -> edit of the demonstration's own fields
 _BAD_DEMOS = {
@@ -391,8 +409,10 @@ _BAD_DEMOS = {
 def test_malformed_demo_is_error_message(workspace, runner, command, flaw):
     """A demonstration whose observation has a non-numeric, non-finite or
     short feature row, task features in a list, an unfeaturized candidate, a
-    scheduled task that was not a candidate or a tick that is not an integer
-    exits 1 with a message naming the observation. So does one whose schema
+    scheduled task that was not a candidate, a row, candidate or scheduled
+    task its problem lacks, a scheduled agent its problem lacks, a candidate
+    listed twice or a tick that is not an integer >= 0 exits 1 with a message
+    naming the observation. So does one whose schema
     version is not v1, whose rng_seed is not an integer or whose epsilon is
     not a number in [0, 1], or a file that is a list, naming the file."""
     data = load_json(workspace["demos"][0])
@@ -491,3 +511,25 @@ def test_help_lists_subcommands(runner):
     for cmd in ("generate", "demonstrate", "train", "evaluate", "schedule",
                 "optimize", "experiment"):
         assert cmd in result.output
+
+
+def _quick_start() -> list[list[str]]:
+    """The arguments of each `demosched` line of README's quick-start block."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("demosched ")]
+
+
+def test_readme_quick_start_runs(tmp_path, monkeypatch, runner):
+    """Every command of README's quick start exits 0, run in order in an
+    empty directory: the documented path through demonstrations and a
+    model loaded from JSON."""
+    commands = _quick_start()
+    assert [args[0] for args in commands] == ["generate", "demonstrate", "demonstrate",
+                                              "train", "evaluate", "schedule", "optimize"]
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, (args, result.output)
+    assert json.loads(result.output)["seeded"] is True  # the replayed schedule was the seed

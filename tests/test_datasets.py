@@ -19,7 +19,7 @@ from demosched.datasets import (
 )
 from demosched.demonstrator import demonstrate
 from demosched.experiments import PROBLEM_KINDS, collect_demos
-from demosched.features import ContextFeatures, Observation, TaskFeatures
+from demosched.features import Observation
 from demosched.generator import generate_instance, make_config
 from test_optimizer import _relabel
 
@@ -32,9 +32,9 @@ def test_feature_name_layout():
 
 
 def test_pair_rows_antisymmetric_delta():
-    ctx = ContextFeatures(2.0, 5.0)
-    a = TaskFeatures(10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5)
-    b = TaskFeatures(4.0, 0.0, 1.0, 1.0, 0.0, 2.0, 0.1)
+    ctx = (2.0, 5.0)
+    a = np.array([10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5])
+    b = np.array([4.0, 0.0, 1.0, 1.0, 0.0, 2.0, 0.1])
     ab = pair_rows(ctx, a, b).tolist()
     ba = pair_rows(ctx, b, a).tolist()
     assert ab[:2] == ba[:2] == [2.0, 5.0]
@@ -42,16 +42,16 @@ def test_pair_rows_antisymmetric_delta():
 
 
 def test_point_vector_concatenates():
-    ctx = ContextFeatures(2.0, 5.0)
-    a = TaskFeatures(10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5)
+    ctx = (2.0, 5.0)
+    a = np.array([10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5])
     assert point_vector(ctx, a) == [2.0, 5.0, 10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5]
 
 
 def test_wide_vector_blocks_by_index():
-    ctx = ContextFeatures(2.0, 5.0)
-    a = TaskFeatures(10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5)
-    vec = wide_vector(ctx, {"tB": a}, {"tA": 0, "tB": 1, "tC": 2})
-    assert vec == [2.0, 5.0] + [0.0] * 7 + list(a) + [0.0] * 7
+    ctx = (2.0, 5.0)
+    a = [10.0, 1.0, 2.0, 1.0, 3.0, 6.0, 0.5]
+    vec = wide_vector(ctx, ("tB",), np.array([a]), {"tA": 0, "tB": 1, "tC": 2})
+    assert vec.tolist() == [2.0, 5.0] + [0.0] * 7 + a + [0.0] * 7
 
 
 class TestPairwiseDataset:
@@ -70,7 +70,7 @@ class TestPairwiseDataset:
         expected = 0
         for obs in temporal_demo.observations:
             if obs.scheduled is not None:
-                expected += 2 * (len(obs.task_features) - 1)
+                expected += 2 * (len(obs.task_ids) - 1)
         assert len(build_pairwise_dataset([temporal_demo])) == expected
 
     def test_idle_observations_ignored(self, temporal_demo):
@@ -90,7 +90,7 @@ class TestActDataset:
     def test_counts(self, temporal_demo):
         ds = build_act_dataset([temporal_demo])
         pos = sum(1 for o in temporal_demo.observations if o.scheduled)
-        neg = sum(len(o.task_features) for o in temporal_demo.observations
+        neg = sum(len(o.task_ids) for o in temporal_demo.observations
                   if o.scheduled is None)
         assert int(ds.y.sum()) == pos
         assert len(ds) == pos + neg
@@ -102,7 +102,7 @@ class TestPointwiseDataset:
         ds = build_pointwise_dataset([temporal_demo])
         sched_obs = [o for o in temporal_demo.observations if o.scheduled]
         assert int(ds.y.sum()) == len(sched_obs)
-        assert len(ds) == sum(len(o.task_features) for o in sched_obs)
+        assert len(ds) == sum(len(o.task_ids) for o in sched_obs)
 
 
 class TestNaiveDataset:
@@ -121,7 +121,7 @@ class TestNaiveDataset:
         task_ids = sorted(t.id for t in temporal_demo.problem.tasks)
         for k, tid in enumerate(task_ids):
             block = row[2 + 7 * k : 2 + 7 * (k + 1)]
-            if tid not in last.task_features:
+            if tid not in last.task_ids:
                 assert np.all(block == 0.0)
 
     def test_rejects_mixed_task_counts(self, temporal_demo):
@@ -134,6 +134,11 @@ class TestNaiveDataset:
 
 # The three per-builder loops the shared walk replaced, kept as references.
 
+def _row(obs, tid):
+    """The observation's task-feature row of task `tid`."""
+    return obs.rows[obs.task_ids.index(tid)]
+
+
 def _reference_pairwise(demos):
     contexts, firsts, seconds = [], [], []
     for demo in demos:
@@ -141,11 +146,11 @@ def _reference_pairwise(demos):
             if obs.scheduled is None:
                 continue
             sched_id = obs.scheduled[0]
-            gamma_i = obs.task_features[sched_id]
-            for other_id in sorted(obs.task_features):
+            gamma_i = _row(obs, sched_id)
+            for other_id in sorted(obs.task_ids):
                 if other_id == sched_id:
                     continue
-                gamma_j = obs.task_features[other_id]
+                gamma_j = _row(obs, other_id)
                 contexts += (obs.context, obs.context)
                 firsts += (gamma_i, gamma_j)
                 seconds += (gamma_j, gamma_i)
@@ -159,11 +164,11 @@ def _reference_act(demos):
     for demo in demos:
         for obs in demo.observations:
             if obs.scheduled is not None:
-                rows.append(point_vector(obs.context, obs.task_features[obs.scheduled[0]]))
+                rows.append(point_vector(obs.context, _row(obs, obs.scheduled[0])))
                 labels.append(1)
             else:
-                for tid in sorted(obs.task_features):
-                    rows.append(point_vector(obs.context, obs.task_features[tid]))
+                for tid in sorted(obs.task_ids):
+                    rows.append(point_vector(obs.context, _row(obs, tid)))
                     labels.append(0)
     return (np.array(rows, dtype=float).reshape(len(rows), len(POINTWISE_FEATURE_NAMES)),
             np.array(labels, dtype=int))
@@ -176,8 +181,8 @@ def _reference_pointwise(demos):
             if obs.scheduled is None:
                 continue
             sched_id = obs.scheduled[0]
-            for tid in sorted(obs.task_features):
-                rows.append(point_vector(obs.context, obs.task_features[tid]))
+            for tid in sorted(obs.task_ids):
+                rows.append(point_vector(obs.context, _row(obs, tid)))
                 labels.append(1 if tid == sched_id else 0)
     return (np.array(rows, dtype=float).reshape(len(rows), len(POINTWISE_FEATURE_NAMES)),
             np.array(labels, dtype=int))
@@ -193,22 +198,23 @@ def _assert_builders_match_references(demos):
             assert got.tobytes() == want.tobytes(), build.__name__
 
 
-# ints too, as observation_from_dict keeps them from JSON; those past 2**53
-# round when they become floats (the reference's lists of ints stay in int64)
+# ints too, as observation_from_dict keeps a context's from JSON; a feature
+# row holds them as floats, so those past 2**53 round there
 _value = st.one_of(st.floats(-50, 50, allow_nan=False).map(float), st.integers(-50, 50),
                    st.integers(-2**62, 2**62))
 
 
 @st.composite
 def _observation(draw):
-    # ids drawn in any order, so insertion order and id order differ
-    ids = draw(st.lists(st.sampled_from(["t2", "t10", "t0", "b", "a7"]),
-                        unique=True, max_size=5))
-    features = {tid: TaskFeatures(*draw(st.lists(_value, min_size=7, max_size=7)))
-                for tid in ids}
+    # ids drawn from a set whose string order is not their numeric order
+    ids = sorted(draw(st.lists(st.sampled_from(["t2", "t10", "t0", "b", "a7"]),
+                               unique=True, max_size=5)))
+    rows = np.array([draw(st.lists(_value, min_size=7, max_size=7)) for _ in ids],
+                    dtype=float).reshape(len(ids), 7)
+    rows.flags.writeable = False
     pick = draw(st.sampled_from([None, *ids]))
-    return Observation(tick=0, context=ContextFeatures(draw(_value), draw(_value)),
-                       task_features=features, candidates=tuple(ids),
+    return Observation(tick=0, context=(draw(_value), draw(_value)),
+                       task_ids=tuple(ids), rows=rows, candidates=tuple(ids),
                        scheduled=None if pick is None else (pick, "a0"))
 
 

@@ -1,19 +1,21 @@
 import dataclasses
+import json
 import math
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demosched.core import AgentSpec, SimState, apply_action, origin_angle
-from demosched.demonstrator import demonstrate
-from demosched.experiments import PROBLEM_KINDS
-from demosched.generator import generate_instance, make_config
+from demosched.demonstrator import demonstration_from_dict, demonstration_to_dict
+from demosched.experiments import PROBLEM_KINDS, collect_demos
 from demosched.simulate import run_simulation
 from demosched.features import (
     CONTEXT_FEATURE_NAMES,
     TASK_FEATURE_NAMES,
-    ContextFeatures,
     Observation,
-    TaskFeatures,
     context_features,
     extract_features,
     observation_from_dict,
@@ -45,9 +47,10 @@ class TestOriginAngle:
 
 
 def one(state, agent_id, task_id):
+    """The task's features, by name, for the agent at the state's tick."""
     cp = state.compiled
-    return extract_features(state, cp.agent_index[agent_id],
-                            [cp.task_index[task_id]])[task_id]
+    rows = extract_features(state, cp.agent_index[agent_id], [cp.task_index[task_id]])
+    return SimpleNamespace(**dict(zip(TASK_FEATURE_NAMES, rows[0].tolist())))
 
 
 class TestExtractFeatures:
@@ -81,7 +84,7 @@ class TestExtractFeatures:
 
 
 def test_batch_matches_single(temporal_demo):
-    """Mid-run, featurizing one task gives exactly its entry from featurizing
+    """Mid-run, featurizing one task gives exactly its row from featurizing
     every unfinished task: share counts always run over the unfinished set."""
     problem = temporal_demo.problem
     state = SimState.initial(problem)
@@ -94,16 +97,15 @@ def test_batch_matches_single(temporal_demo):
     assert len(unfinished) < len(problem.tasks)
     for a in range(len(problem.agents)):
         batch = extract_features(state, a, unfinished)
-        assert set(batch) == {cp.task_ids[t] for t in unfinished}
-        for t in unfinished:
-            assert extract_features(state, a, [t]) == {
-                cp.task_ids[t]: batch[cp.task_ids[t]]}
+        assert batch.shape == (len(unfinished), len(TASK_FEATURE_NAMES))
+        for t, row in zip(unfinished, batch):
+            assert extract_features(state, a, [t]).tobytes() == row.tobytes()
 
 
 def test_batch_matches_single_during_demo(temporal_demo):
     """At every recorded decision, featurizing only the feasible candidates
-    (as the scheduler does) reproduces those entries of the recorded
-    features of all unfinished tasks (as the expert records them)."""
+    (as the scheduler does) reproduces those rows of the recorded features
+    of all unfinished tasks (as the expert records them)."""
     problem = temporal_demo.problem
     recorded = iter(temporal_demo.observations)
     checked = 0
@@ -112,9 +114,10 @@ def test_batch_matches_single_during_demo(temporal_demo):
         nonlocal checked
         cp = state.compiled
         obs = next(recorded)
-        subset = extract_features(state, a, candidates)
-        ids = [cp.task_ids[t] for t in candidates]
-        assert subset == {tid: obs.task_features[tid] for tid in ids}
+        ids = sorted(cp.task_ids[t] for t in candidates)
+        subset = extract_features(state, a, [cp.task_index[tid] for tid in ids])
+        want = obs.rows[[obs.task_ids.index(tid) for tid in ids]]
+        assert subset.tobytes() == want.tobytes()
         checked += len(subset)
         return cp.task_index[obs.scheduled[0]] if obs.scheduled else None
 
@@ -122,29 +125,35 @@ def test_batch_matches_single_during_demo(temporal_demo):
     assert checked > 0
 
 
-_INTEGER_VALUED = ("deadline", "resource_share_count", "travel_time_remaining")
+def _assert_block(obs):
+    """The observation's rows are its block: read-only, C-contiguous
+    float64, one row per task id, with the ids ascending."""
+    rows = obs.rows
+    assert (rows.dtype, rows.shape) == (np.float64, (len(obs.task_ids), len(TASK_FEATURE_NAMES)))
+    assert not rows.flags.writeable and rows.flags.c_contiguous
+    assert list(obs.task_ids) == sorted(set(obs.task_ids))
 
 
 @pytest.mark.parametrize("kind", PROBLEM_KINDS)
-def test_recorded_rows_share_integer_values(kind):
-    """Every value of a recorded row is a float, and within one
-    demonstration the integer-valued entries of equal value, whichever
-    feature holds them, are one object."""
-    demo = demonstrate(generate_instance(make_config(kind, num_tasks=10, rng_seed=3)),
-                       0.2, 3)
-    first = {}  # value -> the first object recorded with it
-    for obs in demo.observations:
-        for tf in obs.task_features.values():
-            assert all(type(v) is float for v in tf), tf
-            for name in _INTEGER_VALUED:
-                value = getattr(tf, name)
-                assert first.setdefault(value, value) is value, (name, value)
-    assert len(first) > 3
+@given(seed=st.integers(0, 2**16), epsilon=st.sampled_from([0.0, 0.3]),
+       num_tasks=st.integers(1, 8))
+@settings(max_examples=8, deadline=None)
+def test_rows_are_readonly_float64_blocks(kind, seed, epsilon, num_tasks):
+    """Recorded and JSON-reloaded, noise-free and noisy, every observation
+    holds its rows as a block, and the reloaded block equals the recorded
+    one bit for bit."""
+    demo, = collect_demos([kind], 1, epsilon, seed, num_tasks=num_tasks)
+    reloaded = demonstration_from_dict(json.loads(json.dumps(demonstration_to_dict(demo))))
+    assert len(reloaded.observations) == len(demo.observations) > 0
+    for recorded, loaded in zip(demo.observations, reloaded.observations):
+        _assert_block(recorded)
+        _assert_block(loaded)
+        assert loaded.task_ids == recorded.task_ids
+        assert loaded.rows.tobytes() == recorded.rows.tobytes()
 
 
-def test_integer_values_past_the_shared_floats_are_exact(tiny_problem):
-    """A deadline or a travel time too large for the shared floats is
-    still float(i)."""
+def test_large_integer_values_are_exact(tiny_problem):
+    """A deadline or a travel time far past any small integer is float(i)."""
     problem = dataclasses.replace(
         tiny_problem, horizon=10**6,
         agents=(AgentSpec("a0", (0.0, 0.0), 1e-4), tiny_problem.agents[1]))
@@ -160,35 +169,57 @@ def test_integer_values_past_the_shared_floats_are_exact(tiny_problem):
 
 def test_context_features(tiny_problem):
     ctx = context_features(tiny_problem, tiny_problem.agents[0])
-    assert ctx.agent_speed == 2.0
-    assert ctx.resource_contention_degree == 5.0
-    assert tuple(ctx) == (2.0, 5.0)
+    assert dict(zip(CONTEXT_FEATURE_NAMES, ctx)) == {
+        "agent_speed": 2.0, "resource_contention_degree": 5.0}
+    assert ctx == (2.0, 5.0)
+
+
+def _block(*rows):
+    out = np.array(rows, dtype=float).reshape(len(rows), len(TASK_FEATURE_NAMES))
+    out.flags.writeable = False
+    return out
 
 
 class TestObservation:
     def _obs(self):
-        tf = TaskFeatures(10.0, 1.0, 0.0, 1.0, 2.0, 4.0, 0.5)
         return Observation(
             tick=3,
-            context=ContextFeatures(2.0, 5.0),
-            task_features={"tA": tf},
+            context=(2.0, 5.0),
+            task_ids=("tA",),
+            rows=_block([10.0, 1.0, 0.0, 1.0, 2.0, 4.0, 0.5]),
             candidates=("tA",),
             scheduled=("tA", "a0"),
         )
 
     def test_roundtrip(self):
-        obs = self._obs()
-        assert observation_from_dict(observation_to_dict(obs)) == obs
+        data = observation_to_dict(self._obs())
+        assert observation_to_dict(observation_from_dict(data)) == data
 
     def test_idle_roundtrip(self):
-        tf = TaskFeatures(10.0, 0.0, 0.0, 1.0, 2.0, 4.0, 0.5)
-        obs = Observation(tick=0, context=ContextFeatures(1.0, 1.0),
-                          task_features={"tA": tf}, candidates=(),
-                          scheduled=None)
-        assert observation_from_dict(observation_to_dict(obs)) == obs
+        obs = Observation(tick=0, context=(1.0, 1.0), task_ids=("tA",),
+                          rows=_block([10.0, 0.0, 0.0, 1.0, 2.0, 4.0, 0.5]),
+                          candidates=(), scheduled=None)
+        data = observation_to_dict(obs)
+        assert observation_to_dict(observation_from_dict(data)) == data
 
     def test_scheduled_must_have_features(self):
         with pytest.raises(ValueError):
-            Observation(tick=0, context=ContextFeatures(1.0, 1.0),
-                        task_features={}, candidates=(),
-                        scheduled=("tX", "a0"))
+            Observation(tick=0, context=(1.0, 1.0), task_ids=(), rows=_block(),
+                        candidates=(), scheduled=("tX", "a0"))
+
+    def test_integer_features_are_written_back_as_floats(self):
+        """A row is float64, so a hand-written integer feature loads as a
+        float and is written back as one; the context keeps what it read."""
+        data = {"tick": 2, "context": [1, 3.0], "candidates": ["tA"],
+                "task_features": {"tB": [3, 0, 1, 1, 0, 2.5, 0.25],
+                                  "tA": [7, 1, 0, 1, 2, 4.0, 0.5]},
+                "scheduled": ["tA", "a0"]}
+        obs = observation_from_dict(data)
+        assert obs.task_ids == ("tA", "tB")
+        written = observation_to_dict(obs)
+        assert written["task_features"] == {"tA": [7.0, 1.0, 0.0, 1.0, 2.0, 4.0, 0.5],
+                                            "tB": [3.0, 0.0, 1.0, 1.0, 0.0, 2.5, 0.25]}
+        assert [type(v) for v in written["task_features"]["tA"]] == [float] * 7
+        assert list(written["task_features"]) == ["tA", "tB"]  # id order
+        assert json.dumps(written["task_features"]["tA"]).startswith("[7.0, 1.0, 0.0")
+        assert written["context"] == [1, 3.0] and type(written["context"][0]) is int

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from demosched.core import (
@@ -57,9 +58,10 @@ def pick(rule, problem, tasks=None, agent_id="a0"):
     state = SimState.initial(problem)
     cp = state.compiled
     tasks = list(problem.tasks) if tasks is None else tasks
-    feats = extract_features(state, cp.agent_index[agent_id],
-                             [cp.task_index[t.id] for t in tasks])
-    return expert_choice(rule, feats, [t.id for t in tasks])
+    ids = sorted(t.id for t in tasks)
+    rows = extract_features(state, cp.agent_index[agent_id],
+                            [cp.task_index[tid] for tid in ids])
+    return expert_choice(rule, ids, rows, [t.id for t in tasks])
 
 
 class TestVrpPriority:
@@ -121,7 +123,7 @@ def test_empty_candidates_raise():
     with pytest.raises(ValueError):
         pick(RuleKind.TRAVEL_DISTANCE, problem, [])
     with pytest.raises(ValueError):
-        expert_choice(RuleKind.TEMPORAL_REQUIREMENTS, {}, [])
+        expert_choice(RuleKind.TEMPORAL_REQUIREMENTS, (), np.empty((0, 7)), [])
 
 
 def live_score(rule, state, agent_id, task, problem):
@@ -156,8 +158,10 @@ def test_feature_scores_reproduce_live_choice(rule, temporal_problem):
         cp = state.compiled
         agent_id = cp.agent_ids[a]
         tasks = [problem.tasks[t] for t in candidates]
-        feats = extract_features(state, a, state.unfinished())
-        replay = expert_choice(rule, feats, [t.id for t in tasks])
+        unfinished = state.unfinished()
+        rows = extract_features(state, a, unfinished)
+        replay = expert_choice(rule, [cp.task_ids[t] for t in unfinished], rows,
+                               [t.id for t in tasks])
         live = min(tasks, key=lambda t: (
             live_score(rule, state, agent_id, t, problem), t.id)).id
         checked.append(replay == live)

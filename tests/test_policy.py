@@ -15,7 +15,6 @@ from demosched.datasets import (
 )
 from demosched.demonstrator import demonstrate
 from demosched.experiments import collect_demos
-from demosched.features import ContextFeatures, TaskFeatures
 from demosched.generator import KIND_FIELDS, generate_instance, make_config
 from demosched.policy import (
     MIN_LEAF_GRID,
@@ -35,18 +34,25 @@ from demosched.tree import DecisionTree
 
 
 def tf(deadline, travel=0.0):
-    return TaskFeatures(
-        deadline=float(deadline),
-        precedence_satisfied=1.0,
-        resource_share_count=0.0,
-        resource_available=1.0,
-        travel_time_remaining=float(travel),
-        travel_distance=float(travel),
-        angular_difference=0.0,
-    )
+    """A task-feature row: deadline, precedence_satisfied,
+    resource_share_count, resource_available, travel_time_remaining,
+    travel_distance, angular_difference."""
+    return np.array([deadline, 1.0, 0.0, 1.0, travel, travel, 0.0], dtype=float)
 
 
-CTX = ContextFeatures(2.0, 5.0)
+CTX = (2.0, 5.0)
+NO_ROWS = np.empty((0, 7))
+
+
+def query(feats: dict, pool: list) -> tuple:
+    """A ranking query over the rows of `feats`, task id -> row."""
+    ids = tuple(sorted(feats))
+    return (CTX, ids, np.array([feats[tid] for tid in ids]).reshape(len(ids), 7), pool)
+
+
+def _row(obs, tid):
+    """The observation's task-feature row of task `tid`."""
+    return obs.rows[obs.task_ids.index(tid)]
 
 
 def edf_model() -> PolicyModel:
@@ -67,34 +73,34 @@ class TestPolicyModel:
     def test_select_earliest_deadline(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        assert model.select_tasks([(CTX, feats, ["tA", "tB", "tC"])])[0] == "tB"
+        assert model.select_tasks([query(feats, ["tA", "tB", "tC"])])[0] == "tB"
 
     def test_pool_restricts_choice(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        assert model.select_tasks([(CTX, feats, ["tA", "tC"])])[0] == "tC"
+        assert model.select_tasks([query(feats, ["tA", "tC"])])[0] == "tC"
 
     def test_tie_breaks_by_id(self):
         model = edf_model()
         feats = {"tB": tf(3), "tA": tf(3)}
-        assert model.select_tasks([(CTX, feats, ["tB", "tA"])])[0] == "tA"
+        assert model.select_tasks([query(feats, ["tB", "tA"])])[0] == "tA"
 
     def test_empty_pool_raises(self):
         with pytest.raises(ValueError):
-            edf_model().select_tasks([(CTX, {}, [])])
+            edf_model().select_tasks([(CTX, (), NO_ROWS, [])])
 
     def test_order_invariance(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5), "tD": tf(7)}
         pools = (["tA", "tB", "tC", "tD"], ["tD", "tC", "tB", "tA"],
                  ["tB", "tD", "tA", "tC"])
-        picks = {model.select_tasks([(CTX, feats, p)])[0] for p in pools}
+        picks = {model.select_tasks([query(feats, p)])[0] for p in pools}
         assert picks == {"tB"}
 
     def test_scores_include_pool_only(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        scores = model.pool_scores([(CTX, feats, ["tA", "tB"])])[0]
+        scores = model.pool_scores([query(feats, ["tA", "tB"])])[0]
         assert len(scores) == 2
         assert scores[1] > scores[0]
 
@@ -117,7 +123,7 @@ class TestPolicyModel:
             return answers[-1]
 
         priority.predict_proba = recorded
-        scores = model.pool_scores([(CTX, feats, ids)])[0]
+        scores = model.pool_scores([query(feats, ids)])[0]
         assert len(answers) == 1 and answers[0].shape == (16,)
         probs = answers[0].reshape(4, 4)
         for i, first in enumerate(ids):
@@ -130,7 +136,7 @@ class TestPolicyModel:
         model = edf_model()
         clone = PolicyModel.from_dict(model.to_dict())
         feats = {"tA": tf(9), "tB": tf(2)}
-        assert clone.select_tasks([(CTX, feats, ["tA", "tB"])])[0] == "tB"
+        assert clone.select_tasks([query(feats, ["tA", "tB"])])[0] == "tB"
         assert model.to_dict() == clone.to_dict()
 
     @pytest.mark.parametrize("tree_key", ["priority_tree", "act_tree"])
@@ -171,18 +177,18 @@ class TestBaselinePolicies:
         act = train_policy(small_demos, min_leaf=5).act_tree
         policy = train_pointwise(small_demos, min_leaf=5, act_tree=act)
         obs = next(o for o in small_demos[0].observations if o.scheduled)
-        pick = policy.select_tasks([(obs.context, obs.task_features,
+        pick = policy.select_tasks([(obs.context, obs.task_ids, obs.rows,
                                      list(obs.candidates))])[0]
         assert pick in obs.candidates
         assert isinstance(policy.predict_acts([(obs.context,
-                                                obs.task_features[pick])])[0], bool)
+                                                _row(obs, pick))])[0], bool)
 
     def test_naive_smoke(self, small_demos):
         # the fixed-width model needs a uniform task count; restrict to one
         act = train_policy(small_demos[:1], min_leaf=1).act_tree
         policy = train_naive(small_demos[:1], min_leaf=1, act_tree=act)
         obs = next(o for o in small_demos[0].observations if o.scheduled)
-        pick = policy.select_tasks([(obs.context, obs.task_features,
+        pick = policy.select_tasks([(obs.context, obs.task_ids, obs.rows,
                                      list(obs.candidates))])[0]
         assert pick in obs.candidates
 
@@ -193,17 +199,17 @@ class TestBaselinePolicies:
             "act_tree": train_policy(small_demos[:1], min_leaf=1).act_tree}
         policy = train(small_demos[:1], min_leaf=1, **kw)
         for obs in small_demos[0].observations:
-            pool = sorted(obs.task_features)
+            pool = list(obs.task_ids)
             if not pool:
                 continue
             scores = dict(zip(pool, policy.pool_scores(
-                [(obs.context, obs.task_features, pool)])[0]))
+                [(obs.context, obs.task_ids, obs.rows, pool)])[0]))
             best = max(scores.values())
             expected = min(tid for tid in pool if scores[tid] == best)
-            assert policy.select_tasks([(obs.context, obs.task_features,
+            assert policy.select_tasks([(obs.context, obs.task_ids, obs.rows,
                                          pool[::-1])])[0] == expected
         with pytest.raises(ValueError):
-            policy.select_tasks([(CTX, {}, [])])
+            policy.select_tasks([(CTX, (), NO_ROWS, [])])
 
 
 class TestCrossValidation:
@@ -390,9 +396,9 @@ def twenty_task(golden_demos):
     observations = [o for d in demos for o in d.observations]
     queries = []
     for k in list(range(1, 21)) * 3:
-        obs = rng.choice([o for o in observations if len(o.task_features) >= k])
-        pool = [str(t) for t in rng.permutation(sorted(obs.task_features))[:k]]
-        queries.append((obs.context, obs.task_features, pool))
+        obs = rng.choice([o for o in observations if len(o.task_ids) >= k])
+        pool = [str(t) for t in rng.permutation(sorted(obs.task_ids))[:k]]
+        queries.append((obs.context, obs.task_ids, obs.rows, pool))
     order = rng.permutation(len(queries))
     return demos, _three_kinds(demos), [queries[n] for n in order]
 
@@ -414,7 +420,7 @@ def test_batch_matches_one_pool_calls(monkeypatch, twenty_task, kind, chunk_rows
     tops = policy.select_tasks(queries)
     assert tops == [policy.select_tasks([q])[0] for q in queries]
     assert tops == [min(pool, key=lambda tid: (-dict(zip(pool, s))[tid], tid))
-                    for (_, _, pool), s in zip(queries, scores)]
+                    for (*_, pool), s in zip(queries, scores)]
 
 
 def test_a_tree_that_ties_everything_picks_the_lowest_id(twenty_task):
@@ -425,7 +431,7 @@ def test_a_tree_that_ties_everything_picks_the_lowest_id(twenty_task):
         policy.priority_tree = flat
         policy.class_trees = [flat] * 20
         policy.index = {f"t{k:02d}": k for k in range(20)}
-        assert policy.select_tasks(queries) == [min(pool) for _, _, pool in queries]
+        assert policy.select_tasks(queries) == [min(pool) for *_, pool in queries]
 
 
 @pytest.mark.parametrize("kind", [PolicyModel, PointwisePolicy, NaivePolicy])
@@ -433,31 +439,31 @@ def test_an_empty_pool_raises(twenty_task, kind):
     _, policies, queries = twenty_task
     policy = next(p for p in policies if type(p) is kind)
     with pytest.raises(ValueError, match="empty candidate pool"):
-        policy.select_tasks(queries + [(CTX, {}, [])])
+        policy.select_tasks(queries + [(CTX, (), NO_ROWS, [])])
     assert policy.select_tasks([]) == [] and policy.predict_acts([]) == []
 
 
-def _pair_sums(policy, context, task_features, pool) -> list[float]:
+def _pair_sums(policy, context, task_ids, rows, pool) -> list[float]:
     """The pairwise model's scores of one pool, built by hand: the row sums
     of its pair matrix, in one tree call."""
-    F = np.array([task_features[tid] for tid in pool], dtype=float)
+    F = np.array([rows[task_ids.index(tid)] for tid in pool], dtype=float)
     rows = pair_rows(context, F[:, None], F[None, :])
     probs = policy.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
     return probs.reshape(len(pool), len(pool)).sum(axis=1).tolist()
 
 
-def _reference_top(policy, context, task_features, pool) -> str:
+def _reference_top(policy, context, task_ids, rows, pool) -> str:
     """The top of one pool as each policy ranked it before batching, one tree
     call per pool (one per pool task for the naive baseline)."""
     if isinstance(policy, HeuristicPolicy):
-        return policy.select_tasks([(context, task_features, pool)])[0]
+        return policy.select_tasks([(context, task_ids, rows, pool)])[0]
     if isinstance(policy, PolicyModel):
-        sums = _pair_sums(policy, context, task_features, pool)
+        sums = _pair_sums(policy, context, task_ids, rows, pool)
     elif isinstance(policy, PointwisePolicy):
-        rows = np.array([point_vector(context, task_features[tid]) for tid in pool])
-        sums = policy.priority_tree.predict_proba(rows).tolist()
+        points = np.array([point_vector(context, rows[task_ids.index(tid)]) for tid in pool])
+        sums = policy.priority_tree.predict_proba(points).tolist()
     else:
-        row = np.array([wide_vector(context, task_features, policy.index)])
+        row = np.array([wide_vector(context, task_ids, rows, policy.index)])
         sums = [float(policy.class_trees[policy.index[tid]].predict_proba(row)[0])
                 for tid in pool]
     scores = dict(zip(pool, sums))
@@ -479,19 +485,19 @@ def _reference_evaluate(policy, demos) -> Metrics:
             if obs.scheduled is not None:
                 pool = list(obs.candidates)
                 sched_total += 1
-                top = _reference_top(policy, obs.context, obs.task_features, pool)
+                top = _reference_top(policy, obs.context, obs.task_ids, obs.rows, pool)
                 if top == obs.scheduled[0] and _reference_act(
-                    policy, obs.context, obs.task_features[top]
+                    policy, obs.context, _row(obs, top)
                 ):
                     sched_hits += 1
             else:
                 idle_total += 1
-                pool = list(obs.candidates) or sorted(obs.task_features)
+                pool = list(obs.candidates) or sorted(obs.task_ids)
                 if not pool:
                     idle_hits += 1
                     continue
-                top = _reference_top(policy, obs.context, obs.task_features, pool)
-                if not _reference_act(policy, obs.context, obs.task_features[top]):
+                top = _reference_top(policy, obs.context, obs.task_ids, obs.rows, pool)
+                if not _reference_act(policy, obs.context, _row(obs, top)):
                     idle_hits += 1
     return Metrics(
         sensitivity=sched_hits / sched_total if sched_total else None,
@@ -536,7 +542,7 @@ def test_evaluate_scores_in_batched_tree_passes(monkeypatch, golden_demos):
     """One `evaluate` of the pairwise model makes a tree pass per chunk of
     each pool size and one act pass, however many observations it scores."""
     model = train_policy(golden_demos, min_leaf=5)
-    pools = [o.candidates if o.scheduled else o.candidates or tuple(o.task_features)
+    pools = [o.candidates if o.scheduled else o.candidates or o.task_ids
              for d in golden_demos for o in d.observations]
     ranked = [len(pool) for pool in pools if len(pool) > 1]
     bound = (len(set(ranked)) + math.ceil(sum(k * k for k in ranked)

@@ -13,7 +13,6 @@ from demosched.core import Schedule, travel_ticks, validate_schedule
 from demosched.datasets import build_pairwise_dataset, pair_rows
 from demosched.demonstrator import demonstrate, demonstration_to_dict
 from demosched.experiments import PROBLEM_KINDS, make_config
-from demosched.features import ContextFeatures, TaskFeatures
 from demosched.generator import generate_instance
 from demosched.heuristics import select_rule
 from demosched.optimizer import (
@@ -30,7 +29,7 @@ feature_tuples = st.tuples(*([finite] * 7))
 
 
 def as_tf(values):
-    return TaskFeatures(*values)
+    return np.array(values, dtype=float)
 
 
 class _RowRecorder:
@@ -43,7 +42,7 @@ class _RowRecorder:
 
 @given(ctx=st.tuples(finite, finite), a=feature_tuples, b=feature_tuples)
 def test_pair_rows_antisymmetry(ctx, a, b):
-    context = ContextFeatures(*ctx)
+    context = ctx
     ab = pair_rows(context, as_tf(a), as_tf(b)).tolist()
     ba = pair_rows(context, as_tf(b), as_tf(a)).tolist()
     assert ab[:2] == ba[:2]
@@ -56,7 +55,7 @@ def test_pair_rows_antisymmetry(ctx, a, b):
     feats = {"tA": as_tf(a), "tB": as_tf(b)}
     recorder = _RowRecorder()
     PolicyModel(priority_tree=recorder, act_tree=recorder).pool_scores(
-        [(context, feats, ["tA", "tB"])])
+        [(context, tuple(feats), np.array(list(feats.values())), ["tA", "tB"])])
     rows = recorder.rows.reshape(2, 2, -1)
     for i, first in enumerate(feats):
         for j, second in enumerate(feats):
@@ -97,13 +96,11 @@ def test_select_task_pool_order_invariance(pool_perm, offsets):
     y = (X[:, 2] < 0).astype(int)
     model = PolicyModel(priority_tree=DecisionTree(min_leaf=2).fit(X, y),
                         act_tree=DecisionTree(min_leaf=2).fit(X, y))
-    ctx = ContextFeatures(1.0, 1.0)
-    feats = {
-        tid: TaskFeatures(off, 1.0, 0.0, 1.0, 0.0, off, 0.0)
-        for tid, off in zip(sorted(pool_perm), offsets)
-    }
-    baseline = model.select_tasks([(ctx, feats, sorted(pool_perm))])[0]
-    assert model.select_tasks([(ctx, feats, list(pool_perm))])[0] == baseline
+    ctx = (1.0, 1.0)
+    ids = tuple(sorted(pool_perm))
+    rows = np.array([(off, 1.0, 0.0, 1.0, 0.0, off, 0.0) for off in offsets])
+    baseline = model.select_tasks([(ctx, ids, rows, sorted(pool_perm))])[0]
+    assert model.select_tasks([(ctx, ids, rows, list(pool_perm))])[0] == baseline
 
 
 @given(seed=st.integers(min_value=0, max_value=30))
@@ -262,7 +259,7 @@ def test_noise_rate_matches_uniform_model():
         for obs in demo.observations:
             if not obs.scheduled or len(obs.candidates) < 2:
                 continue
-            expert_pick = oracle.select_tasks([(obs.context, obs.task_features,
+            expert_pick = oracle.select_tasks([(obs.context, obs.task_ids, obs.rows,
                                                 list(obs.candidates))])[0]
             expected_terms.append(1.0 / len(obs.candidates))
             hits.append(1.0 if obs.scheduled[0] == expert_pick else 0.0)

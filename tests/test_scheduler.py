@@ -120,7 +120,7 @@ class TestConstructSchedule:
     def test_stalling_policy_returns_incomplete(self, temporal_problem):
         class NeverAct:
             def select_tasks(self, queries):
-                return [sorted(pool)[0] for _, _, pool in queries]
+                return [sorted(pool)[0] for *_, pool in queries]
 
             def predict_acts(self, asks):
                 return [False] * len(asks)
@@ -141,7 +141,7 @@ class _CountingPolicy:
         self.acts = []
 
     def select_tasks(self, queries):
-        self.pools.extend(list(pool) for _, _, pool in queries)
+        self.pools.extend(list(pool) for *_, pool in queries)
         return self.inner.select_tasks(queries)
 
     def predict_acts(self, asks):

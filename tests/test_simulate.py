@@ -33,7 +33,7 @@ from demosched.core import (
     travel_ticks,
 )
 from demosched.demonstrator import demonstrate, demonstration_to_dict
-from demosched.features import TaskFeatures, extract_features
+from demosched.features import TASK_FEATURE_NAMES, extract_features
 from demosched.generator import KIND_FIELDS, generate_instance, make_config
 from demosched.heuristics import RuleKind, expert_choice, select_rule
 from demosched.optimizer import branch_and_bound
@@ -121,17 +121,18 @@ def feasible_candidates(state: RefState, agent_id: str, problem: ProblemInstance
 
 def reference_features(
     state: RefState, agent: AgentSpec, problem: ProblemInstance, tasks
-) -> dict[str, TaskFeatures]:
+) -> dict[str, dict[str, float]]:
+    """Each task's features by name."""
     share_counts: dict[str, int] = {}
     for t in state.unfinished(problem):
         share_counts[t.resource] = share_counts.get(t.resource, 0) + 1
     agent_loc = state.agent_location[agent.id]
     busy = state.agent_busy_until[agent.id]
-    out: dict[str, TaskFeatures] = {}
+    out: dict[str, dict[str, float]] = {}
     for t in tasks:
         dist = euclidean(agent_loc, t.location)
         arrival = busy + travel_ticks(dist, agent.speed)
-        out[t.id] = TaskFeatures(
+        out[t.id] = dict(
             deadline=float(problem.horizon if t.abs_deadline is None
                            else min(t.abs_deadline, problem.horizon)),
             precedence_satisfied=1.0 if is_alive_enabled(state, t) else 0.0,
@@ -219,14 +220,16 @@ def test_tables_match_reference(kind, homogeneous, shape, epsilon, seed):
         agent_id = cp.agent_ids[a]
         ref = RefState.of(state, problem)
         agent = problem.agents[a]
-        assert [cp.task_ids[t] for t in candidates] == [
-            t.id for t in feasible_candidates(ref, agent_id, problem)]
+        assert [cp.task_ids[t] for t in candidates] == sorted(
+            t.id for t in feasible_candidates(ref, agent_id, problem))
         unfinished = state.unfinished()
         ref_unfinished = ref.unfinished(problem)
-        assert [cp.task_ids[t] for t in unfinished] == [t.id for t in ref_unfinished]
+        unfinished_ids = [cp.task_ids[t] for t in unfinished]
+        assert unfinished_ids == sorted(t.id for t in ref_unfinished)
         features = extract_features(state, a, unfinished)
-        assert list(features.items()) == list(
-            reference_features(ref, agent, problem, ref_unfinished).items())
+        assert {tid: dict(zip(TASK_FEATURE_NAMES, row))
+                for tid, row in zip(unfinished_ids, features.tolist())} == \
+            reference_features(ref, agent, problem, ref_unfinished)
         assert schedulability_test(state) == \
             reference_schedulability_test(ref, problem)
         for t in candidates:
@@ -240,7 +243,7 @@ def test_tables_match_reference(kind, homogeneous, shape, epsilon, seed):
             return None
         if rng.random() < epsilon:
             return cp.task_index[ids[int(rng.integers(len(ids)))]]
-        return cp.task_index[expert_choice(rule, features, ids)]
+        return cp.task_index[expert_choice(rule, unfinished_ids, features, ids)]
 
     run_simulation(problem, decide)
     assert sum(checked) > 0
@@ -267,8 +270,8 @@ def test_every_tick_matches_reference(kind, homogeneous, shape, epsilon, seed):
         assert state.all_finished() == done
         for a, agent_id in enumerate(cp.agent_ids):
             candidates = [cp.task_ids[t] for t in state.candidates(a)]
-            assert candidates == [
-                t.id for t in feasible_candidates(ref, agent_id, problem)]
+            assert candidates == sorted(
+                t.id for t in feasible_candidates(ref, agent_id, problem))
             if not ref.agent_idle(agent_id):
                 assert candidates == []
                 busy_checked += 1
@@ -285,7 +288,7 @@ def test_every_tick_matches_reference(kind, homogeneous, shape, epsilon, seed):
             if rng.random() < epsilon:
                 chosen = ids[int(rng.integers(len(ids)))]
             else:
-                chosen = expert_choice(rule, extract_features(
+                chosen = expert_choice(rule, ids, extract_features(
                     state, a, [cp.task_index[tid] for tid in ids]), ids)
             state = apply_action(state, cp.task_index[chosen], a)
             check(state)
@@ -324,7 +327,7 @@ def _tick_rule_mismatches(problem: ProblemInstance, epsilon: float, seed: int):
         if rng.random() < epsilon:
             return cp.task_index[ids[int(rng.integers(len(ids)))]]
         return cp.task_index[expert_choice(
-            rule, extract_features(state, a, candidates), ids)]
+            rule, ids, extract_features(state, a, candidates), ids)]
 
     run_simulation(problem, decide)
     return mismatches, decisions
@@ -408,10 +411,11 @@ def test_deadline_feature_is_capped_by_the_horizon():
     assert (task.abs_deadline, problem.horizon) == (73, 72)
     state = SimState.initial(problem)
     ref = RefState.of(state, problem)
-    got = extract_features(state, 0, state.unfinished())
+    cp = state.compiled
+    got = extract_features(state, 0, [cp.task_index["t01"]])
     want = reference_features(ref, problem.agents[0], problem,
                               ref.unfinished(problem))
-    assert got["t01"].deadline == want["t01"].deadline == 72.0
+    assert got[0, TASK_FEATURE_NAMES.index("deadline")] == want["t01"]["deadline"] == 72.0
 
 
 # ---------------------------------------------------------------------------
