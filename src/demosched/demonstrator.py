@@ -50,11 +50,11 @@ def demonstrate(
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be in [0, 1]")
     rule = select_rule(problem, contention_threshold)
-    observations: list[Observation] = []
-    schedule = _play(problem, rule, epsilon, rng_seed, observations)
+    records: list[tuple] = []
+    schedule = _play(problem, rule, epsilon, rng_seed, records)
     return Demonstration(
         problem=problem,
-        observations=tuple(observations),
+        observations=_pack(records),
         rule_used=rule,
         epsilon=epsilon,
         rng_seed=rng_seed,
@@ -75,23 +75,23 @@ def verify_expert(problem: ProblemInstance,
 
 
 def _play(problem: ProblemInstance, rule: RuleKind, epsilon: float,
-          rng_seed: int, observations: list[Observation] | None) -> Schedule:
+          rng_seed: int, records: list[tuple] | None) -> Schedule:
     """The expert's playthrough, behind `demonstrate` and `verify_expert`.
 
-    With a list, one observation per (tick, idle agent) is appended to it,
-    featurizing every unfinished task; with None, only the candidates of a
-    decision that has any are featurized.
+    With a list, one observation's fields per (tick, idle agent) are
+    appended to it, featurizing every unfinished task; with None, only the
+    candidates of a decision that has any are featurized.
     """
     rng = np.random.default_rng(rng_seed)
-    if observations is not None:
+    if records is not None:
         contexts = [context_features(problem, agent) for agent in problem.agents]
 
     def decide(state, a, candidates):
-        if observations is None and not candidates:
+        if records is None and not candidates:
             return None
         cp = state.compiled
         ids = tuple(cp.task_ids[t] for t in candidates)
-        tasks = candidates if observations is None else state.unfinished()
+        tasks = candidates if records is None else state.unfinished()
         task_ids = tuple(cp.task_ids[t] for t in tasks)
         rows = extract_features(state, a, tasks)
         chosen = None
@@ -100,17 +100,9 @@ def _play(problem: ProblemInstance, rule: RuleKind, epsilon: float,
                 chosen = ids[int(rng.integers(len(ids)))]
             else:
                 chosen = expert_choice(rule, task_ids, rows, ids)
-        if observations is not None:
-            observations.append(
-                Observation(
-                    tick=state.time,
-                    context=contexts[a],
-                    task_ids=task_ids,
-                    rows=rows,
-                    candidates=ids,
-                    scheduled=(chosen, cp.agent_ids[a]) if chosen is not None else None,
-                )
-            )
+        if records is not None:
+            records.append((state.time, contexts[a], task_ids, rows, ids,
+                            None if chosen is None else (chosen, cp.agent_ids[a])))
         return None if chosen is None else cp.task_index[chosen]
 
     state, schedule = run_simulation(problem, decide)
@@ -120,6 +112,19 @@ def _play(problem: ProblemInstance, rule: RuleKind, epsilon: float,
             f"horizon {problem.horizon} reached with {unfinished} unfinished tasks"
         )
     return schedule
+
+
+def _pack(records: list[tuple]) -> tuple[Observation, ...]:
+    """The observations whose fields `records` holds, their rows views of one
+    read-only buffer: one allocation per demonstration, not per observation."""
+    buffer = np.concatenate([rows for _, _, _, rows, _, _ in records])
+    buffer.flags.writeable = False
+    observations, end = [], 0
+    for tick, context, task_ids, _, candidates, scheduled in records:
+        start, end = end, end + len(task_ids)
+        observations.append(Observation(tick, context, task_ids, buffer[start:end],
+                                        candidates, scheduled))
+    return tuple(observations)
 
 
 def demonstration_to_dict(demo: Demonstration) -> dict:

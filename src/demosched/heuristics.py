@@ -64,8 +64,8 @@ def rule_scores(rule: RuleKind, rows: np.ndarray) -> np.ndarray:
 
 
 def expert_choice(rule: RuleKind, task_ids, rows: np.ndarray, pool) -> str:
-    """The rule's pick from `pool`, task ids among `task_ids`, whose rows
-    `rows` holds: lowest score, ties by lowest id."""
+    """The rule's pick from `pool`, some of `task_ids`, whose rows `rows`
+    holds in that order: lowest score, ties by lowest id."""
     if not pool:
         raise ValueError("empty candidate pool")
     score = dict(zip(task_ids, rule_scores(rule, rows).tolist()))

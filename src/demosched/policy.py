@@ -41,8 +41,7 @@ MIN_LEAF_GRID = (1, 5, 10, 25, 50, 100, 250, 500, 1000)
 
 _CHUNK_ROWS = 1 << 15  # most rows a tree pass scores, unless one pool has more pairs
 
-# one ranking question: the context, the task ids in ascending order, their
-# task-feature rows and the pool to rank, a list of some of those ids
+# one ranking question: context, ascending task ids, their rows, pool of some ids
 Query = tuple[tuple, tuple[str, ...], np.ndarray, list[str]]
 
 

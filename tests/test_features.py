@@ -141,8 +141,10 @@ def _assert_block(obs):
 def test_rows_are_readonly_float64_blocks(kind, seed, epsilon, num_tasks):
     """Recorded and JSON-reloaded, noise-free and noisy, every observation
     holds its rows as a block, and the reloaded block equals the recorded
-    one bit for bit."""
+    one bit for bit. A recorded demonstration's blocks are views of one
+    buffer."""
     demo, = collect_demos([kind], 1, epsilon, seed, num_tasks=num_tasks)
+    assert len({id(o.rows.base) for o in demo.observations}) == 1
     reloaded = demonstration_from_dict(json.loads(json.dumps(demonstration_to_dict(demo))))
     assert len(reloaded.observations) == len(demo.observations) > 0
     for recorded, loaded in zip(demo.observations, reloaded.observations):
