@@ -83,7 +83,7 @@ class _LearnedPolicy:
         """For each (context, task-feature row) pair, True = schedule. A
         probability of exactly 0.5 schedules."""
         return [p >= 0.5 for p in _predict(self.act_tree,
-                                           [point_vector(c, tf) for c, tf in asks])]
+                                           [point_vector(c, row) for c, row in asks])]
 
 
 class PolicyModel(_LearnedPolicy):
