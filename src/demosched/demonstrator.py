@@ -89,21 +89,22 @@ def _play(problem: ProblemInstance, rule: RuleKind, epsilon: float,
     def decide(state, a, candidates):
         if records is None and not candidates:
             return None
-        cp = state.compiled
-        ids = tuple(cp.task_ids[t] for t in candidates)
+        cp, feasible = state.compiled, set(candidates)
         tasks = candidates if records is None else state.unfinished()
-        task_ids = tuple(cp.task_ids[t] for t in tasks)
+        pool = [p for p, t in enumerate(tasks) if t in feasible]  # ascends: both are in id order
         rows = extract_features(state, a, tasks)
         chosen = None
-        if ids:
+        if pool:
             if epsilon > 0.0 and rng.random() < epsilon:
-                chosen = ids[int(rng.integers(len(ids)))]
+                chosen = pool[int(rng.integers(len(pool)))]
             else:
-                chosen = expert_choice(rule, task_ids, rows, ids)
+                chosen = expert_choice(rule, rows, pool)
         if records is not None:
-            records.append((state.time, contexts[a], task_ids, rows, ids,
-                            None if chosen is None else (chosen, cp.agent_ids[a])))
-        return None if chosen is None else cp.task_index[chosen]
+            task_ids = tuple(cp.task_ids[t] for t in tasks)
+            records.append((state.time, contexts[a], task_ids, rows,
+                            tuple(task_ids[p] for p in pool),
+                            None if chosen is None else (task_ids[chosen], cp.agent_ids[a])))
+        return None if chosen is None else tasks[chosen]
 
     state, schedule = run_simulation(problem, decide)
     unfinished = sum(f is None or f > state.time for f in state.finish)
@@ -117,6 +118,8 @@ def _play(problem: ProblemInstance, rule: RuleKind, epsilon: float,
 def _pack(records: list[tuple]) -> tuple[Observation, ...]:
     """The observations whose fields `records` holds, their rows views of one
     read-only buffer: one allocation per demonstration, not per observation."""
+    if not records:
+        return ()
     buffer = np.concatenate([rows for _, _, _, rows, _, _ in records])
     buffer.flags.writeable = False
     observations, end = [], 0
@@ -148,7 +151,7 @@ def demonstration_from_dict(data: dict) -> Demonstration:
     problem = problem_from_dict(data["problem"])
     tasks = {t.id for t in problem.tasks}
     agents = [a.id for a in problem.agents]
-    observations = []
+    records = []
     for i, obs in enumerate(data["observations"]):
         try:
             observation = observation_from_dict(obs)
@@ -160,10 +163,11 @@ def demonstration_from_dict(data: dict) -> Demonstration:
                                       f"is not in the problem")
         except (StructuralError, AttributeError) as exc:
             raise StructuralError(f"observation {i}: {exc}") from None
-        observations.append(observation)
+        records.append((observation.tick, observation.context, observation.task_ids,
+                        observation.rows, observation.candidates, observation.scheduled))
     return Demonstration(
         problem=problem,
-        observations=tuple(observations),
+        observations=_pack(records),
         rule_used=RuleKind(data["rule_used"]),
         epsilon=float(epsilon),
         rng_seed=_number(data["rng_seed"], "demonstration rng_seed", (int,)),

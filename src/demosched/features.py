@@ -85,7 +85,7 @@ def observation_to_dict(obs: Observation) -> dict:
         "context": list(obs.context),
         "task_features": dict(zip(obs.task_ids, obs.rows.tolist())),
         "candidates": list(obs.candidates),
-        "scheduled": list(obs.scheduled) if obs.scheduled else None,
+        "scheduled": None if obs.scheduled is None else list(obs.scheduled),
     }
 
 
@@ -99,7 +99,7 @@ def _finite(values, width: int, what: str) -> list:
 def observation_from_dict(data: dict) -> Observation:
     """Raises StructuralError unless the tick is an integer >= 0, every
     feature row is finite and of its width, the candidates are distinct
-    featurized tasks and `scheduled` names a candidate."""
+    featurized tasks and `scheduled` is null or a pair naming a candidate."""
     features = data["task_features"]
     if not isinstance(features, dict):
         raise StructuralError(f"task_features must map task ids to feature rows, "
@@ -114,10 +114,11 @@ def observation_from_dict(data: dict) -> Observation:
         raise StructuralError(f"candidates {missing!r} have no task features")
     if len(set(candidates)) < len(candidates):
         raise StructuralError(f"candidates must be distinct, got {data['candidates']!r}")
-    scheduled = tuple(data["scheduled"]) if data["scheduled"] else None
-    if scheduled is not None and (len(scheduled) != 2 or scheduled[0] not in candidates):
-        raise StructuralError(f"scheduled must be a [candidate, agent id] pair, "
-                              f"got {data['scheduled']!r}")
+    scheduled = data["scheduled"]
+    if scheduled is not None and (not isinstance(scheduled, (list, tuple))
+                                  or len(scheduled) != 2 or scheduled[0] not in candidates):
+        raise StructuralError(f"scheduled must be null or a [candidate, agent id] pair, "
+                              f"got {scheduled!r}")
     tick = _number(data["tick"], "tick", (int,))
     if tick < 0:
         raise StructuralError(f"tick must be at least 0, got {tick!r}")
@@ -127,5 +128,5 @@ def observation_from_dict(data: dict) -> Observation:
         task_ids=task_ids,
         rows=_block(values),
         candidates=candidates,
-        scheduled=scheduled,
+        scheduled=None if scheduled is None else tuple(scheduled),
     )

@@ -63,10 +63,10 @@ def rule_scores(rule: RuleKind, rows: np.ndarray) -> np.ndarray:
     return rows[:, _DEADLINE]
 
 
-def expert_choice(rule: RuleKind, task_ids, rows: np.ndarray, pool) -> str:
-    """The rule's pick from `pool`, some of `task_ids`, whose rows `rows`
-    holds in that order: lowest score, ties by lowest id."""
+def expert_choice(rule: RuleKind, rows: np.ndarray, pool) -> int:
+    """The rule's pick from `pool`, positions of rows in `rows`: lowest
+    score, ties by lowest position, which is the lowest id."""
     if not pool:
         raise ValueError("empty candidate pool")
-    score = dict(zip(task_ids, rule_scores(rule, rows).tolist()))
-    return min(pool, key=lambda tid: (score[tid], tid))
+    score = rule_scores(rule, rows).tolist()
+    return min(pool, key=lambda p: (score[p], p))

@@ -245,6 +245,13 @@ def lower_bound(cp: Compiled, agent_free, agent_loc, res_free, finish) -> float:
     return float(max(max(agent_free), load_bound, res_bound, chain))
 
 
+def _nonnegative(value, name: str) -> None:
+    """Raises ValueError naming `name` unless `value` is an int or float
+    >= 0: infinity is, NaN and a bool are not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not value >= 0:
+        raise ValueError(f"{name} must be a number >= 0, got {value!r}")
+
+
 def branch_and_bound(
     problem: ProblemInstance,
     seed: Schedule | None = None,
@@ -258,14 +265,14 @@ def branch_and_bound(
     An infeasible or incomplete seed, or one giving a task to an agent that
     cannot do it, is rejected with a warning and the search proceeds cold.
     Raises ValueError naming the argument on a negative or NaN limit or
-    threshold, or a `node_limit` that is not an integer (a bool is not).
+    threshold, a `node_limit` that is not an integer or a threshold or
+    `time_limit` that is not a number (a bool is neither).
     """
     if node_limit is not None and (type(node_limit) is not int or node_limit < 0):
         raise ValueError(f"node_limit must be an integer >= 0, got {node_limit!r}")
-    if not gap_threshold >= 0:  # NaN compares false
-        raise ValueError(f"gap_threshold must be a number >= 0, got {gap_threshold!r}")
-    if time_limit is not None and not time_limit >= 0:
-        raise ValueError(f"time_limit must be a number >= 0, got {time_limit!r}")
+    _nonnegative(gap_threshold, "gap_threshold")
+    if time_limit is not None:
+        _nonnegative(time_limit, "time_limit")
     t0 = _time.perf_counter()
 
     cp = problem.compiled

@@ -41,14 +41,9 @@ MIN_LEAF_GRID = (1, 5, 10, 25, 50, 100, 250, 500, 1000)
 
 _CHUNK_ROWS = 1 << 15  # most rows a tree pass scores, unless one pool has more pairs
 
-# one ranking question: context, ascending task ids, their rows, pool of some ids
-Query = tuple[tuple, tuple[str, ...], np.ndarray, list[str]]
-
-
-def _pool_rows(query: Query) -> np.ndarray:
-    """The query's rows of its pool tasks, in pool order."""
-    _, task_ids, rows, pool = query
-    return rows[[task_ids.index(tid) for tid in pool]]
+# one ranking question: context, ascending task ids, their rows and a pool of
+# row positions; rows ascend by id, so the lowest position is the lowest id
+Query = tuple[tuple, tuple[str, ...], np.ndarray, list[int] | range]
 
 
 def _predict(tree: DecisionTree, rows: list) -> list[float]:
@@ -68,9 +63,9 @@ class _LearnedPolicy:
         self.priority_tree = priority_tree
         self.act_tree = act_tree
 
-    def select_tasks(self, queries: list[Query]) -> list[str]:
-        """Each query's highest-scoring pool task; ties go to the lowest id.
-        A pool of one is its own top and is not scored."""
+    def select_tasks(self, queries: list[Query]) -> list[int]:
+        """Each query's highest-scoring pool position; ties go to the lowest
+        position. A pool of one is its own top and is not scored."""
         if any(not pool for *_, pool in queries):
             raise ValueError("empty candidate pool")
         tops = [pool[0] for *_, pool in queries]
@@ -104,7 +99,7 @@ class PolicyModel(_LearnedPolicy):
                 chunk = members[start:start + step]
                 # as a (len(chunk), k, k) block, entry [n, i, j] is the
                 # probability that task i of pool n ranks above its task j
-                F = np.stack([_pool_rows(queries[n]) for n in chunk])
+                F = np.stack([queries[n][2][queries[n][3]] for n in chunk])
                 C = np.array([queries[n][0] for n in chunk], dtype=float)[:, None, None, :]
                 rows = pair_rows(C, F[:, :, None], F[:, None, :])
                 probs = self.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
@@ -151,9 +146,9 @@ class PointwisePolicy(_LearnedPolicy):
     """Baseline: score each task independently; highest probability wins."""
 
     def pool_scores(self, queries: list[Query]) -> list[list[float]]:
-        probs = _predict(self.priority_tree, [point_vector(query[0], row)
-                                              for query in queries
-                                              for row in _pool_rows(query)])
+        probs = _predict(self.priority_tree, [point_vector(context, row)
+                                              for context, _, rows, pool in queries
+                                              for row in rows[pool]])
         out, start = [], 0
         for *_, pool in queries:
             out.append(probs[start:start + len(pool)])
@@ -172,14 +167,13 @@ class NaivePolicy(_LearnedPolicy):
         self.act_tree = act_tree
 
     def pool_scores(self, queries: list[Query]) -> list[list[float]]:
-        """Each pool task's probability from its index's tree on the query's
+        """Each pool task's probability from its slot's tree on the query's
         wide row; each tree any pool asks for scores every query's row."""
         wide = [wide_vector(context, task_ids, rows, self.index)
                 for context, task_ids, rows, _ in queries]
-        asked = {self.index[tid] for *_, pool in queries for tid in pool}
-        probs = {k: _predict(self.class_trees[k], wide) for k in asked}
-        return [[probs[self.index[tid]][n] for tid in pool]
-                for n, (*_, pool) in enumerate(queries)]
+        slots = [[self.index[task_ids[p]] for p in pool] for _, task_ids, _, pool in queries]
+        probs = {k: _predict(self.class_trees[k], wide) for k in set().union(*slots)}
+        return [[probs[k][n] for k in ks] for n, ks in enumerate(slots)]
 
 
 # ---------------------------------------------------------------------------
@@ -273,26 +267,26 @@ def evaluate(policy, demos: list[Demonstration]) -> Metrics:
     idle_hits = idle_total = 0
     for demo in demos:
         for obs in demo.observations:
-            if obs.scheduled is not None:
-                pool = list(obs.candidates)
-            else:
+            candidates = set(obs.candidates)  # an idle observation without any asks of all
+            pool = ([p for p, tid in enumerate(obs.task_ids) if tid in candidates]
+                    if candidates else range(len(obs.task_ids)))
+            if obs.scheduled is None:
                 idle_total += 1
-                pool = list(obs.candidates or obs.task_ids)
                 if not pool:
                     idle_hits += 1  # nothing left to schedule
                     continue
             queries.append((obs.context, obs.task_ids, obs.rows, pool))
             picks.append(None if obs.scheduled is None else obs.scheduled[0])
     tops = policy.select_tasks(queries)
-    acts = policy.predict_acts([(context, rows[task_ids.index(top)])
-                                for (context, task_ids, rows, _), top in zip(queries, tops)])
+    acts = policy.predict_acts([(context, rows[top])
+                                for (context, _, rows, _), top in zip(queries, tops)])
     sched_hits = sched_total = 0
-    for pick, top, act in zip(picks, tops, acts):
+    for pick, (_, task_ids, *_), top, act in zip(picks, queries, tops, acts):
         if pick is None:
             idle_hits += not act
         else:
             sched_total += 1
-            sched_hits += top == pick and act
+            sched_hits += task_ids[top] == pick and act
     return Metrics(
         sensitivity=sched_hits / sched_total if sched_total else None,
         specificity=idle_hits / idle_total if idle_total else None,

@@ -69,24 +69,23 @@ def construct_schedule(
     def decide(state, a, candidates):
         if not candidates:
             return None
-        cp, context = state.compiled, contexts[a]
-        index, ids = cp.task_index, tuple(cp.task_ids[t] for t in candidates)
+        context, ids = contexts[a], tuple(state.compiled.task_ids[t] for t in candidates)
         rows = extract_features(state, a, candidates)
-        pool = list(ids)
+        pool = range(len(candidates))
         top = policy.select_tasks([(context, ids, rows, pool)])[0]
-        if not policy.predict_acts([(context, rows[ids.index(top)])])[0]:
+        if not policy.predict_acts([(context, rows[top])])[0]:
             return None
         if config.fallback_depth == 1 or len(pool) == 1:
-            return index[top]  # no test, or nothing it could fall back to
+            return candidates[top]  # no test, or nothing it could fall back to
         # rank lazily: the next pick is asked for only once this one fails
         pick, remaining, tries = top, pool, config.fallback_depth
         while True:
-            if schedulability_test(apply_action(state, index[pick], a)):
-                return index[pick]
-            remaining = [tid for tid in remaining if tid != pick]
+            if schedulability_test(apply_action(state, candidates[pick], a)):
+                return candidates[pick]
+            remaining = [p for p in remaining if p != pick]
             tries -= 1
             if not tries or not remaining:
-                return index[top]  # every fallback looked doomed; commit to the favourite
+                return candidates[top]  # every fallback looked doomed; commit to the favourite
             pick = policy.select_tasks([(context, ids, rows, remaining)])[0]
 
     _, schedule = run_simulation(problem, decide)

@@ -53,6 +53,26 @@ _PRECEDENCE, _AVAILABLE, _REMAINING = map(TASK_FEATURE_NAMES.index, (
     "precedence_satisfied", "resource_available", "travel_time_remaining"))
 
 
+def positions(task_ids, ids) -> list[int]:
+    """The row positions of `ids` among an observation's ascending `task_ids`."""
+    return [task_ids.index(tid) for tid in ids]
+
+
+def tied_problem() -> ProblemInstance:
+    """One agent and three tasks that every expert rule ties on: each at the
+    agent's start, of one duration, without a deadline, on a resource of its
+    own. The ids are unpadded and listed out of id order, so the lowest id,
+    "t10", is neither the first listed nor the lowest by number."""
+    return ProblemInstance(
+        grid_size=(10.0, 10.0),
+        agents=(AgentSpec("a0", (0.0, 0.0), 2.0),),
+        tasks=tuple(TaskSpec(tid, (0.0, 0.0), {"a0": 2}, "r" + tid[1:])
+                    for tid in ("t2", "t10", "t3")),
+        resources=("r2", "r10", "r3"),
+        horizon=20,
+    )
+
+
 class HeuristicPolicy:
     """The mock expert's rule wrapped behind the policy interface, used as a
     self-consistency oracle and as a drop-in scheduler policy."""
@@ -61,8 +81,7 @@ class HeuristicPolicy:
         self.rule = rule
 
     def select_tasks(self, queries):
-        return [expert_choice(self.rule, task_ids, rows, pool)
-                for _, task_ids, rows, pool in queries]
+        return [expert_choice(self.rule, rows, pool) for _, _, rows, pool in queries]
 
     def predict_acts(self, asks):
         return [bool(row[_PRECEDENCE] >= 1.0 and row[_AVAILABLE] >= 1.0

@@ -382,6 +382,10 @@ _BAD_OBSERVATIONS = {
     "numeric-agent": lambda o: o["scheduled"].__setitem__(1, 5),
     "duplicate-candidates": lambda o: o.update(candidates=[o["scheduled"][0]] * 2),
     "negative-tick": lambda o: o.update(tick=-1),
+    # a falsy value is not an idle observation's null
+    **{f"{name}-scheduled": lambda o, value=value: o.update(scheduled=value)
+       for name, value in [("false", False), ("zero", 0), ("zero-float", 0.0),
+                           ("empty-string", ""), ("empty-list", []), ("empty-dict", {})]},
 }
 
 
@@ -410,8 +414,9 @@ def test_malformed_demo_is_error_message(workspace, runner, command, flaw):
     """A demonstration whose observation has a non-numeric, non-finite or
     short feature row, task features in a list, an unfeaturized candidate, a
     scheduled task that was not a candidate, a row, candidate or scheduled
-    task its problem lacks, a scheduled agent its problem lacks, a candidate
-    listed twice or a tick that is not an integer >= 0 exits 1 with a message
+    task its problem lacks, a scheduled agent its problem lacks, a scheduled
+    value that is neither null nor a pair, a candidate listed twice or a
+    tick that is not an integer >= 0 exits 1 with a message
     naming the observation. So does one whose schema
     version is not v1, whose rng_seed is not an integer or whose epsilon is
     not a number in [0, 1], or a file that is a list, naming the file."""

@@ -27,8 +27,9 @@ from demosched.generator import (
     _sample_instance,
     make_config,
 )
-from demosched.heuristics import RuleKind, expert_choice, select_rule
+from demosched.heuristics import RuleKind, rule_scores, select_rule
 from demosched.simulate import run_simulation
+from conftest import tied_problem
 
 
 class TestGenConfig:
@@ -180,26 +181,30 @@ class TestDemonstrate:
             demonstrate(temporal_problem, epsilon=1.5)
 
     def test_clean_demo_matches_rule(self, temporal_demo):
-        """Every epsilon=0 decision is exactly the cascade rule's pick."""
-        problem = temporal_demo.problem
-        assert temporal_demo.rule_used is RuleKind.TEMPORAL_REQUIREMENTS
-        replayed = []
+        """Every epsilon=0 decision is exactly the cascade rule's pick: the
+        lowest score, ties to the lowest id. On the tied problem that is
+        "t10", ahead of "t2" and "t3" though listed after "t2"."""
+        tied = demonstrate(tied_problem())
+        for demo in (temporal_demo, tied):
+            assert demo.rule_used is RuleKind.TEMPORAL_REQUIREMENTS
+            replayed = []
 
-        def expert(state, a, candidates):
-            if not candidates:
-                replayed.append(None)
-                return None
-            cp = state.compiled
-            ids = sorted(cp.task_ids[t] for t in candidates)
-            rows = extract_features(state, a, [cp.task_index[tid] for tid in ids])
-            pick = expert_choice(temporal_demo.rule_used, ids, rows, ids)
-            replayed.append(pick)
-            return state.compiled.task_index[pick]
+            def expert(state, a, candidates):
+                if not candidates:
+                    replayed.append(None)
+                    return None
+                cp = state.compiled
+                ids = [cp.task_ids[t] for t in candidates]
+                scores = rule_scores(demo.rule_used, extract_features(state, a, candidates))
+                score = dict(zip(ids, scores.tolist()))
+                pick = min(ids, key=lambda tid: (score[tid], tid))
+                replayed.append(pick)
+                return cp.task_index[pick]
 
-        run_simulation(problem, expert)
-        recorded = [o.scheduled[0] if o.scheduled else None
-                    for o in temporal_demo.observations]
-        assert recorded == replayed
+            run_simulation(demo.problem, expert)
+            assert [o.scheduled[0] if o.scheduled else None
+                    for o in demo.observations] == replayed
+        assert [o.scheduled[0] for o in tied.observations] == ["t10", "t2", "t3"]
 
     def test_scheduling_obs_count(self, temporal_demo):
         scheduled = [o for o in temporal_demo.observations if o.scheduled]

@@ -61,7 +61,7 @@ def pick(rule, problem, tasks=None, agent_id="a0"):
     ids = sorted(t.id for t in tasks)
     rows = extract_features(state, cp.agent_index[agent_id],
                             [cp.task_index[tid] for tid in ids])
-    return expert_choice(rule, ids, rows, [t.id for t in tasks])
+    return ids[expert_choice(rule, rows, range(len(ids)))]
 
 
 class TestVrpPriority:
@@ -123,7 +123,7 @@ def test_empty_candidates_raise():
     with pytest.raises(ValueError):
         pick(RuleKind.TRAVEL_DISTANCE, problem, [])
     with pytest.raises(ValueError):
-        expert_choice(RuleKind.TEMPORAL_REQUIREMENTS, (), np.empty((0, 7)), [])
+        expert_choice(RuleKind.TEMPORAL_REQUIREMENTS, np.empty((0, 7)), [])
 
 
 def live_score(rule, state, agent_id, task, problem):
@@ -160,12 +160,11 @@ def test_feature_scores_reproduce_live_choice(rule, temporal_problem):
         tasks = [problem.tasks[t] for t in candidates]
         unfinished = state.unfinished()
         rows = extract_features(state, a, unfinished)
-        replay = expert_choice(rule, [cp.task_ids[t] for t in unfinished], rows,
-                               [t.id for t in tasks])
+        replay = unfinished[expert_choice(rule, rows, [unfinished.index(t) for t in candidates])]
         live = min(tasks, key=lambda t: (
             live_score(rule, state, agent_id, t, problem), t.id)).id
-        checked.append(replay == live)
-        return cp.task_index[replay]
+        checked.append(cp.task_ids[replay] == live)
+        return replay
 
     run_simulation(problem, decide)
     assert checked and all(checked)

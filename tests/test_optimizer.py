@@ -162,15 +162,19 @@ class TestBranchAndBound:
     def test_time_limit(self, temporal_problem):
         result = branch_and_bound(temporal_problem, time_limit=0.0)
         assert result.status == "time_limit"
+        assert branch_and_bound(temporal_problem, time_limit=math.inf).status != "time_limit"
 
     @pytest.mark.parametrize("argument, value", [
         ("node_limit", -1), ("node_limit", True), ("node_limit", 2.0),
         ("node_limit", float("nan")), ("time_limit", -1.0), ("time_limit", float("nan")),
         ("gap_threshold", -0.5), ("gap_threshold", float("nan")),
+        ("time_limit", True), ("time_limit", "1"), ("gap_threshold", True),
+        ("gap_threshold", "0.1"), ("gap_threshold", None),
     ])
     def test_bad_limit_refused(self, temporal_problem, argument, value):
-        """A negative or NaN limit or threshold, or a non-integer node limit,
-        is refused before any node is explored, not read as a stop."""
+        """A negative or NaN limit or threshold, a non-integer node limit, or
+        a threshold or time limit that is not a number (a bool is not), is
+        refused before any node is explored, not read as a stop."""
         with pytest.raises(ValueError, match=f"^{argument} must be"):
             branch_and_bound(temporal_problem, **{argument: value})
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import HeuristicPolicy
+from conftest import HeuristicPolicy, positions
 from demosched import policy as policy_module
 from demosched.datasets import (
     build_pairwise_dataset,
@@ -45,14 +45,16 @@ NO_ROWS = np.empty((0, 7))
 
 
 def query(feats: dict, pool: list) -> tuple:
-    """A ranking query over the rows of `feats`, task id -> row."""
+    """A ranking query over the rows of `feats`, task id -> row, whose pool
+    is the rows of the ids in `pool`, in that order."""
     ids = tuple(sorted(feats))
-    return (CTX, ids, np.array([feats[tid] for tid in ids]).reshape(len(ids), 7), pool)
+    rows = np.array([feats[tid] for tid in ids]).reshape(len(ids), 7)
+    return (CTX, ids, rows, positions(ids, pool))
 
 
-def _row(obs, tid):
-    """The observation's task-feature row of task `tid`."""
-    return obs.rows[obs.task_ids.index(tid)]
+def top(model, feats: dict, pool: list) -> str:
+    """The id of the model's pick from `pool`, some ids of `feats`."""
+    return sorted(feats)[model.select_tasks([query(feats, pool)])[0]]
 
 
 def edf_model() -> PolicyModel:
@@ -73,17 +75,17 @@ class TestPolicyModel:
     def test_select_earliest_deadline(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        assert model.select_tasks([query(feats, ["tA", "tB", "tC"])])[0] == "tB"
+        assert top(model, feats, ["tA", "tB", "tC"]) == "tB"
 
     def test_pool_restricts_choice(self):
         model = edf_model()
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5)}
-        assert model.select_tasks([query(feats, ["tA", "tC"])])[0] == "tC"
+        assert top(model, feats, ["tA", "tC"]) == "tC"
 
     def test_tie_breaks_by_id(self):
         model = edf_model()
         feats = {"tB": tf(3), "tA": tf(3)}
-        assert model.select_tasks([query(feats, ["tB", "tA"])])[0] == "tA"
+        assert top(model, feats, ["tB", "tA"]) == "tA"
 
     def test_empty_pool_raises(self):
         with pytest.raises(ValueError):
@@ -94,7 +96,7 @@ class TestPolicyModel:
         feats = {"tA": tf(9), "tB": tf(2), "tC": tf(5), "tD": tf(7)}
         pools = (["tA", "tB", "tC", "tD"], ["tD", "tC", "tB", "tA"],
                  ["tB", "tD", "tA", "tC"])
-        picks = {model.select_tasks([query(feats, p)])[0] for p in pools}
+        picks = {top(model, feats, p) for p in pools}
         assert picks == {"tB"}
 
     def test_scores_include_pool_only(self):
@@ -136,7 +138,7 @@ class TestPolicyModel:
         model = edf_model()
         clone = PolicyModel.from_dict(model.to_dict())
         feats = {"tA": tf(9), "tB": tf(2)}
-        assert clone.select_tasks([query(feats, ["tA", "tB"])])[0] == "tB"
+        assert top(clone, feats, ["tA", "tB"]) == "tB"
         assert model.to_dict() == clone.to_dict()
 
     @pytest.mark.parametrize("tree_key", ["priority_tree", "act_tree"])
@@ -178,10 +180,9 @@ class TestBaselinePolicies:
         policy = train_pointwise(small_demos, min_leaf=5, act_tree=act)
         obs = next(o for o in small_demos[0].observations if o.scheduled)
         pick = policy.select_tasks([(obs.context, obs.task_ids, obs.rows,
-                                     list(obs.candidates))])[0]
-        assert pick in obs.candidates
-        assert isinstance(policy.predict_acts([(obs.context,
-                                                _row(obs, pick))])[0], bool)
+                                     positions(obs.task_ids, obs.candidates))])[0]
+        assert obs.task_ids[pick] in obs.candidates
+        assert isinstance(policy.predict_acts([(obs.context, obs.rows[pick])])[0], bool)
 
     def test_naive_smoke(self, small_demos):
         # the fixed-width model needs a uniform task count; restrict to one
@@ -189,8 +190,8 @@ class TestBaselinePolicies:
         policy = train_naive(small_demos[:1], min_leaf=1, act_tree=act)
         obs = next(o for o in small_demos[0].observations if o.scheduled)
         pick = policy.select_tasks([(obs.context, obs.task_ids, obs.rows,
-                                     list(obs.candidates))])[0]
-        assert pick in obs.candidates
+                                     positions(obs.task_ids, obs.candidates))])[0]
+        assert obs.task_ids[pick] in obs.candidates
 
     @pytest.mark.parametrize("train", [train_policy, train_pointwise, train_naive])
     def test_select_task_takes_the_best_score(self, small_demos, train):
@@ -199,13 +200,13 @@ class TestBaselinePolicies:
             "act_tree": train_policy(small_demos[:1], min_leaf=1).act_tree}
         policy = train(small_demos[:1], min_leaf=1, **kw)
         for obs in small_demos[0].observations:
-            pool = list(obs.task_ids)
+            pool = list(range(len(obs.task_ids)))
             if not pool:
                 continue
             scores = dict(zip(pool, policy.pool_scores(
                 [(obs.context, obs.task_ids, obs.rows, pool)])[0]))
             best = max(scores.values())
-            expected = min(tid for tid in pool if scores[tid] == best)
+            expected = min(p for p in pool if scores[p] == best)
             assert policy.select_tasks([(obs.context, obs.task_ids, obs.rows,
                                          pool[::-1])])[0] == expected
         with pytest.raises(ValueError):
@@ -397,7 +398,7 @@ def twenty_task(golden_demos):
     queries = []
     for k in list(range(1, 21)) * 3:
         obs = rng.choice([o for o in observations if len(o.task_ids) >= k])
-        pool = [str(t) for t in rng.permutation(sorted(obs.task_ids))[:k]]
+        pool = [int(p) for p in rng.permutation(len(obs.task_ids))[:k]]
         queries.append((obs.context, obs.task_ids, obs.rows, pool))
     order = rng.permutation(len(queries))
     return demos, _three_kinds(demos), [queries[n] for n in order]
@@ -419,19 +420,24 @@ def test_batch_matches_one_pool_calls(monkeypatch, twenty_task, kind, chunk_rows
         assert scores == [_pair_sums(policy, *q) for q in queries]
     tops = policy.select_tasks(queries)
     assert tops == [policy.select_tasks([q])[0] for q in queries]
-    assert tops == [min(pool, key=lambda tid: (-dict(zip(pool, s))[tid], tid))
+    assert tops == [min(pool, key=lambda p: (-dict(zip(pool, s))[p], p))
                     for (*_, pool), s in zip(queries, scores)]
 
 
 def test_a_tree_that_ties_everything_picks_the_lowest_id(twenty_task):
+    """Every kind takes the lowest position, which is the lowest id: over
+    unpadded ids "t10" sorts first, though a problem lists it after "t2"."""
     _, policies, queries = twenty_task
     flat = DecisionTree(min_leaf=1).fit(np.zeros((2, 1)), np.array([1, 1]))
+    tied = [(CTX, ("t10", "t2", "t3"), np.zeros((3, 7)), [2, 1, 0])]
     for policy in policies:
         policy = type(policy).__new__(type(policy))
         policy.priority_tree = flat
         policy.class_trees = [flat] * 20
         policy.index = {f"t{k:02d}": k for k in range(20)}
         assert policy.select_tasks(queries) == [min(pool) for *_, pool in queries]
+        policy.index = {"t2": 0, "t10": 1, "t3": 2}  # slots in the problem's order
+        assert policy.select_tasks(tied) == [0]
 
 
 @pytest.mark.parametrize("kind", [PolicyModel, PointwisePolicy, NaivePolicy])
@@ -446,13 +452,13 @@ def test_an_empty_pool_raises(twenty_task, kind):
 def _pair_sums(policy, context, task_ids, rows, pool) -> list[float]:
     """The pairwise model's scores of one pool, built by hand: the row sums
     of its pair matrix, in one tree call."""
-    F = np.array([rows[task_ids.index(tid)] for tid in pool], dtype=float)
+    F = np.array([rows[p] for p in pool], dtype=float)
     rows = pair_rows(context, F[:, None], F[None, :])
     probs = policy.priority_tree.predict_proba(rows.reshape(-1, rows.shape[-1]))
     return probs.reshape(len(pool), len(pool)).sum(axis=1).tolist()
 
 
-def _reference_top(policy, context, task_ids, rows, pool) -> str:
+def _reference_top(policy, context, task_ids, rows, pool) -> int:
     """The top of one pool as each policy ranked it before batching, one tree
     call per pool (one per pool task for the naive baseline)."""
     if isinstance(policy, HeuristicPolicy):
@@ -460,14 +466,14 @@ def _reference_top(policy, context, task_ids, rows, pool) -> str:
     if isinstance(policy, PolicyModel):
         sums = _pair_sums(policy, context, task_ids, rows, pool)
     elif isinstance(policy, PointwisePolicy):
-        points = np.array([point_vector(context, rows[task_ids.index(tid)]) for tid in pool])
+        points = np.array([point_vector(context, rows[p]) for p in pool])
         sums = policy.priority_tree.predict_proba(points).tolist()
     else:
         row = np.array([wide_vector(context, task_ids, rows, policy.index)])
-        sums = [float(policy.class_trees[policy.index[tid]].predict_proba(row)[0])
-                for tid in pool]
+        sums = [float(policy.class_trees[policy.index[task_ids[p]]].predict_proba(row)[0])
+                for p in pool]
     scores = dict(zip(pool, sums))
-    return min(pool, key=lambda tid: (-scores[tid], tid))
+    return min(pool, key=lambda p: (-scores[p], p))
 
 
 def _reference_act(policy, context, tf) -> bool:
@@ -483,21 +489,21 @@ def _reference_evaluate(policy, demos) -> Metrics:
     for demo in demos:
         for obs in demo.observations:
             if obs.scheduled is not None:
-                pool = list(obs.candidates)
+                pool = positions(obs.task_ids, obs.candidates)
                 sched_total += 1
                 top = _reference_top(policy, obs.context, obs.task_ids, obs.rows, pool)
-                if top == obs.scheduled[0] and _reference_act(
-                    policy, obs.context, _row(obs, top)
+                if obs.task_ids[top] == obs.scheduled[0] and _reference_act(
+                    policy, obs.context, obs.rows[top]
                 ):
                     sched_hits += 1
             else:
                 idle_total += 1
-                pool = list(obs.candidates) or sorted(obs.task_ids)
+                pool = positions(obs.task_ids, obs.candidates or obs.task_ids)
                 if not pool:
                     idle_hits += 1
                     continue
                 top = _reference_top(policy, obs.context, obs.task_ids, obs.rows, pool)
-                if not _reference_act(policy, obs.context, _row(obs, top)):
+                if not _reference_act(policy, obs.context, obs.rows[top]):
                     idle_hits += 1
     return Metrics(
         sensitivity=sched_hits / sched_total if sched_total else None,

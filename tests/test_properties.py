@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import HeuristicPolicy, timed_schedule
+from conftest import HeuristicPolicy, positions, timed_schedule
 from demosched.core import Schedule, travel_ticks, validate_schedule
 from demosched.datasets import build_pairwise_dataset, pair_rows
 from demosched.demonstrator import demonstrate, demonstration_to_dict
@@ -55,7 +55,7 @@ def test_pair_rows_antisymmetry(ctx, a, b):
     feats = {"tA": as_tf(a), "tB": as_tf(b)}
     recorder = _RowRecorder()
     PolicyModel(priority_tree=recorder, act_tree=recorder).pool_scores(
-        [(context, tuple(feats), np.array(list(feats.values())), ["tA", "tB"])])
+        [(context, tuple(feats), np.array(list(feats.values())), [0, 1])])
     rows = recorder.rows.reshape(2, 2, -1)
     for i, first in enumerate(feats):
         for j, second in enumerate(feats):
@@ -99,8 +99,9 @@ def test_select_task_pool_order_invariance(pool_perm, offsets):
     ctx = (1.0, 1.0)
     ids = tuple(sorted(pool_perm))
     rows = np.array([(off, 1.0, 0.0, 1.0, 0.0, off, 0.0) for off in offsets])
-    baseline = model.select_tasks([(ctx, ids, rows, sorted(pool_perm))])[0]
-    assert model.select_tasks([(ctx, ids, rows, list(pool_perm))])[0] == baseline
+    pool = positions(ids, pool_perm)
+    baseline = model.select_tasks([(ctx, ids, rows, sorted(pool))])[0]
+    assert model.select_tasks([(ctx, ids, rows, pool)])[0] == baseline
 
 
 @given(seed=st.integers(min_value=0, max_value=30))
@@ -260,9 +261,9 @@ def test_noise_rate_matches_uniform_model():
             if not obs.scheduled or len(obs.candidates) < 2:
                 continue
             expert_pick = oracle.select_tasks([(obs.context, obs.task_ids, obs.rows,
-                                                list(obs.candidates))])[0]
+                                                positions(obs.task_ids, obs.candidates))])[0]
             expected_terms.append(1.0 / len(obs.candidates))
-            hits.append(1.0 if obs.scheduled[0] == expert_pick else 0.0)
+            hits.append(1.0 if obs.scheduled[0] == obs.task_ids[expert_pick] else 0.0)
         if len(hits) >= 500:
             break
     observed = float(np.mean(hits))

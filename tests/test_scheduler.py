@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import HeuristicPolicy
+from conftest import HeuristicPolicy, tied_problem
 from demosched import scheduler
 from demosched.core import (
     AgentSpec,
@@ -82,17 +82,22 @@ class TestSchedulabilityTest:
 
 class TestConstructSchedule:
     @pytest.mark.parametrize("kind,seed", [("temporal", 0), ("travel", 1),
-                                           ("contention", 2)])
+                                           ("contention", 2), ("tied", None)])
     def test_heuristic_policy_reproduces_expert(self, kind, seed):
+        """The replay breaks the rule's ties as the expert does, by lowest
+        id: on the tied problem "t10" goes first, though listed after "t2"."""
         from demosched.demonstrator import demonstrate
         from demosched.heuristics import select_rule
 
-        problem = generate_instance(make_config(kind, num_tasks=6, rng_seed=seed))
+        problem = (tied_problem() if kind == "tied"
+                   else generate_instance(make_config(kind, num_tasks=6, rng_seed=seed)))
         rule = select_rule(problem)
         expert = demonstrate(problem, epsilon=0.0, rng_seed=0)
         rebuilt = construct_schedule(problem, HeuristicPolicy(rule),
                                      SchedulerConfig(fallback_depth=1))
         assert rebuilt.entries == expert.schedule.entries
+        if kind == "tied":
+            assert [e.task_id for e in rebuilt.entries] == ["t10", "t2", "t3"]
 
     def test_trained_policy_completes(self, small_demos):
         model = train_policy(small_demos, min_leaf=5)

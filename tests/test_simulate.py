@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import HeuristicPolicy
+from conftest import HeuristicPolicy, positions
 from demosched import core
 from demosched.core import (
     AgentSpec,
@@ -243,7 +243,7 @@ def test_tables_match_reference(kind, homogeneous, shape, epsilon, seed):
             return None
         if rng.random() < epsilon:
             return cp.task_index[ids[int(rng.integers(len(ids)))]]
-        return cp.task_index[expert_choice(rule, unfinished_ids, features, ids)]
+        return unfinished[expert_choice(rule, features, positions(unfinished_ids, ids))]
 
     run_simulation(problem, decide)
     assert sum(checked) > 0
@@ -288,8 +288,8 @@ def test_every_tick_matches_reference(kind, homogeneous, shape, epsilon, seed):
             if rng.random() < epsilon:
                 chosen = ids[int(rng.integers(len(ids)))]
             else:
-                chosen = expert_choice(rule, ids, extract_features(
-                    state, a, [cp.task_index[tid] for tid in ids]), ids)
+                chosen = ids[expert_choice(rule, extract_features(
+                    state, a, [cp.task_index[tid] for tid in ids]), range(len(ids)))]
             state = apply_action(state, cp.task_index[chosen], a)
             check(state)
     assert busy_checked > 0
@@ -326,8 +326,8 @@ def _tick_rule_mismatches(problem: ProblemInstance, epsilon: float, seed: int):
             return None
         if rng.random() < epsilon:
             return cp.task_index[ids[int(rng.integers(len(ids)))]]
-        return cp.task_index[expert_choice(
-            rule, ids, extract_features(state, a, candidates), ids)]
+        return candidates[expert_choice(
+            rule, extract_features(state, a, candidates), range(len(candidates)))]
 
     run_simulation(problem, decide)
     return mismatches, decisions
