@@ -267,7 +267,7 @@ def evaluate(policy, demos: list[Demonstration]) -> Metrics:
     idle_hits = idle_total = 0
     for demo in demos:
         for obs in demo.observations:
-            candidates = set(obs.candidates)  # an idle observation without any asks of all
+            candidates = set(obs.candidates)  # none: an idle observation ranks every task
             pool = ([p for p, tid in enumerate(obs.task_ids) if tid in candidates]
                     if candidates else range(len(obs.task_ids)))
             if obs.scheduled is None:
